@@ -24,11 +24,18 @@ can fall below the grid spacing, error measurement is done on the exact
 piecewise representation (per-cell Gauss quadrature, split at the seam), not
 on node samples.
 
-Bernstein basis rows are evaluated through logs of gamma functions, which is
-flat-stable at any degree; the weights at u = 0 and u = 1 come out exactly
-one-hot, so endpoint values and derivatives of the core are exact and the
-endpoint residuals of the final result sit at rounding level by arithmetic,
-not by tolerance.
+Bernstein sums are taken over the binomial window only.  The basis weight
+b_{m,k}(u) is the probability that K ~ Bin(m, u) equals k, so B_m f(u) =
+E f(K/m) puts almost all of its weight near k = m*u.  Each sum runs over
+k in [m*u - W, m*u + W], clipped to [0, m], with W = 12*sqrt(m*u*(1-u)) + 30.
+By Bernstein's inequality the omitted mass is below 2*e^-45, far under one
+unit of rounding, so the truncation is exact to rounding at every degree; a
+sum costs O(sqrt(m)) per point instead of O(m), and at small m the window
+already covers 0..m.  The weights are formed from logs of gamma functions
+with xlogy, which is flat-stable at any degree.  Since xlogy(0, 0) = 0, the
+weights at u = 0 and u = 1 come out exactly one-hot, so endpoint values and
+derivatives of the core are exact and the endpoint residuals of the final
+result sit at rounding level by arithmetic, not by tolerance.
 """
 
 from __future__ import annotations
@@ -47,29 +54,51 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 DEGREE_START = 8
 DEGREE_CAP = 32768
 
+# Sorted points per block of a Bernstein sum.  A block sums over the union
+# of its points' windows, so larger blocks widen it; smaller ones pay more
+# interpreter overhead per point.
+_BLOCK = 32
+
 
 # ----------------------------------------------------------------- Bernstein
 
-def _bern_combine(coeffs: np.ndarray, u: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """sum_k coeffs[k] * b_{m,k}(u) for u in [0,1], chunked over k."""
+def _bern_combine(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * b_{m,k}(u) for u in [0, 1], over the binomial window.
+
+    The points are sorted and taken _BLOCK at a time; each block sums over
+    the union of its points' windows k in [m*u - W, m*u + W] with
+    W = 12*sqrt(m*u*(1-u)) + 30.  Bernstein's inequality,
+    P(|K - m*u| >= t) <= 2*exp(-t^2 / (2*(m*u*(1-u) + t/3))), gives at
+    t = W an exponent of at least 45, so the weight left out is below
+    2*e^-45 times max|coeffs|: the sum is exact to rounding.  At u = 0 and
+    u = 1, xlogy makes every weight in the window 0 except one, which is
+    exactly 1.
+    """
     c = np.asarray(coeffs, dtype=float)
     m = len(c) - 1
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if m == 0:
         return np.full(u.shape, c[0])
-    out = np.zeros(u.shape)
-    lg = gammaln(m + 1)
-    uc = u[:, None]
-    for k0 in range(0, m + 1, chunk):
-        ks = np.arange(k0, min(k0 + chunk, m + 1))
-        logw = (
-            lg
-            - gammaln(ks + 1)
-            - gammaln(m - ks + 1)
-            + xlogy(ks, uc)
-            + xlogy(m - ks, 1.0 - uc)
-        )
-        out += np.exp(logw) @ c[ks]
+    order = np.argsort(u)
+    us = u[order]
+    half = 12.0 * np.sqrt(m * us * (1.0 - us)) + 30.0
+    lo = np.clip(np.floor(m * us - half), 0, m).astype(np.intp)
+    hi = np.clip(np.ceil(m * us + half), 0, m).astype(np.intp) + 1
+    # log-binomial table over only the k some window reaches, from k_lo on:
+    # the patch search calls this with one point at a time at full degree
+    k_lo = lo.min()
+    ks = np.arange(k_lo, hi.max())
+    logc = gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
+    cw = c[k_lo:]
+    sums = np.empty(us.shape)
+    for i in range(0, us.size, _BLOCK):
+        blk = slice(i, i + _BLOCK)
+        j = slice(lo[blk].min() - k_lo, hi[blk].max() - k_lo)
+        ub = us[blk, None]
+        logw = logc[j] + xlogy(ks[j], ub) + xlogy(m - ks[j], 1.0 - ub)
+        sums[blk] = np.exp(logw) @ cw[j]
+    out = np.empty(u.shape)
+    out[order] = sums
     return out
 
 

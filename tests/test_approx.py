@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from waveinput.approx import (
     ApproxRequest,
+    _bern_combine,
     approximate_c1,
     bernstein,
     choose_bernstein_degree,
@@ -24,6 +26,21 @@ from conftest import feasible_random_v, random_spec, traveling_spec
 def grid_of(fn, a, b, n):
     xs = np.linspace(a, b, n)
     return GridFunction(a, b, n, fn(xs))
+
+
+def dense_bernstein(c, u):
+    """Reference sum over every basis weight b_{m,k}(u), k = 0..m."""
+    m = len(c) - 1
+    k = np.arange(m + 1)
+    uc = np.asarray(u, dtype=float)[:, None]
+    logw = (
+        gammaln(m + 1)
+        - gammaln(k + 1)
+        - gammaln(m - k + 1)
+        + xlogy(k, uc)
+        + xlogy(m - k, 1.0 - uc)
+    )
+    return np.exp(logw) @ c
 
 
 class TestLinearTail:
@@ -97,10 +114,28 @@ class TestBernstein:
     def test_endpoint_fidelity_exact(self):
         rng = np.random.default_rng(3)
         g = GridFunction(-2.0, 1.0, 33, rng.normal(size=33))
-        for m in (8, 509, 2048):
+        for m in (8, 509, 2048, 32768):
             out = bernstein(g, m)
             assert out.values[0] == g.values[0]
             assert out.values[-1] == g.values[-1]
+
+    @pytest.mark.parametrize("m", [1, 8, 509, 4096, 32768])
+    def test_combine_matches_dense_reference(self, m):
+        rng = np.random.default_rng(m)
+        c = rng.normal(size=m + 1)
+        u = rng.permutation(np.concatenate(([0.0, 1.0, 1e-12, 1.0 - 1e-12], rng.random(60))))
+        got = _bern_combine(c, u)
+        assert np.max(np.abs(got - dense_bernstein(c, u))) <= 1e-13 * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("m", [1, 8, 509, 4096, 32768])
+    def test_derivative_matches_dense_reference(self, m):
+        rng = np.random.default_rng(m)
+        g = GridFunction(-2.0, 1.0, 65, rng.normal(size=65))
+        c = np.interp(np.linspace(g.a, g.b, m + 1), g.xs, g.values)
+        d = m * np.diff(c) / (g.b - g.a)
+        want = dense_bernstein(d, (g.xs - g.a) / (g.b - g.a))
+        got = bernstein(g, m).d1
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(d))
 
     def test_bad_degree(self):
         g = grid_of(np.cos, 0.0, 1.0, 9)
