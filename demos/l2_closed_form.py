@@ -20,7 +20,7 @@ spec = ProblemSpec(
 n = 257
 ts = spec.shifts(n)
 
-sol = l2_minimizer(ts, spec.A, spec.T)
+sol = l2_minimizer(ts, spec.A)
 print(f"K = {spec.K}, A = {spec.A:+.6f}")
 print(f"constant part A1/(2T) = {sol.A1 / (2 * spec.T):+.6f}")
 print(f"objective (squared window norm) = {sol.objective:.8f}")

@@ -15,11 +15,6 @@ from .approx import (
     ApproxResult,
     PMSEntry,
     approximate_c1,
-    bernstein,
-    choose_bernstein_degree,
-    hermite_patch,
-    integral_shift,
-    linear_tail,
     pms_sequence,
 )
 from .errors import (
@@ -104,9 +99,7 @@ __all__ = [
     "WaveInputError",
     "a1_constant",
     "approximate_c1",
-    "bernstein",
     "catalog",
-    "choose_bernstein_degree",
     "construct_h",
     "convergence_study",
     "dalembert",
@@ -116,15 +109,12 @@ __all__ = [
     "fd_derivative",
     "from_samples",
     "full_norm",
-    "hermite_patch",
-    "integral_shift",
     "integrate",
     "l1_objective",
     "l1_oracle",
     "l2_minimizer",
     "l2_ms_check",
     "l2_oracle",
-    "linear_tail",
     "lp_norm",
     "ms_endpoint_check",
     "order_envelopes",

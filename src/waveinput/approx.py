@@ -40,12 +40,12 @@ result sit at rounding level by arithmetic, not by tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import ApproxBudgetExceeded, BadDelta, BadParams, UnsupportedNorm
+from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from .functions import C1GridFunction, GridFunction, integrate, simpson_weights
 from .tbvp import ProblemSpec, full_norm
 
@@ -159,88 +159,6 @@ def _hermite_integral(s, b, v0, d0, v1, d1) -> float:
     return dt * (v0 + v1) / 2.0 + dt * dt * (d0 - d1) / 12.0
 
 
-# ------------------------------------------------------------ standalone ops
-
-def linear_tail(f: GridFunction, c1: float, delta: float) -> GridFunction:
-    """Replace f on [b-delta, b] by the line ending at f(a) + c1.
-
-    The knee must stay strictly inside the interval; a tail covering half
-    of it is legal (useful mostly in demonstrations, the error bound grows
-    linearly in delta).
-    """
-    width = f.b - f.a
-    if not 0.0 < delta < width:
-        raise BadDelta(f"delta={delta} not in (0, {width})")
-    knee = f.b - delta
-    f_knee = float(np.interp(knee, f.xs, f.values))
-    end = float(f.values[0]) + c1
-    xs = f.xs
-    line = f_knee + (end - f_knee) / delta * (xs - knee)
-    vals = np.where(xs <= knee, f.values, line)
-    return f.with_values(vals)
-
-
-def integral_shift(g: GridFunction, target: float) -> GridFunction:
-    """Subtract the constant that moves the Simpson integral onto target."""
-    r = (integrate(g) - target) / (g.b - g.a)
-    return g.with_values(g.values - r)
-
-
-def bernstein(g: GridFunction, m: int) -> C1GridFunction:
-    """Degree-m Bernstein polynomial of g's linear interpolant, on g's grid."""
-    if m < 1:
-        raise BadParams(f"Bernstein degree must be >= 1, got {m}")
-    pts = np.linspace(g.a, g.b, m + 1)
-    c = np.interp(pts, g.xs, g.values)
-    vals = _bern_value(c, g.a, g.b, g.xs)
-    ders = _bern_deriv(c, g.a, g.b, g.xs)
-    return C1GridFunction(g.a, g.b, g.n, vals, ders)
-
-
-@dataclass
-class DegreeChoice:
-    m: int
-    max_node_error: float
-    satisfied: bool
-
-
-def choose_bernstein_degree(g: GridFunction, tol: float, m_max: int = 4096) -> DegreeChoice:
-    """Smallest degree in the doubling chain with node-max error below tol.
-
-    If the cap is reached without success the cap is returned with
-    satisfied=False; callers decide whether a degraded fit is usable.
-    """
-    if tol <= 0:
-        raise BadParams(f"tolerance must be positive, got {tol}")
-    m = DEGREE_START
-    while True:
-        approx = bernstein(g, m)
-        err = float(np.max(np.abs(approx.values - g.values)))
-        if err < tol:
-            return DegreeChoice(m, err, True)
-        if 2 * m > m_max:
-            return DegreeChoice(m, err, False)
-        m *= 2
-
-
-def hermite_patch(g4: C1GridFunction, c2: float, delta: float) -> C1GridFunction:
-    """Swap the last delta of g4 for the cubic landing on slope g4'(a) + c2."""
-    if not isinstance(g4, C1GridFunction):
-        raise BadParams("hermite_patch needs derivative samples (C1GridFunction)")
-    width = g4.b - g4.a
-    if not 0.0 < delta < width:
-        raise BadDelta(f"delta={delta} not in (0, {width})")
-    s = g4.b - delta
-    v0 = float(np.interp(s, g4.xs, g4.values))
-    d0 = float(np.interp(s, g4.xs, g4.d1))
-    v1 = float(g4.values[-1])
-    d1_end = float(g4.d1[0]) + c2
-    hv, hd = _hermite(s, g4.b, v0, d0, v1, d1_end, g4.xs)
-    vals = np.where(g4.xs < s, g4.values, hv)
-    ders = np.where(g4.xs < s, g4.d1, hd)
-    return C1GridFunction(g4.a, g4.b, g4.n, vals, ders)
-
-
 # ---------------------------------------------------------------- main types
 
 @dataclass
@@ -302,18 +220,8 @@ class ApproxResult:
 
 # ------------------------------------------------------------- measurement
 
-def _cell_gauss(xs: np.ndarray):
-    """Gauss points and weights per grid cell, flattened."""
-    mid = (xs[1:] + xs[:-1]) / 2.0
-    hw = (xs[1:] - xs[:-1]) / 2.0
-    pts = mid[:, None] + hw[:, None] * _GAUSS_X[None, :]
-    wts = hw[:, None] * _GAUSS_W[None, :]
-    return pts.ravel(), wts.ravel()
-
-
-def _segment_gauss(lo: float, hi: float, cuts: np.ndarray):
-    """Gauss points/weights on [lo, hi] split at the interior cuts."""
-    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
+def _gauss(edges: np.ndarray):
+    """Gauss points and weights on every cell between consecutive edges, flattened."""
     mid = (edges[1:] + edges[:-1]) / 2.0
     hw = (edges[1:] - edges[:-1]) / 2.0
     pts = mid[:, None] + hw[:, None] * _GAUSS_X[None, :]
@@ -353,7 +261,7 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
     xs = f.xs
     eps = float(req.epsilon)
 
-    pts, wts = _cell_gauss(xs)
+    pts, wts = _gauss(xs)
     f_at_pts = np.interp(pts, xs, f.values)
 
     def measure_core(m):
@@ -361,7 +269,6 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
         diffs = _bern_value(samp, a, b, pts) - f_at_pts
         return samp, diffs
 
-    best = None
     cap = DEGREE_CAP
     retries = 0
     while True:
@@ -401,13 +308,14 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
             v0 = float(_bern_value(coeffs, a, b, np.array([seam]))[0]) - s2
             d0 = float(_bern_deriv(coeffs, a, b, np.array([seam]))[0])
 
-            part_pts, part_wts = _segment_gauss(xs[jc], seam, np.empty(0))
+            part_pts, part_wts = _gauss(np.array([xs[jc], seam]))
             part_diffs = (
                 _bern_value(coeffs, a, b, part_pts)
                 - s2
                 - np.interp(part_pts, xs, f.values)
             )
-            patch_pts, patch_wts = _segment_gauss(seam, b, xs)
+            inner = xs[(xs > seam) & (xs < b)]
+            patch_pts, patch_wts = _gauss(np.concatenate(([seam], inner, [b])))
             hv, _ = _hermite(seam, b, v0, d0, v1, d1_end, patch_pts)
             patch_diffs = hv - np.interp(patch_pts, xs, f.values)
 
@@ -451,11 +359,8 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
         delta, seam, v0, d0, r3, achieved = chosen if chosen else last
 
         curve = C1Curve(a, b, seam, coeffs, s2, r3, (v0, d0, v1, d1_end))
-        core_vals = _bern_value(coeffs, a, b, xs) - s2
-        core_ders = _bern_deriv(coeffs, a, b, xs)
-        hv, hd = _hermite(seam, b, v0, d0, v1, d1_end, np.clip(xs, seam, b))
-        vals = np.where(xs < seam, core_vals, hv) - r3
-        ders = np.where(xs < seam, core_ders, hd)
+        vals = curve.value(xs)
+        ders = curve.d1(xs)
         g = C1GridFunction(a, b, f.n, vals, ders)
 
         stages = {
@@ -477,12 +382,10 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
         )
         if chosen is not None:
             return result
-        if best is None or result.achieved_lp_error < best.achieved_lp_error:
-            best = result
         raise ApproxBudgetExceeded(
-            f"could not reach Lp budget {eps} (best {best.achieved_lp_error:.3e}, "
+            f"could not reach Lp budget {eps} (best {achieved:.3e}, "
             f"degree {m}, patch width {delta:.3e})",
-            result=best,
+            result=result,
         )
 
 
@@ -538,9 +441,7 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
         if p == 1:
             bound = 2.0 * spec.K * spec.T * eps
         else:
-            w = -(vn.values + v.values)[None, :] + 2.0 * np.stack(
-                [shifts.for_period(k).values for k in range(-spec.K1, spec.K2 + 1)]
-            )
+            w = -(vn.values + v.values)[None, :] + 2.0 * shifts.values
             m_factor = np.sqrt(float(np.sum(w_simpson * np.sum(w, axis=0) ** 2)))
             bound = m_factor * eps
         entries.append(PMSEntry(eps, result, gap, bound, gap <= bound + 1e-12))

@@ -19,11 +19,6 @@ config and seed produce byte-identical output files.
 Exit codes: 0 success, 2 bad config/input, 3 degenerate scaling in the L1
 construction, 4 infeasible input in verify, 5 oracle did not certify,
 6 approximation budget unreachable.
-
-The env var TBVP_THREADS, when set, must be a positive integer.  It is
-validated here and re-exported for the BLAS layer of any child process;
-within this process numpy's thread pool is already pinned by the time the
-package imports, so the cap is best-effort only.
 """
 
 from __future__ import annotations
@@ -176,47 +171,37 @@ def parse_config(path: str) -> RunConfig:
     )
 
 
-def _check_thread_env() -> None:
-    value = os.environ.get("TBVP_THREADS")
-    if value is None:
-        return
-    try:
-        threads = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"TBVP_THREADS must be an integer, got {value!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"TBVP_THREADS must be positive, got {threads}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The first two columns of a comma- or space-separated file, as floats.
 
-
-def _load_samples(key: str, path: str):
+    Lines before the first row that parses are skipped as headers; every
+    later row must hold two numbers, and no value may be NaN or infinite.
+    """
+    rows = []
     try:
-        rows = []
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
                 parts = line.replace(",", " ").split()
+                if not parts:
+                    continue
                 try:
                     rows.append((float(parts[0]), float(parts[1])))
                 except (ValueError, IndexError):
-                    if not rows:
-                        continue  # header line
-                    raise ConfigError(f"{key}: malformed sample row {line!r}")
+                    if rows:
+                        raise ConfigError(f"malformed row {line.strip()!r} in {path}")
     except OSError as exc:
-        raise ConfigError(f"{key}: cannot read sample file {path}: {exc}") from exc
-    if len(rows) < 4:
-        raise ConfigError(f"{key}: need at least 4 sample rows, got {len(rows)}")
-    xs, ys = zip(*rows)
-    return from_samples(np.asarray(xs), np.asarray(ys))
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    data = np.array(rows, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"non-finite value in {path}")
+    xs, ys = data.T.copy()
+    return xs, ys
 
 
 def _build_function(key: str, spec: tuple):
-    if spec[0] == "file":
-        return _load_samples(key, spec[1])
     try:
+        if spec[0] == "file":
+            return from_samples(*_read_xy(spec[1]))
         return catalog(spec[1], spec[2])
     except WaveInputError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
@@ -253,7 +238,7 @@ def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
         f"c2 = {_fmt(spec.c2)}",
     ]
     if cfg.norm == "l2":
-        sol = l2_minimizer(ts, spec.A, spec.T)
+        sol = l2_minimizer(ts, spec.A)
         lines.append(f"A1 = {_fmt(sol.A1)}")
         lines.append(f"objective = {_fmt(sol.objective)}")
         lines.append(f"ms_check = {l2_ms_check(sol, spec)}")
@@ -288,14 +273,10 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
         "x," + ",".join(f"a_{j}" for j in range(1, K + 1)),
         (tuple(row) for row in np.column_stack([xs, env.values.T])),
     )
-    # columns in window-period order k = -K1..K2, not storage order
-    by_period = np.column_stack(
-        [ts.for_period(k).values for k in range(-cfg.K1, cfg.K2 + 1)]
-    )
     _write_csv(
         os.path.join(cfg.output_dir, "shifts.csv"),
         "x," + ",".join(f"t_{j}" for j in range(1, K + 1)),
-        (tuple(row) for row in np.column_stack([xs, by_period])),
+        (tuple(row) for row in np.column_stack([xs, ts.values.T])),
     )
     _write_csv(
         os.path.join(cfg.output_dir, "minimizer.csv"),
@@ -314,34 +295,14 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     return 0
 
 
-def _read_input_csv(path: str, spec: ProblemSpec, n: int) -> GridFunction:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read input csv {path}: {exc}") from exc
-    rows = []
-    for ln in lines:
-        parts = ln.replace(",", " ").split()
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except (ValueError, IndexError):
-            if not rows:
-                continue  # header
-            raise ConfigError(f"malformed input row {ln!r}")
-    if len(rows) != n:
-        raise ConfigError(f"input csv has {len(rows)} rows, config says n={n}")
-    xs, vs = map(np.asarray, zip(*rows))
-    want = np.linspace(-spec.T, spec.T, n)
-    if np.max(np.abs(xs - want)) > 1e-9 * max(1.0, spec.T):
-        raise ConfigError("input csv x-column does not match the decision grid")
-    return GridFunction(-spec.T, spec.T, n, vs)
-
-
 def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     spec = build_problem(cfg)
-    v = _read_input_csv(input_csv, spec, cfg.n)
-    rep = verify_solution(v, spec)
+    xs, vs = _read_xy(input_csv)
+    if xs.size != cfg.n:
+        raise ConfigError(f"input csv has {xs.size} rows, config says n={cfg.n}")
+    if np.max(np.abs(xs - np.linspace(-spec.T, spec.T, cfg.n))) > 1e-9 * max(1.0, spec.T):
+        raise ConfigError("input csv x-column does not match the decision grid")
+    rep = verify_solution(GridFunction(-spec.T, spec.T, cfg.n, vs), spec)
 
     rows = [
         ("classification", rep.classification),
@@ -469,7 +430,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        _check_thread_env()
         cfg = parse_config(args.config)
         if args.out:
             cfg.output_dir = args.out

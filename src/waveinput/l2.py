@@ -25,17 +25,17 @@ class L2Solution:
     objective: float  # full-window squared L2 norm of the extension
 
 
-def a1_constant(ts: ShiftSequence, A: float, T: float) -> float:
+def a1_constant(ts: ShiftSequence, A: float) -> float:
     """Integral defect A - int mean(ts) the constant part of v must carry."""
     w = simpson_weights(ts.n, ts.grid.h)
     mean = ts.values.mean(axis=0)
     return float(A - np.dot(w, mean))
 
 
-def l2_minimizer(ts: ShiftSequence, A: float, T: float) -> L2Solution:
+def l2_minimizer(ts: ShiftSequence, A: float) -> L2Solution:
     mean = ts.values.mean(axis=0)
-    A1 = a1_constant(ts, A, T)
-    v_vals = mean + A1 / (2.0 * T)
+    A1 = a1_constant(ts, A)
+    v_vals = mean + A1 / (2.0 * ts.spec.T)
     v = ts.grid.with_values(v_vals)
     w = simpson_weights(ts.n, ts.grid.h)
     resid = ts.values - v_vals[None, :]

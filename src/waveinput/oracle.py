@@ -82,7 +82,7 @@ def l2_oracle(ts: ShiftSequence, A: float, n: int, seed: int,
             converged = True
             break
     value = history[-1]
-    analytic = l2_minimizer(shifts, A, shifts.spec.T).objective
+    analytic = l2_minimizer(shifts, A).objective
     return OracleReport(
         2, n, value, analytic, _gap(value, analytic), it, converged,
         shifts.grid.with_values(v),

@@ -102,46 +102,34 @@ def recurrence_increment(spec: ProblemSpec, y):
 class ShiftSequence:
     """The K translate-correction functions on the decision interval.
 
-    Period k of the window (k = -K1..K2) carries v(x + 2kT) = v(x) - ts_k(x),
-    so the full-window L^p integral of the extension collapses to
-    sum_i |ts_i(x) - v(x)|^p over [-T, T].  Storage order: index 0 is the
-    identically-zero shift (period 0), indices 1..K2 the rightward periods
-    in increasing k, indices K2+1..K2+K1 the leftward periods in increasing
-    distance.
+    Row i of ``values`` is the shift ts_k of window period k = i - K1, so
+    rows run k = -K1..K2 in window order and row K1 (period 0) is zero.
+    Period k of the window carries v(x + 2kT) = v(x) - ts_k(x), so the
+    full-window L^p integral of the extension collapses to
+    sum_k |ts_k(x) - v(x)|^p over [-T, T].  Row i of ``d_ends`` holds the
+    end slopes ts_k'(-T) and ts_k'(T), taken from the analytic second
+    derivatives of the data.
     """
 
     spec: ProblemSpec
-    n: int
-    ts: list
+    values: np.ndarray
+    d_ends: np.ndarray
 
     @property
     def K(self) -> int:
-        return len(self.ts)
+        return self.values.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
 
     @property
     def grid(self) -> GridFunction:
-        return self.ts[0]
+        return GridFunction(-self.spec.T, self.spec.T, self.n, np.zeros(self.n))
 
     @property
     def xs(self) -> np.ndarray:
-        return self.ts[0].xs
-
-    @property
-    def values(self) -> np.ndarray:
-        """(K, n) array of shift samples, same order as ts."""
-        return np.stack([t.values for t in self.ts])
-
-    def for_period(self, k: int) -> GridFunction:
-        """The shift of window period k in -K1..K2 (period 0 is zero)."""
-        if k == 0:
-            return self.ts[0]
-        if k > 0:
-            if k > self.spec.K2:
-                raise GridError(f"period {k} outside window (K2={self.spec.K2})")
-            return self.ts[k]
-        if -k > self.spec.K1:
-            raise GridError(f"period {k} outside window (K1={self.spec.K1})")
-        return self.ts[self.spec.K2 - k]
+        return np.linspace(-self.spec.T, self.spec.T, self.n)
 
 
 def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
@@ -149,7 +137,9 @@ def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
 
     Each step applies the recurrence once per half-period pair: moving one
     period right subtracts r(x + (2k-1)T) from the running shift, moving
-    left adds r(x - (2k-1)T).  No closed form is transcribed; the identity
+    left adds r(x - (2k-1)T).  The same steps accumulate
+    r'(y) = 2 fT''(y) - f0''(y+T) - f0''(y-T) at the two end nodes, which
+    gives the end slopes.  No closed form is transcribed; the identity
     ts_k(-T) = ts_{k-1}(T) - c1 between consecutive rightward shifts is a
     consequence and is exercised in the tests.
     """
@@ -159,18 +149,19 @@ def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
     lo, hi = spec.window
     if not (spec.f0.covers(lo, hi) and spec.fT.covers(lo, hi)):
         raise DomainError("f0/fT domain does not cover the window")
-    base = GridFunction(-T, T, n, np.zeros(n))
-    xs = base.xs
-    ts = [base]
-    acc = np.zeros(n)
-    for k in range(1, spec.K2 + 1):
-        acc = acc - recurrence_increment(spec, xs + (2 * k - 1) * T)
-        ts.append(GridFunction(-T, T, n, acc.copy()))
-    acc = np.zeros(n)
-    for k in range(1, spec.K1 + 1):
-        acc = acc + recurrence_increment(spec, xs - (2 * k - 1) * T)
-        ts.append(GridFunction(-T, T, n, acc.copy()))
-    return ShiftSequence(spec, n, ts)
+    xs = np.linspace(-T, T, n)
+    ends = xs[[0, -1]]
+    values = np.zeros((spec.K, n))
+    d_ends = np.zeros((spec.K, 2))
+    for sign, count in ((1, spec.K2), (-1, spec.K1)):
+        for k in range(1, count + 1):
+            i = spec.K1 + sign * k
+            step = sign * (2 * k - 1) * T
+            values[i] = values[i - sign] - sign * recurrence_increment(spec, xs + step)
+            y = ends + step
+            slope = 2.0 * spec.fT.d2(y) - spec.f0.d2(y + T) - spec.f0.d2(y - T)
+            d_ends[i] = d_ends[i - sign] - sign * slope
+    return ShiftSequence(spec, values, d_ends)
 
 
 def _check_decision_grid(v: GridFunction, spec: ProblemSpec) -> None:
@@ -185,25 +176,21 @@ def _check_decision_grid(v: GridFunction, spec: ProblemSpec) -> None:
 def extend_input(v: GridFunction, spec: ProblemSpec) -> GridFunction:
     """Propagate a decision-interval input to the whole window.
 
-    Segments are written left to right, so every seam node x = (2k+1)T
-    stores the right-limit branch (the recurrence-propagated value); in
-    particular the node x = T holds v(-T) + c1 rather than v(T) whenever
-    those differ.  The discrepancy |v(T) - v(-T) - c1| is the seam jump
-    observable by the verification module, not an error here.  The final
-    window node has no right neighbour segment, so it is closed with one
-    more application of the recurrence.
+    Each period contributes its branch v - ts_k without its last node, so
+    every seam node x = (2k+1)T stores the right-limit branch (the
+    recurrence-propagated value); in particular the node x = T holds
+    v(-T) + c1 rather than v(T) whenever those differ.  The discrepancy
+    |v(T) - v(-T) - c1| is the seam jump observable by the verification
+    module, not an error here.  The final window node has no right
+    neighbour period, so it is closed with one more application of the
+    recurrence.
     """
     _check_decision_grid(v, spec)
-    shifts = spec.shifts(v.n)
-    n = v.n
     lo, hi = spec.window
-    n_ext = spec.K * (n - 1) + 1
-    out = np.empty(n_ext)
-    for idx, k in enumerate(range(-spec.K1, spec.K2 + 1)):
-        seg = v.values - shifts.for_period(k).values
-        out[idx * (n - 1) : idx * (n - 1) + n] = seg
-    out[-1] = out[-n] + float(recurrence_increment(spec, hi - spec.T))
-    return GridFunction(lo, hi, n_ext, out)
+    branch = v.values[None, :] - spec.shifts(v.n).values
+    closing = branch[-1, 0] + float(recurrence_increment(spec, hi - spec.T))
+    out = np.append(branch[:, :-1].ravel(), closing)
+    return GridFunction(lo, hi, out.size, out)
 
 
 # Per-interval quadrature rules exact for cubics, used to build the
@@ -300,11 +287,9 @@ class SolutionField:
 
 def dalembert(v: GridFunction, spec: ProblemSpec) -> SolutionField:
     """Reconstruct the solution field from a decision-interval input."""
-    _check_decision_grid(v, spec)
-    shifts = spec.shifts(v.n)
-    order = [shifts.for_period(k).values for k in range(-spec.K1, spec.K2 + 1)]
-    branch = v.values[None, :] - np.stack(order)
-    return SolutionField(spec, extend_input(v, spec), branch)
+    v_full = extend_input(v, spec)
+    branch = v.values[None, :] - spec.shifts(v.n).values
+    return SolutionField(spec, v_full, branch)
 
 
 def full_norm(v: GridFunction, spec: ProblemSpec, p: int) -> float:
@@ -317,8 +302,7 @@ def full_norm(v: GridFunction, spec: ProblemSpec, p: int) -> float:
     _check_decision_grid(v, spec)
     if p not in (1, 2):
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
-    shifts = spec.shifts(v.n)
-    diff = np.abs(shifts.values - v.values[None, :])
+    diff = np.abs(spec.shifts(v.n).values - v.values[None, :])
     if p == 2:
         diff = diff * diff
     w = simpson_weights(v.n, v.h)

@@ -50,29 +50,6 @@ class VerificationReport:
     kink_cells: list = field(default_factory=list)
 
 
-def _shift_endpoint_derivatives(spec: ProblemSpec):
-    """ts_k'(-T) and ts_k'(T) for every period k, from analytic d2 data."""
-
-    def r_prime(y):
-        return float(
-            2 * spec.fT.d2(y) - spec.f0.d2(y + spec.T) - spec.f0.d2(y - spec.T)
-        )
-
-    T = spec.T
-    out = {0: (0.0, 0.0)}
-    acc_lo = acc_hi = 0.0
-    for k in range(1, spec.K2 + 1):
-        acc_lo -= r_prime(-T + (2 * k - 1) * T)
-        acc_hi -= r_prime(T + (2 * k - 1) * T)
-        out[k] = (acc_lo, acc_hi)
-    acc_lo = acc_hi = 0.0
-    for k in range(1, spec.K1 + 1):
-        acc_lo += r_prime(-T - (2 * k - 1) * T)
-        acc_hi += r_prime(T - (2 * k - 1) * T)
-        out[-k] = (acc_lo, acc_hi)
-    return out
-
-
 def _pde_residual(field_: SolutionField, spec: ProblemSpec, n_t: int):
     """Max |d2_t u - d2_x u| over node-aligned interior samples."""
     g = field_.v_full
@@ -144,23 +121,20 @@ def verify_solution(v: GridFunction, spec: ProblemSpec, n_t: int = 9) -> Verific
     bT = float(np.max(np.abs(field_.u(spec.T, xsT) - spec.fT.value(xsT))))
 
     dv = fd_derivative(v.values, v.h)
-    d_ends = _shift_endpoint_derivatives(spec)
     seam_vals = []
     seam_ders = []
-    for k in range(-spec.K1, spec.K2):
+    for i, k in enumerate(range(-spec.K1, spec.K2)):
         x_seam = (2 * k + 1) * spec.T
-        left = v.values[-1] - shifts.for_period(k).values[-1]
-        right = v.values[0] - shifts.for_period(k + 1).values[0]
+        left = v.values[-1] - shifts.values[i, -1]
+        right = v.values[0] - shifts.values[i + 1, 0]
         seam_vals.append((x_seam, abs(left - right)))
-        dleft = dv[-1] - d_ends[k][1]
-        dright = dv[0] - d_ends[k + 1][0]
+        dleft = dv[-1] - shifts.d_ends[i, 1]
+        dright = dv[0] - shifts.d_ends[i + 1, 0]
         seam_ders.append((x_seam, abs(dleft - dright)))
 
     seg = segment_integrals(spec)
-    eq = np.empty(spec.K)
-    for i, k in enumerate(range(-spec.K1, spec.K2 + 1)):
-        branch = v.with_values(v.values - shifts.for_period(k).values)
-        eq[i] = abs(integrate(branch) - seg[i])
+    branches = v.values[None, :] - shifts.values
+    eq = np.array([abs(integrate(v.with_values(b)) - s) for b, s in zip(branches, seg)])
 
     if feas > FEAS_TOL:
         verdict = "infeasible"

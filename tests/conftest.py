@@ -7,7 +7,16 @@ test, so every test is reproducible on its own.
 import numpy as np
 
 from waveinput.functions import GridFunction, catalog, integrate
-from waveinput.tbvp import ProblemSpec
+from waveinput.tbvp import ProblemSpec, ShiftSequence
+
+ZERO = catalog("zero", [])
+
+
+def handmade_shifts(rows):
+    """ShiftSequence on [-1, 1] with prescribed rows and zero end slopes."""
+    rows = np.array(rows, dtype=float)
+    spec = ProblemSpec(ZERO, ZERO, 1.0, 1, max(1, rows.shape[0] - 2))
+    return ShiftSequence(spec, rows, np.zeros((rows.shape[0], 2)))
 
 
 def traveling_spec(K1=1, K2=1, T=1.0):

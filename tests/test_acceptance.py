@@ -74,7 +74,7 @@ def test_02_zero_data_degenerate_suite():
         assert abs(spec.c2) <= 1e-12
         ts = spec.shifts(257)
         assert np.max(np.abs(ts.values)) <= 1e-12
-        sol2 = l2_minimizer(ts, spec.A, spec.T)
+        sol2 = l2_minimizer(ts, spec.A)
         assert abs(sol2.objective) <= 1e-12
         assert np.max(np.abs(sol2.v.values)) <= 1e-12
         env = order_envelopes(ts)
@@ -93,7 +93,7 @@ def test_03_l2_closed_form_vs_oracle():
             t0 = time.perf_counter()
             rep = l2_oracle(ts, spec.A, 257, seed=i)
             elapsed = time.perf_counter() - t0
-            sol = l2_minimizer(ts, spec.A, spec.T)
+            sol = l2_minimizer(ts, spec.A)
             assert rep.converged
             assert rep.rel_gap < 1e-6, f"instance {i}: rel gap {rep.rel_gap:.3e}"
             assert np.max(np.abs(rep.v_oracle.values - sol.v.values)) < 1e-5
@@ -182,7 +182,7 @@ def test_07_pms_norm_gap_bounds():
         for e in pms_sequence(h, spec, schedule, p=1):
             assert e.norm_gap <= 2 * spec.K * spec.T * e.epsilon + 1e-12
             assert e.satisfied
-        v2 = l2_minimizer(ts, spec.A, spec.T).v
+        v2 = l2_minimizer(ts, spec.A).v
         for e in pms_sequence(v2, spec, schedule, p=2):
             assert e.satisfied, f"eps {e.epsilon}: gap {e.norm_gap} > {e.bound}"
 

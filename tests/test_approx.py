@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, xlogy
 
+from waveinput import approx
 from waveinput.approx import (
+    DEGREE_START,
     ApproxRequest,
     _bern_combine,
+    _bern_deriv,
+    _bern_value,
+    _hermite,
     approximate_c1,
-    bernstein,
-    choose_bernstein_degree,
-    hermite_patch,
-    integral_shift,
-    linear_tail,
     pms_sequence,
 )
-from waveinput.errors import ApproxBudgetExceeded, BadDelta, BadParams
-from waveinput.functions import C1GridFunction, GridFunction, integrate
+from waveinput.errors import ApproxBudgetExceeded, BadParams
+from waveinput.functions import GridFunction
 from waveinput.tbvp import full_norm
 from waveinput.verify import verify_solution
 
@@ -43,81 +43,59 @@ def dense_bernstein(c, u):
     return np.exp(logw) @ c
 
 
-class TestLinearTail:
-    def test_zero_stays_zero(self):
-        f = grid_of(lambda x: 0 * x, 0.0, 1.0, 9)
-        g = linear_tail(f, 0.0, 0.25)
-        assert np.all(g.values == 0.0)
-
-    def test_ramp_to_offset(self):
-        f = grid_of(lambda x: 0 * x, 0.0, 1.0, 9)
-        g = linear_tail(f, 1.0, 0.5)
-        # 0 on [0, 0.5], then the line 2(x - 0.5)
-        assert np.allclose(g.values[:5], 0.0)
-        assert g.values[6] == pytest.approx(0.5)
-        assert g.values[-1] == pytest.approx(1.0)
-
-    def test_l1_cost_bound(self):
-        f = grid_of(np.cos, 0.0, 1.0, 257)
-        delta = 0.1
-        g = linear_tail(f, 0.8, delta)
-        m1 = max(np.max(np.abs(f.values)), abs(f.values[0] + 0.8))
-        diff = GridFunction(0.0, 1.0, 257, np.abs(g.values - f.values))
-        assert integrate(diff) <= 2 * m1 * delta + 1e-12
-
-    def test_bad_delta(self):
-        f = grid_of(np.cos, 0.0, 1.0, 9)
-        with pytest.raises(BadDelta):
-            linear_tail(f, 0.0, 1.0)
-        with pytest.raises(BadDelta):
-            linear_tail(f, 0.0, 0.0)
+def bern_on_grid(g, m):
+    """Degree-m Bernstein core of g's linear interpolant and its slope, at g's nodes."""
+    c = np.interp(np.linspace(g.a, g.b, m + 1), g.xs, g.values)
+    return _bern_value(c, g.a, g.b, g.xs), _bern_deriv(c, g.a, g.b, g.xs)
 
 
 class TestIntegralShift:
+    """approximate_c1's constant shifts put the result on the target integral."""
+
     def test_constant_to_zero(self):
         g = grid_of(lambda x: np.ones_like(x), 0.0, 1.0, 9)
-        out = integral_shift(g, 0.0)
+        out = approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.0, 2.0, p=2)).g
         assert np.allclose(out.values, 0.0, atol=1e-14)
 
     def test_zero_to_two(self):
         g = grid_of(lambda x: 0 * x, 0.0, 2.0, 9)
-        out = integral_shift(g, 4.0)
+        out = approximate_c1(ApproxRequest(g, 0.0, 0.0, 4.0, 3.0, p=2)).g
         assert np.allclose(out.values, 2.0)
 
     def test_already_on_target(self):
         g = grid_of(lambda x: x, 0.0, 1.0, 129)
-        out = integral_shift(g, 0.5)
-        assert np.allclose(out.values, g.values, atol=1e-14)
-        assert integrate(out) == pytest.approx(0.5, abs=1e-12)
+        res = approximate_c1(ApproxRequest(g, 1.0, 0.0, 0.5, 1e-10, p=2))
+        assert np.allclose(res.g.values, g.values, atol=1e-14)
+        assert res.curve.integral() == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBernstein:
     def test_partition_of_unity(self):
         g = grid_of(lambda x: np.full_like(x, 0.7), -1.0, 1.0, 65)
         for m in (1, 8, 513):
-            out = bernstein(g, m)
-            assert np.allclose(out.values, 0.7, atol=1e-13)
-            assert np.allclose(out.d1, 0.0, atol=1e-12)
+            vals, ders = bern_on_grid(g, m)
+            assert np.allclose(vals, 0.7, atol=1e-13)
+            assert np.allclose(ders, 0.0, atol=1e-12)
 
     def test_linear_reproduction(self):
         g = grid_of(lambda x: 2 * x - 0.3, 0.0, 1.0, 65)
-        out = bernstein(g, 64)
-        assert np.allclose(out.values, g.values, atol=1e-12)
-        assert np.allclose(out.d1, 2.0, atol=1e-11)
+        vals, ders = bern_on_grid(g, 64)
+        assert np.allclose(vals, g.values, atol=1e-12)
+        assert np.allclose(ders, 2.0, atol=1e-11)
 
     def test_degree_two_on_square(self):
         g = grid_of(lambda x: x**2, 0.0, 1.0, 5)
-        out = bernstein(g, 2)
+        vals, _ = bern_on_grid(g, 2)
         # B2(x^2) = x^2 + x(1-x)/2, so the midpoint value is 0.375
-        assert out.values[2] == pytest.approx(0.375, abs=1e-15)
+        assert vals[2] == pytest.approx(0.375, abs=1e-15)
 
     def test_endpoint_fidelity_exact(self):
         rng = np.random.default_rng(3)
         g = GridFunction(-2.0, 1.0, 33, rng.normal(size=33))
         for m in (8, 509, 2048, 32768):
-            out = bernstein(g, m)
-            assert out.values[0] == g.values[0]
-            assert out.values[-1] == g.values[-1]
+            vals, _ = bern_on_grid(g, m)
+            assert vals[0] == g.values[0]
+            assert vals[-1] == g.values[-1]
 
     @pytest.mark.parametrize("m", [1, 8, 509, 4096, 32768])
     def test_combine_matches_dense_reference(self, m):
@@ -134,82 +112,67 @@ class TestBernstein:
         c = np.interp(np.linspace(g.a, g.b, m + 1), g.xs, g.values)
         d = m * np.diff(c) / (g.b - g.a)
         want = dense_bernstein(d, (g.xs - g.a) / (g.b - g.a))
-        got = bernstein(g, m).d1
+        _, got = bern_on_grid(g, m)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(d))
-
-    def test_bad_degree(self):
-        g = grid_of(np.cos, 0.0, 1.0, 9)
-        with pytest.raises(BadParams):
-            bernstein(g, 0)
 
 
 class TestDegreeChoice:
+    """approximate_c1 doubles the Bernstein degree from DEGREE_START up to its cap."""
+
     def test_constant_first_candidate(self):
         g = grid_of(lambda x: np.full_like(x, 3.0), 0.0, 1.0, 33)
-        choice = choose_bernstein_degree(g, 1e-12)
-        assert choice.m == 8
-        assert choice.satisfied
-        assert choice.max_node_error < 1e-13
+        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 3.0, 1e-12, p=2))
+        assert res.stages["m"] == DEGREE_START
+        assert not res.stages["degree_flagged"]
+        assert np.max(np.abs(res.g.values - 3.0)) < 1e-13
 
     def test_linear_first_candidate(self):
         g = grid_of(lambda x: x, 0.0, 1.0, 33)
-        choice = choose_bernstein_degree(g, 1e-10)
-        assert choice.m == 8
-        assert choice.satisfied
+        res = approximate_c1(ApproxRequest(g, 1.0, 0.0, 0.5, 1e-10, p=2))
+        assert res.stages["m"] == DEGREE_START
+        assert not res.stages["degree_flagged"]
 
     def test_kink_needs_finite_degree(self):
         g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
-        choice = choose_bernstein_degree(g, 0.01)
-        assert choice.satisfied
-        assert choice.max_node_error < 0.01
-        out = bernstein(g, choice.m)
-        assert np.max(np.abs(out.values - g.values)) < 0.01
+        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 0.01, p=2))
+        assert DEGREE_START < res.stages["m"] <= approx.DEGREE_CAP
+        assert not res.stages["degree_flagged"]
+        assert res.achieved_lp_error < 0.01
 
-    def test_cap_reported_when_unreachable(self):
+    def test_cap_reported_when_unreachable(self, monkeypatch):
+        monkeypatch.setattr(approx, "DEGREE_CAP", 64)
         g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
-        choice = choose_bernstein_degree(g, 1e-9, m_max=64)
-        assert not choice.satisfied
-        assert choice.m == 64
-        assert choice.max_node_error > 1e-9
+        with pytest.raises(ApproxBudgetExceeded) as exc:
+            approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 1e-9, p=2))
+        stages = exc.value.result.stages
+        # one retry doubles the cap before giving up
+        assert stages["m"] == 128
+        assert stages["retries"] == 1
+        assert stages["degree_flagged"]
+        assert exc.value.result.achieved_lp_error > 1e-9
 
 
 class TestHermitePatch:
+    """The cubic end patch keeps value and slope at the seam and lands on the offsets."""
+
     def test_line_with_matching_slope_unchanged(self):
-        xs = np.linspace(0.0, 1.0, 33)
-        g4 = C1GridFunction(0.0, 1.0, 33, 3 * xs + 1, np.full(33, 3.0))
-        out = hermite_patch(g4, 0.0, 0.25)
-        assert np.allclose(out.values, g4.values, atol=1e-13)
-        assert np.allclose(out.d1, 3.0, atol=1e-13)
+        xs = np.linspace(0.75, 1.0, 9)
+        val, der = _hermite(0.75, 1.0, 3.25, 3.0, 4.0, 3.0, xs)
+        assert np.allclose(val, 3 * xs + 1, atol=1e-13)
+        assert np.allclose(der, 3.0, atol=1e-13)
 
     def test_frozen_midpoint_value(self):
-        xs = np.linspace(0.0, 2.0, 9)
-        g4 = C1GridFunction(0.0, 2.0, 9, np.zeros(9), np.zeros(9))
-        out = hermite_patch(g4, 1.0, 1.0)
         # cubic with H(1)=0, H'(1)=0, H(2)=0, H'(2)=1 gives H(1.5) = -0.125
-        i = np.argmin(np.abs(xs - 1.5))
-        assert out.values[i] == pytest.approx(-0.125, abs=1e-15)
-        assert out.d1[-1] == pytest.approx(1.0)
+        val, der = _hermite(1.0, 2.0, 0.0, 0.0, 0.0, 1.0, np.array([1.5, 2.0]))
+        assert val[0] == pytest.approx(-0.125, abs=1e-15)
+        assert der[1] == pytest.approx(1.0)
 
     def test_seam_continuity(self):
         rng = np.random.default_rng(5)
-        vals = np.cumsum(rng.normal(size=65)) * 0.1
-        ders = np.gradient(vals, 1.0 / 64)
-        g4 = C1GridFunction(0.0, 1.0, 65, vals, ders)
-        out = hermite_patch(g4, 0.4, 0.25)
-        s = 1.0 - 0.25
-        i = np.argmin(np.abs(g4.xs - s))
-        assert out.values[i] == pytest.approx(float(np.interp(s, g4.xs, vals)), abs=1e-12)
-        assert out.d1[i] == pytest.approx(float(np.interp(s, g4.xs, ders)), abs=1e-12)
-
-    def test_rejects_plain_grid(self):
-        g = grid_of(np.cos, 0.0, 1.0, 9)
-        with pytest.raises(BadParams):
-            hermite_patch(g, 0.0, 0.2)
-
-    def test_bad_delta(self):
-        g4 = C1GridFunction(0.0, 1.0, 9, np.zeros(9), np.zeros(9))
-        with pytest.raises(BadDelta):
-            hermite_patch(g4, 0.0, 1.0)
+        v0, d0, v1, d1 = rng.normal(size=4)
+        val, der = _hermite(0.75, 1.0, v0, d0, v1, d1, np.array([0.75, 1.0]))
+        assert val == pytest.approx([v0, v1], abs=1e-12)
+        assert der == pytest.approx([d0, d1], abs=1e-12)
 
 
 class TestPipeline:

@@ -64,14 +64,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="at least 65"):
             parse_config(cfg)
 
-    def test_thread_env_validated(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path / "run.cfg")
-        monkeypatch.setenv("TBVP_THREADS", "zero")
-        assert main(["solve", "--config", cfg]) == 2
-        assert "TBVP_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("TBVP_THREADS", "0")
-        assert main(["solve", "--config", cfg]) == 2
-
     def test_function_from_sample_file(self, tmp_path):
         xs = np.linspace(-3.0, 3.0, 41)
         rows = "\n".join(f"{float(x)!r},{float(np.sin(x))!r}" for x in xs)
@@ -85,6 +77,20 @@ class TestConfigParsing:
             tmp_path / "run2.cfg", f0=f"file {tmp_path / 'f0.csv'}"
         ), "--out", str(out), "--quiet"]) == 0
         assert (out / "minimizer.csv").exists()
+
+    @pytest.mark.parametrize("defect", ["unsorted_x", "nan_y"])
+    def test_bad_sample_file_exit2(self, tmp_path, capsys, defect):
+        xs = np.linspace(-3.0, 3.0, 41)
+        ys = np.sin(xs)
+        if defect == "unsorted_x":
+            xs[[10, 11]] = xs[[11, 10]]
+        else:
+            ys[20] = np.nan
+        rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist()))
+        (tmp_path / "f0.csv").write_text("x,y\n" + rows, encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", f0=f"file {tmp_path / 'f0.csv'}")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "f0: " in capsys.readouterr().err
 
 
 class TestSolve:
@@ -183,6 +189,18 @@ class TestVerify:
                 fh.write(f"{float(x)!r},0.0\n")
         assert main(["verify", "--config", cfg, "--input", str(bad)]) == 2
         assert "rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["x", "v"])
+    def test_non_finite_input_exit2(self, tmp_path, capsys, column):
+        cfg = write_config(tmp_path / "run.cfg")
+        rows = np.column_stack([np.linspace(-1.0, 1.0, 65), np.zeros(65)])
+        rows[32, column] = np.nan
+        bad = tmp_path / "bad.csv"
+        text = "".join(f"{x!r},{v!r}\n" for x, v in rows.tolist())
+        bad.write_text("x,v\n" + text, encoding="utf-8")
+        out = str(tmp_path / "o")
+        assert main(["verify", "--config", cfg, "--input", str(bad), "--out", out]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import feasible_random_v, in_strip_sibling, random_spec, zero_integral_bump
+from conftest import (
+    feasible_random_v,
+    handmade_shifts,
+    in_strip_sibling,
+    random_spec,
+    zero_integral_bump,
+)
 from waveinput.errors import BadParams, DegenerateScaling, GridError
 from waveinput.functions import GridFunction, integrate
 from waveinput.l1 import (
@@ -14,18 +20,6 @@ from waveinput.l1 import (
     strip_lower_bound,
     strip_membership,
 )
-from waveinput.tbvp import ProblemSpec, ShiftSequence
-from waveinput.functions import catalog
-
-ZERO = catalog("zero", [])
-
-
-def handmade_shifts(rows, a=-1.0, b=1.0):
-    """ShiftSequence stand-in with prescribed sample rows (unit tests only)."""
-    n = rows.shape[1]
-    spec = ProblemSpec(ZERO, ZERO, (b - a) / 2.0, 1, max(1, rows.shape[0] - 2))
-    ts = [GridFunction(a, b, n, r.copy()) for r in rows]
-    return ShiftSequence(spec, n, ts)
 
 
 def lines_example(n=101):

@@ -3,41 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spec, traveling_spec, zero_integral_bump
-from waveinput.functions import GridFunction, catalog, integrate, simpson_weights
+from conftest import handmade_shifts, random_spec, traveling_spec, zero_integral_bump
+from waveinput.functions import catalog, integrate, simpson_weights
 from waveinput.l2 import a1_constant, l2_minimizer, l2_ms_check
-from waveinput.tbvp import ProblemSpec, ShiftSequence, full_norm
+from waveinput.tbvp import ProblemSpec, full_norm
 
 ZERO = catalog("zero", [])
-
-
-def handmade_shifts(rows, a=-1.0, b=1.0):
-    n = rows.shape[1]
-    spec = ProblemSpec(ZERO, ZERO, (b - a) / 2.0, 1, max(1, rows.shape[0] - 2))
-    return ShiftSequence(spec, n, [GridFunction(a, b, n, r.copy()) for r in rows])
 
 
 def test_a1_constant():
     n = 101
     zero_ts = handmade_shifts(np.zeros((3, n)))
-    assert a1_constant(zero_ts, 0.0, 1.0) == 0.0
-    assert a1_constant(zero_ts, 3.0, 1.0) == 3.0
+    assert a1_constant(zero_ts, 0.0) == 0.0
+    assert a1_constant(zero_ts, 3.0) == 3.0
     xs = np.linspace(-1, 1, n)
     odd_ts = handmade_shifts(np.stack([xs, xs, xs]))
     # odd mean integrates to zero on the symmetric grid
-    assert a1_constant(odd_ts, 2.0, 1.0) == pytest.approx(2.0, abs=1e-13)
+    assert a1_constant(odd_ts, 2.0) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_l2_minimizer_zero_data():
     zero_ts = handmade_shifts(np.zeros((3, 101)))
-    sol = l2_minimizer(zero_ts, 0.0, 1.0)
+    sol = l2_minimizer(zero_ts, 0.0)
     assert np.all(sol.v.values == 0.0)
     assert sol.objective == 0.0
 
 
 def test_l2_minimizer_constant_case():
     zero_ts = handmade_shifts(np.zeros((3, 101)))
-    sol = l2_minimizer(zero_ts, 2.0, 1.0)
+    sol = l2_minimizer(zero_ts, 2.0)
     assert np.allclose(sol.v.values, 1.0)
     assert sol.objective == pytest.approx(2 * 3, abs=1e-10)
     assert integrate(sol.v) == pytest.approx(2.0, abs=1e-10)
@@ -48,7 +42,7 @@ def test_l2_minimizer_symmetric_shifts_cancel():
     xs = np.linspace(-1, 1, n)
     s = np.sin(2 * xs)
     ts = handmade_shifts(np.stack([np.zeros(n), s, -s]))
-    sol = l2_minimizer(ts, 1.5, 1.0)
+    sol = l2_minimizer(ts, 1.5)
     assert np.allclose(sol.v.values, 0.75)  # A1/(2T) with zero mean
 
 
@@ -57,7 +51,7 @@ def test_minimizer_node_identity_and_feasibility():
     for _ in range(5):
         spec = random_spec(rng)
         ts = spec.shifts(257)
-        sol = l2_minimizer(ts, spec.A, spec.T)
+        sol = l2_minimizer(ts, spec.A)
         assert np.allclose(
             sol.v.values, sol.mean_shift.values + sol.A1 / (2 * spec.T), atol=1e-14
         )
@@ -69,7 +63,7 @@ def test_quadratic_expansion_optimality():
     rng = np.random.default_rng(14)
     spec = random_spec(rng, K1=2, K2=1)
     ts = spec.shifts(257)
-    sol = l2_minimizer(ts, spec.A, spec.T)
+    sol = l2_minimizer(ts, spec.A)
     w = simpson_weights(257, ts.grid.h)
     for _ in range(100):
         bump = zero_integral_bump(ts.xs, rng)
@@ -102,7 +96,7 @@ def test_decomposition_identity():
 
 def test_ms_check_zero_data():
     spec = ProblemSpec(ZERO, ZERO, 1.0, 1, 1)
-    sol = l2_minimizer(spec.shifts(65), spec.A, spec.T)
+    sol = l2_minimizer(spec.shifts(65), spec.A)
     assert l2_ms_check(sol, spec) == "ms_exists"
 
 
@@ -110,7 +104,7 @@ def test_ms_check_constant_cannot_jump():
     # f0 = 0, fT = x gives c1 = 2 but a constant closed-form minimizer
     spec = ProblemSpec(ZERO, catalog("poly", [0.0, 1.0]), 1.0, 1, 1)
     assert spec.c1 == pytest.approx(2.0)
-    sol = l2_minimizer(spec.shifts(129), spec.A, spec.T)
+    sol = l2_minimizer(spec.shifts(129), spec.A)
     assert np.ptp(sol.v.values) < 1e-12
     assert l2_ms_check(sol, spec) == "pms_only"
 
@@ -120,7 +114,7 @@ def test_ms_check_traveling_wave():
     # so the L2 minimum is only approached by smooth inputs, not attained
     spec = traveling_spec()
     ts = spec.shifts(513)
-    sol = l2_minimizer(ts, spec.A, spec.T)
+    sol = l2_minimizer(ts, spec.A)
     factor = 2.0 * (math.cos(2.0) - 1.0) / 3.0
     shape = factor * np.cos(ts.xs) - math.sin(1.0) * (1.0 + factor)
     assert np.max(np.abs(sol.v.values - shape)) < 1e-9

@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_spec
-from waveinput.functions import GridFunction, catalog, simpson_weights
+from conftest import handmade_shifts, random_spec
+from waveinput.functions import simpson_weights
 from waveinput.l1 import construct_h, order_envelopes, select_strip
 from waveinput.l2 import l2_minimizer
 from waveinput.oracle import l1_oracle, l2_oracle
-from waveinput.tbvp import ProblemSpec, ShiftSequence
-
-ZERO = catalog("zero", [])
-
-
-def handmade_shifts(rows, a=-1.0, b=1.0):
-    n = rows.shape[1]
-    spec = ProblemSpec(ZERO, ZERO, (b - a) / 2.0, 1, max(1, rows.shape[0] - 2))
-    return ShiftSequence(spec, n, [GridFunction(a, b, n, r.copy()) for r in rows])
 
 
 def test_l2_oracle_zero_problem():
@@ -40,7 +31,7 @@ def test_l2_oracle_matches_closed_form():
     rep = l2_oracle(ts, spec.A, 129, seed=3)
     assert rep.converged
     assert rep.rel_gap < 1e-6
-    sol = l2_minimizer(ts, spec.A, spec.T)
+    sol = l2_minimizer(ts, spec.A)
     assert np.max(np.abs(rep.v_oracle.values - sol.v.values)) < 1e-5
 
 

@@ -86,23 +86,30 @@ def test_spec_validation():
 def test_shift_sequence_zero_data():
     ts = shift_sequence(zero_spec(2, 2), 65)
     assert ts.K == 5
-    for t in ts.ts:
-        assert np.all(t.values == 0.0)
+    assert ts.values.shape == (5, 65)
+    assert np.all(ts.values == 0.0)
+    assert np.all(ts.d_ends == 0.0)
 
 
 def test_shift_sequence_traveling_wave():
     s = traveling_spec()
     ts = shift_sequence(s, 257)
     xs = ts.xs
-    assert np.all(ts.ts[0].values == 0.0)
+    # rows run over the window periods k = -1, 0, 1
+    assert np.all(ts.values[1] == 0.0)
     # rightward period: exact input -cos extends to -cos(x + 2T), so the
     # shift is cos(x + 2T) - cos(x); at x = 0 that is cos(2) - 1
     right = np.cos(xs + 2.0) - np.cos(xs)
-    assert np.max(np.abs(ts.for_period(1).values - right)) < 1e-13
+    assert np.max(np.abs(ts.values[2] - right)) < 1e-13
     mid = (257 - 1) // 2
-    assert ts.for_period(1).values[mid] == pytest.approx(math.cos(2.0) - 1.0, abs=1e-13)
+    assert ts.values[2, mid] == pytest.approx(math.cos(2.0) - 1.0, abs=1e-13)
     left = np.cos(xs - 2.0) - np.cos(xs)
-    assert np.max(np.abs(ts.for_period(-1).values - left)) < 1e-13
+    assert np.max(np.abs(ts.values[0] - left)) < 1e-13
+    # end slopes: d/dx (cos(x + 2kT) - cos(x)) at x = -T and x = T
+    ends = np.array([-1.0, 1.0])
+    for i, k in enumerate((-1, 0, 1)):
+        want = np.sin(ends) - np.sin(ends + 2.0 * k)
+        assert np.max(np.abs(ts.d_ends[i] - want)) < 1e-13
 
 
 def test_shift_matches_one_step_transcription():
@@ -116,15 +123,17 @@ def test_shift_matches_one_step_transcription():
     xs = ts.xs
     T = s.T
     oracle = -(2 * fT.d1(xs + T) - f0.d1(xs + 2 * T) - f0.d1(xs))
-    assert np.max(np.abs(ts.for_period(1).values - oracle)) < 1e-10
+    assert np.max(np.abs(ts.values[s.K1 + 1] - oracle)) < 1e-10
+    slope = -(2 * fT.d2(xs + T) - f0.d2(xs + 2 * T) - f0.d2(xs))
+    assert np.max(np.abs(ts.d_ends[s.K1 + 1] - slope[[0, -1]])) < 1e-10
 
 
 def test_shift_consecutive_endpoint_identity():
     s = traveling_spec(K1=2, K2=3)
     ts = shift_sequence(s, 65)
-    for k in range(1, s.K2 + 1):
-        lhs = ts.for_period(k).values[0]
-        rhs = ts.for_period(k - 1).values[-1] - s.c1
+    for i in range(s.K1 + 1, s.K):
+        lhs = ts.values[i, 0]
+        rhs = ts.values[i - 1, -1] - s.c1
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -273,7 +282,5 @@ def test_segment_integrals_match_equilibrium():
     assert seg.shape == (s.K,)
     assert seg[s.K1] == pytest.approx(s.A, abs=1e-14)
     v = feasible_random_v(s, n, rng)
-    shifts = s.shifts(n)
-    for i, k in enumerate(range(-s.K1, s.K2 + 1)):
-        branch = v.with_values(v.values - shifts.for_period(k).values)
-        assert integrate(branch) == pytest.approx(seg[i], abs=1e-8)
+    for row, want in zip(s.shifts(n).values, seg):
+        assert integrate(v.with_values(v.values - row)) == pytest.approx(want, abs=1e-8)
