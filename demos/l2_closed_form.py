@@ -32,7 +32,7 @@ print(f"smoothness verdict for this instance: {l2_ms_check(sol, spec)}")
 
 print("\nprojected gradient descent from three random starts")
 for seed in (0, 1, 2):
-    rep = l2_oracle(ts, spec.A, n, seed=seed)
+    rep = l2_oracle(ts, spec.A, seed=seed)
     node_gap = np.max(np.abs(rep.v_oracle.values - sol.v.values))
     print(
         f"  seed {seed}: value gap {rep.rel_gap:.2e}, "

@@ -19,7 +19,6 @@ from .approx import (
 )
 from .errors import (
     ApproxBudgetExceeded,
-    BadDelta,
     BadParams,
     ConfigError,
     DegenerateScaling,
@@ -46,12 +45,10 @@ from .l1 import (
     OrderEnvelopes,
     StripSolution,
     construct_h,
-    l1_objective,
     ms_endpoint_check,
     order_envelopes,
     select_strip,
     strip_lower_bound,
-    strip_membership,
 )
 from .l2 import L2Solution, a1_constant, l2_minimizer, l2_ms_check
 from .oracle import OracleReport, l1_oracle, l2_oracle
@@ -60,9 +57,7 @@ from .tbvp import (
     ShiftSequence,
     SolutionField,
     dalembert,
-    derive_constraints,
     extend_input,
-    f_profile,
     full_norm,
     segment_integrals,
     shift_sequence,
@@ -75,7 +70,6 @@ __all__ = [
     "ApproxBudgetExceeded",
     "ApproxRequest",
     "ApproxResult",
-    "BadDelta",
     "BadParams",
     "C1GridFunction",
     "ConfigError",
@@ -103,14 +97,11 @@ __all__ = [
     "construct_h",
     "convergence_study",
     "dalembert",
-    "derive_constraints",
     "extend_input",
-    "f_profile",
     "fd_derivative",
     "from_samples",
     "full_norm",
     "integrate",
-    "l1_objective",
     "l1_oracle",
     "l2_minimizer",
     "l2_ms_check",
@@ -125,6 +116,5 @@ __all__ = [
     "shift_sequence",
     "simpson_weights",
     "strip_lower_bound",
-    "strip_membership",
     "verify_solution",
 ]

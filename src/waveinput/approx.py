@@ -327,11 +327,7 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
 
             if total < eps or delta_raw / 2.0 < delta_min:
                 # final constant shift to restore the integral exactly
-                i_all = (
-                    _bern_primitive_at(coeffs, a, b, seam)
-                    - s2 * (seam - a)
-                    + _hermite_integral(seam, b, v0, d0, v1, d1_end)
-                )
+                i_all = C1Curve(a, b, seam, coeffs, s2, 0.0, (v0, d0, v1, d1_end)).integral()
                 r3 = (i_all - req.target_integral) / width
                 achieved = _lp_total(
                     [
@@ -421,7 +417,7 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
         raise BadParams("input is not feasible: integral constraint fails")
 
     shifts = spec.shifts(v.n)
-    base_norm = full_norm(v, spec, p)
+    base_norm = full_norm(v, shifts, p)
     w_simpson = simpson_weights(v.n, v.h)
 
     entries = []
@@ -437,7 +433,7 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
             if prev.achieved_lp_error < eps:
                 result = prev
         vn = GridFunction(v.a, v.b, v.n, result.g.values)
-        gap = abs(full_norm(vn, spec, p) - base_norm)
+        gap = abs(full_norm(vn, shifts, p) - base_norm)
         if p == 1:
             bound = 2.0 * spec.K * spec.T * eps
         else:

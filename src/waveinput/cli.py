@@ -11,7 +11,6 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
     eps_schedule    decreasing positive tolerances (pms runs only)
     seed            RNG seed for oracle starts (default 0)
     output_dir      where CSVs go (default "out", --out overrides)
-    oracle_max_iters  optional iteration cap override for oracle runs
 
 Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
 config and seed produce byte-identical output files.
@@ -45,7 +44,7 @@ from .tbvp import ProblemSpec, extend_input
 from .verify import verify_solution
 
 _REQUIRED = ("f0", "ft", "t", "k1", "k2", "n", "norm")
-_KNOWN = _REQUIRED + ("eps_schedule", "seed", "output_dir", "oracle_max_iters")
+_KNOWN = _REQUIRED + ("eps_schedule", "seed", "output_dir")
 
 
 @dataclass
@@ -60,7 +59,6 @@ class RunConfig:
     eps_schedule: list | None
     seed: int
     output_dir: str
-    oracle_max_iters: int | None
 
 
 def _fmt(x) -> str:
@@ -150,11 +148,6 @@ def parse_config(path: str) -> RunConfig:
     seed = _parse_int("seed", raw.get("seed", "0"))
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    cap = None
-    if "oracle_max_iters" in raw:
-        cap = _parse_int("oracle_max_iters", raw["oracle_max_iters"])
-        if cap < 1:
-            raise ConfigError(f"oracle_max_iters must be positive, got {cap}")
 
     return RunConfig(
         _parse_function_spec("f0", raw["f0"]),
@@ -167,7 +160,6 @@ def parse_config(path: str) -> RunConfig:
         schedule,
         seed,
         raw.get("output_dir", "out"),
-        cap,
     )
 
 
@@ -216,11 +208,12 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, rows, fmt=_fmt) -> None:
+    """Write header and rows with '\\n' newlines, each cell through fmt."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(fmt(x) for x in row) + "\n")
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -321,12 +314,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     rows.append(("kink_cells", ";".join(_fmt(x) for x in rep.kink_cells) or "none"))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(
-        os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        fh.write("metric,value\n")
-        for key, val in rows:
-            fh.write(f"{key},{val}\n")
+    _write_csv(os.path.join(cfg.output_dir, "report.csv"), "metric,value", rows, str)
     for key, val in rows:
         _say(quiet, f"{key} = {val}")
     return 0 if rep.classification != "infeasible" else 4
@@ -335,14 +323,11 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
 def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
     spec = build_problem(cfg)
     ts = spec.shifts(cfg.n)
-    kwargs = {}
-    if cfg.oracle_max_iters is not None:
-        kwargs["max_iters"] = cfg.oracle_max_iters
     if cfg.norm == "l2":
-        rep = l2_oracle(ts, spec.A, cfg.n, cfg.seed, **kwargs)
+        rep = l2_oracle(ts, spec.A, cfg.seed)
         tol = 1e-6
     else:
-        rep = l1_oracle(ts, spec.A, cfg.n, cfg.seed, **kwargs)
+        rep = l1_oracle(ts, spec.A, cfg.seed)
         tol = 1e-4
     _say(quiet, f"norm = {cfg.norm}")
     _say(quiet, f"oracle_value = {_fmt(rep.oracle_value)}")
@@ -397,12 +382,12 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
             f"gap={e.norm_gap:.3e} bound={e.bound:.3e} "
             f"{'ok' if e.satisfied else 'VIOLATED'}",
         )
-    with open(
-        os.path.join(cfg.output_dir, "pms_summary.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        fh.write("eps,achieved_error,norm_gap,bound,satisfied\n")
-        for row in summary_rows:
-            fh.write(",".join(row) + "\n")
+    _write_csv(
+        os.path.join(cfg.output_dir, "pms_summary.csv"),
+        "eps,achieved_error,norm_gap,bound,satisfied",
+        summary_rows,
+        str,
+    )
     if failed is not None:
         print(f"approximation budget exceeded: {failed}", file=sys.stderr)
         return 6

@@ -33,10 +33,6 @@ class DegenerateScaling(WaveInputError):
     """Boundary strip scaling with a vanishing divisor integral."""
 
 
-class BadDelta(WaveInputError):
-    """Tail or patch width outside (0, (b - a) / 2)."""
-
-
 class ApproxBudgetExceeded(WaveInputError):
     """Smoothing pipeline could not reach the requested accuracy.
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParams, DegenerateScaling, GridError
+from .errors import BadParams, DegenerateScaling
 from .functions import GridFunction, simpson_weights
-from .tbvp import ShiftSequence
+from .tbvp import ShiftSequence, full_norm
 
 _TIE_TOL = 1e-13
 
@@ -41,33 +41,20 @@ class OrderEnvelopes:
     def K(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def grid(self) -> GridFunction:
-        return self.ts.grid
-
-    def envelope(self, j: int) -> GridFunction:
-        """The j-th envelope (1-based) as a GridFunction."""
-        if not 1 <= j <= self.K:
-            raise BadParams(f"envelope index must be in 1..{self.K}, got {j}")
-        return self.grid.with_values(self.values[j - 1].copy())
-
-
-def _measure_weights(g: GridFunction) -> np.ndarray:
-    w = np.full(g.n, g.h)
-    w[0] = w[-1] = g.h / 2.0
-    return w
-
 
 def order_envelopes(ts: ShiftSequence) -> OrderEnvelopes:
     vals = np.sort(ts.values, axis=0)[::-1]
-    w = simpson_weights(ts.n, ts.grid.h)
+    h = ts.grid.h
+    w = simpson_weights(ts.n, h)
     integrals = vals @ w
-    mw = _measure_weights(ts.grid)
+    # node-counting measure with half-weight endpoints
+    mw = np.full(ts.n, h)
+    mw[0] = mw[-1] = h / 2.0
     scale = max(1.0, float(np.max(np.abs(vals))))
     degenerate = []
     for j in range(vals.shape[0] - 1):
         coincide = np.abs(vals[j] - vals[j + 1]) <= _TIE_TOL * scale
-        if float(mw[coincide].sum()) > ts.grid.h:
+        if float(mw[coincide].sum()) > h:
             degenerate.append(j + 1)
     return OrderEnvelopes(ts, vals, integrals, degenerate)
 
@@ -92,27 +79,18 @@ def select_strip(env: OrderEnvelopes, A: float) -> int:
 class StripSolution:
     """Canonical minimizer pinched in strip j, plus its certificate data.
 
-    lower/upper are the bounding envelopes (None plays the infinite
-    sentinel for the edge strips).  boundary_case records which branch of
-    the construction produced h.  degenerate means the two envelopes
-    coincide on positive measure, so the convex weight was arbitrary.
+    The strip is bounded by env.values[j] below and env.values[j - 1]
+    above (the edge strips are unbounded on one side).  boundary_case
+    records which branch of the construction produced h.  degenerate
+    means the two envelopes coincide on positive measure, so the convex
+    weight was arbitrary.
     """
 
     j: int
-    lower: GridFunction | None
-    upper: GridFunction | None
     h: GridFunction
     objective: float
     boundary_case: str
     degenerate: bool = False
-
-
-def l1_objective(v: GridFunction, ts: ShiftSequence) -> float:
-    g = ts.grid
-    if v.n != g.n or abs(v.a - g.a) > 1e-12 or abs(v.b - g.b) > 1e-12:
-        raise GridError("input grid does not match the shift grid")
-    w = simpson_weights(g.n, g.h)
-    return float(np.dot(w, np.abs(ts.values - v.values[None, :]).sum(axis=0)))
 
 
 def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
@@ -126,7 +104,7 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
     K = env.K
     if not 0 <= j <= K:
         raise BadParams(f"strip index must be in 0..{K}, got {j}")
-    grid = env.grid
+    grid = env.ts.grid
     scale = max(1.0, float(np.max(np.abs(env.integrals))) if K else 1.0)
 
     if j == 0 or j == K:
@@ -142,9 +120,7 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
                 )
         else:
             h = grid.with_values((A / p_edge) * edge)
-        lower = env.envelope(1) if j == 0 else None
-        upper = None if j == 0 else env.envelope(K)
-        return StripSolution(j, lower, upper, h, l1_objective(h, env.ts), case)
+        return StripSolution(j, h, full_norm(h, env.ts, 1), case)
 
     upper_v = env.values[j - 1]
     lower_v = env.values[j]
@@ -165,32 +141,7 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
         else:
             case = "interior"
     h = grid.with_values(theta * upper_v + (1.0 - theta) * lower_v)
-    return StripSolution(
-        j,
-        env.envelope(j + 1),
-        env.envelope(j),
-        h,
-        l1_objective(h, env.ts),
-        case,
-        degenerate,
-    )
-
-
-def strip_membership(v: GridFunction, env: OrderEnvelopes, j: int):
-    """Estimated measures of {x : v(x) inside strip j} and the complement.
-
-    Node-counting with half-weight endpoints, so the two measures add up
-    to the interval length; the strip test carries a 1e-10 boundary band.
-    """
-    g = env.grid
-    if v.n != g.n or abs(v.a - g.a) > 1e-12 or abs(v.b - g.b) > 1e-12:
-        raise GridError("input grid does not match the envelope grid")
-    tol = 1e-10
-    upper = env.values[j - 1] if j >= 1 else np.full(g.n, np.inf)
-    lower = env.values[j] if j <= env.K - 1 else np.full(g.n, -np.inf)
-    inside = (v.values >= lower - tol) & (v.values <= upper + tol)
-    w = _measure_weights(g)
-    return float(w[inside].sum()), float(w[~inside].sum())
+    return StripSolution(j, h, full_norm(h, env.ts, 1), case, degenerate)
 
 
 def strip_lower_bound(env: OrderEnvelopes, j: int, A: float) -> float:
@@ -201,7 +152,7 @@ def strip_lower_bound(env: OrderEnvelopes, j: int, A: float) -> float:
     """
     if not 0 <= j <= env.K - 1:
         raise BadParams(f"lower bound needs 0 <= j < K, got j={j}")
-    base = l1_objective(env.envelope(j + 1), env.ts)
+    base = full_norm(env.ts.grid.with_values(env.values[j]), env.ts, 1)
     p2 = float(env.integrals[j])
     return base + (env.K - 2 * j) * (A - p2)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import GridFunction, fd_derivative, simpson_weights
-from .tbvp import ProblemSpec, ShiftSequence
+from .tbvp import ProblemSpec, ShiftSequence, full_norm
 
 
 @dataclass
@@ -37,10 +37,7 @@ def l2_minimizer(ts: ShiftSequence, A: float) -> L2Solution:
     A1 = a1_constant(ts, A)
     v_vals = mean + A1 / (2.0 * ts.spec.T)
     v = ts.grid.with_values(v_vals)
-    w = simpson_weights(ts.n, ts.grid.h)
-    resid = ts.values - v_vals[None, :]
-    objective = float(np.dot(w, (resid * resid).sum(axis=0)))
-    return L2Solution(v, A1, ts.grid.with_values(mean), objective)
+    return L2Solution(v, A1, ts.grid.with_values(mean), full_norm(v, ts, 2))
 
 
 def l2_ms_check(

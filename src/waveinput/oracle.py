@@ -24,6 +24,10 @@ from .l1 import construct_h, order_envelopes, select_strip
 from .l2 import l2_minimizer
 from .tbvp import ShiftSequence
 
+# Iteration caps of the two descent loops.
+L2_ITER_CAP = 10**5
+L1_ITER_CAP = 2 * 10**5
+
 
 @dataclass
 class OracleReport:
@@ -37,12 +41,9 @@ class OracleReport:
     v_oracle: GridFunction
 
 
-def _oracle_shifts(ts: ShiftSequence, n: int) -> ShiftSequence:
-    if n < 65 or n % 2 == 0:
-        raise GridError(f"oracle grid must be odd >= 65, got {n}")
-    if ts.n == n:
-        return ts
-    return ts.spec.shifts(n)
+def _check_oracle_grid(ts: ShiftSequence) -> None:
+    if ts.n < 65 or ts.n % 2 == 0:
+        raise GridError(f"oracle grid must be odd >= 65, got {ts.n}")
 
 
 def _project(v: np.ndarray, w: np.ndarray, A: float, w_dot_w: float) -> np.ndarray:
@@ -53,13 +54,13 @@ def _gap(oracle_value: float, analytic_value: float) -> float:
     return abs(oracle_value - analytic_value) / max(analytic_value, 1e-12)
 
 
-def l2_oracle(ts: ShiftSequence, A: float, n: int, seed: int,
-              max_iters: int = 10**5) -> OracleReport:
+def l2_oracle(ts: ShiftSequence, A: float, seed: int) -> OracleReport:
     """Projected gradient descent on the Simpson-weighted least squares."""
-    shifts = _oracle_shifts(ts, n)
-    tv = shifts.values
-    K = shifts.K
-    w = simpson_weights(n, shifts.grid.h)
+    _check_oracle_grid(ts)
+    n = ts.n
+    tv = ts.values
+    K = ts.K
+    w = simpson_weights(n, ts.grid.h)
     w_dot_w = float(np.dot(w, w))
     col_sum = tv.sum(axis=0)
     sq_term = float(np.dot(w, (tv * tv).sum(axis=0)))
@@ -74,7 +75,7 @@ def l2_oracle(ts: ShiftSequence, A: float, n: int, seed: int,
     history = [objective(v)]
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, L2_ITER_CAP + 1):
         grad = 2.0 * w * (K * v - col_sum)
         v = _project(v - step * grad, w, A, w_dot_w)
         history.append(objective(v))
@@ -82,19 +83,19 @@ def l2_oracle(ts: ShiftSequence, A: float, n: int, seed: int,
             converged = True
             break
     value = history[-1]
-    analytic = l2_minimizer(shifts, A).objective
+    analytic = l2_minimizer(ts, A).objective
     return OracleReport(
         2, n, value, analytic, _gap(value, analytic), it, converged,
-        shifts.grid.with_values(v),
+        ts.grid.with_values(v),
     )
 
 
-def l1_oracle(ts: ShiftSequence, A: float, n: int, seed: int,
-              max_iters: int = 2 * 10**5) -> OracleReport:
+def l1_oracle(ts: ShiftSequence, A: float, seed: int) -> OracleReport:
     """Projected subgradient descent with diminishing steps, best iterate kept."""
-    shifts = _oracle_shifts(ts, n)
-    tv = shifts.values
-    w = simpson_weights(n, shifts.grid.h)
+    _check_oracle_grid(ts)
+    n = ts.n
+    tv = ts.values
+    w = simpson_weights(n, ts.grid.h)
     w_dot_w = float(np.dot(w, w))
 
     def objective(v):
@@ -108,7 +109,7 @@ def l1_oracle(ts: ShiftSequence, A: float, n: int, seed: int,
     stall = 0
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, L1_ITER_CAP + 1):
         sub = w * np.sign(v[None, :] - tv).sum(axis=0)
         v = _project(v - (eta0 / np.sqrt(it)) * sub, w, A, w_dot_w)
         val = objective(v)
@@ -119,9 +120,9 @@ def l1_oracle(ts: ShiftSequence, A: float, n: int, seed: int,
             if stall >= 2000:
                 converged = True
                 break
-    env = order_envelopes(shifts)
+    env = order_envelopes(ts)
     analytic = construct_h(env, select_strip(env, A), A).objective
     return OracleReport(
         1, n, best, analytic, _gap(best, analytic), it, converged,
-        shifts.grid.with_values(best_v),
+        ts.grid.with_values(best_v),
     )

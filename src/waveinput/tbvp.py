@@ -16,16 +16,12 @@ reconstructs u(t, x) by D'Alembert's formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, GridError, OutOfRegion, UnsupportedNorm
-from .functions import (
-    GridFunction,
-    SmoothFunction,
-    integrate,
-    simpson_weights,
-)
+from .functions import GridFunction, SmoothFunction, simpson_weights
 
 
 @dataclass
@@ -64,7 +60,10 @@ class ProblemSpec:
                 f"got f0.domain={self.f0.domain}, fT.domain={self.fT.domain}"
             )
         self._shift_cache: dict[int, ShiftSequence] = {}
-        derive_constraints(self)
+        T = self.T
+        self.A = float(2 * self.fT.value(0.0) - self.f0.value(T) - self.f0.value(-T))
+        self.c1 = float(2 * self.fT.d1(0.0) - self.f0.d1(T) - self.f0.d1(-T))
+        self.c2 = float(2 * self.fT.d2(0.0) - self.f0.d2(T) - self.f0.d2(-T))
 
     @property
     def window(self) -> tuple[float, float]:
@@ -77,15 +76,6 @@ class ProblemSpec:
             got = shift_sequence(self, n)
             self._shift_cache[n] = got
         return got
-
-
-def derive_constraints(spec: ProblemSpec):
-    """Evaluate and cache the feasibility constants (A, c1, c2)."""
-    T = spec.T
-    spec.A = float(2 * spec.fT.value(0.0) - spec.f0.value(T) - spec.f0.value(-T))
-    spec.c1 = float(2 * spec.fT.d1(0.0) - spec.f0.d1(T) - spec.f0.d1(-T))
-    spec.c2 = float(2 * spec.fT.d2(0.0) - spec.f0.d2(T) - spec.f0.d2(-T))
-    return spec.A, spec.c1, spec.c2
 
 
 def recurrence_increment(spec: ProblemSpec, y):
@@ -123,7 +113,7 @@ class ShiftSequence:
     def n(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @cached_property
     def grid(self) -> GridFunction:
         return GridFunction(-self.spec.T, self.spec.T, self.n, np.zeros(self.n))
 
@@ -173,6 +163,16 @@ def _check_decision_grid(v: GridFunction, spec: ProblemSpec) -> None:
         )
 
 
+def _extension(v: GridFunction, spec: ProblemSpec) -> tuple[np.ndarray, GridFunction]:
+    """The (K, n) branch rows v - ts_k and the window array they make."""
+    _check_decision_grid(v, spec)
+    lo, hi = spec.window
+    branch = v.values[None, :] - spec.shifts(v.n).values
+    closing = branch[-1, 0] + float(recurrence_increment(spec, hi - spec.T))
+    out = np.append(branch[:, :-1].ravel(), closing)
+    return branch, GridFunction(lo, hi, out.size, out)
+
+
 def extend_input(v: GridFunction, spec: ProblemSpec) -> GridFunction:
     """Propagate a decision-interval input to the whole window.
 
@@ -185,12 +185,7 @@ def extend_input(v: GridFunction, spec: ProblemSpec) -> GridFunction:
     neighbour period, so it is closed with one more application of the
     recurrence.
     """
-    _check_decision_grid(v, spec)
-    lo, hi = spec.window
-    branch = v.values[None, :] - spec.shifts(v.n).values
-    closing = branch[-1, 0] + float(recurrence_increment(spec, hi - spec.T))
-    out = np.append(branch[:, :-1].ravel(), closing)
-    return GridFunction(lo, hi, out.size, out)
+    return _extension(v, spec)[1]
 
 
 # Per-interval quadrature rules exact for cubics, used to build the
@@ -287,36 +282,27 @@ class SolutionField:
 
 def dalembert(v: GridFunction, spec: ProblemSpec) -> SolutionField:
     """Reconstruct the solution field from a decision-interval input."""
-    v_full = extend_input(v, spec)
-    branch = v.values[None, :] - spec.shifts(v.n).values
+    branch, v_full = _extension(v, spec)
     return SolutionField(spec, v_full, branch)
 
 
-def full_norm(v: GridFunction, spec: ProblemSpec, p: int) -> float:
+def full_norm(v: GridFunction, ts: ShiftSequence, p: int) -> float:
     """Full-window input measure folded onto the decision interval.
 
-    Returns the integral over [-T, T] of sum_i |ts_i(x) - v(x)|^p, which
+    Returns the integral over [-T, T] of sum_k |ts_k(x) - v(x)|^p, which
     equals the window integral of |v_ext|^p (branchwise, with the seam
-    convention of extend_input).
+    convention of extend_input).  v must sit on the grid of ts.
     """
-    _check_decision_grid(v, spec)
+    if v.n != ts.n:
+        raise GridError(f"input has {v.n} nodes, the shift grid {ts.n}")
+    _check_decision_grid(v, ts.spec)
     if p not in (1, 2):
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
-    diff = np.abs(spec.shifts(v.n).values - v.values[None, :])
+    diff = np.abs(ts.values - v.values[None, :])
     if p == 2:
         diff = diff * diff
     w = simpson_weights(v.n, v.h)
     return float(np.dot(w, diff.sum(axis=0)))
-
-
-def f_profile(v: GridFunction, spec: ProblemSpec) -> GridFunction:
-    """Derivative F' of the rightward traveling-wave component.
-
-    The decomposition u(t, x) = F(x + t) + G(x - t) at t = 0 gives
-    v = u_t(0, .) = F' - G' and f0' = F' + G', hence F' = (f0' - v)/2.
-    """
-    _check_decision_grid(v, spec)
-    return v.with_values((spec.f0.d1(v.xs) - v.values) / 2.0)
 
 
 def segment_integrals(spec: ProblemSpec) -> np.ndarray:

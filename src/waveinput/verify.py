@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError
 from .functions import GridFunction, fd_derivative, integrate
 from .tbvp import ProblemSpec, SolutionField, dalembert, segment_integrals
 
 SEAM_TOL = 1e-6
 FEAS_TOL = 1e-8
+TIME_LEVELS = 9  # time levels sampled by the PDE residual check
 
 
 @dataclass
@@ -50,15 +50,14 @@ class VerificationReport:
     kink_cells: list = field(default_factory=list)
 
 
-def _pde_residual(field_: SolutionField, spec: ProblemSpec, n_t: int):
+def _pde_residual(field_: SolutionField, spec: ProblemSpec):
     """Max |d2_t u - d2_x u| over node-aligned interior samples."""
     g = field_.v_full
     h = g.h
-    lo, hi = spec.window
     m_max = int(np.floor((spec.T / h - 2.0) / 2.0))
     if m_max < 1:
         return 0.0, 0.0
-    levels = np.unique(np.linspace(1, m_max, min(n_t, m_max)).round().astype(int))
+    levels = np.unique(np.linspace(1, m_max, min(TIME_LEVELS, m_max)).round().astype(int))
     worst = 0.0
     u_scale = 1.0
     for m in levels:
@@ -87,7 +86,7 @@ def _kink_cells(v: GridFunction) -> list:
     return [float(x) for x in xs[s > thresh]]
 
 
-def verify_solution(v: GridFunction, spec: ProblemSpec, n_t: int = 9) -> VerificationReport:
+def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     """Run every check against the input and classify the outcome.
 
     The PDE budget has two terms: 100 h^2 scaled by the sampled field
@@ -104,13 +103,11 @@ def verify_solution(v: GridFunction, spec: ProblemSpec, n_t: int = 9) -> Verific
     a jump is exactly the violation of the corresponding endpoint
     relation, not a discretization artifact).
     """
-    if n_t < 9:
-        raise GridError(f"need at least 9 time levels, got n_t={n_t}")
     shifts = spec.shifts(v.n)
     feas = abs(integrate(v) - spec.A)
 
     field_ = dalembert(v, spec)
-    pde_max, u_scale = _pde_residual(field_, spec, n_t)
+    pde_max, u_scale = _pde_residual(field_, spec)
     curvature = float(np.max(np.abs(np.diff(v.values, 2)))) / v.h ** 2 if v.n > 2 else 0.0
     pde_budget = 100.0 * u_scale * field_.v_full.h ** 2 + 0.5 * v.h * curvature
 
@@ -157,7 +154,7 @@ def verify_solution(v: GridFunction, spec: ProblemSpec, n_t: int = 9) -> Verific
     )
 
 
-def convergence_study(v, spec: ProblemSpec, grids, n_t: int = 9):
+def convergence_study(v, spec: ProblemSpec, grids):
     """PDE residual of the field reconstructed from v at several grids.
 
     v is a SmoothFunction so it can be sampled on each grid; returns a
@@ -169,6 +166,6 @@ def convergence_study(v, spec: ProblemSpec, grids, n_t: int = 9):
     for n in grids:
         vg = sample(v, -spec.T, spec.T, n)
         field_ = dalembert(vg, spec)
-        resid, _ = _pde_residual(field_, spec, n_t)
+        resid, _ = _pde_residual(field_, spec)
         out.append((n, resid))
     return out

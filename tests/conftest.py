@@ -86,7 +86,7 @@ def in_strip_sibling(env, j, h, rng):
     """
     from waveinput.functions import simpson_weights
 
-    g = env.grid
+    g = env.ts.grid
     xs = g.xs
     room_up = env.values[j - 1] - h.values
     room_dn = h.values - env.values[j]

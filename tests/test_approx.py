@@ -17,7 +17,6 @@ from waveinput.approx import (
 )
 from waveinput.errors import ApproxBudgetExceeded, BadParams
 from waveinput.functions import GridFunction
-from waveinput.tbvp import full_norm
 from waveinput.verify import verify_solution
 
 from conftest import feasible_random_v, random_spec, traveling_spec

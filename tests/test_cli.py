@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from waveinput import oracle
 from waveinput.cli import main, parse_config
 from waveinput.errors import ConfigError
 
@@ -29,7 +30,6 @@ class TestConfigParsing:
         assert cfg.seed == 0
         assert cfg.output_dir == "out"
         assert cfg.eps_schedule is None
-        assert cfg.oracle_max_iters is None
         assert cfg.norm == "l2"
 
     def test_n_even_exit2_names_field(self, tmp_path, capsys):
@@ -211,8 +211,9 @@ class TestOracle:
         assert "converged = True" in got
         assert "rel_gap" in got
 
-    def test_forced_iteration_cap_exit5(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "run.cfg", oracle_max_iters="10")
+    def test_forced_iteration_cap_exit5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "L2_ITER_CAP", 10)
+        cfg = write_config(tmp_path / "run.cfg")
         assert main(["oracle", "--config", cfg]) == 5
         assert "converged = False" in capsys.readouterr().out
 

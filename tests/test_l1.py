@@ -6,20 +6,17 @@ from conftest import (
     handmade_shifts,
     in_strip_sibling,
     random_spec,
-    zero_integral_bump,
 )
 from waveinput.errors import BadParams, DegenerateScaling, GridError
 from waveinput.functions import GridFunction, integrate
 from waveinput.l1 import (
-    OrderEnvelopes,
     construct_h,
-    l1_objective,
     ms_endpoint_check,
     order_envelopes,
     select_strip,
     strip_lower_bound,
-    strip_membership,
 )
+from waveinput.tbvp import full_norm
 
 
 def lines_example(n=101):
@@ -90,8 +87,8 @@ def test_construct_h_interior_convex_combination():
     assert np.allclose(sol.h.values, 0.5)
     assert integrate(sol.h) == pytest.approx(1.0, abs=1e-10)
     assert sol.objective == pytest.approx(9.0, abs=1e-10)
-    assert np.all(sol.lower.values <= sol.h.values + 1e-12)
-    assert np.all(sol.h.values <= sol.upper.values + 1e-12)
+    assert np.all(env.values[sol.j] <= sol.h.values + 1e-12)
+    assert np.all(sol.h.values <= env.values[sol.j - 1] + 1e-12)
 
 
 def test_construct_h_zero_problem():
@@ -127,29 +124,12 @@ def test_construct_h_degenerate_scaling():
 
 
 def test_l1_objective_constants():
-    env_ts = consts_example([0.0, 0.0, 0.0])
-    v = GridFunction(-1.0, 1.0, 101, np.ones(101))
-    assert l1_objective(v, env_ts) == pytest.approx(6.0, abs=1e-12)
+    # hand-built rows, not the (zero) shifts of the sequence's own spec
+    env_ts = consts_example([1.0, 0.0, -2.0])
+    v = GridFunction(-1.0, 1.0, 101, np.zeros(101))
+    assert full_norm(v, env_ts, 1) == pytest.approx(6.0, abs=1e-12)
     with pytest.raises(GridError):
-        l1_objective(GridFunction(-1.0, 1.0, 33, np.zeros(33)), env_ts)
-
-
-def test_strip_membership_examples():
-    ts, xs = lines_example()
-    env = order_envelopes(ts)
-    j = select_strip(env, 0.0)
-    sol = construct_h(env, j, 0.0)
-    inside, outside = strip_membership(sol.h, env, j)
-    assert outside == 0.0
-    assert inside == pytest.approx(2.0)
-    above = env.grid.with_values(env.values[j - 1] + 1.0)
-    inside, outside = strip_membership(above, env, j)
-    assert inside == 0.0
-    assert outside == pytest.approx(2.0)
-    half = sol.h.values.copy()
-    half[xs > 0] = env.values[j - 1][xs > 0] + 1.0
-    inside, outside = strip_membership(env.grid.with_values(half), env, j)
-    assert abs(outside - 1.0) <= env.grid.h + 1e-12
+        full_norm(GridFunction(-1.0, 1.0, 33, np.zeros(33)), env_ts, 1)
 
 
 def test_ms_endpoint_check():
@@ -173,7 +153,7 @@ def test_optimality_against_random_feasible_inputs():
         sol = construct_h(env, j, spec.A)
         for _ in range(30):
             v = feasible_random_v(spec, 257, rng)
-            assert l1_objective(v, ts) >= sol.objective - 1e-8
+            assert full_norm(v, ts, 1) >= sol.objective - 1e-8
 
 
 def test_flat_optimum_inside_strip():
@@ -192,7 +172,7 @@ def test_flat_optimum_inside_strip():
             continue
         assert integrate(sib) == pytest.approx(spec.A, abs=1e-10)
         assert not np.allclose(sib.values, sol.h.values)
-        assert l1_objective(sib, ts) == pytest.approx(sol.objective, abs=1e-8)
+        assert full_norm(sib, ts, 1) == pytest.approx(sol.objective, abs=1e-8)
         found += 1
     assert found >= 3  # sanity: the sweep actually exercised the property
 
@@ -212,7 +192,7 @@ def test_lower_bound_identity_and_floor():
             assert sol.objective == pytest.approx(bound, abs=1e-8)
         for _ in range(20):
             v = feasible_random_v(spec, 257, rng)
-            assert l1_objective(v, ts) >= bound - 1e-8
+            assert full_norm(v, ts, 1) >= bound - 1e-8
 
 
 def test_slope_ladder():

@@ -56,7 +56,7 @@ def test_minimizer_node_identity_and_feasibility():
             sol.v.values, sol.mean_shift.values + sol.A1 / (2 * spec.T), atol=1e-14
         )
         assert integrate(sol.v) == pytest.approx(spec.A, abs=1e-10)
-        assert sol.objective == pytest.approx(full_norm(sol.v, spec, 2), abs=1e-10)
+        assert sol.objective == pytest.approx(full_norm(sol.v, ts, 2), abs=1e-10)
 
 
 def test_quadratic_expansion_optimality():

@@ -10,7 +10,7 @@ from waveinput.oracle import l1_oracle, l2_oracle
 
 def test_l2_oracle_zero_problem():
     ts = handmade_shifts(np.zeros((3, 65)))
-    rep = l2_oracle(ts, 0.0, 65, seed=0)
+    rep = l2_oracle(ts, 0.0, seed=0)
     assert rep.converged
     assert rep.oracle_value == pytest.approx(0.0, abs=1e-10)
     assert np.max(np.abs(rep.v_oracle.values)) < 1e-6
@@ -18,7 +18,7 @@ def test_l2_oracle_zero_problem():
 
 def test_l2_oracle_constant_solution():
     ts = handmade_shifts(np.zeros((3, 65)))
-    rep = l2_oracle(ts, 2.0, 65, seed=1)
+    rep = l2_oracle(ts, 2.0, seed=1)
     assert rep.converged
     assert rep.oracle_value == pytest.approx(6.0, abs=1e-8)
     assert np.max(np.abs(rep.v_oracle.values - 1.0)) < 1e-5
@@ -28,7 +28,7 @@ def test_l2_oracle_matches_closed_form():
     rng = np.random.default_rng(8)
     spec = random_spec(rng, K1=1, K2=1)
     ts = spec.shifts(129)
-    rep = l2_oracle(ts, spec.A, 129, seed=3)
+    rep = l2_oracle(ts, spec.A, seed=3)
     assert rep.converged
     assert rep.rel_gap < 1e-6
     sol = l2_minimizer(ts, spec.A)
@@ -40,7 +40,7 @@ def test_l2_oracle_projection_and_seed_independence():
     spec = random_spec(rng, K1=1, K2=2)
     ts = spec.shifts(129)
     w = simpson_weights(129, ts.grid.h)
-    reps = [l2_oracle(ts, spec.A, 129, seed=s) for s in (5, 6)]
+    reps = [l2_oracle(ts, spec.A, seed=s) for s in (5, 6)]
     for rep in reps:
         assert abs(np.dot(w, rep.v_oracle.values) - spec.A) <= 1e-12
     assert abs(reps[0].oracle_value - reps[1].oracle_value) <= 2e-6
@@ -50,13 +50,13 @@ def test_l1_oracle_zero_problem():
     # the optimum here is a single kink point, not a strip with interior,
     # so the subgradient method only closes in at its 1/sqrt(k) rate
     ts = handmade_shifts(np.zeros((3, 65)))
-    rep = l1_oracle(ts, 0.0, 65, seed=0)
+    rep = l1_oracle(ts, 0.0, seed=0)
     assert rep.oracle_value == pytest.approx(0.0, abs=2e-4)
 
 
 def test_l1_oracle_median_case():
     ts = handmade_shifts(np.stack([np.zeros(65), np.ones(65), -np.ones(65)]))
-    rep = l1_oracle(ts, 0.0, 65, seed=2)
+    rep = l1_oracle(ts, 0.0, seed=2)
     assert rep.converged
     # the pointwise median (zero) already meets the constraint; value is
     # the integral of |1| + |-1| over [-1, 1]; kink optimum again, so the
@@ -68,7 +68,7 @@ def test_l1_oracle_certifies_strip_construction():
     rng = np.random.default_rng(33)
     spec = random_spec(rng, K1=1, K2=1)
     ts = spec.shifts(129)
-    rep = l1_oracle(ts, spec.A, 129, seed=7)
+    rep = l1_oracle(ts, spec.A, seed=7)
     assert rep.rel_gap < 1e-4
     assert rep.oracle_value >= rep.analytic_value - 1e-8  # analytic is a true floor
     w = simpson_weights(129, ts.grid.h)
@@ -79,7 +79,7 @@ def test_l1_oracle_seed_independent_value():
     rng = np.random.default_rng(35)
     spec = random_spec(rng, K1=1, K2=1)
     ts = spec.shifts(129)
-    vals = [l1_oracle(ts, spec.A, 129, seed=s).oracle_value for s in (11, 12)]
+    vals = [l1_oracle(ts, spec.A, seed=s).oracle_value for s in (11, 12)]
     env = order_envelopes(ts)
     ref = construct_h(env, select_strip(env, spec.A), spec.A).objective
     for v in vals:

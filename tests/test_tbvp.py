@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from waveinput.errors import DomainError, GridError, OutOfRegion
-from waveinput.functions import GridFunction, catalog, integrate, lp_norm, sample
+from waveinput.functions import GridFunction, catalog, integrate, lp_norm
 from waveinput.tbvp import (
     ProblemSpec,
     dalembert,
-    derive_constraints,
     extend_input,
-    f_profile,
     full_norm,
     recurrence_increment,
     segment_integrals,
@@ -55,7 +53,6 @@ def test_constants_zero_data():
     s = zero_spec()
     assert (s.A, s.c1, s.c2) == (0.0, 0.0, 0.0)
     assert s.K == 3
-    assert derive_constraints(s) == (0.0, 0.0, 0.0)
 
 
 def test_constants_traveling_wave():
@@ -239,8 +236,8 @@ def test_dalembert_out_of_region():
 def test_full_norm_constant_input():
     s = zero_spec()
     v = GridFunction(-1.0, 1.0, 65, np.ones(65))
-    assert full_norm(v, s, 1) == pytest.approx(6.0, abs=1e-12)
-    assert full_norm(v, s, 2) == pytest.approx(6.0, abs=1e-12)
+    assert full_norm(v, s.shifts(65), 1) == pytest.approx(6.0, abs=1e-12)
+    assert full_norm(v, s.shifts(65), 2) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_full_norm_traveling_wave():
@@ -248,7 +245,7 @@ def test_full_norm_traveling_wave():
     n = 513
     v = GridFunction(-1.0, 1.0, n, -np.cos(np.linspace(-1, 1, n)))
     # window integral of cos^2 over [-3, 3] is 3 + sin(6)/2
-    assert full_norm(v, s, 2) == pytest.approx(3 + math.sin(6.0) / 2, abs=1e-10)
+    assert full_norm(v, s.shifts(n), 2) == pytest.approx(3 + math.sin(6.0) / 2, abs=1e-10)
 
 
 def test_reduction_identity_compatible_inputs():
@@ -259,19 +256,8 @@ def test_reduction_identity_compatible_inputs():
         ext = extend_input(v, s)
         for p in (1, 2):
             window = lp_norm(ext, p) ** p
-            folded = full_norm(v, s, p)
+            folded = full_norm(v, s.shifts(257), p)
             assert abs(window - folded) <= 1e-6 * max(abs(window), 1e-12)
-
-
-def test_f_profile():
-    s = traveling_spec()
-    n = 65
-    xs = np.linspace(-1, 1, n)
-    v = GridFunction(-1.0, 1.0, n, -np.cos(xs))
-    fp = f_profile(v, s)
-    assert np.max(np.abs(fp.values - np.cos(xs))) < 1e-14
-    v2 = GridFunction(-1.0, 1.0, n, np.cos(xs))  # v = f0' cancels
-    assert np.max(np.abs(f_profile(v2, s).values)) == 0.0
 
 
 def test_segment_integrals_match_equilibrium():

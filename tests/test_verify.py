@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from waveinput.errors import GridError
 from waveinput.functions import GridFunction, catalog, sample
 from waveinput.tbvp import ProblemSpec
 from waveinput.verify import convergence_study, verify_solution
@@ -86,12 +85,6 @@ class TestResiduals:
         rep = verify_solution(v, spec)
         jumps = [j for _, j in rep.seam_deriv_jumps]
         assert max(jumps) - min(jumps) < 1e-7
-
-    def test_needs_enough_time_levels(self):
-        spec = zero_spec()
-        v = GridFunction(-1.0, 1.0, 129, np.zeros(129))
-        with pytest.raises(GridError):
-            verify_solution(v, spec, n_t=4)
 
 
 class TestConvergence:
