@@ -9,7 +9,7 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
     n               decision grid size (odd, >= 65)
     norm            l1 or l2
     eps_schedule    decreasing positive tolerances (pms runs only)
-    seed            RNG seed for oracle starts (default 0)
+    seed            RNG seed for the L2 oracle start (default 0)
     output_dir      where CSVs go (default "out", --out overrides)
 
 Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
@@ -327,7 +327,7 @@ def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
         rep = l2_oracle(ts, spec.A, cfg.seed)
         tol = 1e-6
     else:
-        rep = l1_oracle(ts, spec.A, cfg.seed)
+        rep = l1_oracle(ts, spec.A)
         tol = 1e-4
     _say(quiet, f"norm = {cfg.norm}")
     _say(quiet, f"oracle_value = {_fmt(rep.oracle_value)}")
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     for name, help_ in (
         ("solve", "run the configured minimizer and write plot CSVs"),
         ("verify", "check a candidate input against all residuals"),
-        ("oracle", "certify the analytic minimizer against iterative descent"),
+        ("oracle", "certify the minimizer: L2 by projected descent, L1 by exact Lagrangian dual"),
         ("pms", "generate the smoothing sequence along eps_schedule"),
     ):
         p = sub.add_parser(name, help=help_)

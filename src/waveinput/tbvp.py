@@ -117,10 +117,6 @@ class ShiftSequence:
     def grid(self) -> GridFunction:
         return GridFunction(-self.spec.T, self.spec.T, self.n, np.zeros(self.n))
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(-self.spec.T, self.spec.T, self.n)
-
 
 def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
     """Accumulate the recurrence into the K shift functions on [-T, T].

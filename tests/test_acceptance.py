@@ -127,7 +127,7 @@ def test_04_l1_strip_optimality():
             for _ in range(200):
                 v = feasible_random_v(spec, n, rng)
                 assert full_norm(v, ts, 1) >= sol.objective - 1e-8
-            rep = l1_oracle(ts, spec.A, seed=k)
+            rep = l1_oracle(ts, spec.A)
             assert rep.rel_gap < 1e-4, f"instance {k}: rel gap {rep.rel_gap:.3e}"
             sib = None
             for _ in range(10):

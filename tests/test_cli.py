@@ -217,6 +217,13 @@ class TestOracle:
         assert main(["oracle", "--config", cfg]) == 5
         assert "converged = False" in capsys.readouterr().out
 
+    def test_readme_traveling_wave_l1_certifies(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", n="513"
+        )
+        assert main(["oracle", "--config", cfg]) == 0
+        assert "converged = True" in capsys.readouterr().out
+
 
 class TestPMS:
     def test_missing_schedule_exit2(self, tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_quadratic_expansion_optimality():
     sol = l2_minimizer(ts, spec.A)
     w = simpson_weights(257, ts.grid.h)
     for _ in range(100):
-        bump = zero_integral_bump(ts.xs, rng)
+        bump = zero_integral_bump(ts.grid.xs, rng)
         pert = ts.grid.with_values(sol.v.values + bump)
         obj = l2_minimizer_objective(ts, pert)
         growth = float(np.dot(w, bump * bump))
@@ -87,7 +87,7 @@ def test_decomposition_identity():
     mean = ts.values.mean(axis=0)
     spread = float(np.dot(w, (ts.values**2).sum(axis=0) - ts.K * mean * mean))
     for _ in range(10):
-        vals = zero_integral_bump(ts.xs, rng) + rng.normal()
+        vals = zero_integral_bump(ts.grid.xs, rng) + rng.normal()
         v = ts.grid.with_values(vals)
         lhs = l2_minimizer_objective(ts, v)
         rhs = ts.K * float(np.dot(w, (vals - mean) ** 2)) + spread
@@ -116,7 +116,7 @@ def test_ms_check_traveling_wave():
     ts = spec.shifts(513)
     sol = l2_minimizer(ts, spec.A)
     factor = 2.0 * (math.cos(2.0) - 1.0) / 3.0
-    shape = factor * np.cos(ts.xs) - math.sin(1.0) * (1.0 + factor)
+    shape = factor * np.cos(ts.grid.xs) - math.sin(1.0) * (1.0 + factor)
     assert np.max(np.abs(sol.v.values - shape)) < 1e-9
     assert abs(sol.v.values[-1] - sol.v.values[0] - spec.c1) < 1e-12
     assert l2_ms_check(sol, spec) == "pms_only"

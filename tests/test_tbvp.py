@@ -91,7 +91,7 @@ def test_shift_sequence_zero_data():
 def test_shift_sequence_traveling_wave():
     s = traveling_spec()
     ts = shift_sequence(s, 257)
-    xs = ts.xs
+    xs = ts.grid.xs
     # rows run over the window periods k = -1, 0, 1
     assert np.all(ts.values[1] == 0.0)
     # rightward period: exact input -cos extends to -cos(x + 2T), so the
@@ -117,7 +117,7 @@ def test_shift_matches_one_step_transcription():
     fT = catalog("gaussian", [1.5, 0.3, 2.0])
     s = ProblemSpec(f0, fT, 0.7, 1, 1)
     ts = shift_sequence(s, 129)
-    xs = ts.xs
+    xs = ts.grid.xs
     T = s.T
     oracle = -(2 * fT.d1(xs + T) - f0.d1(xs + 2 * T) - f0.d1(xs))
     assert np.max(np.abs(ts.values[s.K1 + 1] - oracle)) < 1e-10
