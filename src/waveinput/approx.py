@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from .functions import C1GridFunction, GridFunction, integrate, simpson_weights
@@ -79,6 +78,8 @@ def _bern_combine(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if m == 0:
         return np.full(u.shape, c[0])
+    # imported here so that only `pms` pays for loading scipy.special
+    from scipy.special import gammaln, xlogy
     order = np.argsort(u)
     us = u[order]
     half = 12.0 * np.sqrt(m * us * (1.0 - us)) + 30.0

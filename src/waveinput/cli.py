@@ -23,6 +23,7 @@ construction, 4 infeasible input in verify, 5 oracle did not certify,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -78,6 +79,8 @@ def _parse_function_spec(key: str, value: str) -> tuple:
         params = [float(tok) for tok in parts[1:]]
     except ValueError as exc:
         raise ConfigError(f"{key}: bad parameter in {parts[1:]!r}") from exc
+    if not all(map(math.isfinite, params)):
+        raise ConfigError(f"{key}: non-finite parameter in {parts[1:]!r}")
     return ("catalog", parts[0], params)
 
 
@@ -90,9 +93,12 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return x
 
 
 def parse_config(path: str) -> RunConfig:

@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BadParams,
@@ -185,6 +184,8 @@ def from_samples(xs, ys) -> SmoothFunction:
         raise BadParams("spline source needs at least 4 sample points")
     if np.any(np.diff(xs) <= 0):
         raise BadParams("spline sample abscissae must be strictly increasing")
+    # imported here so that only `file` sample functions load scipy.interpolate
+    from scipy.interpolate import CubicSpline
     sp = CubicSpline(xs, ys, bc_type="natural")
     d1 = sp.derivative(1)
     d2 = sp.derivative(2)

@@ -99,7 +99,11 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
     Interior strips take the convex combination of the bounding envelopes
     with weight theta = (A - p2)/(p1 - p2); the edge strips scale the
     outermost envelope by A over its integral, which is undefined when
-    that integral vanishes (DegenerateScaling unless A is zero too).
+    that integral vanishes (DegenerateScaling unless A is zero too).  The
+    scaled envelope is kept only when a_1 >= 0 (j = 0) or a_K <= 0
+    (j = K) at every node, as in every shift_sequence through its zero
+    period-0 row; a hand-built envelope that changes sign would leave the
+    strip, so it raises DegenerateScaling.
     """
     K = env.K
     if not 0 <= j <= K:
@@ -111,6 +115,11 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
         edge = env.values[0] if j == 0 else env.values[-1]
         p_edge = env.integrals[0] if j == 0 else env.integrals[-1]
         case = "scaled_top" if j == 0 else "scaled_bottom"
+        if np.any(edge < 0.0 if j == 0 else edge > 0.0):
+            sign = "a_1 >= 0" if j == 0 else "a_K <= 0"
+            raise DegenerateScaling(
+                f"{case} needs {sign} at every node to stay in the strip at A={A}"
+            )
         if abs(p_edge) <= 1e-14 * scale:
             if abs(A) <= 1e-14 * scale:
                 h = grid.with_values(np.zeros(grid.n))

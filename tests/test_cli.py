@@ -64,6 +64,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="at least 65"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize(
+        "key, setting",
+        [("T", {"T": "inf"}), ("f0", {"f0": "sin nan 0"}), ("f0", {"f0": "sin inf 0"})],
+        ids=["T-inf", "param-nan", "param-inf"],
+    )
+    def test_non_finite_number_exit2_names_key(self, tmp_path, capsys, key, setting, norm):
+        cfg = write_config(tmp_path / "run.cfg", norm=norm, **setting)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:") and "finite" in err
+
     def test_function_from_sample_file(self, tmp_path):
         xs = np.linspace(-3.0, 3.0, 41)
         rows = "\n".join(f"{float(x)!r},{float(np.sin(x))!r}" for x in xs)

@@ -1,12 +1,24 @@
-"""Every imported name is used: a stdlib-only check over the sources.
+"""Import hygiene: every imported name is used, and scipy loads only where needed.
 
-Names listed in a module's ``__all__`` count as used (re-exports), and
-``from __future__`` imports are skipped.  Quoted annotations are parsed,
-so a name used only inside one still counts.
+The unused-import check is stdlib-only over the sources.  Names listed in a
+module's ``__all__`` count as used (re-exports), and ``from __future__``
+imports are skipped.  Quoted annotations are parsed, so a name used only
+inside one still counts.
+
+The import-path checks run the CLI in a fresh interpreter, since this
+process may already hold scipy: catalog `solve`, `verify` and `oracle`
+runs need numpy and the stdlib only, `pms` loads ``scipy.special`` for the
+Bernstein kernel, and a ``file`` sample function loads ``scipy.interpolate``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -50,3 +62,70 @@ def test_no_unused_imports():
         rel = path.relative_to(ROOT)
         unused += [f"{rel}:{line} {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+_CHILD = """
+import json, sys
+from waveinput.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+_TRAVELING = {"f0": "sin 1 0", "fT": "sin 1 -1", "T": "1", "K1": "1", "K2": "1", "n": "65"}
+
+
+def _run_fresh(argvs):
+    """Exit codes of ``main`` on each argv, and the scipy modules loaded after."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(argvs)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, mods = json.loads(proc.stdout.splitlines()[-1])
+    return codes, set(mods)
+
+
+def _config(tmp_path, name, **kv):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    assert _run_fresh([]) == ([], set())
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_catalog_solve_verify_oracle_load_no_scipy(tmp_path, norm):
+    cfg = _config(tmp_path, norm, norm=norm, **_TRAVELING)
+    out = str(tmp_path / "out")
+    codes, mods = _run_fresh([
+        ["solve", "--config", cfg, "--out", out, "--quiet"],
+        ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"],
+        ["oracle", "--config", cfg, "--out", out, "--quiet"],
+    ])
+    assert codes == [0, 0, 0]
+    assert mods == set()
+
+
+def test_pms_loads_scipy_special_only(tmp_path):
+    cfg = _config(tmp_path, "pms", norm="l2", eps_schedule="1e-1", **_TRAVELING)
+    codes, mods = _run_fresh([["pms", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]])
+    assert codes == [0]
+    assert "scipy.special" in mods
+    assert not {"scipy.interpolate", "scipy.optimize", "scipy.linalg"} & mods
+
+
+def test_file_sample_function_loads_scipy_interpolate(tmp_path):
+    samples = tmp_path / "f0.csv"
+    samples.write_text(
+        "x,y\n" + "".join(f"{x / 10!r},{(x / 10) ** 2!r}\n" for x in range(-30, 31)),
+        encoding="utf-8",
+    )
+    cfg = _config(tmp_path, "file", **dict(_TRAVELING, f0=f"file {samples}", norm="l1"))
+    out = tmp_path / "out"
+    codes, mods = _run_fresh([["solve", "--config", cfg, "--out", str(out), "--quiet"]])
+    assert codes == [0]
+    assert "scipy.interpolate" in mods
+    assert (out / "minimizer.csv").exists()

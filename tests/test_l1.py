@@ -123,6 +123,20 @@ def test_construct_h_degenerate_scaling():
         construct_h(env, 7, 0.0)
 
 
+@pytest.mark.parametrize("edge", ["top", "bottom"])
+def test_construct_h_sign_changing_edge_envelope_raises(edge):
+    # hand-built rows without the zero period-0 row of a shift sequence:
+    # both outer envelopes change sign, so scaling one to reach A would
+    # leave the strip
+    rows = np.random.default_rng(0).normal(size=(3, 65)) + 0.3
+    env = order_envelopes(handmade_shifts(rows))
+    A = env.integrals[0] + 1.0 if edge == "top" else env.integrals[-1] - 1.0
+    j = select_strip(env, A)
+    assert j == (0 if edge == "top" else env.K)
+    with pytest.raises(DegenerateScaling, match="a_1 >= 0" if edge == "top" else "a_K <= 0"):
+        construct_h(env, j, A)
+
+
 def test_l1_objective_constants():
     # hand-built rows, not the (zero) shifts of the sequence's own spec
     env_ts = consts_example([1.0, 0.0, -2.0])
