@@ -5,10 +5,10 @@ initial velocity v = u_t(0, .) free on the decision interval [-T, T];
 everything else follows from a recurrence.  This package builds the
 shift sequence that folds the full-window L^p size of v onto the
 decision interval, minimizes it in L1 (order-envelope strips) and L2
-(closed form), certifies L2 by projected descent and L1 by its exact
-Lagrangian dual, smooths rough minimizers into C1 inputs with exact
-endpoint offsets, and verifies candidate inputs by reconstructing the
-field and checking residuals.
+(closed form), certifies both minimizers by their exact Lagrangian
+duals, smooths rough minimizers into C1 inputs with exact endpoint
+offsets, and verifies candidate inputs by reconstructing the field and
+checking residuals.
 """
 
 from .approx import (

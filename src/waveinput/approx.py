@@ -247,9 +247,10 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
     target is under half the budget; the patch width shrinks from about a
     sixtieth of the interval (never below six grid cells to start, so the
     patch stays visible to node-level consumers whenever the budget allows)
-    until the total measured error fits.  One retry with a doubled degree
-    cap is attempted before giving up; failure raises ApproxBudgetExceeded
-    with the best attempt attached.
+    until the total measured error fits.  If that fails with the degree
+    search stopped at its cap, the search resumes once up to a doubled cap
+    before giving up; failure raises ApproxBudgetExceeded with the best
+    attempt attached.
     """
     f = req.f
     if req.epsilon <= 0:
@@ -272,10 +273,10 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
 
     cap = DEGREE_CAP
     retries = 0
+    m = DEGREE_START
+    coeffs, diffs = measure_core(m)
+    core_err = _lp_total([(wts, diffs)], p)
     while True:
-        m = DEGREE_START
-        coeffs, diffs = measure_core(m)
-        core_err = _lp_total([(wts, diffs)], p)
         while core_err >= eps / 2.0 and 2 * m <= cap:
             m *= 2
             coeffs, diffs = measure_core(m)
@@ -347,8 +348,8 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
                     break
             delta_raw /= 2.0
 
-        if chosen is None and retries == 0:
-            # one retry with a doubled degree cap before giving up
+        if chosen is None and flagged and retries == 0:
+            # resume the degree search once, up to a doubled cap
             retries += 1
             cap *= 2
             continue

@@ -9,11 +9,11 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
     n               decision grid size (odd, >= 65)
     norm            l1 or l2
     eps_schedule    decreasing positive tolerances (pms runs only)
-    seed            RNG seed for the L2 oracle start (default 0)
+    seed            accepted and ignored (non-negative integer)
     output_dir      where CSVs go (default "out", --out overrides)
 
 Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
-config and seed produce byte-identical output files.
+config produces byte-identical output files.
 
 Exit codes: 0 success, 2 bad config/input, 3 degenerate scaling in the L1
 construction, 4 infeasible input in verify, 5 oracle did not certify,
@@ -45,6 +45,7 @@ from .tbvp import ProblemSpec, extend_input
 from .verify import verify_solution
 
 _REQUIRED = ("f0", "ft", "t", "k1", "k2", "n", "norm")
+# nothing reads "seed" now, but perfbench's config writer still writes it
 _KNOWN = _REQUIRED + ("eps_schedule", "seed", "output_dir")
 
 
@@ -58,7 +59,6 @@ class RunConfig:
     n: int
     norm: str
     eps_schedule: list | None
-    seed: int
     output_dir: str
 
 
@@ -164,7 +164,6 @@ def parse_config(path: str) -> RunConfig:
         n,
         norm,
         schedule,
-        seed,
         raw.get("output_dir", "out"),
     )
 
@@ -329,22 +328,16 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
 def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
     spec = build_problem(cfg)
     ts = spec.shifts(cfg.n)
-    if cfg.norm == "l2":
-        rep = l2_oracle(ts, spec.A, cfg.seed)
-        tol = 1e-6
-    else:
-        rep = l1_oracle(ts, spec.A)
-        tol = 1e-4
+    rep = (l2_oracle if cfg.norm == "l2" else l1_oracle)(ts, spec.A)
     _say(quiet, f"norm = {cfg.norm}")
     _say(quiet, f"oracle_value = {_fmt(rep.oracle_value)}")
     _say(quiet, f"analytic_value = {_fmt(rep.analytic_value)}")
     _say(quiet, f"rel_gap = {_fmt(rep.rel_gap)}")
     _say(quiet, f"iterations = {rep.iterations}")
     _say(quiet, f"converged = {rep.converged}")
-    ok = rep.converged and rep.rel_gap < tol
-    if not ok:
-        _say(quiet, f"certification failed (tolerance {tol})")
-    return 0 if ok else 5
+    if not rep.converged:
+        _say(quiet, "certification failed (gap or constraint above 64 ulps of scale)")
+    return 0 if rep.converged else 5
 
 
 def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
@@ -409,7 +402,7 @@ def main(argv=None) -> int:
     for name, help_ in (
         ("solve", "run the configured minimizer and write plot CSVs"),
         ("verify", "check a candidate input against all residuals"),
-        ("oracle", "certify the minimizer: L2 by projected descent, L1 by exact Lagrangian dual"),
+        ("oracle", "certify the minimizer: exact Lagrangian dual in L1 and L2"),
         ("pms", "generate the smoothing sequence along eps_schedule"),
     ):
         p = sub.add_parser(name, help=help_)

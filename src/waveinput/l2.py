@@ -16,6 +16,11 @@ import numpy as np
 from .functions import GridFunction, fd_derivative, simpson_weights
 from .tbvp import ProblemSpec, ShiftSequence, full_norm
 
+# l2_ms_check's gates on the endpoint value and derivative offsets; the
+# derivative comparison uses one-sided 4th-order stencils, hence the looser one
+MS_TOL_VAL = 1e-8
+MS_TOL_DER = 1e-6
+
 
 @dataclass
 class L2Solution:
@@ -40,20 +45,14 @@ def l2_minimizer(ts: ShiftSequence, A: float) -> L2Solution:
     return L2Solution(v, A1, ts.grid.with_values(mean), full_norm(v, ts, 2))
 
 
-def l2_ms_check(
-    sol: L2Solution,
-    spec: ProblemSpec,
-    tol_val: float = 1e-8,
-    tol_der: float = 1e-6,
-) -> str:
+def l2_ms_check(sol: L2Solution, spec: ProblemSpec) -> str:
     """Classify the closed-form minimizer as an exact smooth solution or not.
 
     The extension of v is C2 across the seams iff v matches both endpoint
-    relations; the derivative comparison uses one-sided 4th-order stencils,
-    hence the looser default tolerance.
+    relations.
     """
     v = sol.v
     d = fd_derivative(v.values, v.h)
     val_gap = abs(v.values[-1] - v.values[0] - spec.c1)
     der_gap = abs(d[-1] - d[0] - spec.c2)
-    return "ms_exists" if (val_gap <= tol_val and der_gap <= tol_der) else "pms_only"
+    return "ms_exists" if (val_gap <= MS_TOL_VAL and der_gap <= MS_TOL_DER) else "pms_only"

@@ -1,15 +1,21 @@
 """Independent certification of the minimizers.
 
-The oracles re-solve the discretized constrained problems without
-touching the closed forms.  L2 runs a projected gradient descent from a
-random start.  L1 evaluates the exact Lagrangian dual
-g(lam) = lam A + sum_i w_i min_v (sum_k |ts_k,i - v| - lam v): the inner
+Both oracles evaluate the exact Lagrangian dual of the discretized problem
+min sum_i w_i sum_k |ts_k,i - v_i|^p subject to w.v = A straight from the
+shift array, without touching the closed forms.  The dual value bounds
+every feasible objective from below (weak duality) and equals the optimum
+(strong duality); it takes no sort, strip choice or iteration.  The
+analytic values enter only the final report.
+
+L2: with m the pointwise shift mean and SS_i = sum_k (ts_k,i - m_i)^2,
+the inner minimum sits at v_i = m_i + lam/(2K), so
+g(lam) = lam A + w.(SS - lam m) - lam^2 W/(4K) with W = sum_i w_i, a
+concave parabola with its maximum at lam* = 2K(A - w.m)/W.
+
+L1: g(lam) = lam A + sum_i w_i min_v (sum_k |ts_k,i - v| - lam v): the inner
 function is piecewise linear with slopes K - 2j, so g is concave and
 piecewise linear with its kinks at lam in {K, K-2, ..., -K}, and at each
-of them the inner minimum sits on a shift value.  Its maximum bounds
-every feasible objective from below (weak duality) and equals the optimum
-(LP strong duality); it takes no sort, strip choice or iteration.  The
-analytic values enter only the final report.
+of them the inner minimum sits on a shift value.
 """
 
 from __future__ import annotations
@@ -24,14 +30,9 @@ from .l1 import construct_h, order_envelopes, select_strip
 from .l2 import l2_minimizer
 from .tbvp import ShiftSequence
 
-# Iteration cap of the L2 descent loop.
-L2_ITER_CAP = 10**5
-
 
 @dataclass
 class OracleReport:
-    p: int
-    n: int
     oracle_value: float
     analytic_value: float
     rel_gap: float
@@ -45,56 +46,57 @@ def _check_oracle_grid(ts: ShiftSequence) -> None:
         raise GridError(f"oracle grid must be odd >= 65, got {ts.n}")
 
 
-def _project(v: np.ndarray, w: np.ndarray, A: float, w_dot_w: float) -> np.ndarray:
-    return v - (np.dot(w, v) - A) / w_dot_w * w
+def _certify(
+    dual: float,
+    primal: float,
+    gap_scale: float,
+    v: GridFunction,
+    w: np.ndarray,
+    A: float,
+    feas_scale: float,
+    iterations: int,
+) -> OracleReport:
+    """Converged when the duality gap is within 64 ulps of gap_scale and the
+    primal input v meets w.v = A within 64 ulps of feas_scale."""
+    eps = np.finfo(float).eps
+    converged = (
+        abs(primal - dual) <= 64 * eps * gap_scale
+        and abs(np.dot(w, v.values) - A) <= 64 * eps * feas_scale
+    )
+    gap = abs(dual - primal) / max(primal, 1e-12)
+    return OracleReport(dual, primal, gap, iterations, bool(converged), v)
 
 
-def _gap(oracle_value: float, analytic_value: float) -> float:
-    return abs(oracle_value - analytic_value) / max(analytic_value, 1e-12)
+def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
+    """Exact dual value against the closed form's primal value.
 
-
-def l2_oracle(ts: ShiftSequence, A: float, seed: int) -> OracleReport:
-    """Projected gradient descent on the Simpson-weighted least squares."""
+    The gap scale is S2 = sum_i w_i sum_k (|ts_k,i| + |v_i|)^2, and the
+    constraint scale w.(|m| + |c|) + |A| with c = A1/(2T) the closed form's
+    constant: v rounds as the sum m + c, so w.|v| + |A| is too small a
+    scale where the two cancel.
+    """
     _check_oracle_grid(ts)
-    n = ts.n
     tv = ts.values
     K = ts.K
-    w = simpson_weights(n, ts.grid.h)
-    w_dot_w = float(np.dot(w, w))
-    col_sum = tv.sum(axis=0)
-    sq_term = float(np.dot(w, (tv * tv).sum(axis=0)))
-
-    def objective(v):
-        return float(K * np.dot(w, v * v) - 2 * np.dot(w, v * col_sum) + sq_term)
-
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.max(np.abs(tv))))
-    v = _project(rng.normal(scale=scale, size=n), w, A, w_dot_w)
-    step = 1.0 / (2.0 * K * float(np.max(w)))
-    history = [objective(v)]
-    converged = False
-    it = 0
-    for it in range(1, L2_ITER_CAP + 1):
-        grad = 2.0 * w * (K * v - col_sum)
-        v = _project(v - step * grad, w, A, w_dot_w)
-        history.append(objective(v))
-        if it >= 100 and history[-101] - history[-1] < 1e-12:
-            converged = True
-            break
-    value = history[-1]
-    analytic = l2_minimizer(ts, A).objective
-    return OracleReport(
-        2, n, value, analytic, _gap(value, analytic), it, converged,
-        ts.grid.with_values(v),
-    )
+    w = simpson_weights(ts.n, ts.grid.h)
+    W = float(w.sum())
+    m = tv.mean(axis=0)
+    ss = ((tv - m) ** 2).sum(axis=0)
+    lam = 2.0 * K * (A - float(np.dot(w, m))) / W
+    dual = lam * A + float(np.dot(w, ss - lam * m)) - lam * lam * W / (4.0 * K)
+    sol = l2_minimizer(ts, A)
+    v = sol.v.values
+    S2 = float(np.dot(w, ((np.abs(tv) + np.abs(v)) ** 2).sum(axis=0)))
+    c = sol.A1 / (2.0 * ts.spec.T)
+    feas_scale = float(np.dot(w, np.abs(m) + abs(c))) + abs(A)
+    return _certify(dual, sol.objective, S2, sol.v, w, A, feas_scale, 1)
 
 
 def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     """Exact dual value against the strip construction's primal value.
 
-    Converged when the duality gap is within 64 ulps of the problem's
-    scale S = sum_i w_i sum_k |ts_k,i| + K |A| and the primal input meets
-    the constraint to 64 ulps of its own scale.
+    The gap scale is S = sum_i w_i sum_k |ts_k,i| + K |A|, and the
+    constraint scale w.|h| + |A|.
     """
     _check_oracle_grid(ts)
     tv = ts.values
@@ -107,14 +109,6 @@ def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     dual = float(np.max(lam * A + inner @ w))
     env = order_envelopes(ts)
     sol = construct_h(env, select_strip(env, A), A)
-    eps = np.finfo(float).eps
     S = float(np.dot(w, np.abs(tv).sum(axis=0))) + K * abs(A)
-    h = sol.h.values
-    converged = (
-        abs(sol.objective - dual) <= 64 * eps * S
-        and abs(np.dot(w, h) - A) <= 64 * eps * (np.dot(w, np.abs(h)) + abs(A))
-    )
-    return OracleReport(
-        1, ts.n, dual, sol.objective, _gap(dual, sol.objective), K + 1,
-        bool(converged), sol.h,
-    )
+    feas_scale = np.dot(w, np.abs(sol.h.values)) + abs(A)
+    return _certify(dual, sol.objective, S, sol.h, w, A, feas_scale, K + 1)

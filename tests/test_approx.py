@@ -150,6 +150,18 @@ class TestDegreeChoice:
         assert stages["degree_flagged"]
         assert exc.value.result.achieved_lp_error > 1e-9
 
+    def test_unflagged_failure_does_not_retry(self):
+        # a line is exact at the start degree; the end offset then asks for
+        # a jump no patch of width >= 1e-13 fits into 1e-9, and a larger
+        # degree cap cannot help, so nothing is retried
+        g = grid_of(lambda x: 2.0 * x, 0.0, 1.0, 257)
+        with pytest.raises(ApproxBudgetExceeded) as exc:
+            approximate_c1(ApproxRequest(g, 5.0, 0.0, 1.0, 1e-9, p=2))
+        stages = exc.value.result.stages
+        assert stages["m"] == approx.DEGREE_START
+        assert not stages["degree_flagged"]
+        assert stages["retries"] == 0
+
 
 class TestHermitePatch:
     """The cubic end patch keeps value and slope at the seam and lands on the offsets."""

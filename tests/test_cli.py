@@ -6,6 +6,8 @@ import pytest
 from waveinput import oracle
 from waveinput.cli import main, parse_config
 from waveinput.errors import ConfigError
+from waveinput.l2 import L2Solution, l2_minimizer
+from waveinput.tbvp import full_norm
 
 
 def write_config(path, **kv):
@@ -27,7 +29,6 @@ def write_config(path, **kv):
 class TestConfigParsing:
     def test_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "run.cfg"))
-        assert cfg.seed == 0
         assert cfg.output_dir == "out"
         assert cfg.eps_schedule is None
         assert cfg.norm == "l2"
@@ -53,6 +54,12 @@ class TestConfigParsing:
         cfg = write_config(tmp_path / "run.cfg", norm="sup")
         assert main(["solve", "--config", cfg]) == 2
         assert "norm" in capsys.readouterr().err
+
+    def test_negative_seed_exit2(self, tmp_path, capsys):
+        # the key is no longer read, but it is still checked
+        cfg = write_config(tmp_path / "run.cfg", seed="-1")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_increasing_schedule_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", eps_schedule="1e-3 1e-2")
@@ -223,8 +230,16 @@ class TestOracle:
         assert "converged = True" in got
         assert "rel_gap" in got
 
-    def test_forced_iteration_cap_exit5(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "L2_ITER_CAP", 10)
+    def test_uncertified_minimizer_exit5(self, tmp_path, capsys, monkeypatch):
+        # the closed form plus a bump of zero integral: still feasible, but
+        # its objective sits above the dual
+        def bumped(ts, A):
+            sol = l2_minimizer(ts, A)
+            bump = np.sin(np.pi * ts.grid.xs / ts.spec.T)
+            v = ts.grid.with_values(sol.v.values + bump)
+            return L2Solution(v, sol.A1, sol.mean_shift, full_norm(v, ts, 2))
+
+        monkeypatch.setattr(oracle, "l2_minimizer", bumped)
         cfg = write_config(tmp_path / "run.cfg")
         assert main(["oracle", "--config", cfg]) == 5
         assert "converged = False" in capsys.readouterr().out
