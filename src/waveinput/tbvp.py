@@ -217,21 +217,32 @@ class SolutionField:
     cumulative integral of the extended input built period by period from
     each period's own branch samples, so seam jumps of the extension never
     leak into neighbouring quadrature cells (C stays continuous and exact
-    even when the input violates the endpoint value relation).  Inside a
-    grid cell C is a cubic Hermite with the branch samples as slopes.
+    even when the input violates the endpoint value relation); ``branch``
+    holds those (K, n) rows v - ts_k.  One window-node table holds C, f0 and
+    the slopes at both ends of each cell: ``level`` reads node rows off it,
+    ``u`` fills a cell with the cubic Hermite of C on those slopes.
     """
 
     spec: ProblemSpec
     v_full: GridFunction
-    _branch: np.ndarray = field(repr=False, default=None)
+    branch: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self._branch is None:
+        if self.branch is None:
             raise GridError("SolutionField must be built via dalembert()")
-        self._n = self._branch.shape[1]
-        self._ptab = _prefix_tables(self._branch, self.v_full.h)
-        ends = np.concatenate([[0.0], np.cumsum(self._ptab[:, -1])])
-        self._offsets = ends[:-1]
+        ptab = _prefix_tables(self.branch, self.v_full.h)
+        # each period's table, raised by the integral of the periods before
+        C = np.concatenate([[0.0], np.cumsum(ptab[:-1, -1])])[:, None] + ptab
+        self._C = np.append(C[:, :-1].ravel(), C[-1, -1])
+        self._slopes = np.stack([self.branch[:, :-1].ravel(), self.branch[:, 1:].ravel()])
+        self._F = self.spec.f0.value(self.v_full.xs)
+
+    def level(self, j: int) -> np.ndarray:
+        """u(j h, .) on window nodes j .. N-1-j, the nodes of trapezoid row j."""
+        if not 0 <= j <= (self.branch.shape[1] - 1) // 2:
+            raise OutOfRegion(f"row {j} lies outside the trapezoid")
+        F, C, k = self._F, self._C, 2 * j
+        return 0.5 * (F[k:] + F[: F.size - k]) + 0.5 * (C[k:] - C[: C.size - k])
 
     def in_region(self, t, x):
         """Vectorized membership test for the trapezoid (1e-12 slack)."""
@@ -245,16 +256,12 @@ class SolutionField:
     def _cumulative(self, s: np.ndarray) -> np.ndarray:
         g = self.v_full
         h = g.h
-        # global cell index, then period index and cell within the period;
         # cells never straddle a seam because seams are grid nodes
         j = np.clip(np.floor((s - g.a) / h).astype(int), 0, g.n - 2)
-        per = j // (self._n - 1)
-        jl = j - per * (self._n - 1)
         th = (s - (g.a + j * h)) / h
-        c0 = self._offsets[per] + self._ptab[per, jl]
-        c1 = self._offsets[per] + self._ptab[per, jl + 1]
-        d0 = self._branch[per, jl]
-        d1 = self._branch[per, jl + 1]
+        c0 = self._C[j]
+        c1 = self._C[j + 1]
+        d0, d1 = self._slopes[:, j]
         h00 = (2 * th - 3) * th * th + 1.0
         h10 = ((th - 2) * th + 1.0) * th
         h01 = (3 - 2 * th) * th * th

@@ -19,7 +19,8 @@ equal time and space spacing cancels algebraically no matter how wrong
 those one-variable functions are.  The time step here is twice the space
 step, which breaks that degeneracy; the leading residual term is then
 (dt^2 - dx^2)/12 * u_xxxx = h^2/4 * u_xxxx, an honest second-order probe
-of the field (and all five stencil points stay on table nodes).
+of the field.  Stencil points and boundary snapshots are window nodes, so
+each value is a slice of a row of the field's node table (``level``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ TIME_LEVELS = 9  # time levels sampled by the PDE residual check
 
 @dataclass
 class VerificationReport:
+    """Checks and verdict of ``verify_solution``.  ``boundary0_max`` is 0 by
+    construction (the t = 0 row is (F + F)/2 + (C - C)/2 = F exactly), so it
+    is reported but does not enter the verdict."""
+
     pde_residual_max: float
     boundary0_max: float
     boundaryT_max: float
@@ -52,8 +57,7 @@ class VerificationReport:
 
 def _pde_residual(field_: SolutionField, spec: ProblemSpec):
     """Max |d2_t u - d2_x u| over node-aligned interior samples."""
-    g = field_.v_full
-    h = g.h
+    h = field_.v_full.h
     m_max = int(np.floor((spec.T / h - 2.0) / 2.0))
     if m_max < 1:
         return 0.0, 0.0
@@ -61,25 +65,19 @@ def _pde_residual(field_: SolutionField, spec: ProblemSpec):
     worst = 0.0
     u_scale = 1.0
     for m in levels:
-        t = 2 * m * h
-        i0 = 2 * m + 2
-        i1 = g.n - 1 - (2 * m + 2)
-        if i1 <= i0:
-            continue
-        xs = g.xs[i0 : i1 + 1]
-        u_c = field_.u(t, xs)
-        u_tp = field_.u(t + 2 * h, xs)
-        u_tm = field_.u(t - 2 * h, xs)
-        u_xp = field_.u(t, xs + h)
-        u_xm = field_.u(t, xs - h)
-        resid = (u_tp - 2 * u_c + u_tm) / (4 * h * h) - (u_xp - 2 * u_c + u_xm) / (h * h)
+        # rows 2m - 2, 2m and 2m + 2, each cut to the nodes 2m + 2 .. N - 3 - 2m
+        row = field_.level(2 * m)
+        u_c = row[2:-2]
+        d2t = field_.level(2 * m + 2) - 2 * u_c + field_.level(2 * m - 2)[4:-4]
+        d2x = row[3:-1] - 2 * u_c + row[1:-3]
+        resid = d2t / (4 * h * h) - d2x / (h * h)
         worst = max(worst, float(np.max(np.abs(resid))))
         u_scale = max(u_scale, float(np.max(np.abs(u_c))))
     return worst, u_scale
 
 
-def _kink_cells(v: GridFunction) -> list:
-    s = np.abs(np.diff(v.values, 2)) / v.h
+def _kink_cells(v: GridFunction, d2: np.ndarray) -> list:
+    s = np.abs(d2) / v.h
     med = float(np.median(s))
     thresh = max(10.0 * med, 1e-6 * max(1.0, float(np.max(np.abs(v.values)))))
     xs = v.xs[1:-1]
@@ -108,29 +106,24 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
 
     field_ = dalembert(v, spec)
     pde_max, u_scale = _pde_residual(field_, spec)
-    curvature = float(np.max(np.abs(np.diff(v.values, 2)))) / v.h ** 2 if v.n > 2 else 0.0
+    d2 = np.diff(v.values, 2)
+    curvature = float(np.max(np.abs(d2))) / v.h ** 2
     pde_budget = 100.0 * u_scale * field_.v_full.h ** 2 + 0.5 * v.h * curvature
 
     g = field_.v_full
-    b0 = float(np.max(np.abs(field_.u(0.0, g.xs) - spec.f0.value(g.xs))))
+    b0 = float(np.max(np.abs(field_.level(0) - spec.f0.value(g.xs))))
     half = (v.n - 1) // 2  # T in node units
-    xsT = g.xs[half : g.n - half]
-    bT = float(np.max(np.abs(field_.u(spec.T, xsT) - spec.fT.value(xsT))))
+    bT = float(np.max(np.abs(field_.level(half) - spec.fT.value(g.xs[half : g.n - half]))))
 
+    # the seam after period row i joins the end of branch i to the start of i + 1
+    branches = field_.branch
     dv = fd_derivative(v.values, v.h)
-    seam_vals = []
-    seam_ders = []
-    for i, k in enumerate(range(-spec.K1, spec.K2)):
-        x_seam = (2 * k + 1) * spec.T
-        left = v.values[-1] - shifts.values[i, -1]
-        right = v.values[0] - shifts.values[i + 1, 0]
-        seam_vals.append((x_seam, abs(left - right)))
-        dleft = dv[-1] - shifts.d_ends[i, 1]
-        dright = dv[0] - shifts.d_ends[i + 1, 0]
-        seam_ders.append((x_seam, abs(dleft - dright)))
+    x_seams = ((2 * np.arange(-spec.K1, spec.K2) + 1) * spec.T).tolist()
+    deriv_jumps = np.abs((dv[-1] - shifts.d_ends[:-1, 1]) - (dv[0] - shifts.d_ends[1:, 0]))
+    seam_vals = list(zip(x_seams, np.abs(branches[:-1, -1] - branches[1:, 0]).tolist()))
+    seam_ders = list(zip(x_seams, deriv_jumps.tolist()))
 
     seg = segment_integrals(spec)
-    branches = v.values[None, :] - shifts.values
     eq = np.array([abs(integrate(v.with_values(b)) - s) for b, s in zip(branches, seg)])
 
     if feas > FEAS_TOL:
@@ -138,7 +131,6 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     elif (
         all(j <= SEAM_TOL for _, j in seam_vals)
         and all(j <= SEAM_TOL for _, j in seam_ders)
-        and b0 <= 1e-8
         and bT <= SEAM_TOL
         and pde_max <= pde_budget
     ):
@@ -150,7 +142,7 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
         pde_max, b0, bT, seam_vals, seam_ders, eq, verdict,
         feasibility_residual=feas,
         pde_budget=pde_budget,
-        kink_cells=_kink_cells(v),
+        kink_cells=_kink_cells(v, d2),
     )
 
 

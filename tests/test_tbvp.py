@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveinput.errors import DomainError, GridError, OutOfRegion
 from waveinput.functions import GridFunction, catalog, integrate, lp_norm
@@ -11,6 +14,7 @@ from waveinput.tbvp import (
     extend_input,
     full_norm,
     recurrence_increment,
+    _prefix_tables,
     segment_integrals,
     shift_sequence,
 )
@@ -231,6 +235,85 @@ def test_dalembert_out_of_region():
     with pytest.raises(OutOfRegion):
         field.u(0.5, -2.8)  # left of the characteristic through the corner
     assert field.u(0.0, -2.8) == 0.0  # on the base the trapezoid is full width
+
+
+def random_field(seed, half, K1, K2, T):
+    """Field of a random catalog problem and a rough random input."""
+    rng = np.random.default_rng(seed)
+    s = random_spec(rng, K1=K1, K2=K2, T=T)
+    n = 2 * half + 1
+    v = GridFunction(-T, T, n, rng.normal(size=n) * rng.uniform(0.1, 10.0))
+    return rng, dalembert(v, s)
+
+
+def per_period_u(field, t, x):
+    """Reference u: per-period cell lookup on each period's own prefix table.
+
+    The window cell index is split into a period and a cell within it, and
+    C is that period's prefix table raised by the integrals of the periods
+    before it.  ``SolutionField.u`` must agree with this bit for bit.
+    """
+    branch = field.branch
+    g = field.v_full
+    h = g.h
+    n = branch.shape[1]
+    ptab = _prefix_tables(branch, h)
+    offsets = np.concatenate([[0.0], np.cumsum(ptab[:, -1])])[:-1]
+
+    def cumulative(s):
+        j = np.clip(np.floor((s - g.a) / h).astype(int), 0, g.n - 2)
+        per = j // (n - 1)
+        jl = j - per * (n - 1)
+        th = (s - (g.a + j * h)) / h
+        c0 = offsets[per] + ptab[per, jl]
+        c1 = offsets[per] + ptab[per, jl + 1]
+        d0 = branch[per, jl]
+        d1 = branch[per, jl + 1]
+        h00 = (2 * th - 3) * th * th + 1.0
+        h10 = ((th - 2) * th + 1.0) * th
+        h01 = (3 - 2 * th) * th * th
+        h11 = (th - 1.0) * th * th
+        return h00 * c0 + h01 * c1 + h * (h10 * d0 + h11 * d1)
+
+    f0 = field.spec.f0
+    return 0.5 * (f0.value(x + t) + f0.value(x - t)) + 0.5 * (cumulative(x + t) - cumulative(x - t))
+
+
+# conftest.random_spec's own ranges.  u rounds x +- t off the nodes by up to
+# an ulp of the window's extent, so its gap to the node rows grows with the
+# window times the slope of f0: these windows stay within [-7, 7].
+FIELDS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    half=st.integers(2, 80),
+    K1=st.integers(1, 2),
+    K2=st.integers(1, 2),
+    T=st.floats(0.6, 1.4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=st.floats(0.0, 1.0), **FIELDS)
+def test_level_rows_match_u_on_nodes(seed, half, K1, K2, T, row):
+    _, field = random_field(seed, half, K1, K2, T)
+    j = int(round(row * half))
+    g = field.v_full
+    got = field.level(j)
+    want = field.u(j * g.h, g.xs[j : g.n - j])
+    scale = float(np.max(np.abs(field._F)) + np.max(np.abs(field._C)))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * scale
+    with pytest.raises(OutOfRegion):
+        field.level(half + 1)  # above the trapezoid cap t <= T
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FIELDS)
+def test_u_matches_per_period_lookup_bitwise(seed, half, K1, K2, T):
+    rng, field = random_field(seed, half, K1, K2, T)
+    lo, hi = field.spec.window
+    x = rng.uniform(lo, hi, 500)
+    t = rng.uniform(0.0, 1.0, 500) * np.minimum(np.minimum(x - lo, hi - x), T)
+    np.testing.assert_array_equal(field.u(t, x), per_period_u(field, t, x))
 
 
 def test_full_norm_constant_input():
