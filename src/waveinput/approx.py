@@ -31,15 +31,18 @@ k in [m*u - W, m*u + W], clipped to [0, m], with W = 12*sqrt(m*u*(1-u)) + 30.
 By Bernstein's inequality the omitted mass is below 2*e^-45, far under one
 unit of rounding, so the truncation is exact to rounding at every degree; a
 sum costs O(sqrt(m)) per point instead of O(m), and at small m the window
-already covers 0..m.  The weights are formed from logs of gamma functions
-with xlogy, which is flat-stable at any degree.  Since xlogy(0, 0) = 0, the
-weights at u = 0 and u = 1 come out exactly one-hot, so endpoint values and
-derivatives of the core are exact and the endpoint residuals of the final
-result sit at rounding level by arithmetic, not by tolerance.
+already covers 0..m.  The weights are formed in log space, which is
+flat-stable at any degree: log C(m, k) from gammaln (the one reason `pms`
+loads scipy.special), plus k*log(u) + (m-k)*log(1-u) with one libm log of u
+and one of 1 - u per point.  Points at u = 0 and u = 1 get exactly one-hot
+weight rows, so endpoint values and derivatives of the core are exact and
+the endpoint residuals of the final result sit at rounding level by
+arithmetic, not by tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +72,12 @@ def _bern_combine(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     W = 12*sqrt(m*u*(1-u)) + 30.  Bernstein's inequality,
     P(|K - m*u| >= t) <= 2*exp(-t^2 / (2*(m*u*(1-u) + t/3))), gives at
     t = W an exponent of at least 45, so the weight left out is below
-    2*e^-45 times max|coeffs|: the sum is exact to rounding.  At u = 0 and
-    u = 1, xlogy makes every weight in the window 0 except one, which is
-    exactly 1.
+    2*e^-45 times max|coeffs|: the sum is exact to rounding.
+
+    log(u) and log(1 - u) are taken once per point with libm's `math.log`,
+    which makes k*log(u) equal scipy's xlogy(k, u) bit for bit (numpy's log
+    is off by an ulp on some u).  A point at u = 0 or u = 1 has no finite
+    log; its row is set one-hot, exactly 1 at k = 0 or k = m and 0 elsewhere.
     """
     c = np.asarray(coeffs, dtype=float)
     m = len(c) - 1
@@ -79,9 +85,17 @@ def _bern_combine(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     if m == 0:
         return np.full(u.shape, c[0])
     # imported here so that only `pms` pays for loading scipy.special
-    from scipy.special import gammaln, xlogy
+    from scipy.special import gammaln
     order = np.argsort(u)
     us = u[order]
+    # sorted, so the points at 0 are us[:n0] and those at 1 are us[n1:]
+    n0 = int(np.searchsorted(us, 0.0, side="right"))
+    n1 = int(np.searchsorted(us, 1.0, side="left"))
+    inner = us[n0:n1]
+    lu = np.zeros(us.shape)
+    lv = np.zeros(us.shape)
+    lu[n0:n1] = list(map(math.log, inner.tolist()))
+    lv[n0:n1] = list(map(math.log, (1.0 - inner).tolist()))
     half = 12.0 * np.sqrt(m * us * (1.0 - us)) + 30.0
     lo = np.clip(np.floor(m * us - half), 0, m).astype(np.intp)
     hi = np.clip(np.ceil(m * us + half), 0, m).astype(np.intp) + 1
@@ -95,8 +109,12 @@ def _bern_combine(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     for i in range(0, us.size, _BLOCK):
         blk = slice(i, i + _BLOCK)
         j = slice(lo[blk].min() - k_lo, hi[blk].max() - k_lo)
-        ub = us[blk, None]
-        logw = logc[j] + xlogy(ks[j], ub) + xlogy(m - ks[j], 1.0 - ub)
+        logw = logc[j] + ks[j] * lu[blk, None] + (m - ks[j]) * lv[blk, None]
+        # one-hot rows: weight 1 at k = 0 for u = 0, at k = m for u = 1
+        if i < n0:
+            logw[: n0 - i] = np.where(ks[j] == 0, 0.0, -np.inf)
+        if n1 < i + _BLOCK:
+            logw[max(n1 - i, 0) :] = np.where(ks[j] == m, 0.0, -np.inf)
         sums[blk] = np.exp(logw) @ cw[j]
     out = np.empty(u.shape)
     out[order] = sums
@@ -240,17 +258,23 @@ def _lp_total(parts, p: int) -> float:
 
 # ------------------------------------------------------------- the pipeline
 
-def approximate_c1(req: ApproxRequest) -> ApproxResult:
+def approximate_c1(req: ApproxRequest, *, m_start: int = DEGREE_START) -> ApproxResult:
     """Run the pipeline; see the module docstring for the stage layout.
 
-    The Bernstein degree doubles until the measured Lp distance to the
-    target is under half the budget; the patch width shrinks from about a
-    sixtieth of the interval (never below six grid cells to start, so the
-    patch stays visible to node-level consumers whenever the budget allows)
-    until the total measured error fits.  If that fails with the degree
-    search stopped at its cap, the search resumes once up to a doubled cap
-    before giving up; failure raises ApproxBudgetExceeded with the best
-    attempt attached.
+    The Bernstein degree doubles from m_start until the measured Lp distance
+    to the target is under half the budget; the patch width shrinks from
+    about a sixtieth of the interval (never below six grid cells to start, so
+    the patch stays visible to node-level consumers whenever the budget
+    allows) until the total measured error fits.  If that fails with the
+    degree search stopped at its cap, the search resumes once up to a
+    doubled cap before giving up; failure raises ApproxBudgetExceeded with
+    the best attempt attached.
+
+    m_start must be DEGREE_START, or a degree that a search for the same
+    target at a larger budget reached, capped at DEGREE_CAP.  The distance
+    at a degree does not depend on the budget, so every degree below such a
+    start missed half the larger budget and would be passed through anyway:
+    the result is the same as from DEGREE_START.
     """
     f = req.f
     if req.epsilon <= 0:
@@ -273,7 +297,7 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
 
     cap = DEGREE_CAP
     retries = 0
-    m = DEGREE_START
+    m = m_start
     coeffs, diffs = measure_core(m)
     core_err = _lp_total([(wts, diffs)], p)
     while True:
@@ -406,7 +430,9 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
     2KT*eps for p = 1 and M*eps for p = 2, where M is the Cauchy-Schwarz
     factor ||sum_i (2 t_i - v_n - v)||_2 measured on the grid.  Results are
     carried forward whenever an earlier entry already beats a later budget,
-    so achieved errors are non-increasing along the schedule.
+    so achieved errors are non-increasing along the schedule.  Each entry's
+    degree search starts where the previous entry's own search stopped,
+    capped at DEGREE_CAP; see approximate_c1 for why that changes nothing.
     """
     if p not in (1, 2):
         raise UnsupportedNorm(f"p must be 1 or 2, got {p}")
@@ -424,13 +450,15 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
 
     entries = []
     prev: ApproxResult | None = None
+    m_start = DEGREE_START
     for eps in eps_schedule:
         req = ApproxRequest(v, spec.c1, spec.c2, spec.A, eps, p)
         try:
-            result = approximate_c1(req)
+            result = approximate_c1(req, m_start=m_start)
         except ApproxBudgetExceeded as exc:
             exc.entries = entries  # expose what already succeeded
             raise
+        m_start = min(result.stages["m"], DEGREE_CAP)
         if prev is not None and prev.achieved_lp_error < result.achieved_lp_error:
             if prev.achieved_lp_error < eps:
                 result = prev

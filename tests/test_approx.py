@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, xlogy
 
 from waveinput import approx
@@ -17,6 +19,8 @@ from waveinput.approx import (
 )
 from waveinput.errors import ApproxBudgetExceeded, BadParams
 from waveinput.functions import GridFunction
+from waveinput.l1 import construct_h, order_envelopes, select_strip
+from waveinput.l2 import l2_minimizer
 from waveinput.verify import verify_solution
 
 from conftest import feasible_random_v, random_spec, traveling_spec
@@ -40,6 +44,46 @@ def dense_bernstein(c, u):
         + xlogy(m - k, 1.0 - uc)
     )
     return np.exp(logw) @ c
+
+
+def windowed_xlogy_kernel(coeffs, u):
+    """The windowed kernel with one xlogy per window entry, kept as the bit reference.
+
+    Same sorting, blocks, windows and matrix product as `_bern_combine`; only
+    the weights differ in how they are formed: xlogy(k, u) + xlogy(m - k, 1 - u)
+    per entry instead of logs taken once per point.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    m = len(c) - 1
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if m == 0:
+        return np.full(u.shape, c[0])
+    order = np.argsort(u)
+    us = u[order]
+    half = 12.0 * np.sqrt(m * us * (1.0 - us)) + 30.0
+    lo = np.clip(np.floor(m * us - half), 0, m).astype(np.intp)
+    hi = np.clip(np.ceil(m * us + half), 0, m).astype(np.intp) + 1
+    k_lo = lo.min()
+    ks = np.arange(k_lo, hi.max())
+    logc = gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
+    cw = c[k_lo:]
+    sums = np.empty(us.shape)
+    for i in range(0, us.size, approx._BLOCK):
+        blk = slice(i, i + approx._BLOCK)
+        j = slice(lo[blk].min() - k_lo, hi[blk].max() - k_lo)
+        ub = us[blk, None]
+        logw = logc[j] + xlogy(ks[j], ub) + xlogy(m - ks[j], 1.0 - ub)
+        sums[blk] = np.exp(logw) @ cw[j]
+    out = np.empty(u.shape)
+    out[order] = sums
+    return out
+
+
+def assert_kernel_bits(c, u):
+    """_bern_combine and _bern_deriv (on [0, 1], so x is u) equal the reference bitwise."""
+    d = (len(c) - 1) * np.diff(c)
+    assert np.array_equal(_bern_combine(c, u), windowed_xlogy_kernel(c, u))
+    assert np.array_equal(_bern_deriv(c, 0.0, 1.0, u), windowed_xlogy_kernel(d, u))
 
 
 def bern_on_grid(g, m):
@@ -113,6 +157,51 @@ class TestBernstein:
         want = dense_bernstein(d, (g.xs - g.a) / (g.b - g.a))
         _, got = bern_on_grid(g, m)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(d))
+
+
+class TestKernelBits:
+    """The per-point libm logs give the same bits as xlogy per window entry."""
+
+    @pytest.mark.parametrize("m", [1, 8, 509, 4096, 32768, 65536])
+    def test_matches_xlogy_kernel(self, m):
+        # numpy's vectorized log differs from libm's by an ulp on a few u in
+        # a thousand, so enough points are drawn for that to show
+        rng = np.random.default_rng(m)
+        c = rng.normal(size=m + 1)
+        ends = [0.0, 1.0, 1e-12, 1.0 - 1e-12]
+        inner = rng.random(2000)
+        u = rng.permutation(np.concatenate((ends, ends, inner, inner[:50])))
+        assert_kernel_bits(c, u)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            [0.0],
+            [1.0],
+            [0.0] * 40,
+            [1.0] * 40,
+            [0.0] * 40 + [1.0] * 40,
+            [0.0] * 44 + [0.5] * 20,
+            [0.5] * 20 + [1.0] * 44,
+        ],
+    )
+    def test_endpoint_rows_across_blocks(self, u):
+        c = np.random.default_rng(1).normal(size=4097)
+        assert_kernel_bits(c, np.array(u))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        u=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=100,
+        ),
+    )
+    def test_matches_xlogy_kernel_property(self, m, seed, u):
+        c = np.random.default_rng(seed).normal(size=m + 1)
+        assert_kernel_bits(c, np.array(u))
 
 
 class TestDegreeChoice:
@@ -311,3 +400,89 @@ class TestPMSSequence:
         v = GridFunction(-1.0, 1.0, 129, -np.cos(xs))
         with pytest.raises(BadParams):
             pms_sequence(v, spec, [1e-2, 1e-1], p=2)
+
+
+def readme_minimizer(p, n=257):
+    """The README traveling wave's L1 strip minimizer or L2 closed form."""
+    spec = traveling_spec()
+    ts = spec.shifts(n)
+    if p == 2:
+        return spec, l2_minimizer(ts, spec.A).v
+    env = order_envelopes(ts)
+    return spec, construct_h(env, select_strip(env, spec.A), spec.A).h
+
+
+def assert_same_result(a, b):
+    assert a.stages == b.stages
+    assert a.achieved_lp_error == b.achieved_lp_error
+    assert a.g.values.tobytes() == b.g.values.tobytes()
+    assert a.g.d1.tobytes() == b.g.d1.tobytes()
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.epsilon, g.norm_gap, g.bound, g.satisfied) == (
+            w.epsilon, w.norm_gap, w.bound, w.satisfied
+        )
+        assert_same_result(g.result, w.result)
+
+
+class TestWarmStart:
+    """pms_sequence's warm-started degree searches give what fresh searches give."""
+
+    @staticmethod
+    def run_both(monkeypatch, v, spec, schedule, p):
+        """(warm run, cold run, [m_start, m reached] of each warm call).
+
+        A run is its list of entries, or the exception it raised.
+        """
+        fresh = approx.approximate_c1
+        calls = []
+
+        def warm(req, *, m_start):
+            calls.append([m_start, None])
+            result = fresh(req, m_start=m_start)
+            calls[-1][1] = result.stages["m"]
+            return result
+
+        def cold(req, *, m_start):
+            return fresh(req)
+
+        runs = []
+        for stub in (warm, cold):
+            monkeypatch.setattr(approx, "approximate_c1", stub)
+            try:
+                runs.append(pms_sequence(v, spec, schedule, p))
+            except ApproxBudgetExceeded as exc:
+                runs.append(exc)
+        return runs[0], runs[1], calls
+
+    @pytest.mark.parametrize(
+        "p, schedule",
+        [(1, [1e-1, 1e-2, 1e-3, 1e-4]), (2, [1e-1, 1e-2, 1e-3])],
+    )
+    def test_entries_match_fresh_searches(self, monkeypatch, p, schedule):
+        spec, v = readme_minimizer(p)
+        warm, cold, calls = self.run_both(monkeypatch, v, spec, schedule, p)
+        assert_same_entries(warm, cold)
+        # each search starts where the one before stopped, above DEGREE_START
+        assert calls[0][0] == DEGREE_START
+        for (_, reached), (start, _) in zip(calls, calls[1:]):
+            assert start == reached > DEGREE_START
+
+    @pytest.mark.parametrize("p, cap", [(2, 64), (1, 128)])
+    def test_cap_and_retry_match_fresh_searches(self, monkeypatch, p, cap):
+        # L2 at cap 64: the third entry starts at the cap, retries and
+        # fails.  L1 at cap 128: the second entry reaches 256 by its retry,
+        # so the third starts at the cap, not at 256, and fails.
+        monkeypatch.setattr(approx, "DEGREE_CAP", cap)
+        spec, v = readme_minimizer(p)
+        warm, cold, calls = self.run_both(monkeypatch, v, spec, [1e-1, 1e-2, 1e-3], p)
+        assert isinstance(warm, ApproxBudgetExceeded)
+        assert isinstance(cold, ApproxBudgetExceeded)
+        assert str(warm) == str(cold)
+        assert_same_entries(warm.entries, cold.entries)
+        assert_same_result(warm.result, cold.result)
+        assert warm.result.stages["retries"] == 1
+        assert calls[-1][0] == min(calls[-2][1], cap) == cap

@@ -7,8 +7,9 @@ inside one still counts.
 
 The import-path checks run the CLI in a fresh interpreter, since this
 process may already hold scipy: catalog `solve`, `verify` and `oracle`
-runs need numpy and the stdlib only, `pms` loads ``scipy.special`` for the
-Bernstein kernel, and a ``file`` sample function loads ``scipy.interpolate``.
+runs need numpy and the stdlib only, `pms` loads ``scipy.special`` for
+``gammaln`` alone (the log-binomial table of the Bernstein kernel), and a
+``file`` sample function loads ``scipy.interpolate``.
 """
 
 import ast
