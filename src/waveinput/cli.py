@@ -213,12 +213,23 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_csv(path: str, header: str, rows, fmt=_fmt) -> None:
-    """Write header and rows with '\\n' newlines, each cell through fmt."""
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write header and rows of str cells with '\\n' newlines, in one writelines."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _float_rows(*columns):
+    """Rows of the stacked columns, each cell as repr of its Python float (same as _fmt).
+
+    The table goes through ``tolist`` in blocks, so a long file never holds a
+    Python float object for every cell at once.
+    """
+    table = np.column_stack(columns)
+    for start in range(0, len(table), 4096):
+        for row in table[start : start + 4096].tolist():
+            yield map(repr, row)
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -269,23 +280,23 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     _write_csv(
         os.path.join(cfg.output_dir, "envelopes.csv"),
         "x," + ",".join(f"a_{j}" for j in range(1, K + 1)),
-        (tuple(row) for row in np.column_stack([xs, env.values.T])),
+        _float_rows(xs, env.values.T),
     )
     _write_csv(
         os.path.join(cfg.output_dir, "shifts.csv"),
         "x," + ",".join(f"t_{j}" for j in range(1, K + 1)),
-        (tuple(row) for row in np.column_stack([xs, ts.values.T])),
+        _float_rows(xs, ts.values.T),
     )
     _write_csv(
         os.path.join(cfg.output_dir, "minimizer.csv"),
         "x,v",
-        zip(xs, v.values),
+        _float_rows(xs, v.values),
     )
     ext = extend_input(v, spec)
     _write_csv(
         os.path.join(cfg.output_dir, "extended.csv"),
         "x,v_ext",
-        zip(ext.xs, ext.values),
+        _float_rows(ext.xs, ext.values),
     )
     for line in lines:
         _say(quiet, line)
@@ -298,7 +309,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     xs, vs = _read_xy(input_csv)
     if xs.size != cfg.n:
         raise ConfigError(f"input csv has {xs.size} rows, config says n={cfg.n}")
-    if np.max(np.abs(xs - np.linspace(-spec.T, spec.T, cfg.n))) > 1e-9 * max(1.0, spec.T):
+    if np.max(np.abs(xs - np.linspace(-spec.T, spec.T, cfg.n))) > 1e-9 * spec.T:
         raise ConfigError("input csv x-column does not match the decision grid")
     rep = verify_solution(GridFunction(-spec.T, spec.T, cfg.n, vs), spec)
 
@@ -319,7 +330,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     rows.append(("kink_cells", ";".join(_fmt(x) for x in rep.kink_cells) or "none"))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.output_dir, "report.csv"), "metric,value", rows, str)
+    _write_csv(os.path.join(cfg.output_dir, "report.csv"), "metric,value", rows)
     for key, val in rows:
         _say(quiet, f"{key} = {val}")
     return 0 if rep.classification != "infeasible" else 4
@@ -364,7 +375,7 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
         _write_csv(
             os.path.join(cfg.output_dir, f"pms_{i:03d}.csv"),
             "x,v,d1",
-            zip(e.result.g.xs, e.result.g.values, e.result.g.d1),
+            _float_rows(e.result.g.xs, e.result.g.values, e.result.g.d1),
         )
         summary_rows.append(
             (
@@ -385,7 +396,6 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
         os.path.join(cfg.output_dir, "pms_summary.csv"),
         "eps,achieved_error,norm_gap,bound,satisfied",
         summary_rows,
-        str,
     )
     if failed is not None:
         print(f"approximation budget exceeded: {failed}", file=sys.stderr)

@@ -175,27 +175,60 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
 def from_samples(xs, ys) -> SmoothFunction:
     """Natural cubic spline through ``(xs, ys)``.
 
-    d2 at the boundary nodes is the one-sided polynomial value (zero for the
-    natural end conditions, up to rounding).  The domain is the sample range.
+    The second derivatives M at the nodes solve the usual tridiagonal system
+    with M = 0 at both ends (Thomas algorithm; the system is diagonally
+    dominant, so no pivoting is needed).  Each interval holds its cubic in
+    powers of ``x - xs[i]``, so d2 at ``xs[0]`` is exactly 0; at ``xs[-1]``
+    it is zero up to rounding.  Points outside the sample range use the end
+    cubic.  The domain is the sample range.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.size < 4:
         raise BadParams("spline source needs at least 4 sample points")
+    if ys.shape != xs.shape:
+        raise BadParams(f"spline samples: {xs.size} abscissae but {ys.size} values")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise BadParams("spline samples must be finite")
     if np.any(np.diff(xs) <= 0):
         raise BadParams("spline sample abscissae must be strictly increasing")
-    # imported here so that only `file` sample functions load scipy.interpolate
-    from scipy.interpolate import CubicSpline
-    sp = CubicSpline(xs, ys, bc_type="natural")
-    d1 = sp.derivative(1)
-    d2 = sp.derivative(2)
-    return SmoothFunction(
-        lambda x: sp(np.asarray(x, dtype=float)),
-        lambda x: d1(np.asarray(x, dtype=float)),
-        lambda x: d2(np.asarray(x, dtype=float)),
-        (float(xs[0]), float(xs[-1])),
-        "spline-from-samples",
-    )
+    h = np.diff(xs)
+    slope = np.diff(ys) / h
+    # h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (slope[i] - slope[i-1])
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rhs = (6.0 * np.diff(slope)).tolist()
+    off = h[1:-1].tolist()
+    for i in range(1, len(diag)):
+        w = off[i - 1] / diag[i - 1]
+        diag[i] -= w * off[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    M = [0.0] * xs.size
+    M[-2] = rhs[-1] / diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        M[i + 1] = (rhs[i] - off[i] * M[i + 2]) / diag[i]
+    M = np.array(M)
+    c1 = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
+    c2 = 0.5 * M[:-1]
+    c3 = np.diff(M) / (6.0 * h)
+
+    def local(x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        return x - xs[i], i
+
+    def value(x):
+        t, i = local(x)
+        return ys[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
+
+    def d1(x):
+        t, i = local(x)
+        return c1[i] + t * (2.0 * c2[i] + t * (3.0 * c3[i]))
+
+    def d2(x):
+        t, i = local(x)
+        return 2.0 * c2[i] + t * (6.0 * c3[i])
+
+    return SmoothFunction(value, d1, d2, (float(xs[0]), float(xs[-1])), "spline-from-samples")
 
 
 @dataclass

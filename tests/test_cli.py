@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from waveinput import oracle
-from waveinput.cli import main, parse_config
+from waveinput.cli import _float_rows, _write_csv, main, parse_config
 from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
 from waveinput.tbvp import full_norm
@@ -220,6 +220,42 @@ class TestVerify:
         out = str(tmp_path / "o")
         assert main(["verify", "--config", cfg, "--input", str(bad), "--out", out]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_x_column_shifted_by_nodes_at_small_T_exit2(self, tmp_path, capsys):
+        T, n = 1e-6, 8193
+        cfg = write_config(tmp_path / "run.cfg", T=repr(T), n=str(n))
+        xs = np.linspace(-T, T, n) + 3 * (2 * T / (n - 1))
+        bad = tmp_path / "shifted.csv"
+        bad.write_text("x,v\n" + "".join(f"{x!r},0.0\n" for x in xs.tolist()), encoding="utf-8")
+        out = str(tmp_path / "o")
+        assert main(["verify", "--config", cfg, "--input", str(bad), "--out", out]) == 2
+        assert "x-column" in capsys.readouterr().err
+
+
+def per_cell_csv(path, header, rows):
+    """The per-cell writer `_write_csv` replaced: repr(float(x)) over tuple(row)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+class TestWriteCsv:
+    SPECIAL = [-0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 3.0, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("ncols", [2, 18])
+    def test_bytes_match_per_cell_writer(self, tmp_path, ncols):
+        rng = np.random.default_rng(ncols)
+        # more rows than one tolist block, so a block seam is crossed
+        table = rng.standard_normal((8195, ncols)) * 10.0 ** rng.integers(-300, 300, (8195, ncols))
+        for j in range(ncols):
+            table[j : j + len(self.SPECIAL), j] = self.SPECIAL
+        table[4090:4100] = np.resize(self.SPECIAL, (10, ncols))
+        header = ",".join(f"c{j}" for j in range(ncols))
+        _write_csv(str(tmp_path / "new.csv"), header, _float_rows(table[:, 0], table[:, 1:]))
+        per_cell_csv(tmp_path / "old.csv", header, (tuple(row) for row in table))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestOracle:

@@ -93,6 +93,50 @@ def test_spline_rejects_short_or_unsorted_input():
         from_samples([0, 1, 1, 2], [0, 1, 2, 3])
 
 
+def test_spline_rejects_non_finite_or_mismatched_samples():
+    with pytest.raises(BadParams):
+        from_samples([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0])
+    with pytest.raises(BadParams):
+        from_samples([0.0, 1.0, 2.0, 3.0], [0.0, math.inf, 2.0, 3.0])
+    with pytest.raises(BadParams):
+        from_samples([0.0, 1.0, math.nan, 3.0], [0.0, 1.0, 2.0, 3.0])
+
+
+def _scipy_natural_spline(xs, ys):
+    # scipy stays installed for pms's gammaln; its spline is the reference here
+    from scipy.interpolate import CubicSpline
+
+    ref = CubicSpline(xs, ys, bc_type="natural")
+    return ref, ref.derivative(1), ref.derivative(2)
+
+
+def _assert_matches_scipy(xs, ys, probe):
+    f = from_samples(xs, ys)
+    refs = _scipy_natural_spline(xs, ys)
+    for mine, ref, rel in zip((f.value, f.d1, f.d2), refs, (1e-14, 1e-14, 1e-11)):
+        want = ref(probe)
+        assert np.max(np.abs(mine(probe) - want)) <= rel * np.max(np.abs(want))
+    assert f.d2(xs[0]) == 0.0
+
+
+def test_spline_matches_scipy_natural_spline():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        n = int(rng.integers(4, 401))
+        xs = np.cumsum(rng.uniform(0.02, 1.0, n)) * 10.0 ** rng.uniform(-2, 2)
+        xs -= xs[n // 3]
+        ys = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
+        _assert_matches_scipy(xs, ys, np.concatenate([xs, rng.uniform(xs[0], xs[-1], 300)]))
+
+
+def test_spline_four_points_and_end_extrapolation():
+    xs = np.array([-1.5, -0.2, 0.4, 2.0])
+    ys = np.array([0.3, -1.0, 2.5, 0.7])
+    _assert_matches_scipy(xs, ys, np.array([xs[0] - 1e-12, -1.0, 0.0, 1.0, xs[-1] + 1e-12]))
+    f = from_samples(xs, ys)
+    assert np.array_equal(f(xs[:-1]), ys[:-1])
+
+
 def test_grid_validation():
     with pytest.raises(GridError):
         GridFunction(0.0, 1.0, 4, np.zeros(4))

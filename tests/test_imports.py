@@ -6,10 +6,10 @@ imports are skipped.  Quoted annotations are parsed, so a name used only
 inside one still counts.
 
 The import-path checks run the CLI in a fresh interpreter, since this
-process may already hold scipy: catalog `solve`, `verify` and `oracle`
-runs need numpy and the stdlib only, `pms` loads ``scipy.special`` for
-``gammaln`` alone (the log-binomial table of the Bernstein kernel), and a
-``file`` sample function loads ``scipy.interpolate``.
+process may already hold scipy: `solve`, `verify` and `oracle` need numpy
+and the stdlib only, on catalog and ``file`` sample functions alike.  `pms`
+is the only subcommand that loads scipy, and only ``scipy.special`` for
+``gammaln`` (the log-binomial table of the Bernstein kernel).
 """
 
 import ast
@@ -118,15 +118,19 @@ def test_pms_loads_scipy_special_only(tmp_path):
     assert not {"scipy.interpolate", "scipy.optimize", "scipy.linalg"} & mods
 
 
-def test_file_sample_function_loads_scipy_interpolate(tmp_path):
+def test_file_sample_function_loads_no_scipy(tmp_path):
     samples = tmp_path / "f0.csv"
     samples.write_text(
         "x,y\n" + "".join(f"{x / 10!r},{(x / 10) ** 2!r}\n" for x in range(-30, 31)),
         encoding="utf-8",
     )
     cfg = _config(tmp_path, "file", **dict(_TRAVELING, f0=f"file {samples}", norm="l1"))
-    out = tmp_path / "out"
-    codes, mods = _run_fresh([["solve", "--config", cfg, "--out", str(out), "--quiet"]])
-    assert codes == [0]
-    assert "scipy.interpolate" in mods
-    assert (out / "minimizer.csv").exists()
+    out = str(tmp_path / "out")
+    codes, mods = _run_fresh([
+        ["solve", "--config", cfg, "--out", out, "--quiet"],
+        ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"],
+        ["oracle", "--config", cfg, "--out", out, "--quiet"],
+    ])
+    assert codes == [0, 0, 0]
+    assert mods == set()
+    assert (tmp_path / "out" / "minimizer.csv").exists()
