@@ -1,48 +1,53 @@
 """Constructive C1 approximation under integral and endpoint-offset constraints.
 
-Given grid samples of a continuous target f on [a, b], build a C1 function g
-with prescribed offsets g(b) - g(a) = c1 and g'(b) - g'(a) = c2, prescribed
-exact integral, and ||g - f||_p below a requested budget (p = 1 or 2).
+Given grid samples v on [a, b] (n odd), build a C1 function g with offsets
+g(b) - g(a) = c1 and g'(b) - g'(a) = c2, a prescribed exact integral, and
+||g - Q||_p below a requested budget (p = 1 or 2).  The target Q is the
+piecewise quadratic through each node triple (x_2i, x_2i+1, x_2i+2); its
+exact integral is the Simpson sum of v, so "integral A" and "close to v"
+speak of one function (the linear interpolant would miss A by O(h^2) and
+put that floor under every budget).
 
-The construction here is a Bernstein core plus a single cubic end patch:
+1. The core is the box average g_c(x) = (1/2 delta) int_{x-delta}^{x+delta} Q,
+   Q continued past a and b by its end quadratics.  Its slope
+   (Q(x+delta) - Q(x-delta)) / (2 delta) is continuous because Q is, so g_c
+   is exactly C1 for every delta > 0: a cubic between the breakpoints
+   x_2i +- delta, Q + q'' delta^2 / 6 away from Q's corners, the cubic blend
+   of two quadratics near a lone corner, and the sum of blends where
+   corners overlap.  Value and slope are evaluated piece by piece in panel
+   coordinates; a difference of one global primitive would lose about
+   ulp * int|v| / delta.
+2. A constant shift puts the integral on the target.
+3. The cubic Hermite patch on [b - delta_h, b] keeps value and slope at the
+   seam and lands on the offset value and slope at b; delta_h shrinks until
+   the measured error fits the budget.
+4. A final constant restores the integral; it moves both ends together, so
+   the offsets survive.
 
-1. fit a Bernstein polynomial B_m to (the piecewise-linear interpolant of) f,
-   with the degree chosen by a doubling search against the measured Lp error;
-2. shift by a constant so the integral matches the target;
-3. replace the last stretch [b - delta, b] by the cubic Hermite patch that
-   keeps value and slope at the seam and lands on the offset value and slope
-   at b, shrinking delta until the measured error fits the budget;
-4. shift by a final constant to restore the integral (a constant moves both
-   endpoints together, so the offsets survive untouched).
+The corner half-width delta is derived from the budget.  A corner with slope
+jump D costs |D| delta^2 / 6 in L1 and |D| (delta^3 / 40)^(1/2) in L2; delta
+starts from that closed form for half the budget, capped at CORNER_CAP of the
+interval, since the widest delta gives node slopes smooth enough for the
+finite-difference seam check of `verify`.  From 2h up it is snapped to
+2h * 2^k, which puts every breakpoint on an even node: a breakpoint inside a
+Simpson panel makes the Simpson sum of the result's nodes miss its exact
+integral.  delta then halves until two gates hold, after removing the
+constant the corners add:
 
-Imposing the offsets through the end patch rather than through a linear tail
-glued before the Bernstein stage keeps the polynomial degree modest: a tail
-thin enough for an L2 budget is a near-jump, and resolving a near-jump with
-Bernstein polynomials costs degrees in the millions.  The patch, by contrast,
-is exact cubic hardware no matter how thin it gets.  Since the patch width
-can fall below the grid spacing, error measurement is done on the exact
-piecewise representation (per-cell Gauss quadrature, split at the seam), not
-on node samples.
+* the exact Lp distance to Q (Gauss on the breakpoint segments, exact for
+  p = 2), which is what the budget bounds;
+* the Simpson Lp distance of the core's node samples to v, which is what the
+  norm gap of `pms_sequence` sees: a corner moves node values by about
+  D delta / 4 with weight h rather than delta.
 
-Bernstein sums are taken over the binomial window only.  The basis weight
-b_{m,k}(u) is the probability that K ~ Bin(m, u) equals k, so B_m f(u) =
-E f(K/m) puts almost all of its weight near k = m*u.  Each sum runs over
-k in [m*u - W, m*u + W], clipped to [0, m], with W = 12*sqrt(m*u*(1-u)) + 30.
-By Bernstein's inequality the omitted mass is below 2*e^-45, far under one
-unit of rounding, so the truncation is exact to rounding at every degree; a
-sum costs O(sqrt(m)) per point instead of O(m), and at small m the window
-already covers 0..m.  The weights are formed in log space, which is
-flat-stable at any degree: log C(m, k) from gammaln (the one reason `pms`
-loads scipy.special), plus k*log(u) + (m-k)*log(1-u) with one libm log of u
-and one of 1 - u per point.  Points at u = 0 and u = 1 get exactly one-hot
-weight rows, so endpoint values and derivatives of the core are exact and
-the endpoint residuals of the final result sit at rounding level by
-arithmetic, not by tolerance.
+The patch width can fall below the grid spacing, so errors are measured on
+the exact piecewise form (Gauss per segment, split at the seam), not on node
+samples.  A budget within 64 ulps of ||Q||_p is below the rounding of that
+measurement and is reported unreachable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,102 +58,91 @@ from .tbvp import ProblemSpec, full_norm
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 
-DEGREE_START = 8
-DEGREE_CAP = 32768
-
-# Sorted points per block of a Bernstein sum.  A block sums over the union
-# of its points' windows, so larger blocks widen it; smaller ones pay more
-# interpreter overhead per point.
-_BLOCK = 32
+# widest corner half-width, as a fraction of the interval
+CORNER_CAP = 1.0 / 8.0
 
 
-# ----------------------------------------------------------------- Bernstein
+# ---------------------------------------------------------------- box core
 
-def _bern_combine(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * b_{m,k}(u) for u in [0, 1], over the binomial window.
+class BoxCore:
+    """The box average of the Simpson-panel quadratic Q of grid samples f.
 
-    The points are sorted and taken _BLOCK at a time; each block sums over
-    the union of its points' windows k in [m*u - W, m*u + W] with
-    W = 12*sqrt(m*u*(1-u)) + 30.  Bernstein's inequality,
-    P(|K - m*u| >= t) <= 2*exp(-t^2 / (2*(m*u*(1-u) + t/3))), gives at
-    t = W an exponent of at least 45, so the weight left out is below
-    2*e^-45 times max|coeffs|: the sum is exact to rounding.
-
-    log(u) and log(1 - u) are taken once per point with libm's `math.log`,
-    which makes k*log(u) equal scipy's xlogy(k, u) bit for bit (numpy's log
-    is off by an ulp on some u).  A point at u = 0 or u = 1 has no finite
-    log; its row is set one-hot, exactly 1 at k = 0 or k = m and 0 elsewhere.
+    Panel j of the padded tables starts at a + 2h (j - pad); the `pad`
+    panels on each side continue the end quadratics, which holds every
+    window [x - delta, x + delta] with x in [a, b].  On panel j,
+    Q = q0 + q1 u + q2 u^2 with u the distance from the panel's start.
     """
-    c = np.asarray(coeffs, dtype=float)
-    m = len(c) - 1
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if m == 0:
-        return np.full(u.shape, c[0])
-    # imported here so that only `pms` pays for loading scipy.special
-    from scipy.special import gammaln
-    order = np.argsort(u)
-    us = u[order]
-    # sorted, so the points at 0 are us[:n0] and those at 1 are us[n1:]
-    n0 = int(np.searchsorted(us, 0.0, side="right"))
-    n1 = int(np.searchsorted(us, 1.0, side="left"))
-    inner = us[n0:n1]
-    lu = np.zeros(us.shape)
-    lv = np.zeros(us.shape)
-    lu[n0:n1] = list(map(math.log, inner.tolist()))
-    lv[n0:n1] = list(map(math.log, (1.0 - inner).tolist()))
-    half = 12.0 * np.sqrt(m * us * (1.0 - us)) + 30.0
-    lo = np.clip(np.floor(m * us - half), 0, m).astype(np.intp)
-    hi = np.clip(np.ceil(m * us + half), 0, m).astype(np.intp) + 1
-    # log-binomial table over only the k some window reaches, from k_lo on:
-    # the patch search calls this with one point at a time at full degree
-    k_lo = lo.min()
-    ks = np.arange(k_lo, hi.max())
-    logc = gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
-    cw = c[k_lo:]
-    sums = np.empty(us.shape)
-    for i in range(0, us.size, _BLOCK):
-        blk = slice(i, i + _BLOCK)
-        j = slice(lo[blk].min() - k_lo, hi[blk].max() - k_lo)
-        logw = logc[j] + ks[j] * lu[blk, None] + (m - ks[j]) * lv[blk, None]
-        # one-hot rows: weight 1 at k = 0 for u = 0, at k = m for u = 1
-        if i < n0:
-            logw[: n0 - i] = np.where(ks[j] == 0, 0.0, -np.inf)
-        if n1 < i + _BLOCK:
-            logw[max(n1 - i, 0) :] = np.where(ks[j] == m, 0.0, -np.inf)
-        sums[blk] = np.exp(logw) @ cw[j]
-    out = np.empty(u.shape)
-    out[order] = sums
-    return out
 
+    def __init__(self, f: GridFunction, delta: float):
+        self.xs, self.a, self.h2, self.delta = f.xs, f.a, 2.0 * f.h, float(delta)
+        h, v = f.h, f.values
+        f0, f1, f2 = v[0:-2:2], v[1:-1:2], v[2::2]
+        q0 = f0
+        q1 = (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * h)
+        q2 = (f0 - 2.0 * f1 + f2) / (2.0 * h * h)
+        self.pad = pad = int(self.delta / self.h2) + 2
+        # each padded panel re-expands the in-range quadratic nearest to it
+        # about its own start, d away from that quadratic's start
+        j = np.arange(-pad, q0.size + pad)
+        src = np.clip(j, 0, q0.size - 1)
+        h2 = self.h2
+        d = h2 * (j - src)
+        self.q0 = q0[src] + d * (q1[src] + d * q2[src])
+        self.q1 = q1[src] + 2.0 * d * q2[src]
+        self.q2 = q2[src]
+        whole = h2 * (self.q0 + h2 * (self.q1 / 2.0 + h2 * self.q2 / 3.0))
+        self.cum = np.concatenate(([0.0], np.cumsum(whole)))
+        # slope jumps of Q at its interior corners x_2, x_4, ..., x_{n-3}
+        self.jumps = q1[1:] - (q1[:-1] + 2.0 * h2 * q2[:-1])
 
-def _bern_value(c, a, b, x):
-    u = np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
-    return _bern_combine(c, u)
+    def _panel(self, x):
+        """Index of the padded panel holding x, and the panel's start."""
+        j = np.floor((x - self.a) / self.h2).astype(np.intp) + self.pad
+        return j, self.a + self.h2 * (j - self.pad)
 
+    def target(self, x) -> np.ndarray:
+        j, z = self._panel(x)
+        u = x - z
+        return self.q0[j] + u * (self.q1[j] + u * self.q2[j])
 
-def _bern_deriv(c, a, b, x):
-    c = np.asarray(c, dtype=float)
-    m = len(c) - 1
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if m == 0:
-        return np.zeros(x.shape)
-    d = m * np.diff(c) / (b - a)
-    u = np.clip((x - a) / (b - a), 0.0, 1.0)
-    return _bern_combine(d, u)
+    def __call__(self, x):
+        """Value and slope of the core at the points x."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        d = self.delta
+        q0, q1, q2 = self.q0, self.q1, self.q2
+        L, zl = self._panel(x - d)
+        R, zr = self._panel(x + d)
+        # both window ends on one panel: the box average of one quadratic
+        u = x - zl
+        one_v = q0[L] + u * q1[L] + q2[L] * (u * u + d * d / 3.0)
+        one_d = q1[L] + 2.0 * u * q2[L]
+        # else the tail of panel L, the whole panels between and the head of
+        # panel R, each from its own panel end: r and s are the head and
+        # tail lengths, and Q(x_L end) = q0[L + 1] by continuity.  s is
+        # taken from r so that s + r + the whole panels is 2 delta to the
+        # rounding of delta; formed from x, s would carry the rounding of
+        # x, which is 1e-4 of delta = 1e-12.
+        r = x + d - zr
+        s = (2.0 * d - self.h2 * (R - L - 1)) - r
+        e0 = q0[L + 1]
+        e1 = q1[L] + 2.0 * self.h2 * q2[L]
+        tail = s * (e0 - s * (e1 / 2.0 - s * q2[L] / 3.0))
+        head = r * (q0[R] + r * (q1[R] / 2.0 + r * q2[R] / 3.0))
+        many_v = (tail + (self.cum[R] - self.cum[L + 1]) + head) / (2.0 * d)
+        many_d = (q0[R] - e0 + r * (q1[R] + r * q2[R]) + s * (e1 - s * q2[L])) / (2.0 * d)
+        one = L == R
+        return np.where(one, one_v, many_v), np.where(one, one_d, many_d)
 
+    def edges(self, lo: float, hi: float) -> np.ndarray:
+        """Nodes and core breakpoints x_2i +- delta strictly inside (lo, hi), with lo and hi."""
+        z = self.xs[2:-1:2]
+        e = np.union1d(self.xs, np.concatenate((z - self.delta, z + self.delta)))
+        return np.concatenate(([lo], e[(e > lo) & (e < hi)], [hi]))
 
-def _bern_integral(c, a, b) -> float:
-    c = np.asarray(c, dtype=float)
-    return (b - a) * float(np.sum(c)) / len(c)
-
-
-def _bern_primitive_at(c, a, b, x) -> float:
-    """Exact integral of the Bernstein polynomial from a to x."""
-    c = np.asarray(c, dtype=float)
-    m = len(c) - 1
-    q = np.concatenate(([0.0], np.cumsum(c))) * (b - a) / (m + 1)
-    u = np.clip((x - a) / (b - a), 0.0, 1.0)
-    return float(_bern_combine(q, np.atleast_1d(u))[0])
+    def integral(self, lo: float, hi: float) -> float:
+        """Exact integral of the core over [lo, hi], inside [a, b]."""
+        pts, wts = _gauss(self.edges(lo, hi))
+        return float(np.dot(wts, self(pts)[0]))
 
 
 # ------------------------------------------------------------- cubic Hermite
@@ -192,7 +186,7 @@ class ApproxRequest:
 
 @dataclass
 class C1Curve:
-    """Exact piecewise form of a result: Bernstein core + cubic end patch.
+    """Exact piecewise form of a result: box core + cubic end patch.
 
     The patch width may be far below the grid spacing, so honest error
     measurement and integrals have to go through this object rather than
@@ -202,26 +196,25 @@ class C1Curve:
     a: float
     b: float
     seam: float
-    coeffs: np.ndarray
+    core: BoxCore
     pre_shift: float     # subtracted from the core before the patch was built
     final_shift: float   # subtracted from everything at the end
     patch: tuple         # (v0, d0, v1, d1) of the cubic against the core
 
     def value(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        core = _bern_value(self.coeffs, self.a, self.b, x) - self.pre_shift
+        core = self.core(np.clip(x, self.a, self.seam))[0] - self.pre_shift
         hv, _ = _hermite(self.seam, self.b, *self.patch, np.clip(x, self.seam, self.b))
         return np.where(x < self.seam, core, hv) - self.final_shift
 
     def d1(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        core = _bern_deriv(self.coeffs, self.a, self.b, x)
+        core = self.core(np.clip(x, self.a, self.seam))[1]
         _, hd = _hermite(self.seam, self.b, *self.patch, np.clip(x, self.seam, self.b))
         return np.where(x < self.seam, core, hd)
 
     def integral(self) -> float:
-        core = _bern_primitive_at(self.coeffs, self.a, self.b, self.seam)
-        core -= self.pre_shift * (self.seam - self.a)
+        core = self.core.integral(self.a, self.seam) - self.pre_shift * (self.seam - self.a)
         patch = _hermite_integral(self.seam, self.b, *self.patch)
         return core + patch - self.final_shift * (self.b - self.a)
 
@@ -256,159 +249,155 @@ def _lp_total(parts, p: int) -> float:
     return acc ** (1.0 / p)
 
 
+def _check_epsilon(eps: float) -> None:
+    if not 0.0 < eps < np.inf:
+        raise BadParams(f"epsilon must be positive and finite, got {eps}")
+
+
+def _first_corner_width(core: BoxCore, share: float, width: float, p: int) -> float:
+    """The budget's closed-form corner half-width, capped, snapped to 2h * 2^k."""
+    jump = float(np.sum(np.abs(core.jumps)))
+    delta = CORNER_CAP * width
+    if jump > 0.0:
+        fit = np.sqrt(6.0 * share / jump) if p == 1 else (40.0 * (share / jump) ** 2) ** (1.0 / 3.0)
+        delta = min(delta, fit)
+    if delta >= core.h2:
+        delta = core.h2 * 2.0 ** np.floor(np.log2(delta / core.h2))
+    return float(delta)
+
+
 # ------------------------------------------------------------- the pipeline
 
-def approximate_c1(req: ApproxRequest, *, m_start: int = DEGREE_START) -> ApproxResult:
+def approximate_c1(req: ApproxRequest) -> ApproxResult:
     """Run the pipeline; see the module docstring for the stage layout.
 
-    The Bernstein degree doubles from m_start until the measured Lp distance
-    to the target is under half the budget; the patch width shrinks from
-    about a sixtieth of the interval (never below six grid cells to start, so
-    the patch stays visible to node-level consumers whenever the budget
-    allows) until the total measured error fits.  If that fails with the
-    degree search stopped at its cap, the search resumes once up to a
-    doubled cap before giving up; failure raises ApproxBudgetExceeded with
-    the best attempt attached.
-
-    m_start must be DEGREE_START, or a degree that a search for the same
-    target at a larger budget reached, capped at DEGREE_CAP.  The distance
-    at a degree does not depend on the budget, so every degree below such a
-    start missed half the larger budget and would be passed through anyway:
-    the result is the same as from DEGREE_START.
+    The corner half-width starts from the budget's closed form and halves
+    until the core is within half the budget of Q, both exactly and on the
+    node samples; the patch width shrinks from about a sixtieth of the
+    interval (never below six grid cells to start, so the patch stays
+    visible to node-level consumers whenever the budget allows) until the
+    total measured error fits.  Failure raises ApproxBudgetExceeded with
+    the best attempt attached: a budget at or below 64 ulps of ||Q||_p is
+    below the rounding of the measurement and always fails.
     """
     f = req.f
-    if req.epsilon <= 0:
-        raise BadParams(f"epsilon must be positive, got {req.epsilon}")
+    eps = float(req.epsilon)
+    _check_epsilon(eps)
     if req.p not in (1, 2):
         raise UnsupportedNorm(f"p must be 1 or 2, got {req.p}")
     p = req.p
     a, b = f.a, f.b
     width = b - a
     xs = f.xs
-    eps = float(req.epsilon)
+    w_nodes = simpson_weights(f.n, f.h)
+    share = eps / 2.0
+    delta_min = max(width * 2.0 ** -40, 1e-13)
 
-    pts, wts = _gauss(xs)
-    f_at_pts = np.interp(pts, xs, f.values)
-
-    def measure_core(m):
-        samp = np.interp(np.linspace(a, b, m + 1), xs, f.values)
-        diffs = _bern_value(samp, a, b, pts) - f_at_pts
-        return samp, diffs
-
-    cap = DEGREE_CAP
-    retries = 0
-    m = m_start
-    coeffs, diffs = measure_core(m)
-    core_err = _lp_total([(wts, diffs)], p)
+    # the slope jumps of Q at its corners do not depend on delta
+    delta = _first_corner_width(BoxCore(f, 0.0), share, width, p)
+    halvings = 0
     while True:
-        while core_err >= eps / 2.0 and 2 * m <= cap:
-            m *= 2
-            coeffs, diffs = measure_core(m)
-            core_err = _lp_total([(wts, diffs)], p)
-        flagged = core_err >= eps / 2.0
+        core = BoxCore(f, delta)
+        edges = core.edges(a, b)
+        pts, wts = _gauss(edges)
+        core_v = core(pts)[0]
+        q_at_pts = core.target(pts)
+        diffs = core_v - q_at_pts
+        # the constant the corners add, which the integral shift removes
+        drift = float(np.dot(wts, diffs)) / width
+        at_nodes = core(xs)[0] - f.values - drift
+        if (
+            _lp_total([(wts, diffs - drift)], p) < share
+            and _lp_total([(w_nodes, at_nodes)], p) < share
+        ) or delta / 2.0 < delta_min:
+            break
+        delta /= 2.0
+        halvings += 1
 
-        s2 = (_bern_integral(coeffs, a, b) - req.target_integral) / width
-        cell_p = np.sum(
-            wts.reshape(f.n - 1, 8) * np.abs(diffs.reshape(f.n - 1, 8) - s2) ** p,
-            axis=1,
-        )
+    s2 = (float(np.dot(wts, core_v)) - req.target_integral) / width
+    seg_p = np.sum((wts * np.abs(diffs - s2) ** p).reshape(-1, _GAUSS_X.size), axis=1)
+    # a measured error below 64 ulps of ||Q||_p is rounding, not a result
+    floor = 64.0 * np.finfo(float).eps * _lp_total([(wts, q_at_pts)], p)
 
-        d1_at_a = (len(coeffs) - 1) * (coeffs[1] - coeffs[0]) / width
-        v1 = (float(coeffs[0]) - s2) + req.c1
-        d1_end = float(d1_at_a) + req.c2
+    value_a, slope_a = core(a)
+    v1 = (float(value_a[0]) - s2) + req.c1
+    d1_end = float(slope_a[0]) + req.c2
 
-        delta_raw = min(max(width / 64.0, 6.0 * f.h), width / 3.0)
-        delta_min = max(width * 2.0 ** -40, 1e-13)
-        chosen = None
-        while True:
-            # snap a patch of two or more cells onto an even-index node, so
-            # composite Simpson pairs on the result never straddle the seam
-            if delta_raw >= 2.0 * f.h:
-                j = int(np.floor((b - delta_raw - a) / f.h + 1e-12))
-                j -= j % 2
-                delta = (f.n - 1 - max(j, 0)) * f.h
-            else:
-                delta = delta_raw
-            seam = b - delta
-            jc = min(max(int(np.searchsorted(xs, seam, side="right")) - 1, 0), f.n - 2)
-            v0 = float(_bern_value(coeffs, a, b, np.array([seam]))[0]) - s2
-            d0 = float(_bern_deriv(coeffs, a, b, np.array([seam]))[0])
+    delta_raw = min(max(width / 64.0, 6.0 * f.h), width / 3.0)
+    while True:
+        # snap a patch of two or more cells onto an even-index node, so
+        # composite Simpson pairs on the result never straddle the seam
+        if delta_raw >= 2.0 * f.h:
+            j = int(np.floor((b - delta_raw - a) / f.h + 1e-12))
+            j -= j % 2
+            delta_h = (f.n - 1 - max(j, 0)) * f.h
+        else:
+            delta_h = delta_raw
+        seam = b - delta_h
+        jc = min(max(int(np.searchsorted(edges, seam, side="right")) - 1, 0), edges.size - 2)
+        seam_v, seam_d = core(seam)
+        v0, d0 = float(seam_v[0]) - s2, float(seam_d[0])
 
-            part_pts, part_wts = _gauss(np.array([xs[jc], seam]))
-            part_diffs = (
-                _bern_value(coeffs, a, b, part_pts)
-                - s2
-                - np.interp(part_pts, xs, f.values)
+        part_pts, part_wts = _gauss(np.array([edges[jc], seam]))
+        part_diffs = core(part_pts)[0] - s2 - core.target(part_pts)
+        inner = xs[(xs > seam) & (xs < b)]
+        patch_pts, patch_wts = _gauss(np.concatenate(([seam], inner, [b])))
+        hv, _ = _hermite(seam, b, v0, d0, v1, d1_end, patch_pts)
+        patch_diffs = hv - core.target(patch_pts)
+
+        total = (
+            float(np.sum(seg_p[:jc]))
+            + float(np.sum(part_wts * np.abs(part_diffs) ** p))
+            + float(np.sum(patch_wts * np.abs(patch_diffs) ** p))
+        ) ** (1.0 / p)
+
+        if total < eps or delta_raw / 2.0 < delta_min:
+            # final constant shift to restore the integral exactly
+            i_all = C1Curve(a, b, seam, core, s2, 0.0, (v0, d0, v1, d1_end)).integral()
+            r3 = (i_all - req.target_integral) / width
+            n_left = jc * _GAUSS_X.size
+            achieved = _lp_total(
+                [
+                    (wts[:n_left], diffs[:n_left] - s2 - r3),
+                    (part_wts, part_diffs - r3),
+                    (patch_wts, patch_diffs - r3),
+                ],
+                p,
             )
-            inner = xs[(xs > seam) & (xs < b)]
-            patch_pts, patch_wts = _gauss(np.concatenate(([seam], inner, [b])))
-            hv, _ = _hermite(seam, b, v0, d0, v1, d1_end, patch_pts)
-            patch_diffs = hv - np.interp(patch_pts, xs, f.values)
+            reached = achieved < eps and eps > floor
+            if reached or delta_raw / 2.0 < delta_min:
+                break
+        delta_raw /= 2.0
 
-            total = (
-                float(np.sum(cell_p[:jc]))
-                + float(np.sum(part_wts * np.abs(part_diffs) ** p))
-                + float(np.sum(patch_wts * np.abs(patch_diffs) ** p))
-            ) ** (1.0 / p)
+    curve = C1Curve(a, b, seam, core, s2, r3, (v0, d0, v1, d1_end))
+    vals = curve.value(xs)
+    ders = curve.d1(xs)
+    g = C1GridFunction(a, b, f.n, vals, ders)
 
-            if total < eps or delta_raw / 2.0 < delta_min:
-                # final constant shift to restore the integral exactly
-                i_all = C1Curve(a, b, seam, coeffs, s2, 0.0, (v0, d0, v1, d1_end)).integral()
-                r3 = (i_all - req.target_integral) / width
-                achieved = _lp_total(
-                    [
-                        (wts[: jc * 8], diffs[: jc * 8] - s2 - r3),
-                        (part_wts, part_diffs - r3),
-                        (patch_wts, patch_diffs - r3),
-                    ],
-                    p,
-                )
-                if achieved < eps:
-                    chosen = (delta, seam, v0, d0, r3, achieved)
-                    break
-                if delta_raw / 2.0 < delta_min:
-                    chosen = None
-                    last = (delta, seam, v0, d0, r3, achieved)
-                    break
-            delta_raw /= 2.0
-
-        if chosen is None and flagged and retries == 0:
-            # resume the degree search once, up to a doubled cap
-            retries += 1
-            cap *= 2
-            continue
-
-        delta, seam, v0, d0, r3, achieved = chosen if chosen else last
-
-        curve = C1Curve(a, b, seam, coeffs, s2, r3, (v0, d0, v1, d1_end))
-        vals = curve.value(xs)
-        ders = curve.d1(xs)
-        g = C1GridFunction(a, b, f.n, vals, ders)
-
-        stages = {
-            "m": m,
-            "delta_hermite": delta,
-            "shift_pre": s2,
-            "shift_final": r3,
-            "degree_flagged": flagged,
-            "retries": retries,
-        }
-        result = ApproxResult(
-            g,
-            achieved,
-            abs(curve.integral() - req.target_integral),
-            abs((vals[-1] - vals[0]) - req.c1),
-            abs((ders[-1] - ders[0]) - req.c2),
-            stages,
-            curve,
-        )
-        if chosen is not None:
-            return result
-        raise ApproxBudgetExceeded(
-            f"could not reach Lp budget {eps} (best {achieved:.3e}, "
-            f"degree {m}, patch width {delta:.3e})",
-            result=result,
-        )
+    stages = {
+        "m": 3,  # the core's piecewise degree
+        "delta_corner": delta,
+        "delta_hermite": delta_h,
+        "shift_pre": s2,
+        "shift_final": r3,
+        "retries": halvings,  # corner-width halvings
+    }
+    result = ApproxResult(
+        g,
+        achieved,
+        abs(curve.integral() - req.target_integral),
+        abs((vals[-1] - vals[0]) - req.c1),
+        abs((ders[-1] - ders[0]) - req.c2),
+        stages,
+        curve,
+    )
+    if reached:
+        return result
+    raise ApproxBudgetExceeded(
+        f"could not reach Lp budget {eps} (best {achieved:.3e}, rounding floor "
+        f"{floor:.3e}, corner width {delta:.3e}, patch width {delta_h:.3e})",
+        result=result,
+    )
 
 
 # ----------------------------------------------------------------- sequences
@@ -430,15 +419,13 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
     2KT*eps for p = 1 and M*eps for p = 2, where M is the Cauchy-Schwarz
     factor ||sum_i (2 t_i - v_n - v)||_2 measured on the grid.  Results are
     carried forward whenever an earlier entry already beats a later budget,
-    so achieved errors are non-increasing along the schedule.  Each entry's
-    degree search starts where the previous entry's own search stopped,
-    capped at DEGREE_CAP; see approximate_c1 for why that changes nothing.
+    so achieved errors are non-increasing along the schedule.
     """
     if p not in (1, 2):
         raise UnsupportedNorm(f"p must be 1 or 2, got {p}")
     eps_schedule = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps_schedule):
-        raise BadParams("tolerance schedule must be positive")
+    for e in eps_schedule:
+        _check_epsilon(e)
     if any(b <= s for b, s in zip(eps_schedule, eps_schedule[1:])):
         raise BadParams("tolerance schedule must be strictly decreasing")
     if abs(integrate(v) - spec.A) > 1e-8:
@@ -450,15 +437,13 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
 
     entries = []
     prev: ApproxResult | None = None
-    m_start = DEGREE_START
     for eps in eps_schedule:
         req = ApproxRequest(v, spec.c1, spec.c2, spec.A, eps, p)
         try:
-            result = approximate_c1(req, m_start=m_start)
+            result = approximate_c1(req)
         except ApproxBudgetExceeded as exc:
             exc.entries = entries  # expose what already succeeded
             raise
-        m_start = min(result.stages["m"], DEGREE_CAP)
         if prev is not None and prev.achieved_lp_error < result.achieved_lp_error:
             if prev.achieved_lp_error < eps:
                 result = prev

@@ -2,23 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.special import gammaln, xlogy
 
-from waveinput import approx
 from waveinput.approx import (
-    DEGREE_START,
+    CORNER_CAP,
     ApproxRequest,
-    _bern_combine,
-    _bern_deriv,
-    _bern_value,
+    BoxCore,
     _hermite,
     approximate_c1,
     pms_sequence,
 )
 from waveinput.errors import ApproxBudgetExceeded, BadParams
-from waveinput.functions import GridFunction
+from waveinput.functions import GridFunction, integrate, simpson_weights
 from waveinput.l1 import construct_h, order_envelopes, select_strip
 from waveinput.l2 import l2_minimizer
 from waveinput.verify import verify_solution
@@ -29,67 +23,6 @@ from conftest import feasible_random_v, random_spec, traveling_spec
 def grid_of(fn, a, b, n):
     xs = np.linspace(a, b, n)
     return GridFunction(a, b, n, fn(xs))
-
-
-def dense_bernstein(c, u):
-    """Reference sum over every basis weight b_{m,k}(u), k = 0..m."""
-    m = len(c) - 1
-    k = np.arange(m + 1)
-    uc = np.asarray(u, dtype=float)[:, None]
-    logw = (
-        gammaln(m + 1)
-        - gammaln(k + 1)
-        - gammaln(m - k + 1)
-        + xlogy(k, uc)
-        + xlogy(m - k, 1.0 - uc)
-    )
-    return np.exp(logw) @ c
-
-
-def windowed_xlogy_kernel(coeffs, u):
-    """The windowed kernel with one xlogy per window entry, kept as the bit reference.
-
-    Same sorting, blocks, windows and matrix product as `_bern_combine`; only
-    the weights differ in how they are formed: xlogy(k, u) + xlogy(m - k, 1 - u)
-    per entry instead of logs taken once per point.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    m = len(c) - 1
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if m == 0:
-        return np.full(u.shape, c[0])
-    order = np.argsort(u)
-    us = u[order]
-    half = 12.0 * np.sqrt(m * us * (1.0 - us)) + 30.0
-    lo = np.clip(np.floor(m * us - half), 0, m).astype(np.intp)
-    hi = np.clip(np.ceil(m * us + half), 0, m).astype(np.intp) + 1
-    k_lo = lo.min()
-    ks = np.arange(k_lo, hi.max())
-    logc = gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
-    cw = c[k_lo:]
-    sums = np.empty(us.shape)
-    for i in range(0, us.size, approx._BLOCK):
-        blk = slice(i, i + approx._BLOCK)
-        j = slice(lo[blk].min() - k_lo, hi[blk].max() - k_lo)
-        ub = us[blk, None]
-        logw = logc[j] + xlogy(ks[j], ub) + xlogy(m - ks[j], 1.0 - ub)
-        sums[blk] = np.exp(logw) @ cw[j]
-    out = np.empty(u.shape)
-    out[order] = sums
-    return out
-
-
-def assert_kernel_bits(c, u):
-    """_bern_combine and _bern_deriv (on [0, 1], so x is u) equal the reference bitwise."""
-    d = (len(c) - 1) * np.diff(c)
-    assert np.array_equal(_bern_combine(c, u), windowed_xlogy_kernel(c, u))
-    assert np.array_equal(_bern_deriv(c, 0.0, 1.0, u), windowed_xlogy_kernel(d, u))
-
-
-def bern_on_grid(g, m):
-    """Degree-m Bernstein core of g's linear interpolant and its slope, at g's nodes."""
-    c = np.interp(np.linspace(g.a, g.b, m + 1), g.xs, g.values)
-    return _bern_value(c, g.a, g.b, g.xs), _bern_deriv(c, g.a, g.b, g.xs)
 
 
 class TestIntegralShift:
@@ -110,146 +43,6 @@ class TestIntegralShift:
         res = approximate_c1(ApproxRequest(g, 1.0, 0.0, 0.5, 1e-10, p=2))
         assert np.allclose(res.g.values, g.values, atol=1e-14)
         assert res.curve.integral() == pytest.approx(0.5, abs=1e-12)
-
-
-class TestBernstein:
-    def test_partition_of_unity(self):
-        g = grid_of(lambda x: np.full_like(x, 0.7), -1.0, 1.0, 65)
-        for m in (1, 8, 513):
-            vals, ders = bern_on_grid(g, m)
-            assert np.allclose(vals, 0.7, atol=1e-13)
-            assert np.allclose(ders, 0.0, atol=1e-12)
-
-    def test_linear_reproduction(self):
-        g = grid_of(lambda x: 2 * x - 0.3, 0.0, 1.0, 65)
-        vals, ders = bern_on_grid(g, 64)
-        assert np.allclose(vals, g.values, atol=1e-12)
-        assert np.allclose(ders, 2.0, atol=1e-11)
-
-    def test_degree_two_on_square(self):
-        g = grid_of(lambda x: x**2, 0.0, 1.0, 5)
-        vals, _ = bern_on_grid(g, 2)
-        # B2(x^2) = x^2 + x(1-x)/2, so the midpoint value is 0.375
-        assert vals[2] == pytest.approx(0.375, abs=1e-15)
-
-    def test_endpoint_fidelity_exact(self):
-        rng = np.random.default_rng(3)
-        g = GridFunction(-2.0, 1.0, 33, rng.normal(size=33))
-        for m in (8, 509, 2048, 32768):
-            vals, _ = bern_on_grid(g, m)
-            assert vals[0] == g.values[0]
-            assert vals[-1] == g.values[-1]
-
-    @pytest.mark.parametrize("m", [1, 8, 509, 4096, 32768])
-    def test_combine_matches_dense_reference(self, m):
-        rng = np.random.default_rng(m)
-        c = rng.normal(size=m + 1)
-        u = rng.permutation(np.concatenate(([0.0, 1.0, 1e-12, 1.0 - 1e-12], rng.random(60))))
-        got = _bern_combine(c, u)
-        assert np.max(np.abs(got - dense_bernstein(c, u))) <= 1e-13 * np.max(np.abs(c))
-
-    @pytest.mark.parametrize("m", [1, 8, 509, 4096, 32768])
-    def test_derivative_matches_dense_reference(self, m):
-        rng = np.random.default_rng(m)
-        g = GridFunction(-2.0, 1.0, 65, rng.normal(size=65))
-        c = np.interp(np.linspace(g.a, g.b, m + 1), g.xs, g.values)
-        d = m * np.diff(c) / (g.b - g.a)
-        want = dense_bernstein(d, (g.xs - g.a) / (g.b - g.a))
-        _, got = bern_on_grid(g, m)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(d))
-
-
-class TestKernelBits:
-    """The per-point libm logs give the same bits as xlogy per window entry."""
-
-    @pytest.mark.parametrize("m", [1, 8, 509, 4096, 32768, 65536])
-    def test_matches_xlogy_kernel(self, m):
-        # numpy's vectorized log differs from libm's by an ulp on a few u in
-        # a thousand, so enough points are drawn for that to show
-        rng = np.random.default_rng(m)
-        c = rng.normal(size=m + 1)
-        ends = [0.0, 1.0, 1e-12, 1.0 - 1e-12]
-        inner = rng.random(2000)
-        u = rng.permutation(np.concatenate((ends, ends, inner, inner[:50])))
-        assert_kernel_bits(c, u)
-
-    @pytest.mark.parametrize(
-        "u",
-        [
-            [0.0],
-            [1.0],
-            [0.0] * 40,
-            [1.0] * 40,
-            [0.0] * 40 + [1.0] * 40,
-            [0.0] * 44 + [0.5] * 20,
-            [0.5] * 20 + [1.0] * 44,
-        ],
-    )
-    def test_endpoint_rows_across_blocks(self, u):
-        c = np.random.default_rng(1).normal(size=4097)
-        assert_kernel_bits(c, np.array(u))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        m=st.integers(1, 5000),
-        seed=st.integers(0, 2**32 - 1),
-        u=st.lists(
-            st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0)),
-            min_size=1,
-            max_size=100,
-        ),
-    )
-    def test_matches_xlogy_kernel_property(self, m, seed, u):
-        c = np.random.default_rng(seed).normal(size=m + 1)
-        assert_kernel_bits(c, np.array(u))
-
-
-class TestDegreeChoice:
-    """approximate_c1 doubles the Bernstein degree from DEGREE_START up to its cap."""
-
-    def test_constant_first_candidate(self):
-        g = grid_of(lambda x: np.full_like(x, 3.0), 0.0, 1.0, 33)
-        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 3.0, 1e-12, p=2))
-        assert res.stages["m"] == DEGREE_START
-        assert not res.stages["degree_flagged"]
-        assert np.max(np.abs(res.g.values - 3.0)) < 1e-13
-
-    def test_linear_first_candidate(self):
-        g = grid_of(lambda x: x, 0.0, 1.0, 33)
-        res = approximate_c1(ApproxRequest(g, 1.0, 0.0, 0.5, 1e-10, p=2))
-        assert res.stages["m"] == DEGREE_START
-        assert not res.stages["degree_flagged"]
-
-    def test_kink_needs_finite_degree(self):
-        g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
-        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 0.01, p=2))
-        assert DEGREE_START < res.stages["m"] <= approx.DEGREE_CAP
-        assert not res.stages["degree_flagged"]
-        assert res.achieved_lp_error < 0.01
-
-    def test_cap_reported_when_unreachable(self, monkeypatch):
-        monkeypatch.setattr(approx, "DEGREE_CAP", 64)
-        g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
-        with pytest.raises(ApproxBudgetExceeded) as exc:
-            approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 1e-9, p=2))
-        stages = exc.value.result.stages
-        # one retry doubles the cap before giving up
-        assert stages["m"] == 128
-        assert stages["retries"] == 1
-        assert stages["degree_flagged"]
-        assert exc.value.result.achieved_lp_error > 1e-9
-
-    def test_unflagged_failure_does_not_retry(self):
-        # a line is exact at the start degree; the end offset then asks for
-        # a jump no patch of width >= 1e-13 fits into 1e-9, and a larger
-        # degree cap cannot help, so nothing is retried
-        g = grid_of(lambda x: 2.0 * x, 0.0, 1.0, 257)
-        with pytest.raises(ApproxBudgetExceeded) as exc:
-            approximate_c1(ApproxRequest(g, 5.0, 0.0, 1.0, 1e-9, p=2))
-        stages = exc.value.result.stages
-        assert stages["m"] == approx.DEGREE_START
-        assert not stages["degree_flagged"]
-        assert stages["retries"] == 0
 
 
 class TestHermitePatch:
@@ -412,77 +205,92 @@ def readme_minimizer(p, n=257):
     return spec, construct_h(env, select_strip(env, spec.A), spec.A).h
 
 
-def assert_same_result(a, b):
-    assert a.stages == b.stages
-    assert a.achieved_lp_error == b.achieved_lp_error
-    assert a.g.values.tobytes() == b.g.values.tobytes()
-    assert a.g.d1.tobytes() == b.g.d1.tobytes()
+class TestEveryTolerance:
+    """A PMS exists at every eps > 0: the README schedules reach 1e-8."""
+
+    @pytest.mark.parametrize("n", [65, 513])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_readme_schedule_to_1e_8(self, n, p):
+        spec, v = readme_minimizer(p, n)
+        schedule = [10.0**-k for k in range(1, 9)]
+        entries = pms_sequence(v, spec, schedule, p)
+        assert [e.epsilon for e in entries] == schedule
+        for e in entries:
+            res = e.result
+            assert res.achieved_lp_error < e.epsilon
+            assert e.satisfied, (e.epsilon, e.norm_gap, e.bound)
+            assert res.integral_residual <= 1e-10
+            assert res.endpoint_value_residual <= 1e-10
+            assert res.endpoint_deriv_residual <= 1e-10
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_non_finite_or_non_positive_epsilon_rejected(self, eps):
+        spec, v = readme_minimizer(2, 65)
+        with pytest.raises(BadParams):
+            approximate_c1(ApproxRequest(v, spec.c1, spec.c2, spec.A, eps, p=2))
+        with pytest.raises(BadParams):
+            pms_sequence(v, spec, [1e-1, eps], p=2)
 
 
-def assert_same_entries(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.epsilon, g.norm_gap, g.bound, g.satisfied) == (
-            w.epsilon, w.norm_gap, w.bound, w.satisfied
-        )
-        assert_same_result(g.result, w.result)
+def random_q(rng, n=65, a=-1.0, b=1.5):
+    """Node samples whose Simpson-panel quadratic has slope jumps of order one."""
+    xs = np.linspace(a, b, n)
+    h = (b - a) / (n - 1)
+    return GridFunction(a, b, n, np.sin(2.0 * xs) + h * np.cumsum(rng.normal(size=n)))
 
 
-class TestWarmStart:
-    """pms_sequence's warm-started degree searches give what fresh searches give."""
+def quadratic(x):
+    return 0.7 - 1.3 * x + 2.1 * x * x
 
-    @staticmethod
-    def run_both(monkeypatch, v, spec, schedule, p):
-        """(warm run, cold run, [m_start, m reached] of each warm call).
 
-        A run is its list of entries, or the exception it raised.
-        """
-        fresh = approx.approximate_c1
-        calls = []
+class TestBoxCore:
+    """The box average of the Simpson-panel quadratic Q, at any corner half-width."""
 
-        def warm(req, *, m_start):
-            calls.append([m_start, None])
-            result = fresh(req, m_start=m_start)
-            calls[-1][1] = result.stages["m"]
-            return result
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cells", [0.3, 1.0, 1.5, 2.0, 8.0])
+    def test_c1_across_every_breakpoint(self, seed, cells):
+        f = random_q(np.random.default_rng(seed))
+        core = BoxCore(f, cells * f.h)
+        assert np.max(np.abs(core.jumps)) > 0.5
+        z = f.xs[2:-1:2]
+        bp = np.concatenate((z - core.delta, z + core.delta, z))
+        bp = bp[(bp > f.a) & (bp < f.b)]
+        left_v, left_d = core(np.nextafter(bp, -np.inf))
+        right_v, right_d = core(np.nextafter(bp, np.inf))
+        assert np.max(np.abs(left_v - right_v)) <= 1e-13
+        assert np.max(np.abs(left_d - right_d)) <= 1e-12
 
-        def cold(req, *, m_start):
-            return fresh(req)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cells", [2.0, 4.0, 16.0])
+    def test_simpson_exact_once_breakpoints_sit_on_even_nodes(self, seed, cells):
+        f = random_q(np.random.default_rng(seed))
+        core = BoxCore(f, cells * f.h)
+        simpson = float(np.dot(simpson_weights(f.n, f.h), core(f.xs)[0]))
+        assert core.integral(f.a, f.b) == pytest.approx(simpson, abs=1e-14)
 
-        runs = []
-        for stub in (warm, cold):
-            monkeypatch.setattr(approx, "approximate_c1", stub)
-            try:
-                runs.append(pms_sequence(v, spec, schedule, p))
-            except ApproxBudgetExceeded as exc:
-                runs.append(exc)
-        return runs[0], runs[1], calls
+    @pytest.mark.parametrize("seed", range(4))
+    def test_curve_integral_is_simpson_of_samples(self, seed):
+        f = random_q(np.random.default_rng(seed))
+        res = approximate_c1(ApproxRequest(f, 0.2, -0.3, 0.7, 1.0, p=1))
+        assert res.stages["delta_corner"] >= 2.0 * f.h
+        assert res.stages["delta_hermite"] >= 2.0 * f.h
+        assert res.curve.integral() == pytest.approx(integrate(res.g), abs=1e-14)
+        assert res.integral_residual <= 1e-14
 
-    @pytest.mark.parametrize(
-        "p, schedule",
-        [(1, [1e-1, 1e-2, 1e-3, 1e-4]), (2, [1e-1, 1e-2, 1e-3])],
-    )
-    def test_entries_match_fresh_searches(self, monkeypatch, p, schedule):
-        spec, v = readme_minimizer(p)
-        warm, cold, calls = self.run_both(monkeypatch, v, spec, schedule, p)
-        assert_same_entries(warm, cold)
-        # each search starts where the one before stopped, above DEGREE_START
-        assert calls[0][0] == DEGREE_START
-        for (_, reached), (start, _) in zip(calls, calls[1:]):
-            assert start == reached > DEGREE_START
+    @pytest.mark.parametrize("cells", [1e-6, 0.3, 1.5, 4.0, 8.0])
+    def test_quadratic_moves_by_a_constant(self, cells):
+        # the box average of q is q + q'' delta^2 / 6, which the first shift removes
+        f = grid_of(quadratic, -1.0, 1.5, 65)
+        core = BoxCore(f, cells * f.h)
+        xs = np.linspace(f.a, f.b, 1001)
+        val, slope = core(xs)
+        assert np.max(np.abs(val - quadratic(xs) - 4.2 * core.delta**2 / 6.0)) <= 1e-14
+        assert np.max(np.abs(slope - (4.2 * xs - 1.3))) <= 1e-13
 
-    @pytest.mark.parametrize("p, cap", [(2, 64), (1, 128)])
-    def test_cap_and_retry_match_fresh_searches(self, monkeypatch, p, cap):
-        # L2 at cap 64: the third entry starts at the cap, retries and
-        # fails.  L1 at cap 128: the second entry reaches 256 by its retry,
-        # so the third starts at the cap, not at 256, and fails.
-        monkeypatch.setattr(approx, "DEGREE_CAP", cap)
-        spec, v = readme_minimizer(p)
-        warm, cold, calls = self.run_both(monkeypatch, v, spec, [1e-1, 1e-2, 1e-3], p)
-        assert isinstance(warm, ApproxBudgetExceeded)
-        assert isinstance(cold, ApproxBudgetExceeded)
-        assert str(warm) == str(cold)
-        assert_same_entries(warm.entries, cold.entries)
-        assert_same_result(warm.result, cold.result)
-        assert warm.result.stages["retries"] == 1
-        assert calls[-1][0] == min(calls[-2][1], cap) == cap
+    def test_quadratic_reproduced_by_the_pipeline(self):
+        f = grid_of(quadratic, -1.0, 1.5, 65)
+        c1, c2 = quadratic(1.5) - quadratic(-1.0), 4.2 * 2.5
+        res = approximate_c1(ApproxRequest(f, c1, c2, integrate(f), 1e-3, p=2))
+        assert res.stages["delta_corner"] == CORNER_CAP * 2.5
+        assert np.max(np.abs(res.g.values - f.values)) <= 1e-13
+        assert np.max(np.abs(res.g.d1 - (4.2 * f.xs - 1.3))) <= 1e-12

@@ -305,6 +305,15 @@ class TestPMS:
         assert len(lines) == 3
         assert all(ln.endswith(",yes") for ln in lines[1:])
 
+    def test_readme_l1_reaches_1e_4_at_n65(self, tmp_path):
+        out = tmp_path / "p"
+        cfg = write_config(
+            tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", eps_schedule="1e-4"
+        )
+        assert main(["pms", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        lines = (out / "pms_summary.csv").read_text(encoding="utf-8").strip().split("\n")
+        assert len(lines) == 2 and lines[1].endswith(",yes")
+
     def test_unreachable_budget_exit6_keeps_partial(self, tmp_path, capsys):
         out = tmp_path / "p"
         cfg = write_config(

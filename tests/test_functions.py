@@ -103,7 +103,7 @@ def test_spline_rejects_non_finite_or_mismatched_samples():
 
 
 def _scipy_natural_spline(xs, ys):
-    # scipy stays installed for pms's gammaln; its spline is the reference here
+    # scipy is a test-only dependency: its spline is the reference here
     from scipy.interpolate import CubicSpline
 
     ref = CubicSpline(xs, ys, bc_type="natural")

@@ -1,4 +1,4 @@
-"""Import hygiene: every imported name is used, and scipy loads only where needed.
+"""Import hygiene: every imported name is used, and the program loads no scipy.
 
 The unused-import check is stdlib-only over the sources.  Names listed in a
 module's ``__all__`` count as used (re-exports), and ``from __future__``
@@ -6,10 +6,9 @@ imports are skipped.  Quoted annotations are parsed, so a name used only
 inside one still counts.
 
 The import-path checks run the CLI in a fresh interpreter, since this
-process may already hold scipy: `solve`, `verify` and `oracle` need numpy
-and the stdlib only, on catalog and ``file`` sample functions alike.  `pms`
-is the only subcommand that loads scipy, and only ``scipy.special`` for
-``gammaln`` (the log-binomial table of the Bernstein kernel).
+process may already hold scipy: every subcommand needs numpy and the
+stdlib only, on catalog and ``file`` sample functions alike.  scipy is a
+test-only dependency (the spline reference in ``test_functions.py``).
 """
 
 import ast
@@ -110,12 +109,11 @@ def test_catalog_solve_verify_oracle_load_no_scipy(tmp_path, norm):
     assert mods == set()
 
 
-def test_pms_loads_scipy_special_only(tmp_path):
+def test_pms_loads_no_scipy(tmp_path):
     cfg = _config(tmp_path, "pms", norm="l2", eps_schedule="1e-1", **_TRAVELING)
     codes, mods = _run_fresh([["pms", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]])
     assert codes == [0]
-    assert "scipy.special" in mods
-    assert not {"scipy.interpolate", "scipy.optimize", "scipy.linalg"} & mods
+    assert mods == set()
 
 
 def test_file_sample_function_loads_no_scipy(tmp_path):
