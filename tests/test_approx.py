@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from waveinput import approx
 from waveinput.approx import (
     CORNER_CAP,
     ApproxRequest,
@@ -130,6 +131,63 @@ class TestPipeline:
             approximate_c1(ApproxRequest(f, 0.0, 0.0, 1.0, -1.0, p=2))
 
 
+class TestDegreeChoice:
+    """The core's piecewise degree is 3; approximate_c1 chooses its corner half-width.
+
+    The width starts from the budget's closed form, capped at CORNER_CAP of
+    the interval, and `retries` counts its halvings.
+    """
+
+    def test_constant_first_candidate(self):
+        g = grid_of(lambda x: np.full_like(x, 3.0), 0.0, 1.0, 33)
+        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 3.0, 1e-12, p=2))
+        assert res.stages["m"] == 3
+        assert res.stages["delta_corner"] == CORNER_CAP
+        assert res.stages["retries"] == 0
+        assert np.max(np.abs(res.g.values - 3.0)) < 1e-13
+
+    def test_linear_first_candidate(self):
+        g = grid_of(lambda x: x, 0.0, 1.0, 33)
+        res = approximate_c1(ApproxRequest(g, 1.0, 0.0, 0.5, 1e-10, p=2))
+        assert res.stages["m"] == 3
+        assert res.stages["delta_corner"] == CORNER_CAP
+        assert res.stages["retries"] == 0
+
+    def test_kink_needs_finite_degree(self):
+        # the kink's slope jump makes the budget's closed form bite below the cap
+        g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
+        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 0.01, p=2))
+        assert res.stages["m"] == 3
+        assert 2.0 * g.h <= res.stages["delta_corner"] < CORNER_CAP
+        assert res.achieved_lp_error < 0.01
+
+    def test_cap_reported_when_unreachable(self):
+        g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
+        with pytest.raises(ApproxBudgetExceeded) as exc:
+            approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 1e-17, p=2))
+        # the budget is below 64 ulps of ||Q||_2 = 12^(-1/2), which is reported
+        floor = 64.0 * np.finfo(float).eps / np.sqrt(12.0)
+        assert f"rounding floor {floor:.3e}" in str(exc.value)
+        stages = exc.value.result.stages
+        # the width halved down to its floor before giving up
+        assert stages["m"] == 3
+        assert stages["retries"] >= 1
+        assert stages["delta_corner"] < 1e-11
+        assert exc.value.result.achieved_lp_error < floor
+
+    def test_unflagged_failure_does_not_retry(self):
+        # a line has no corners, so the first width is exact; the end offset
+        # then asks for a jump no patch of width >= 1e-13 fits into 1e-9, and
+        # a narrower corner cannot help, so nothing is halved
+        g = grid_of(lambda x: 2.0 * x, 0.0, 1.0, 257)
+        with pytest.raises(ApproxBudgetExceeded) as exc:
+            approximate_c1(ApproxRequest(g, 5.0, 0.0, 1.0, 1e-9, p=2))
+        stages = exc.value.result.stages
+        assert stages["m"] == 3
+        assert stages["delta_corner"] == CORNER_CAP
+        assert stages["retries"] == 0
+
+
 class TestSmoothingClassification:
     def test_pseudo_ms_becomes_ms_candidate(self):
         rng = np.random.default_rng(12)
@@ -203,6 +261,58 @@ def readme_minimizer(p, n=257):
         return spec, l2_minimizer(ts, spec.A).v
     env = order_envelopes(ts)
     return spec, construct_h(env, select_strip(env, spec.A), spec.A).h
+
+
+def assert_same_result(a, b):
+    assert a.stages == b.stages
+    assert a.achieved_lp_error == b.achieved_lp_error
+    assert a.g.values.tobytes() == b.g.values.tobytes()
+    assert a.g.d1.tobytes() == b.g.d1.tobytes()
+
+
+def fresh_result(v, spec, eps, p):
+    return approximate_c1(ApproxRequest(v, spec.c1, spec.c2, spec.A, eps, p))
+
+
+class TestWarmStart:
+    """pms_sequence carries no search state from one entry to the next.
+
+    Every entry is what a fresh approximate_c1 call at its eps gives, and a
+    failing entry raises what the fresh call raises.
+    """
+
+    @pytest.mark.parametrize(
+        "p, schedule",
+        [(1, [1e-1, 1e-2, 1e-3, 1e-4]), (2, [1e-1, 1e-2, 1e-3])],
+    )
+    def test_entries_match_fresh_searches(self, p, schedule):
+        spec, v = readme_minimizer(p)
+        entries = pms_sequence(v, spec, schedule, p)
+        assert [e.epsilon for e in entries] == schedule
+        for e in entries:
+            assert_same_result(e.result, fresh_result(v, spec, e.epsilon, p))
+        # at least one entry halved its corner width
+        assert max(e.result.stages["retries"] for e in entries) >= 1
+
+    @pytest.mark.parametrize("p, cap", [(2, 64), (1, 128)])
+    def test_cap_and_retry_match_fresh_searches(self, monkeypatch, p, cap):
+        # a corner cap of width / cap; the last entry is below the rounding
+        # floor, halves its corner width down to the floor and fails
+        monkeypatch.setattr(approx, "CORNER_CAP", 1.0 / cap)
+        spec, v = readme_minimizer(p)
+        schedule = [1e-1, 1e-2, 1e-3, 1e-17]
+        with pytest.raises(ApproxBudgetExceeded) as exc:
+            pms_sequence(v, spec, schedule, p)
+        with pytest.raises(ApproxBudgetExceeded) as fresh:
+            fresh_result(v, spec, schedule[-1], p)
+        assert str(exc.value) == str(fresh.value)
+        assert_same_result(exc.value.result, fresh.value.result)
+        assert exc.value.result.stages["retries"] >= 1
+        entries = exc.value.entries
+        assert [e.epsilon for e in entries] == schedule[:-1]
+        for e in entries:
+            assert e.result.stages["delta_corner"] <= (v.b - v.a) / cap
+            assert_same_result(e.result, fresh_result(v, spec, e.epsilon, p))
 
 
 class TestEveryTolerance:
@@ -294,3 +404,33 @@ class TestBoxCore:
         assert res.stages["delta_corner"] == CORNER_CAP * 2.5
         assert np.max(np.abs(res.g.values - f.values)) <= 1e-13
         assert np.max(np.abs(res.g.d1 - (4.2 * f.xs - 1.3))) <= 1e-12
+
+
+def assert_kernel_bits(core, u):
+    """The core at x = a + u (b - a), as one batch, equals each point alone bitwise."""
+    x = core.a + np.asarray(u, dtype=float) * (core.xs[-1] - core.a)
+    val, slope = core(x)
+    alone = np.array([[c[0] for c in core(xi)] for xi in x])
+    assert np.array_equal(val, alone[:, 0])
+    assert np.array_equal(slope, alone[:, 1])
+
+
+class TestKernelBits:
+    """The box core evaluates every point on its own, whatever the batch around it."""
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            [0.0],
+            [1.0],
+            [0.0] * 40,
+            [1.0] * 40,
+            [0.0] * 40 + [1.0] * 40,
+            [0.0] * 44 + [0.5] * 20,
+            [0.5] * 20 + [1.0] * 44,
+        ],
+    )
+    def test_endpoint_rows_across_blocks(self, u):
+        f = random_q(np.random.default_rng(1))
+        for cells in (0.3, 2.0, 8.0):
+            assert_kernel_bits(BoxCore(f, cells * f.h), u)
