@@ -12,7 +12,6 @@ checking residuals.
 """
 
 from .approx import (
-    ApproxRequest,
     ApproxResult,
     PMSEntry,
     approximate_c1,
@@ -51,7 +50,7 @@ from .l1 import (
     select_strip,
     strip_lower_bound,
 )
-from .l2 import L2Solution, a1_constant, l2_minimizer, l2_ms_check
+from .l2 import L2Solution, l2_minimizer, l2_ms_check
 from .oracle import OracleReport, l1_oracle, l2_oracle
 from .tbvp import (
     ProblemSpec,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxBudgetExceeded",
-    "ApproxRequest",
     "ApproxResult",
     "BadParams",
     "C1GridFunction",
@@ -92,7 +90,6 @@ __all__ = [
     "UnsupportedNorm",
     "VerificationReport",
     "WaveInputError",
-    "a1_constant",
     "approximate_c1",
     "catalog",
     "construct_h",

@@ -167,22 +167,7 @@ def _hermite(s, b, v0, d0, v1, d1, x):
     return val, der
 
 
-def _hermite_integral(s, b, v0, d0, v1, d1) -> float:
-    dt = b - s
-    return dt * (v0 + v1) / 2.0 + dt * dt * (d0 - d1) / 12.0
-
-
 # ---------------------------------------------------------------- main types
-
-@dataclass
-class ApproxRequest:
-    f: GridFunction
-    c1: float
-    c2: float
-    target_integral: float
-    epsilon: float
-    p: int = 2
-
 
 @dataclass
 class C1Curve:
@@ -201,21 +186,19 @@ class C1Curve:
     final_shift: float   # subtracted from everything at the end
     patch: tuple         # (v0, d0, v1, d1) of the cubic against the core
 
-    def value(self, x):
+    def __call__(self, x):
+        """Value and slope of the result at the points x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        core = self.core(np.clip(x, self.a, self.seam))[0] - self.pre_shift
-        hv, _ = _hermite(self.seam, self.b, *self.patch, np.clip(x, self.seam, self.b))
-        return np.where(x < self.seam, core, hv) - self.final_shift
-
-    def d1(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        core = self.core(np.clip(x, self.a, self.seam))[1]
-        _, hd = _hermite(self.seam, self.b, *self.patch, np.clip(x, self.seam, self.b))
-        return np.where(x < self.seam, core, hd)
+        core_v, core_d = self.core(np.clip(x, self.a, self.seam))
+        hv, hd = _hermite(self.seam, self.b, *self.patch, np.clip(x, self.seam, self.b))
+        left = x < self.seam
+        return np.where(left, core_v - self.pre_shift, hv) - self.final_shift, np.where(left, core_d, hd)
 
     def integral(self) -> float:
         core = self.core.integral(self.a, self.seam) - self.pre_shift * (self.seam - self.a)
-        patch = _hermite_integral(self.seam, self.b, *self.patch)
+        v0, d0, v1, d1 = self.patch
+        dt = self.b - self.seam
+        patch = dt * (v0 + v1) / 2.0 + dt * dt * (d0 - d1) / 12.0
         return core + patch - self.final_shift * (self.b - self.a)
 
 
@@ -268,7 +251,9 @@ def _first_corner_width(core: BoxCore, share: float, width: float, p: int) -> fl
 
 # ------------------------------------------------------------- the pipeline
 
-def approximate_c1(req: ApproxRequest) -> ApproxResult:
+def approximate_c1(
+    f: GridFunction, c1: float, c2: float, target_integral: float, epsilon: float, p: int = 2
+) -> ApproxResult:
     """Run the pipeline; see the module docstring for the stage layout.
 
     The corner half-width starts from the budget's closed form and halves
@@ -280,12 +265,10 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
     the best attempt attached: a budget at or below 64 ulps of ||Q||_p is
     below the rounding of the measurement and always fails.
     """
-    f = req.f
-    eps = float(req.epsilon)
+    eps = float(epsilon)
     _check_epsilon(eps)
-    if req.p not in (1, 2):
-        raise UnsupportedNorm(f"p must be 1 or 2, got {req.p}")
-    p = req.p
+    if p not in (1, 2):
+        raise UnsupportedNorm(f"p must be 1 or 2, got {p}")
     a, b = f.a, f.b
     width = b - a
     xs = f.xs
@@ -314,14 +297,14 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
         delta /= 2.0
         halvings += 1
 
-    s2 = (float(np.dot(wts, core_v)) - req.target_integral) / width
+    s2 = (float(np.dot(wts, core_v)) - target_integral) / width
     seg_p = np.sum((wts * np.abs(diffs - s2) ** p).reshape(-1, _GAUSS_X.size), axis=1)
     # a measured error below 64 ulps of ||Q||_p is rounding, not a result
     floor = 64.0 * np.finfo(float).eps * _lp_total([(wts, q_at_pts)], p)
 
     value_a, slope_a = core(a)
-    v1 = (float(value_a[0]) - s2) + req.c1
-    d1_end = float(slope_a[0]) + req.c2
+    v1 = (float(value_a[0]) - s2) + c1
+    d1_end = float(slope_a[0]) + c2
 
     delta_raw = min(max(width / 64.0, 6.0 * f.h), width / 3.0)
     while True:
@@ -354,7 +337,7 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
         if total < eps or delta_raw / 2.0 < delta_min:
             # final constant shift to restore the integral exactly
             i_all = C1Curve(a, b, seam, core, s2, 0.0, (v0, d0, v1, d1_end)).integral()
-            r3 = (i_all - req.target_integral) / width
+            r3 = (i_all - target_integral) / width
             n_left = jc * _GAUSS_X.size
             achieved = _lp_total(
                 [
@@ -370,8 +353,7 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
         delta_raw /= 2.0
 
     curve = C1Curve(a, b, seam, core, s2, r3, (v0, d0, v1, d1_end))
-    vals = curve.value(xs)
-    ders = curve.d1(xs)
+    vals, ders = curve(xs)
     g = C1GridFunction(a, b, f.n, vals, ders)
 
     stages = {
@@ -385,9 +367,9 @@ def approximate_c1(req: ApproxRequest) -> ApproxResult:
     result = ApproxResult(
         g,
         achieved,
-        abs(curve.integral() - req.target_integral),
-        abs((vals[-1] - vals[0]) - req.c1),
-        abs((ders[-1] - ders[0]) - req.c2),
+        abs(curve.integral() - target_integral),
+        abs((vals[-1] - vals[0]) - c1),
+        abs((ders[-1] - ders[0]) - c2),
         stages,
         curve,
     )
@@ -438,9 +420,8 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
     entries = []
     prev: ApproxResult | None = None
     for eps in eps_schedule:
-        req = ApproxRequest(v, spec.c1, spec.c2, spec.A, eps, p)
         try:
-            result = approximate_c1(req)
+            result = approximate_c1(v, spec.c1, spec.c2, spec.A, eps, p)
         except ApproxBudgetExceeded as exc:
             exc.entries = entries  # expose what already succeeded
             raise

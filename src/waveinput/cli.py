@@ -16,8 +16,9 @@ Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
 config produces byte-identical output files.
 
 Exit codes: 0 success, 2 bad config/input, 3 degenerate scaling in the L1
-construction, 4 infeasible input in verify, 5 oracle did not certify,
-6 approximation budget unreachable.
+construction (any subcommand that builds the strip: solve, oracle, pms),
+4 infeasible input in verify, 5 oracle did not certify, 6 approximation
+budget unreachable.
 """
 
 from __future__ import annotations
@@ -268,11 +269,7 @@ def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     spec = build_problem(cfg)
-    try:
-        ts, env, v, _, lines = _solve_minimizer(cfg, spec)
-    except DegenerateScaling as exc:
-        print(f"degenerate scaling: {exc}", file=sys.stderr)
-        return 3
+    ts, env, v, _, lines = _solve_minimizer(cfg, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
     xs = ts.grid.xs
     K = env.K
@@ -355,11 +352,7 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     if cfg.eps_schedule is None:
         raise ConfigError("pms runs need an eps_schedule in the config")
     spec = build_problem(cfg)
-    try:
-        _, _, v, _, _ = _solve_minimizer(cfg, spec)
-    except DegenerateScaling as exc:
-        print(f"degenerate scaling: {exc}", file=sys.stderr)
-        return 3
+    _, _, v, _, _ = _solve_minimizer(cfg, spec)
     p = 1 if cfg.norm == "l1" else 2
     os.makedirs(cfg.output_dir, exist_ok=True)
 
@@ -437,6 +430,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DegenerateScaling as exc:
+        print(f"degenerate scaling: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -82,11 +82,7 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
 
     if name == "zero":
         _require_arity(name, params, 0)
-
-        def mk(c):
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-
-        return SmoothFunction(mk(0), mk(0), mk(0), domain, "catalog-analytic")
+        name, params = "const", [0.0]
 
     if name == "const":
         _require_arity(name, params, 1)
@@ -113,15 +109,16 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
     if name in ("sin", "cos"):
         _require_arity(name, params, 2)
         w, phi = params
-        if name == "sin":
-            val = lambda x: np.sin(w * np.asarray(x, dtype=float) + phi)
-            der = lambda x: w * np.cos(w * np.asarray(x, dtype=float) + phi)
-            dd = lambda x: -w * w * np.sin(w * np.asarray(x, dtype=float) + phi)
-        else:
-            val = lambda x: np.cos(w * np.asarray(x, dtype=float) + phi)
-            der = lambda x: -w * np.sin(w * np.asarray(x, dtype=float) + phi)
-            dd = lambda x: -w * w * np.cos(w * np.asarray(x, dtype=float) + phi)
-        return SmoothFunction(val, der, dd, domain, "catalog-analytic")
+        # f' = w * sign * g
+        f, g, sign = (np.sin, np.cos, 1.0) if name == "sin" else (np.cos, np.sin, -1.0)
+        ws = sign * w
+        return SmoothFunction(
+            lambda x: f(w * np.asarray(x, dtype=float) + phi),
+            lambda x: ws * g(w * np.asarray(x, dtype=float) + phi),
+            lambda x: -w * w * f(w * np.asarray(x, dtype=float) + phi),
+            domain,
+            "catalog-analytic",
+        )
 
     if name == "gaussian":
         _require_arity(name, params, 3)

@@ -11,7 +11,7 @@ minimizer is a convex combination of the two bounding envelopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,23 +19,18 @@ from .errors import BadParams, DegenerateScaling
 from .functions import GridFunction, simpson_weights
 from .tbvp import ShiftSequence, full_norm
 
-_TIE_TOL = 1e-13
-
 
 @dataclass
 class OrderEnvelopes:
     """Pointwise descending rearrangement of the shift sequence.
 
-    values[j-1] holds the j-th largest shift at each node (j = 1..K).
-    integrals is non-increasing; degenerate_pairs lists the j for which
-    a_j and a_{j+1} coincide on a set of positive measure (the strict
-    slope-separation hypothesis fails there, flagged but not fatal).
+    values[j-1] holds the j-th largest shift at each node (j = 1..K), so
+    integrals is non-increasing.
     """
 
     ts: ShiftSequence
     values: np.ndarray
     integrals: np.ndarray
-    degenerate_pairs: list = field(default_factory=list)
 
     @property
     def K(self) -> int:
@@ -44,19 +39,7 @@ class OrderEnvelopes:
 
 def order_envelopes(ts: ShiftSequence) -> OrderEnvelopes:
     vals = np.sort(ts.values, axis=0)[::-1]
-    h = ts.grid.h
-    w = simpson_weights(ts.n, h)
-    integrals = vals @ w
-    # node-counting measure with half-weight endpoints
-    mw = np.full(ts.n, h)
-    mw[0] = mw[-1] = h / 2.0
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    degenerate = []
-    for j in range(vals.shape[0] - 1):
-        coincide = np.abs(vals[j] - vals[j + 1]) <= _TIE_TOL * scale
-        if float(mw[coincide].sum()) > h:
-            degenerate.append(j + 1)
-    return OrderEnvelopes(ts, vals, integrals, degenerate)
+    return OrderEnvelopes(ts, vals, vals @ simpson_weights(ts.n, ts.grid.h))
 
 
 def select_strip(env: OrderEnvelopes, A: float) -> int:

@@ -132,9 +132,6 @@ def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
     if n < 3 or n % 2 == 0:
         raise GridError(f"shift grid size must be odd >= 3, got {n}")
     T = spec.T
-    lo, hi = spec.window
-    if not (spec.f0.covers(lo, hi) and spec.fT.covers(lo, hi)):
-        raise DomainError("f0/fT domain does not cover the window")
     xs = np.linspace(-T, T, n)
     ends = xs[[0, -1]]
     values = np.zeros((spec.K, n))

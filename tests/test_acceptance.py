@@ -18,7 +18,7 @@ from conftest import (
     traveling_spec,
 )
 from test_cli import write_config
-from waveinput.approx import ApproxRequest, approximate_c1, pms_sequence
+from waveinput.approx import approximate_c1, pms_sequence
 from waveinput.cli import main as cli_main
 from waveinput.functions import GridFunction, catalog, integrate, simpson_weights
 from waveinput.l1 import (
@@ -155,7 +155,7 @@ def test_06_offset_approximation_constraints():
         xs = np.linspace(-1.0, 1.0, n)
         f = GridFunction(-1.0, 1.0, n, np.abs(xs))
         for p in (1, 2):
-            res = approximate_c1(ApproxRequest(f, 0.3, -0.7, 1.0, 1e-3, p=p))
+            res = approximate_c1(f, 0.3, -0.7, 1.0, 1e-3, p=p)
             assert res.achieved_lp_error < 1e-3
             assert res.integral_residual <= 1e-10
             assert res.endpoint_value_residual <= 1e-10
@@ -165,8 +165,10 @@ def test_06_offset_approximation_constraints():
             s = res.curve.seam
             left = np.nextafter(s, -np.inf)
             right = np.nextafter(s, np.inf)
-            assert abs(res.curve.value(left)[0] - res.curve.value(right)[0]) < 1e-10
-            assert abs(res.curve.d1(left)[0] - res.curve.d1(right)[0]) < 1e-6
+            (lv,), (ld,) = res.curve(left)
+            (rv,), (rd,) = res.curve(right)
+            assert abs(lv - rv) < 1e-10
+            assert abs(ld - rd) < 1e-6
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"took {elapsed:.2f} s"
 

@@ -6,7 +6,6 @@ import pytest
 from waveinput import approx
 from waveinput.approx import (
     CORNER_CAP,
-    ApproxRequest,
     BoxCore,
     _hermite,
     approximate_c1,
@@ -31,17 +30,17 @@ class TestIntegralShift:
 
     def test_constant_to_zero(self):
         g = grid_of(lambda x: np.ones_like(x), 0.0, 1.0, 9)
-        out = approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.0, 2.0, p=2)).g
+        out = approximate_c1(g, 0.0, 0.0, 0.0, 2.0, p=2).g
         assert np.allclose(out.values, 0.0, atol=1e-14)
 
     def test_zero_to_two(self):
         g = grid_of(lambda x: 0 * x, 0.0, 2.0, 9)
-        out = approximate_c1(ApproxRequest(g, 0.0, 0.0, 4.0, 3.0, p=2)).g
+        out = approximate_c1(g, 0.0, 0.0, 4.0, 3.0, p=2).g
         assert np.allclose(out.values, 2.0)
 
     def test_already_on_target(self):
         g = grid_of(lambda x: x, 0.0, 1.0, 129)
-        res = approximate_c1(ApproxRequest(g, 1.0, 0.0, 0.5, 1e-10, p=2))
+        res = approximate_c1(g, 1.0, 0.0, 0.5, 1e-10, p=2)
         assert np.allclose(res.g.values, g.values, atol=1e-14)
         assert res.curve.integral() == pytest.approx(0.5, abs=1e-12)
 
@@ -72,7 +71,7 @@ class TestHermitePatch:
 class TestPipeline:
     def test_zero_request_is_exact(self):
         f = GridFunction(-1.0, 1.0, 65, np.zeros(65))
-        res = approximate_c1(ApproxRequest(f, 0.0, 0.0, 0.0, 0.1, p=2))
+        res = approximate_c1(f, 0.0, 0.0, 0.0, 0.1, p=2)
         assert res.achieved_lp_error < 1e-14
         assert res.integral_residual < 1e-14
         assert res.endpoint_value_residual == 0.0
@@ -81,7 +80,7 @@ class TestPipeline:
     @pytest.mark.parametrize("p", [1, 2])
     def test_kinked_target_with_offsets(self, p):
         f = grid_of(np.abs, -1.0, 1.0, 257)
-        res = approximate_c1(ApproxRequest(f, 0.3, -0.7, 1.0, 1e-2, p=p))
+        res = approximate_c1(f, 0.3, -0.7, 1.0, 1e-2, p=p)
         assert res.achieved_lp_error < 1e-2
         assert res.integral_residual <= 1e-10
         assert res.endpoint_value_residual <= 1e-10
@@ -95,29 +94,32 @@ class TestPipeline:
 
     def test_tighter_l1_budget(self):
         f = grid_of(np.abs, -1.0, 1.0, 257)
-        res = approximate_c1(ApproxRequest(f, 0.3, -0.7, 1.0, 1e-3, p=1))
+        res = approximate_c1(f, 0.3, -0.7, 1.0, 1e-3, p=1)
         assert res.achieved_lp_error < 1e-3
         assert res.integral_residual <= 1e-10
 
     def test_curve_matches_node_samples(self):
         f = grid_of(np.abs, -1.0, 1.0, 129)
-        res = approximate_c1(ApproxRequest(f, 0.2, 0.1, 1.0, 5e-2, p=2))
-        assert np.allclose(res.curve.value(f.xs), res.g.values, atol=1e-12)
-        assert np.allclose(res.curve.d1(f.xs), res.g.d1, atol=1e-12)
+        res = approximate_c1(f, 0.2, 0.1, 1.0, 5e-2, p=2)
+        vals, ders = res.curve(f.xs)
+        assert np.allclose(vals, res.g.values, atol=1e-12)
+        assert np.allclose(ders, res.g.d1, atol=1e-12)
         assert res.curve.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_seam_is_c1_on_the_curve(self):
         f = grid_of(np.abs, -1.0, 1.0, 129)
-        res = approximate_c1(ApproxRequest(f, 0.2, 0.1, 1.0, 5e-2, p=2))
+        res = approximate_c1(f, 0.2, 0.1, 1.0, 5e-2, p=2)
         s = res.curve.seam
         left, right = s - 1e-10, s + 1e-10
-        assert abs(res.curve.value(left)[0] - res.curve.value(right)[0]) < 1e-8
-        assert abs(res.curve.d1(left)[0] - res.curve.d1(right)[0]) < 1e-6
+        (lv,), (ld,) = res.curve(left)
+        (rv,), (rd,) = res.curve(right)
+        assert abs(lv - rv) < 1e-8
+        assert abs(ld - rd) < 1e-6
 
     def test_unreachable_budget_raises_with_best_effort(self):
         f = grid_of(np.abs, -1.0, 1.0, 129)
         with pytest.raises(ApproxBudgetExceeded) as exc:
-            approximate_c1(ApproxRequest(f, 0.3, -0.7, 1.0, 1e-15, p=2))
+            approximate_c1(f, 0.3, -0.7, 1.0, 1e-15, p=2)
         best = exc.value.result
         assert best is not None
         # constraints hold even on the failed attempt
@@ -128,7 +130,7 @@ class TestPipeline:
     def test_rejects_bad_request(self):
         f = grid_of(np.abs, -1.0, 1.0, 65)
         with pytest.raises(BadParams):
-            approximate_c1(ApproxRequest(f, 0.0, 0.0, 1.0, -1.0, p=2))
+            approximate_c1(f, 0.0, 0.0, 1.0, -1.0, p=2)
 
 
 class TestDegreeChoice:
@@ -140,7 +142,7 @@ class TestDegreeChoice:
 
     def test_constant_first_candidate(self):
         g = grid_of(lambda x: np.full_like(x, 3.0), 0.0, 1.0, 33)
-        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 3.0, 1e-12, p=2))
+        res = approximate_c1(g, 0.0, 0.0, 3.0, 1e-12, p=2)
         assert res.stages["m"] == 3
         assert res.stages["delta_corner"] == CORNER_CAP
         assert res.stages["retries"] == 0
@@ -148,7 +150,7 @@ class TestDegreeChoice:
 
     def test_linear_first_candidate(self):
         g = grid_of(lambda x: x, 0.0, 1.0, 33)
-        res = approximate_c1(ApproxRequest(g, 1.0, 0.0, 0.5, 1e-10, p=2))
+        res = approximate_c1(g, 1.0, 0.0, 0.5, 1e-10, p=2)
         assert res.stages["m"] == 3
         assert res.stages["delta_corner"] == CORNER_CAP
         assert res.stages["retries"] == 0
@@ -156,7 +158,7 @@ class TestDegreeChoice:
     def test_kink_needs_finite_degree(self):
         # the kink's slope jump makes the budget's closed form bite below the cap
         g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
-        res = approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 0.01, p=2))
+        res = approximate_c1(g, 0.0, 0.0, 0.25, 0.01, p=2)
         assert res.stages["m"] == 3
         assert 2.0 * g.h <= res.stages["delta_corner"] < CORNER_CAP
         assert res.achieved_lp_error < 0.01
@@ -164,7 +166,7 @@ class TestDegreeChoice:
     def test_cap_reported_when_unreachable(self):
         g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
         with pytest.raises(ApproxBudgetExceeded) as exc:
-            approximate_c1(ApproxRequest(g, 0.0, 0.0, 0.25, 1e-17, p=2))
+            approximate_c1(g, 0.0, 0.0, 0.25, 1e-17, p=2)
         # the budget is below 64 ulps of ||Q||_2 = 12^(-1/2), which is reported
         floor = 64.0 * np.finfo(float).eps / np.sqrt(12.0)
         assert f"rounding floor {floor:.3e}" in str(exc.value)
@@ -181,7 +183,7 @@ class TestDegreeChoice:
         # a narrower corner cannot help, so nothing is halved
         g = grid_of(lambda x: 2.0 * x, 0.0, 1.0, 257)
         with pytest.raises(ApproxBudgetExceeded) as exc:
-            approximate_c1(ApproxRequest(g, 5.0, 0.0, 1.0, 1e-9, p=2))
+            approximate_c1(g, 5.0, 0.0, 1.0, 1e-9, p=2)
         stages = exc.value.result.stages
         assert stages["m"] == 3
         assert stages["delta_corner"] == CORNER_CAP
@@ -199,7 +201,7 @@ class TestSmoothingClassification:
         v = v.with_values(rough)
         assert verify_solution(v, spec).classification == "pseudo_MS"
 
-        res = approximate_c1(ApproxRequest(v, spec.c1, spec.c2, spec.A, 5e-2, p=2))
+        res = approximate_c1(v, spec.c1, spec.c2, spec.A, 5e-2, p=2)
         smoothed = GridFunction(v.a, v.b, v.n, res.g.values)
         rep = verify_solution(smoothed, spec)
         assert rep.classification == "MS_candidate"
@@ -271,7 +273,7 @@ def assert_same_result(a, b):
 
 
 def fresh_result(v, spec, eps, p):
-    return approximate_c1(ApproxRequest(v, spec.c1, spec.c2, spec.A, eps, p))
+    return approximate_c1(v, spec.c1, spec.c2, spec.A, eps, p)
 
 
 class TestWarmStart:
@@ -337,7 +339,7 @@ class TestEveryTolerance:
     def test_non_finite_or_non_positive_epsilon_rejected(self, eps):
         spec, v = readme_minimizer(2, 65)
         with pytest.raises(BadParams):
-            approximate_c1(ApproxRequest(v, spec.c1, spec.c2, spec.A, eps, p=2))
+            approximate_c1(v, spec.c1, spec.c2, spec.A, eps, p=2)
         with pytest.raises(BadParams):
             pms_sequence(v, spec, [1e-1, eps], p=2)
 
@@ -381,7 +383,7 @@ class TestBoxCore:
     @pytest.mark.parametrize("seed", range(4))
     def test_curve_integral_is_simpson_of_samples(self, seed):
         f = random_q(np.random.default_rng(seed))
-        res = approximate_c1(ApproxRequest(f, 0.2, -0.3, 0.7, 1.0, p=1))
+        res = approximate_c1(f, 0.2, -0.3, 0.7, 1.0, p=1)
         assert res.stages["delta_corner"] >= 2.0 * f.h
         assert res.stages["delta_hermite"] >= 2.0 * f.h
         assert res.curve.integral() == pytest.approx(integrate(res.g), abs=1e-14)
@@ -400,7 +402,7 @@ class TestBoxCore:
     def test_quadratic_reproduced_by_the_pipeline(self):
         f = grid_of(quadratic, -1.0, 1.5, 65)
         c1, c2 = quadratic(1.5) - quadratic(-1.0), 4.2 * 2.5
-        res = approximate_c1(ApproxRequest(f, c1, c2, integrate(f), 1e-3, p=2))
+        res = approximate_c1(f, c1, c2, integrate(f), 1e-3, p=2)
         assert res.stages["delta_corner"] == CORNER_CAP * 2.5
         assert np.max(np.abs(res.g.values - f.values)) <= 1e-13
         assert np.max(np.abs(res.g.d1 - (4.2 * f.xs - 1.3))) <= 1e-12

@@ -148,6 +148,14 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "degenerate scaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "oracle", "pms"])
+    def test_degenerate_scaling_exit3_in_every_strip_command(self, tmp_path, capsys, command):
+        cfg = write_config(
+            tmp_path / "run.cfg", fT="poly 1 0 1", norm="l1", eps_schedule="1e-1"
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "degenerate scaling: cannot scale envelope with zero integral" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.cfg",

@@ -54,6 +54,30 @@ def test_catalog_zero_and_const():
     assert np.all(c.d2(xs) == 0)
 
 
+@pytest.mark.parametrize("w,phi", [(2.0, 0.3), (-0.7, 2.0), (math.pi / 3, 0.0)])
+def test_catalog_trig_and_zero_bitwise_against_numpy(w, phi):
+    refs = {
+        ("sin", w, phi): (
+            lambda x: np.sin(w * x + phi),
+            lambda x: w * np.cos(w * x + phi),
+            lambda x: -w * w * np.sin(w * x + phi),
+        ),
+        ("cos", w, phi): (
+            lambda x: np.cos(w * x + phi),
+            lambda x: -w * np.sin(w * x + phi),
+            lambda x: -w * w * np.cos(w * x + phi),
+        ),
+        ("zero",): (np.zeros_like,) * 3,
+    }
+    xs = np.linspace(-40.0, 40.0, 10001)
+    for (name, *params), ref_fns in refs.items():
+        f = catalog(name, params)
+        for got, ref in zip((f.value, f.d1, f.d2), ref_fns):
+            for x in (xs, np.float64(0.0), np.float64(-1.25), np.float64(3.0)):
+                a, b = np.asarray(got(x)), np.asarray(ref(x))
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_catalog_poly_values():
     # 1 - 2x + 0.5x^2 at x=2: 1 - 4 + 2 = -1
     f = catalog("poly", [1.0, -2.0, 0.5])

@@ -60,13 +60,6 @@ def test_envelope_continuity_bound():
     assert jumps <= 2 * slopes + 1e-12
 
 
-def test_degenerate_pair_flagging():
-    n = 65
-    rows = np.stack([np.zeros(n), np.zeros(n), np.ones(n)])
-    env = order_envelopes(handmade_shifts(rows))
-    assert env.degenerate_pairs == [2]  # a_2 == a_3 == 0 everywhere
-
-
 def test_select_strip_cases():
     env = order_envelopes(consts_example([0.0, 2.0, -2.0]))
     # integrals (4, 0, -4)

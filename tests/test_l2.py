@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import handmade_shifts, random_spec, traveling_spec, zero_integral_bump
-from waveinput.functions import catalog, integrate, simpson_weights
-from waveinput.l2 import a1_constant, l2_minimizer, l2_ms_check
+from waveinput.functions import SmoothFunction, catalog, integrate, simpson_weights
+from waveinput.l2 import l2_minimizer, l2_ms_check
 from waveinput.tbvp import ProblemSpec, full_norm
 
 ZERO = catalog("zero", [])
@@ -14,12 +14,12 @@ ZERO = catalog("zero", [])
 def test_a1_constant():
     n = 101
     zero_ts = handmade_shifts(np.zeros((3, n)))
-    assert a1_constant(zero_ts, 0.0) == 0.0
-    assert a1_constant(zero_ts, 3.0) == 3.0
+    assert l2_minimizer(zero_ts, 0.0).A1 == 0.0
+    assert l2_minimizer(zero_ts, 3.0).A1 == 3.0
     xs = np.linspace(-1, 1, n)
     odd_ts = handmade_shifts(np.stack([xs, xs, xs]))
     # odd mean integrates to zero on the symmetric grid
-    assert a1_constant(odd_ts, 2.0) == pytest.approx(2.0, abs=1e-13)
+    assert l2_minimizer(odd_ts, 2.0).A1 == pytest.approx(2.0, abs=1e-13)
 
 
 def test_l2_minimizer_zero_data():
@@ -120,3 +120,20 @@ def test_ms_check_traveling_wave():
     assert np.max(np.abs(sol.v.values - shape)) < 1e-9
     assert abs(sol.v.values[-1] - sol.v.values[0] - spec.c1) < 1e-12
     assert l2_ms_check(sol, spec) == "pms_only"
+
+
+def scaled(f, s):
+    return SmoothFunction(lambda x: s * f.value(x), lambda x: s * f.d1(x), lambda x: s * f.d2(x))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("n", [65, 8193])
+def test_ms_check_is_exact_at_every_scale(s, n):
+    # fT = sin(pi x / 3), T = 1: the shift mean meets both endpoint relations
+    # because 1 + 2 cos(2 pi / 3) = 0, so the closed form is an exact MS
+    spec = ProblemSpec(ZERO, scaled(catalog("sin", [math.pi / 3, 0.0]), s), 1.0, 1, 1)
+    assert spec.c1 != 0.0
+    assert l2_ms_check(l2_minimizer(spec.shifts(n), spec.A), spec) == "ms_exists"
+    readme = traveling_spec()
+    readme = ProblemSpec(scaled(readme.f0, s), scaled(readme.fT, s), 1.0, 1, 1)
+    assert l2_ms_check(l2_minimizer(readme.shifts(n), readme.A), readme) == "pms_only"
