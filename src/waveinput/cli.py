@@ -13,7 +13,9 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
     output_dir      where CSVs go (default "out", --out overrides)
 
 Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
-config produces byte-identical output files.
+config produces byte-identical output files.  ``solve`` formats the second
+half of each file's rows in a forked child (POSIX ``os.fork``) and appends
+them to the first half; the bytes do not depend on that split.
 
 Exit codes: 0 success, 2 bad config/input, 3 degenerate scaling in the L1
 construction (any subcommand that builds the strip: solve, oracle, pms),
@@ -24,9 +26,13 @@ budget unreachable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import shutil
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,37 +273,113 @@ def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
     return ts, env, strip.h, strip.objective, lines
 
 
+def _write_solve_half(fhs, part: int, ts, order, v, ext) -> None:
+    """Write half ``part`` (0 first, with the headers; 1 second) of the solve CSVs.
+
+    The files are envelopes, shifts, minimizer and extended, in that order.
+    One pass over 256-row blocks of the decision grid formats x, the K
+    shift cells and v once each: a shifts.csv row joins the cells in row
+    order, an envelopes.csv row joins the same strings in ``order``.  The
+    blocks hold fewer cells than those of _float_rows.
+    """
+    env_fh, shift_fh, min_fh, ext_fh = fhs
+    xs, shifts = ts.grid.xs, ts.values
+    n, N = xs.size, ext.n
+    if part == 0:
+        env_fh.write("x," + ",".join(f"a_{j}" for j in range(1, ts.K + 1)) + "\n")
+        shift_fh.write("x," + ",".join(f"t_{j}" for j in range(1, ts.K + 1)) + "\n")
+        min_fh.write("x,v\n")
+        ext_fh.write("x,v_ext\n")
+    start, stop = (0, n // 2) if part == 0 else (n // 2, n)
+    for a in range(start, stop, 256):
+        b = min(a + 256, stop)
+        x = list(map(repr, xs[a:b].tolist()))
+        cells = [list(map(repr, row)) for row in shifts[:, a:b].T.tolist()]
+        shift_fh.writelines(f"{xi},{','.join(c)}\n" for xi, c in zip(x, cells))
+        env_fh.writelines(
+            f"{xi},{','.join(map(c.__getitem__, o))}\n"
+            for xi, c, o in zip(x, cells, order[:, a:b].T.tolist())
+        )
+        min_fh.writelines(f"{xi},{vi!r}\n" for xi, vi in zip(x, v[a:b].tolist()))
+    start, stop = (0, N // 2) if part == 0 else (N // 2, N)
+    rows = _float_rows(ext.xs[start:stop], ext.values[start:stop])
+    ext_fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_in_two_processes(paths, write_half, *args) -> None:
+    """Write each path by write_half(files, 0, *args) here and write_half(tails, 1, *args)
+    in a forked child.
+
+    The child writes into one anonymous temporary file per path and leaves
+    through os._exit, so it runs no exit handler and flushes no buffer of
+    this process.  Once it has exited with status 0, each tail is appended
+    to its file, so the bytes are those of one process writing every row in
+    order.  Any other status raises OSError; on any failure no file is left.
+    """
+    try:
+        with contextlib.ExitStack() as stack:
+            outs = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+            tails = [
+                stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                for _ in paths
+            ]
+            sys.stdout.flush()
+            sys.stderr.flush()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that fork() in a multi-threaded process may
+                # deadlock the child.  The other threads here are numpy's idle
+                # BLAS pool; the child only formats floats and writes files.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    write_half(tails, 1, *args)
+                    for fh in tails:
+                        fh.flush()
+                    status = 0
+                except Exception as exc:
+                    print(f"solve: writing the second halves failed: {exc!r}", file=sys.stderr)
+                    sys.stderr.flush()
+                finally:
+                    # never return into the caller, which would run its code twice
+                    os._exit(status)
+            try:
+                write_half(outs, 0, *args)
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise OSError(f"the process writing the second halves exited with {status}")
+            for out, tail in zip(outs, tails):
+                tail.seek(0)
+                shutil.copyfileobj(tail, out)
+    except BaseException:
+        for p in paths:
+            if os.path.exists(p):
+                os.remove(p)
+        raise
+
+
+_SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
+
+
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     spec = build_problem(cfg)
     ts, env, v, _, lines = _solve_minimizer(cfg, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    xs = ts.grid.xs
-    K = env.K
-
-    _write_csv(
-        os.path.join(cfg.output_dir, "envelopes.csv"),
-        "x," + ",".join(f"a_{j}" for j in range(1, K + 1)),
-        _float_rows(xs, env.values.T),
-    )
-    _write_csv(
-        os.path.join(cfg.output_dir, "shifts.csv"),
-        "x," + ",".join(f"t_{j}" for j in range(1, K + 1)),
-        _float_rows(xs, ts.values.T),
-    )
-    _write_csv(
-        os.path.join(cfg.output_dir, "minimizer.csv"),
-        "x,v",
-        _float_rows(xs, v.values),
-    )
-    ext = extend_input(v, spec)
-    _write_csv(
-        os.path.join(cfg.output_dir, "extended.csv"),
-        "x,v_ext",
-        _float_rows(ext.xs, ext.values),
+    _write_in_two_processes(
+        [os.path.join(cfg.output_dir, name) for name in _SOLVE_CSVS],
+        _write_solve_half,
+        ts,
+        env.order,
+        v.values,
+        extend_input(v, spec),
     )
     for line in lines:
         _say(quiet, line)
-    _say(quiet, f"wrote envelopes.csv shifts.csv minimizer.csv extended.csv to {cfg.output_dir}")
+    _say(quiet, f"wrote {' '.join(_SOLVE_CSVS)} to {cfg.output_dir}")
     return 0
 
 

@@ -25,12 +25,14 @@ class OrderEnvelopes:
     """Pointwise descending rearrangement of the shift sequence.
 
     values[j-1] holds the j-th largest shift at each node (j = 1..K), so
-    integrals is non-increasing.
+    integrals is non-increasing.  order[j-1] holds the shift row each of
+    those values came from: values = take_along_axis(ts.values, order, 0).
     """
 
     ts: ShiftSequence
     values: np.ndarray
     integrals: np.ndarray
+    order: np.ndarray
 
     @property
     def K(self) -> int:
@@ -38,8 +40,12 @@ class OrderEnvelopes:
 
 
 def order_envelopes(ts: ShiftSequence) -> OrderEnvelopes:
-    vals = np.sort(ts.values, axis=0)[::-1]
-    return OrderEnvelopes(ts, vals, vals @ simpson_weights(ts.n, ts.grid.h))
+    # shifts hold no -0.0 and equal floats have equal bits, so these values
+    # are those of np.sort(ts.values, axis=0)[::-1]; reversing an ascending
+    # table keeps its memory layout too, and with it the bits of the matmul
+    order = np.argsort(ts.values, axis=0)
+    vals = np.take_along_axis(ts.values, order, 0)[::-1]
+    return OrderEnvelopes(ts, vals, vals @ simpson_weights(ts.n, ts.grid.h), order[::-1])
 
 
 def select_strip(env: OrderEnvelopes, A: float) -> int:
@@ -153,11 +159,13 @@ def ms_endpoint_check(env: OrderEnvelopes, j: int, c1: float) -> str:
     """Necessary-condition test for a smooth minimizer inside strip j.
 
     A C1 strip member must jump by c1 between the interval endpoints, so
-    c1 has to fit inside [a_{j+1}(T) - a_j(-T), a_j(T) - a_{j+1}(-T)];
-    returns "obstructed" when it cannot, else "possible".
+    c1 has to fit inside [a_{j+1}(T) - a_j(-T), a_j(T) - a_{j+1}(-T)],
+    within 64 ulps of the largest of the four end values plus |c1| (the
+    rule of l2_ms_check); returns "obstructed" when it cannot, else
+    "possible".
     """
     if not 1 <= j <= env.K - 1:
         raise BadParams(f"endpoint check needs an interior strip, got j={j}")
-    lo = env.values[j][-1] - env.values[j - 1][0]
-    hi = env.values[j - 1][-1] - env.values[j][0]
-    return "possible" if lo - 1e-12 <= c1 <= hi + 1e-12 else "obstructed"
+    (up0, up1), (lo0, lo1) = ends = env.values[j - 1 : j + 1, [0, -1]]
+    slack = 64 * np.finfo(float).eps * (np.abs(ends).max() + abs(c1))
+    return "possible" if lo1 - up0 - slack <= c1 <= up1 - lo0 + slack else "obstructed"

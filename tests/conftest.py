@@ -6,7 +6,7 @@ test, so every test is reproducible on its own.
 
 import numpy as np
 
-from waveinput.functions import GridFunction, catalog, integrate
+from waveinput.functions import GridFunction, SmoothFunction, catalog, integrate
 from waveinput.tbvp import ProblemSpec, ShiftSequence
 
 ZERO = catalog("zero", [])
@@ -23,6 +23,11 @@ def traveling_spec(K1=1, K2=1, T=1.0):
     return ProblemSpec(
         catalog("sin", [1.0, 0.0]), catalog("sin", [1.0, -T]), T, K1, K2
     )
+
+
+def scaled(f, s):
+    """The function s * f, with its derivatives."""
+    return SmoothFunction(lambda x: s * f.value(x), lambda x: s * f.d1(x), lambda x: s * f.d2(x))
 
 
 def random_spec(rng, K1=None, K2=None, T=None):

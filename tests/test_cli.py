@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from waveinput import oracle
+from waveinput import cli, oracle
 from waveinput.cli import _float_rows, _write_csv, main, parse_config
 from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
-from waveinput.tbvp import full_norm
+from waveinput.tbvp import extend_input, full_norm
 
 
 def write_config(path, **kv):
@@ -264,6 +264,82 @@ class TestWriteCsv:
         _write_csv(str(tmp_path / "new.csv"), header, _float_rows(table[:, 0], table[:, 1:]))
         per_cell_csv(tmp_path / "old.csv", header, (tuple(row) for row in table))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def per_file_solve_csvs(cfg_path, out):
+    """The four solve CSVs as `cmd_solve` wrote them before the shared-cell writer:
+    one `_float_rows` table per file, envelopes from a descending np.sort."""
+    cfg = parse_config(cfg_path)
+    spec = cli.build_problem(cfg)
+    ts, _, v, _, _ = cli._solve_minimizer(cfg, spec)
+    ext = extend_input(v, spec)
+    xs, K = ts.grid.xs, ts.K
+    out.mkdir()
+    for name, header, columns in (
+        ("envelopes.csv", "x," + ",".join(f"a_{j}" for j in range(1, K + 1)),
+         (xs, np.sort(ts.values, axis=0)[::-1].T)),
+        ("shifts.csv", "x," + ",".join(f"t_{j}" for j in range(1, K + 1)), (xs, ts.values.T)),
+        ("minimizer.csv", "x,v", (xs, v.values)),
+        ("extended.csv", "x,v_ext", (ext.xs, ext.values)),
+    ):
+        _write_csv(str(out / name), header, _float_rows(*columns))
+
+
+SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
+
+
+class TestSolveWriter:
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="65"),
+            dict(f0="sin 1 0", fT="sin 1 -1", norm="l2", n="65"),
+            dict(f0="gaussian 1 0 0.8", fT="poly 0.1 -0.2 0.05", norm="l1", n="513", K2="2"),
+            dict(f0="tanh-bump 1 0.2 0.6", fT="cos 1.3 0.4", norm="l2", n="513", K1="2"),
+            dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="8193", K1="8", K2="8"),
+            dict(norm="l1"),  # zero data: every shift row is 0.0, so every envelope row ties
+            dict(norm="l2"),
+        ],
+        ids=["l1-65", "l2-65", "l1-513", "l2-513", "l1-8193-K17", "zero-l1", "zero-l2"],
+    )
+    def test_bytes_match_per_file_writer(self, tmp_path, kv):
+        cfg = write_config(tmp_path / "run.cfg", **kv)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "new"), "--quiet"]) == 0
+        per_file_solve_csvs(cfg, tmp_path / "old")
+        for name in SOLVE_CSVS:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["this-process", "child"])
+    def test_failed_half_fails_and_leaves_no_csv(self, tmp_path, monkeypatch, capfd, part):
+        write_half = cli._write_solve_half
+
+        def failing(fhs, half, *args):
+            if half == part:
+                raise RuntimeError("disk full")
+            write_half(fhs, half, *args)
+
+        monkeypatch.setattr(cli, "_write_solve_half", failing)
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in SOLVE_CSVS:  # a complete earlier run must not survive either
+            (out / name).write_text("stale\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", n="129")
+        with pytest.raises(OSError if part else RuntimeError):
+            main(["solve", "--config", cfg, "--out", str(out)])
+        assert list(out.iterdir()) == []
+        got = capfd.readouterr()
+        assert "wrote" not in got.out
+        if part:
+            assert "writing the second halves failed: RuntimeError('disk full')" in got.err
+
+    def test_summary_lines_appear_once(self, tmp_path, capfd):
+        print("pending", end="")  # buffered before the fork, printed once
+        cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", n="129")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert lines[0].startswith("pendingA  = ")
+        assert lines[-1] == f"wrote {' '.join(SOLVE_CSVS)} to {tmp_path / 'o'}"
+        assert len(lines) == 8 and len(set(lines)) == 8
 
 
 class TestOracle:

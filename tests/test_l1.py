@@ -6,9 +6,11 @@ from conftest import (
     handmade_shifts,
     in_strip_sibling,
     random_spec,
+    scaled,
+    traveling_spec,
 )
 from waveinput.errors import BadParams, DegenerateScaling, GridError
-from waveinput.functions import GridFunction, integrate
+from waveinput.functions import GridFunction, integrate, simpson_weights
 from waveinput.l1 import (
     construct_h,
     ms_endpoint_check,
@@ -16,7 +18,7 @@ from waveinput.l1 import (
     select_strip,
     strip_lower_bound,
 )
-from waveinput.tbvp import full_norm
+from waveinput.tbvp import ProblemSpec, full_norm
 
 
 def lines_example(n=101):
@@ -39,6 +41,21 @@ def test_envelopes_of_three_lines():
     assert env.integrals[0] == pytest.approx(1.0, abs=1e-12)
     assert env.integrals[2] == pytest.approx(-1.0, abs=1e-12)
     assert np.all(np.diff(env.integrals) <= 1e-15)
+
+
+def test_envelope_order_is_a_permutation_giving_the_descending_sort():
+    rng = np.random.default_rng(5)
+    tables = [consts_example([0.0, 0.0, 0.0]), traveling_spec(8, 8).shifts(8193)]
+    for ts in tables + [random_spec(rng).shifts(129) for _ in range(4)]:
+        env = order_envelopes(ts)
+        ref = np.sort(ts.values, axis=0)[::-1]
+        assert np.array_equal(env.values, ref)
+        # the same bits as the matmul of the sorted table: a C-contiguous copy
+        # of it changes the last bit of an n=8193, K=17 integral
+        weights = simpson_weights(ts.n, ts.grid.h)
+        assert (env.integrals == ref @ weights).all()
+        rows = np.broadcast_to(np.arange(ts.K)[:, None], ts.values.shape)
+        assert np.array_equal(np.sort(env.order, axis=0), rows)
 
 
 def test_envelopes_preserve_multiset_and_order():
@@ -148,6 +165,26 @@ def test_ms_endpoint_check():
     assert ms_endpoint_check(env2, 1, 2.0) == "possible"  # boundary attained
     with pytest.raises(BadParams):
         ms_endpoint_check(env2, 0, 0.0)
+
+
+@pytest.mark.parametrize("s", [1e-13, 1.0, 1e6])
+def test_ms_endpoint_check_does_not_depend_on_the_amplitude(s):
+    # the bracket [-2s, 2s] of the constant shifts s and -s, hit on its edge
+    # and missed by 0.5s; an absolute slack of 1e-12 calls 2.5s possible at s=1e-13
+    env = order_envelopes(consts_example([s, -s]))
+    assert ms_endpoint_check(env, 1, 2.0 * s) == "possible"
+    assert ms_endpoint_check(env, 1, 2.5 * s) == "obstructed"
+    # random_spec draws 233 and 247 (seed 7) put c1 on the edge of their
+    # strip's range, where rounding is relative to the data; an absolute
+    # slack of 1e-12 called them obstructed at s=1e6
+    rng = np.random.default_rng(7)
+    draws = [random_spec(rng) for _ in range(248)]
+    for base in (draws[233], draws[247]):
+        spec = ProblemSpec(scaled(base.f0, s), scaled(base.fT, s), base.T, base.K1, base.K2)
+        env = order_envelopes(spec.shifts(257))
+        j = select_strip(env, spec.A)
+        assert 1 <= j <= env.K - 1
+        assert ms_endpoint_check(env, j, spec.c1) == "possible"
 
 
 def test_optimality_against_random_feasible_inputs():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import handmade_shifts, random_spec, traveling_spec, zero_integral_bump
-from waveinput.functions import SmoothFunction, catalog, integrate, simpson_weights
+from conftest import handmade_shifts, random_spec, scaled, traveling_spec, zero_integral_bump
+from waveinput.functions import catalog, integrate, simpson_weights
 from waveinput.l2 import l2_minimizer, l2_ms_check
 from waveinput.tbvp import ProblemSpec, full_norm
 
@@ -120,10 +120,6 @@ def test_ms_check_traveling_wave():
     assert np.max(np.abs(sol.v.values - shape)) < 1e-9
     assert abs(sol.v.values[-1] - sol.v.values[0] - spec.c1) < 1e-12
     assert l2_ms_check(sol, spec) == "pms_only"
-
-
-def scaled(f, s):
-    return SmoothFunction(lambda x: s * f.value(x), lambda x: s * f.d1(x), lambda x: s * f.d2(x))
 
 
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
