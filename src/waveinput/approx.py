@@ -17,12 +17,12 @@ put that floor under every budget).
    corners overlap.  Value and slope are evaluated piece by piece in panel
    coordinates; a difference of one global primitive would lose about
    ulp * int|v| / delta.
-2. A constant shift puts the integral on the target.
-3. The cubic Hermite patch on [b - delta_h, b] keeps value and slope at the
-   seam and lands on the offset value and slope at b; delta_h shrinks until
-   the measured error fits the budget.
-4. A final constant restores the integral; it moves both ends together, so
-   the offsets survive.
+2. The cubic Hermite patch on [b - delta_h, b] keeps the core's value and
+   slope at the seam and lands on g_c(a) + c1 and g_c'(a) + c2 at b;
+   delta_h shrinks until the measured error fits the budget.
+3. One constant, subtracted from core and patch alike, puts the integral on
+   the target and keeps the offsets; each patch width measures its error
+   once, with its own constant.
 
 The corner half-width delta is derived from the budget.  A corner with slope
 jump D costs |D| delta^2 / 6 in L1 and |D| (delta^3 / 40)^(1/2) in L2; delta
@@ -147,6 +147,11 @@ class BoxCore:
 
 # ------------------------------------------------------------- cubic Hermite
 
+def _hermite_integral(dt, v0, d0, v1, d1) -> float:
+    """Exact integral of the _hermite cubic over its interval of length dt."""
+    return dt * (v0 + v1) / 2.0 + dt * dt * (d0 - d1) / 12.0
+
+
 def _hermite(s, b, v0, d0, v1, d1, x):
     """Cubic with value/slope (v0,d0) at s and (v1,d1) at b, and its slope."""
     dt = b - s
@@ -171,20 +176,20 @@ def _hermite(s, b, v0, d0, v1, d1, x):
 
 @dataclass
 class C1Curve:
-    """Exact piecewise form of a result: box core + cubic end patch.
+    """Exact piecewise form of a result: box core + cubic end patch - shift.
 
     The patch width may be far below the grid spacing, so honest error
     measurement and integrals have to go through this object rather than
-    through node samples.
+    through node samples.  ``integral`` re-integrates the core on its own
+    Gauss cells: a check on the shift, not the sum that set it.
     """
 
     a: float
     b: float
     seam: float
     core: BoxCore
-    pre_shift: float     # subtracted from the core before the patch was built
-    final_shift: float   # subtracted from everything at the end
-    patch: tuple         # (v0, d0, v1, d1) of the cubic against the core
+    shift: float   # subtracted from core and patch alike
+    patch: tuple   # (v0, d0, v1, d1) of the cubic against the core
 
     def __call__(self, x):
         """Value and slope of the result at the points x."""
@@ -192,14 +197,11 @@ class C1Curve:
         core_v, core_d = self.core(np.clip(x, self.a, self.seam))
         hv, hd = _hermite(self.seam, self.b, *self.patch, np.clip(x, self.seam, self.b))
         left = x < self.seam
-        return np.where(left, core_v - self.pre_shift, hv) - self.final_shift, np.where(left, core_d, hd)
+        return np.where(left, core_v, hv) - self.shift, np.where(left, core_d, hd)
 
     def integral(self) -> float:
-        core = self.core.integral(self.a, self.seam) - self.pre_shift * (self.seam - self.a)
-        v0, d0, v1, d1 = self.patch
-        dt = self.b - self.seam
-        patch = dt * (v0 + v1) / 2.0 + dt * dt * (d0 - d1) / 12.0
-        return core + patch - self.final_shift * (self.b - self.a)
+        patch = _hermite_integral(self.b - self.seam, *self.patch)
+        return self.core.integral(self.a, self.seam) + patch - self.shift * (self.b - self.a)
 
 
 @dataclass
@@ -261,7 +263,7 @@ def approximate_c1(
     node samples; the patch width shrinks from about a sixtieth of the
     interval (never below six grid cells to start, so the patch stays
     visible to node-level consumers whenever the budget allows) until the
-    total measured error fits.  Failure raises ApproxBudgetExceeded with
+    measured error fits.  Failure raises ApproxBudgetExceeded with
     the best attempt attached: a budget at or below 64 ulps of ||Q||_p is
     below the rounding of the measurement and always fails.
     """
@@ -297,14 +299,13 @@ def approximate_c1(
         delta /= 2.0
         halvings += 1
 
-    s2 = (float(np.dot(wts, core_v)) - target_integral) / width
-    seg_p = np.sum((wts * np.abs(diffs - s2) ** p).reshape(-1, _GAUSS_X.size), axis=1)
     # a measured error below 64 ulps of ||Q||_p is rounding, not a result
     floor = 64.0 * np.finfo(float).eps * _lp_total([(wts, q_at_pts)], p)
+    # integrals of the core from a to each edge
+    prefix = np.concatenate(([0.0], np.cumsum(np.sum((wts * core_v).reshape(-1, _GAUSS_X.size), axis=1))))
 
     value_a, slope_a = core(a)
-    v1 = (float(value_a[0]) - s2) + c1
-    d1_end = float(slope_a[0]) + c2
+    v1, d1 = float(value_a[0]) + c1, float(slope_a[0]) + c2
 
     delta_raw = min(max(width / 64.0, 6.0 * f.h), width / 3.0)
     while True:
@@ -319,40 +320,31 @@ def approximate_c1(
         seam = b - delta_h
         jc = min(max(int(np.searchsorted(edges, seam, side="right")) - 1, 0), edges.size - 2)
         seam_v, seam_d = core(seam)
-        v0, d0 = float(seam_v[0]) - s2, float(seam_d[0])
+        patch = (float(seam_v[0]), float(seam_d[0]), v1, d1)
 
         part_pts, part_wts = _gauss(np.array([edges[jc], seam]))
-        part_diffs = core(part_pts)[0] - s2 - core.target(part_pts)
+        part_v = core(part_pts)[0]
         inner = xs[(xs > seam) & (xs < b)]
         patch_pts, patch_wts = _gauss(np.concatenate(([seam], inner, [b])))
-        hv, _ = _hermite(seam, b, v0, d0, v1, d1_end, patch_pts)
-        patch_diffs = hv - core.target(patch_pts)
+        hv, _ = _hermite(seam, b, *patch, patch_pts)
+        core_int = prefix[jc] + float(np.dot(part_wts, part_v))
+        shift = (core_int + _hermite_integral(b - seam, *patch) - target_integral) / width
 
-        total = (
-            float(np.sum(seg_p[:jc]))
-            + float(np.sum(part_wts * np.abs(part_diffs) ** p))
-            + float(np.sum(patch_wts * np.abs(patch_diffs) ** p))
-        ) ** (1.0 / p)
-
-        if total < eps or delta_raw / 2.0 < delta_min:
-            # final constant shift to restore the integral exactly
-            i_all = C1Curve(a, b, seam, core, s2, 0.0, (v0, d0, v1, d1_end)).integral()
-            r3 = (i_all - target_integral) / width
-            n_left = jc * _GAUSS_X.size
-            achieved = _lp_total(
-                [
-                    (wts[:n_left], diffs[:n_left] - s2 - r3),
-                    (part_wts, part_diffs - r3),
-                    (patch_wts, patch_diffs - r3),
-                ],
-                p,
-            )
-            reached = achieved < eps and eps > floor
-            if reached or delta_raw / 2.0 < delta_min:
-                break
+        n_left = jc * _GAUSS_X.size
+        achieved = _lp_total(
+            [
+                (wts[:n_left], diffs[:n_left] - shift),
+                (part_wts, part_v - shift - core.target(part_pts)),
+                (patch_wts, hv - shift - core.target(patch_pts)),
+            ],
+            p,
+        )
+        reached = achieved < eps and eps > floor
+        if reached or delta_raw / 2.0 < delta_min:
+            break
         delta_raw /= 2.0
 
-    curve = C1Curve(a, b, seam, core, s2, r3, (v0, d0, v1, d1_end))
+    curve = C1Curve(a, b, seam, core, shift, patch)
     vals, ders = curve(xs)
     g = C1GridFunction(a, b, f.n, vals, ders)
 
@@ -360,8 +352,7 @@ def approximate_c1(
         "m": 3,  # the core's piecewise degree
         "delta_corner": delta,
         "delta_hermite": delta_h,
-        "shift_pre": s2,
-        "shift_final": r3,
+        "shift": shift,
         "retries": halvings,  # corner-width halvings
     }
     result = ApproxResult(

@@ -245,7 +245,7 @@ def _say(quiet: bool, *parts) -> None:
 
 
 def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
-    """Shared solve stage: returns (ts, env, v, objective, summary_lines)."""
+    """Shared solve stage: returns (ts, env, v, summary_lines)."""
     ts = spec.shifts(cfg.n)
     env = order_envelopes(ts)
     lines = [
@@ -258,7 +258,7 @@ def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
         lines.append(f"A1 = {_fmt(sol.A1)}")
         lines.append(f"objective = {_fmt(sol.objective)}")
         lines.append(f"ms_check = {l2_ms_check(sol, spec)}")
-        return ts, env, sol.v, sol.objective, lines
+        return ts, env, sol.v, lines
     j = select_strip(env, spec.A)
     strip = construct_h(env, j, spec.A)
     lines.append(f"strip = {j}")
@@ -270,7 +270,7 @@ def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
         lines.append(f"ms_endpoints = {ms_endpoint_check(env, j, spec.c1)}")
     else:
         lines.append("ms_endpoints = n/a (edge strip)")
-    return ts, env, strip.h, strip.objective, lines
+    return ts, env, strip.h, lines
 
 
 def _write_solve_half(fhs, part: int, ts, order, v, ext) -> None:
@@ -367,7 +367,7 @@ _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     spec = build_problem(cfg)
-    ts, env, v, _, lines = _solve_minimizer(cfg, spec)
+    ts, env, v, lines = _solve_minimizer(cfg, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_in_two_processes(
         [os.path.join(cfg.output_dir, name) for name in _SOLVE_CSVS],
@@ -434,7 +434,7 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     if cfg.eps_schedule is None:
         raise ConfigError("pms runs need an eps_schedule in the config")
     spec = build_problem(cfg)
-    _, _, v, _, _ = _solve_minimizer(cfg, spec)
+    _, _, v, _ = _solve_minimizer(cfg, spec)
     p = 1 if cfg.norm == "l1" else 2
     os.makedirs(cfg.output_dir, exist_ok=True)
 
@@ -442,7 +442,7 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     try:
         entries = pms_sequence(v, spec, cfg.eps_schedule, p)
     except ApproxBudgetExceeded as exc:
-        entries = getattr(exc, "entries", [])
+        entries = exc.entries
         failed = exc
 
     summary_rows = []

@@ -7,10 +7,11 @@ t = T forces v to satisfy, for every y,
     v(y + T) = v(y - T) + 2 fT'(y) - f0'(y + T) - f0'(y - T)
 
 so v on the decision interval [-T, T] determines it on the whole window
-[-(2 K1 + 1) T, (2 K2 + 1) T].  This module derives the scalar feasibility
-constants, builds the shift sequence that folds the full-window norm back
-onto the decision interval, extends inputs by the recurrence, and
-reconstructs u(t, x) by D'Alembert's formula.
+[-(2 K1 + 1) T, (2 K2 + 1) T].  `recurrence_increment` is the one copy of
+2 fT^(m)(y) - f0^(m)(y + T) - f0^(m)(y - T): A, c1 and c2 are its orders
+0-2 at y = 0, and `shift_values` accumulates it into the shifts ts_k (or
+their slopes) at any points of [-T, T].  The module also extends inputs by
+the recurrence and reconstructs u(t, x) by D'Alembert's formula.
 """
 
 from __future__ import annotations
@@ -60,10 +61,7 @@ class ProblemSpec:
                 f"got f0.domain={self.f0.domain}, fT.domain={self.fT.domain}"
             )
         self._shift_cache: dict[int, ShiftSequence] = {}
-        T = self.T
-        self.A = float(2 * self.fT.value(0.0) - self.f0.value(T) - self.f0.value(-T))
-        self.c1 = float(2 * self.fT.d1(0.0) - self.f0.d1(T) - self.f0.d1(-T))
-        self.c2 = float(2 * self.fT.d2(0.0) - self.f0.d2(T) - self.f0.d2(-T))
+        self.A, self.c1, self.c2 = (float(recurrence_increment(self, 0.0, m)) for m in range(3))
 
     @property
     def window(self) -> tuple[float, float]:
@@ -71,21 +69,22 @@ class ProblemSpec:
 
     def shifts(self, n: int) -> "ShiftSequence":
         """Shift sequence on the n-node decision grid, cached per n."""
-        got = self._shift_cache.get(n)
-        if got is None:
-            got = shift_sequence(self, n)
-            self._shift_cache[n] = got
-        return got
+        if n not in self._shift_cache:
+            self._shift_cache[n] = shift_sequence(self, n)
+        return self._shift_cache[n]
 
 
-def recurrence_increment(spec: ProblemSpec, y):
-    """r(y) = 2 fT'(y) - f0'(y+T) - f0'(y-T), the jump of the recurrence.
+def recurrence_increment(spec: ProblemSpec, y, m: int = 1, f0_at=None):
+    """2 fT^(m)(y) - f0^(m)(y+T) - f0^(m)(y-T) for derivative order m in 0..2.
 
-    v(y + T) = v(y - T) + r(y) for any input extension; r(0) = c1.
+    At m = 1 this is the jump of the recurrence: v(y + T) = v(y - T) + r(y)
+    for any input extension.  At y = 0 the orders 0, 1, 2 give A, c1, c2.
+    ``f0_at`` passes the points y + T and y - T rounded by the caller.
     """
     y = np.asarray(y, dtype=float)
-    T = spec.T
-    return 2.0 * spec.fT.d1(y) - spec.f0.d1(y + T) - spec.f0.d1(y - T)
+    right, left = (y + spec.T, y - spec.T) if f0_at is None else f0_at
+    fT, f0 = (getattr(f, ("value", "d1", "d2")[m]) for f in (spec.fT, spec.f0))
+    return 2.0 * fT(y) - f0(right) - f0(left)
 
 
 @dataclass
@@ -118,33 +117,32 @@ class ShiftSequence:
         return GridFunction(-self.spec.T, self.spec.T, self.n, np.zeros(self.n))
 
 
-def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
-    """Accumulate the recurrence into the K shift functions on [-T, T].
+def shift_values(spec: ProblemSpec, x, m: int = 0) -> np.ndarray:
+    """The K shifts ts_k (m = 0) or their slopes ts_k' (m = 1) at points x of [-T, T].
 
-    Each step applies the recurrence once per half-period pair: moving one
-    period right subtracts r(x + (2k-1)T) from the running shift, moving
-    left adds r(x - (2k-1)T).  The same steps accumulate
-    r'(y) = 2 fT''(y) - f0''(y+T) - f0''(y-T) at the two end nodes, which
-    gives the end slopes.  No closed form is transcribed; the identity
-    ts_k(-T) = ts_{k-1}(T) - c1 between consecutive rightward shifts is a
-    consequence and is exercised in the tests.
+    Row i holds period k = i - K1 at every point of x.  Moving one period
+    right subtracts r(x + (2k-1)T) from the running shift, moving left adds
+    r(x - (2k-1)T), where r is `recurrence_increment` of order m + 1.  No
+    closed form is transcribed; the identity ts_k(-T) = ts_{k-1}(T) - c1
+    between consecutive rightward shifts is a consequence and is exercised
+    in the tests.
     """
-    if n < 3 or n % 2 == 0:
-        raise GridError(f"shift grid size must be odd >= 3, got {n}")
-    T = spec.T
-    xs = np.linspace(-T, T, n)
-    ends = xs[[0, -1]]
-    values = np.zeros((spec.K, n))
-    d_ends = np.zeros((spec.K, 2))
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((spec.K, x.size))
     for sign, count in ((1, spec.K2), (-1, spec.K1)):
         for k in range(1, count + 1):
             i = spec.K1 + sign * k
-            step = sign * (2 * k - 1) * T
-            values[i] = values[i - sign] - sign * recurrence_increment(spec, xs + step)
-            y = ends + step
-            slope = 2.0 * spec.fT.d2(y) - spec.f0.d2(y + T) - spec.f0.d2(y - T)
-            d_ends[i] = d_ends[i - sign] - sign * slope
-    return ShiftSequence(spec, values, d_ends)
+            r = recurrence_increment(spec, x + sign * (2 * k - 1) * spec.T, m + 1)
+            out[i] = out[i - sign] - sign * r
+    return out
+
+
+def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
+    """`shift_values` on the n-node decision grid, with the slopes at -T and T."""
+    if n < 3 or n % 2 == 0:
+        raise GridError(f"shift grid size must be odd >= 3, got {n}")
+    xs = np.linspace(-spec.T, spec.T, n)
+    return ShiftSequence(spec, shift_values(spec, xs), shift_values(spec, xs[[0, -1]], 1))
 
 
 def _check_decision_grid(v: GridFunction, spec: ProblemSpec) -> None:
@@ -222,11 +220,9 @@ class SolutionField:
 
     spec: ProblemSpec
     v_full: GridFunction
-    branch: np.ndarray = field(repr=False, default=None)
+    branch: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.branch is None:
-            raise GridError("SolutionField must be built via dalembert()")
         ptab = _prefix_tables(self.branch, self.v_full.h)
         # each period's table, raised by the integral of the periods before
         C = np.concatenate([[0.0], np.cumsum(ptab[:-1, -1])])[:, None] + ptab
@@ -314,8 +310,5 @@ def segment_integrals(spec: ProblemSpec) -> np.ndarray:
     """
     ks = np.arange(-spec.K1, spec.K2 + 1, dtype=float)
     T = spec.T
-    return (
-        2.0 * spec.fT.value(2 * ks * T)
-        - spec.f0.value((2 * ks + 1) * T)
-        - spec.f0.value((2 * ks - 1) * T)
-    )
+    # (2k +- 1) T in one rounding each: 2kT +- T moves the verify equilibrium rows
+    return recurrence_increment(spec, 2 * ks * T, 0, ((2 * ks + 1) * T, (2 * ks - 1) * T))

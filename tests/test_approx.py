@@ -25,8 +25,16 @@ def grid_of(fn, a, b, n):
     return GridFunction(a, b, n, fn(xs))
 
 
+def assert_integral_within_64_ulps(entries, spec):
+    """The integral residual is rounding: 64 ulps of |A| + Simpson integral of |g|."""
+    for e in entries:
+        g = e.result.g
+        scale = abs(spec.A) + float(np.dot(simpson_weights(g.n, g.h), np.abs(g.values)))
+        assert e.result.integral_residual <= 64 * np.finfo(float).eps * scale, e.epsilon
+
+
 class TestIntegralShift:
-    """approximate_c1's constant shifts put the result on the target integral."""
+    """approximate_c1's one constant shift puts the result on the target integral."""
 
     def test_constant_to_zero(self):
         g = grid_of(lambda x: np.ones_like(x), 0.0, 1.0, 9)
@@ -43,6 +51,20 @@ class TestIntegralShift:
         res = approximate_c1(g, 1.0, 0.0, 0.5, 1e-10, p=2)
         assert np.allclose(res.g.values, g.values, atol=1e-14)
         assert res.curve.integral() == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [65, 513])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_readme_schedule_integral_is_rounding(self, n, p):
+        # integral_residual re-integrates the result, apart from the sums that set the shift
+        spec, v = readme_minimizer(p, n)
+        assert_integral_within_64_ulps(pms_sequence(v, spec, [10.0**-k for k in range(1, 9)], p), spec)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_problem_integral_is_rounding(self, seed):
+        spec = random_spec(np.random.default_rng(seed))
+        p = 1 + seed % 2
+        v = minimizer(spec, p, 257)
+        assert_integral_within_64_ulps(pms_sequence(v, spec, [1e-1, 1e-3, 1e-5], p), spec)
 
 
 class TestHermitePatch:
@@ -255,14 +277,19 @@ class TestPMSSequence:
             pms_sequence(v, spec, [1e-2, 1e-1], p=2)
 
 
+def minimizer(spec, p, n):
+    """The L1 strip minimizer or the L2 closed form of a problem."""
+    ts = spec.shifts(n)
+    if p == 2:
+        return l2_minimizer(ts, spec.A).v
+    env = order_envelopes(ts)
+    return construct_h(env, select_strip(env, spec.A), spec.A).h
+
+
 def readme_minimizer(p, n=257):
     """The README traveling wave's L1 strip minimizer or L2 closed form."""
     spec = traveling_spec()
-    ts = spec.shifts(n)
-    if p == 2:
-        return spec, l2_minimizer(ts, spec.A).v
-    env = order_envelopes(ts)
-    return spec, construct_h(env, select_strip(env, spec.A), spec.A).h
+    return spec, minimizer(spec, p, n)
 
 
 def assert_same_result(a, b):

@@ -271,7 +271,7 @@ def per_file_solve_csvs(cfg_path, out):
     one `_float_rows` table per file, envelopes from a descending np.sort."""
     cfg = parse_config(cfg_path)
     spec = cli.build_problem(cfg)
-    ts, _, v, _, _ = cli._solve_minimizer(cfg, spec)
+    ts, _, v, _ = cli._solve_minimizer(cfg, spec)
     ext = extend_input(v, spec)
     xs, K = ts.grid.xs, ts.K
     out.mkdir()

@@ -17,6 +17,7 @@ from waveinput.tbvp import (
     _prefix_tables,
     segment_integrals,
     shift_sequence,
+    shift_values,
 )
 
 ZERO = catalog("zero", [])
@@ -136,6 +137,38 @@ def test_shift_consecutive_endpoint_identity():
         lhs = ts.values[i, 0]
         rhs = ts.values[i - 1, -1] - s.c1
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_constants_are_the_increment_at_zero(seed):
+    s = random_spec(np.random.default_rng(seed))
+    got = [float(recurrence_increment(s, 0.0, m)) for m in range(3)]
+    assert got == [s.A, s.c1, s.c2]
+    # and the transcription of each relation, bit for bit
+    T = s.T
+    for m, d in enumerate(("value", "d1", "d2")):
+        fT, f0 = getattr(s.fT, d), getattr(s.f0, d)
+        assert got[m] == float(2 * fT(0.0) - f0(T) - f0(-T))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_values_on_the_grid_is_the_shift_sequence(seed):
+    rng = np.random.default_rng(seed)
+    s = random_spec(rng)
+    n = 2 * int(rng.integers(16, 200)) + 1
+    ts = shift_sequence(s, n)
+    assert shift_values(s, np.linspace(-s.T, s.T, n)).tobytes() == ts.values.tobytes()
+    assert shift_values(s, [-s.T, s.T], 1).tobytes() == ts.d_ends.tobytes()
+
+
+@pytest.mark.parametrize("T", [0.7, 1.0, 1.3])
+def test_shift_values_off_the_grid_traveling_wave(T):
+    # the exact input -cos extends to -cos(x + 2kT), so ts_k = cos(x + 2kT) - cos x
+    s = traveling_spec(K1=2, K2=2, T=T)
+    x = np.random.default_rng(11).uniform(-T, T, 1000)
+    k = np.arange(-2, 3)[:, None]
+    assert np.max(np.abs(shift_values(s, x) - (np.cos(x + 2 * k * T) - np.cos(x)))) < 1e-13
+    assert np.max(np.abs(shift_values(s, x, 1) - (np.sin(x) - np.sin(x + 2 * k * T)))) < 1e-13
 
 
 def test_extend_zero():
