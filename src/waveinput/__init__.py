@@ -21,7 +21,6 @@ from .errors import (
     ApproxBudgetExceeded,
     BadParams,
     ConfigError,
-    DegenerateScaling,
     DomainError,
     GridError,
     OutOfRegion,
@@ -72,7 +71,6 @@ __all__ = [
     "BadParams",
     "C1GridFunction",
     "ConfigError",
-    "DegenerateScaling",
     "DomainError",
     "GridError",
     "GridFunction",

@@ -17,10 +17,8 @@ config produces byte-identical output files.  ``solve`` formats the second
 half of each file's rows in a forked child (POSIX ``os.fork``) and appends
 them to the first half; the bytes do not depend on that split.
 
-Exit codes: 0 success, 2 bad config/input, 3 degenerate scaling in the L1
-construction (any subcommand that builds the strip: solve, oracle, pms),
-4 infeasible input in verify, 5 oracle did not certify, 6 approximation
-budget unreachable.
+Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
+5 oracle did not certify, 6 approximation budget unreachable.
 """
 
 from __future__ import annotations
@@ -38,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import pms_sequence
-from .errors import (
-    ApproxBudgetExceeded,
-    ConfigError,
-    DegenerateScaling,
-    WaveInputError,
-)
+from .errors import ApproxBudgetExceeded, ConfigError, WaveInputError
 from .functions import GridFunction, catalog, from_samples
 from .l1 import construct_h, ms_endpoint_check, order_envelopes, select_strip
 from .l2 import l2_minimizer, l2_ms_check
@@ -512,9 +505,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateScaling as exc:
-        print(f"degenerate scaling: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -29,10 +29,6 @@ class OutOfRegion(WaveInputError):
     """Space-time point outside the determined trapezoid."""
 
 
-class DegenerateScaling(WaveInputError):
-    """Boundary strip scaling with a vanishing divisor integral."""
-
-
 class ApproxBudgetExceeded(WaveInputError):
     """Smoothing pipeline could not reach the requested accuracy.
 

@@ -6,7 +6,8 @@ values.  Sorting the shifts pointwise gives a descending family of
 envelopes a_1 >= ... >= a_K; the integral constraint selects a strip
 between consecutive envelopes, and any feasible function pinched inside
 that strip attains the minimum (a flat optimum set).  The canonical
-minimizer is a convex combination of the two bounding envelopes.
+minimizer is a convex combination of the two bounding envelopes, or on an
+edge strip the outer envelope shifted by a constant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DegenerateScaling
+from .errors import BadParams
 from .functions import GridFunction, simpson_weights
 from .tbvp import ShiftSequence, full_norm
 
@@ -71,8 +72,8 @@ class StripSolution:
     The strip is bounded by env.values[j] below and env.values[j - 1]
     above (the edge strips are unbounded on one side).  boundary_case
     records which branch of the construction produced h.  degenerate
-    means the two envelopes coincide on positive measure, so the convex
-    weight was arbitrary.
+    means the two envelope integrals are equal, so every convex weight is
+    feasible and the weight 1/2 was arbitrary.
     """
 
     j: int
@@ -86,50 +87,30 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
     """Explicit minimizer for strip j (callers should pass select_strip's j).
 
     Interior strips take the convex combination of the bounding envelopes
-    with weight theta = (A - p2)/(p1 - p2); the edge strips scale the
-    outermost envelope by A over its integral, which is undefined when
-    that integral vanishes (DegenerateScaling unless A is zero too).  The
-    scaled envelope is kept only when a_1 >= 0 (j = 0) or a_K <= 0
-    (j = K) at every node, as in every shift_sequence through its zero
-    period-0 row; a hand-built envelope that changes sign would leave the
-    strip, so it raises DegenerateScaling.
+    with weight theta = (A - p2)/(p1 - p2), clamped to [0, 1].  The edge
+    strips are the half-spaces v >= a_1 (j = 0) and v <= a_K (j = K), on
+    which the objective is linear in v, so the outer envelope shifted by
+    the constant (A - p_edge)/(2T) is a minimizer for every A.
     """
     K = env.K
     if not 0 <= j <= K:
         raise BadParams(f"strip index must be in 0..{K}, got {j}")
     grid = env.ts.grid
-    scale = max(1.0, float(np.max(np.abs(env.integrals))) if K else 1.0)
 
     if j == 0 or j == K:
-        edge = env.values[0] if j == 0 else env.values[-1]
-        p_edge = env.integrals[0] if j == 0 else env.integrals[-1]
-        case = "scaled_top" if j == 0 else "scaled_bottom"
-        if np.any(edge < 0.0 if j == 0 else edge > 0.0):
-            sign = "a_1 >= 0" if j == 0 else "a_K <= 0"
-            raise DegenerateScaling(
-                f"{case} needs {sign} at every node to stay in the strip at A={A}"
-            )
-        if abs(p_edge) <= 1e-14 * scale:
-            if abs(A) <= 1e-14 * scale:
-                h = grid.with_values(np.zeros(grid.n))
-            else:
-                raise DegenerateScaling(
-                    f"cannot scale envelope with zero integral to reach A={A}"
-                )
-        else:
-            h = grid.with_values((A / p_edge) * edge)
+        e = min(j, K - 1)
+        shift = (A - float(env.integrals[e])) / (2.0 * env.ts.spec.T)
+        h = grid.with_values(env.values[e] + shift)
+        case = "shifted_top" if j == 0 else "shifted_bottom"
         return StripSolution(j, h, full_norm(h, env.ts, 1), case)
 
     upper_v = env.values[j - 1]
     lower_v = env.values[j]
     p1 = float(env.integrals[j - 1])
     p2 = float(env.integrals[j])
-    degenerate = False
-    if abs(p1 - p2) <= 1e-14 * scale:
+    if p1 == p2:
         # both envelope integrals equal A; any convex weight is feasible
-        theta = 0.5
-        degenerate = True
-        case = "interior"
+        theta, case = 0.5, "interior"
     else:
         theta = (A - p2) / (p1 - p2)
         if theta >= 1.0:
@@ -139,20 +120,22 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
         else:
             case = "interior"
     h = grid.with_values(theta * upper_v + (1.0 - theta) * lower_v)
-    return StripSolution(j, h, full_norm(h, env.ts, 1), case, degenerate)
+    return StripSolution(j, h, full_norm(h, env.ts, 1), case, p1 == p2)
 
 
 def strip_lower_bound(env: OrderEnvelopes, j: int, A: float) -> float:
-    """Certified objective floor int U(a_{j+1}) + (K - 2j)(A - p2).
+    """Certified objective floor int U(a_e) + (K - 2j)(A - p_e).
 
-    Every feasible v has objective at least this value; the canonical h
-    attains it exactly because U is linear with slope K - 2j on the strip.
+    a_e is the strip's lower envelope a_{j+1}, or a_K at the bottom edge
+    j = K, where the floor reads full_norm(a_K) - K (A - p_K).  Every
+    feasible v has objective at least this value; the canonical h attains
+    it exactly because U is linear with slope K - 2j on the strip.
     """
-    if not 0 <= j <= env.K - 1:
-        raise BadParams(f"lower bound needs 0 <= j < K, got j={j}")
-    base = full_norm(env.ts.grid.with_values(env.values[j]), env.ts, 1)
-    p2 = float(env.integrals[j])
-    return base + (env.K - 2 * j) * (A - p2)
+    if not 0 <= j <= env.K:
+        raise BadParams(f"lower bound needs 0 <= j <= K, got j={j}")
+    e = min(j, env.K - 1)
+    base = full_norm(env.ts.grid.with_values(env.values[e]), env.ts, 1)
+    return base + (env.K - 2 * j) * (A - float(env.integrals[e]))
 
 
 def ms_endpoint_check(env: OrderEnvelopes, j: int, c1: float) -> str:

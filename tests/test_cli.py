@@ -143,18 +143,34 @@ class TestSolve:
         assert ext["x"][0] == pytest.approx(-3.0)
         assert ext["x"][-1] == pytest.approx(3.0)
 
-    def test_degenerate_scaling_exit3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "run.cfg", fT="const 1", norm="l1")
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert "degenerate scaling" in capsys.readouterr().err
+    def test_u_equals_t_solves_and_verifies(self, tmp_path, capsys):
+        # u = t: f0 = 0 and fT = 1 have the exact input v = 1, the top
+        # envelope 0 shifted by A/(2T) = 1
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "run.cfg", fT="const 1", norm="l1", eps_schedule="1e-1 1e-3"
+        )
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert "boundary_case = shifted_top" in capsys.readouterr().out
+        data = np.genfromtxt(out / "minimizer.csv", delimiter=",", names=True)
+        assert np.max(np.abs(data["v"] - 1.0)) <= 64 * np.finfo(float).eps
+        verify = ["verify", "--config", cfg, "--input", str(out / "minimizer.csv")]
+        assert main(verify + ["--out", str(out)]) == 0
+        assert "classification = MS_candidate" in capsys.readouterr().out
+        for command in ("oracle", "pms"):
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
 
-    @pytest.mark.parametrize("command", ["solve", "oracle", "pms"])
-    def test_degenerate_scaling_exit3_in_every_strip_command(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["solve", "oracle", "pms", "verify"])
+    def test_zero_integral_top_envelope_exits_0(self, tmp_path, command):
+        # the top envelope of fT = 1 + x^2 over f0 = 0 integrates to 0, and
+        # A = 2 lies above it: the shifted envelope reaches A all the same
+        out = str(tmp_path / "o")
         cfg = write_config(
             tmp_path / "run.cfg", fT="poly 1 0 1", norm="l1", eps_schedule="1e-1"
         )
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert "degenerate scaling: cannot scale envelope with zero integral" in capsys.readouterr().err
+        assert main(["solve", "--config", cfg, "--out", out, "--quiet"]) == 0
+        extra = ["--input", f"{out}/minimizer.csv"] if command == "verify" else []
+        assert main([command, "--config", cfg, "--out", out, "--quiet", *extra]) == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(

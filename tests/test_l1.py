@@ -9,7 +9,7 @@ from conftest import (
     scaled,
     traveling_spec,
 )
-from waveinput.errors import BadParams, DegenerateScaling, GridError
+from waveinput.errors import BadParams, GridError
 from waveinput.functions import GridFunction, integrate, simpson_weights
 from waveinput.l1 import (
     construct_h,
@@ -18,6 +18,7 @@ from waveinput.l1 import (
     select_strip,
     strip_lower_bound,
 )
+from waveinput.oracle import l1_oracle
 from waveinput.tbvp import ProblemSpec, full_norm
 
 
@@ -109,42 +110,76 @@ def test_construct_h_zero_problem():
     assert sol.degenerate  # coinciding envelope integrals
 
 
-def test_construct_h_scaled_edges():
+def test_construct_h_shifted_edges():
     ts, xs = lines_example()
     env = order_envelopes(ts)
-    sol = construct_h(env, 0, 2.0)  # A=2 > p2=1
-    assert sol.boundary_case == "scaled_top"
-    assert np.allclose(sol.h.values, 2 * np.abs(xs))
+    sol = construct_h(env, 0, 2.0)  # A=2 > p1=1: |x| shifted by (2 - 1)/(2T)
+    assert sol.boundary_case == "shifted_top"
+    assert np.allclose(sol.h.values, np.abs(xs) + 0.5)
     assert integrate(sol.h) == pytest.approx(2.0, abs=1e-10)
+    assert sol.objective == pytest.approx(strip_lower_bound(env, 0, 2.0), abs=1e-12)
     env_c = order_envelopes(consts_example([0.0, 2.0, -2.0]))
-    sol_b = construct_h(env_c, 3, -5.0)
-    assert sol_b.boundary_case == "scaled_bottom"
+    sol_b = construct_h(env_c, 3, -5.0)  # A=-5 < p3=-4: -2 shifted by -1/2
+    assert sol_b.boundary_case == "shifted_bottom"
     assert np.allclose(sol_b.h.values, -2.5)
     assert integrate(sol_b.h) == pytest.approx(-5.0, abs=1e-10)
+    assert sol_b.objective == pytest.approx(strip_lower_bound(env_c, 3, -5.0), abs=1e-12)
 
 
-def test_construct_h_degenerate_scaling():
+def test_construct_h_zero_envelopes():
+    # a zero outer integral needs no guard: the shift is A/(2T) with T = 1
     env = order_envelopes(consts_example([0.0, 0.0, 0.0]))
-    with pytest.raises(DegenerateScaling):
-        construct_h(env, 0, 1.0)
-    sol = construct_h(env, 0, 0.0)  # A=0 stays total
+    assert np.all(construct_h(env, 0, 1.0).h.values == 0.5)
+    assert np.all(construct_h(env, 3, -1.0).h.values == -0.5)
+    sol = construct_h(env, 0, 0.0)
     assert np.all(sol.h.values == 0.0)
+    assert not sol.degenerate  # only equal interior integrals are degenerate
     with pytest.raises(BadParams):
         construct_h(env, 7, 0.0)
 
 
 @pytest.mark.parametrize("edge", ["top", "bottom"])
-def test_construct_h_sign_changing_edge_envelope_raises(edge):
+def test_construct_h_sign_changing_edge_envelope_certified(edge):
     # hand-built rows without the zero period-0 row of a shift sequence:
-    # both outer envelopes change sign, so scaling one to reach A would
-    # leave the strip
+    # both outer envelopes change sign, and the shifted one still stays on
+    # its side of the strip and meets the exact dual
     rows = np.random.default_rng(0).normal(size=(3, 65)) + 0.3
     env = order_envelopes(handmade_shifts(rows))
     A = env.integrals[0] + 1.0 if edge == "top" else env.integrals[-1] - 1.0
     j = select_strip(env, A)
     assert j == (0 if edge == "top" else env.K)
-    with pytest.raises(DegenerateScaling, match="a_1 >= 0" if edge == "top" else "a_K <= 0"):
-        construct_h(env, j, A)
+    sol = construct_h(env, j, A)
+    if edge == "top":
+        assert np.all(sol.h.values >= env.values[0])
+    else:
+        assert np.all(sol.h.values <= env.values[-1])
+    assert l1_oracle(env.ts, A).converged
+
+
+def test_edge_strips_attain_the_lower_bound_on_random_data():
+    """Every edge strip of seeded random problems: h sits on the outer side of
+    its envelope, the oracle certifies it, and its objective equals
+    strip_lower_bound within 64 ulps of the oracle's gap scale."""
+    rng = np.random.default_rng(7)
+    edges = []
+    for _ in range(300):
+        spec = random_spec(rng)
+        ts = spec.shifts(257)
+        env = order_envelopes(ts)
+        j = select_strip(env, spec.A)
+        if 1 <= j <= env.K - 1:
+            continue
+        edges.append(j)
+        sol = construct_h(env, j, spec.A)
+        outer = env.values[0] if j == 0 else env.values[-1]
+        assert np.all(sol.h.values >= outer if j == 0 else sol.h.values <= outer)
+        assert l1_oracle(ts, spec.A).converged
+        w = simpson_weights(ts.n, ts.grid.h)
+        gap_scale = float(np.dot(w, np.abs(ts.values).sum(axis=0))) + env.K * abs(spec.A)
+        bound = strip_lower_bound(env, j, spec.A)
+        assert abs(sol.objective - bound) <= 64 * np.finfo(float).eps * gap_scale
+    # sanity: the sweep reached both edges (50 top and 33 bottom strips)
+    assert edges.count(0) == 50 and len(edges) == 83
 
 
 def test_l1_objective_constants():
@@ -228,12 +263,8 @@ def test_lower_bound_identity_and_floor():
         ts = spec.shifts(257)
         env = order_envelopes(ts)
         j = select_strip(env, spec.A)
-        if j > env.K - 1:
-            continue
         bound = strip_lower_bound(env, j, spec.A)
-        if 1 <= j <= env.K - 1:
-            sol = construct_h(env, j, spec.A)
-            assert sol.objective == pytest.approx(bound, abs=1e-8)
+        assert construct_h(env, j, spec.A).objective == pytest.approx(bound, abs=1e-8)
         for _ in range(20):
             v = feasible_random_v(spec, 257, rng)
             assert full_norm(v, ts, 1) >= bound - 1e-8
