@@ -11,106 +11,66 @@ offsets, and verifies candidate inputs by reconstructing the field and
 checking residuals.
 """
 
-from .approx import (
-    ApproxResult,
-    PMSEntry,
-    approximate_c1,
-    pms_sequence,
-)
-from .errors import (
-    ApproxBudgetExceeded,
-    BadParams,
-    ConfigError,
-    DomainError,
-    GridError,
-    OutOfRegion,
-    UnknownCatalogEntry,
-    UnsupportedNorm,
-    WaveInputError,
-)
-from .functions import (
-    C1GridFunction,
-    GridFunction,
-    SmoothFunction,
-    catalog,
-    fd_derivative,
-    from_samples,
-    integrate,
-    lp_norm,
-    sample,
-    simpson_weights,
-)
-from .l1 import (
-    OrderEnvelopes,
-    StripSolution,
-    construct_h,
-    ms_endpoint_check,
-    order_envelopes,
-    select_strip,
-    strip_lower_bound,
-)
-from .l2 import L2Solution, l2_minimizer, l2_ms_check
-from .oracle import OracleReport, l1_oracle, l2_oracle
-from .tbvp import (
-    ProblemSpec,
-    ShiftSequence,
-    SolutionField,
-    dalembert,
-    extend_input,
-    full_norm,
-    segment_integrals,
-    shift_sequence,
-)
-from .verify import VerificationReport, convergence_study, verify_solution
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxBudgetExceeded",
-    "ApproxResult",
-    "BadParams",
-    "C1GridFunction",
-    "ConfigError",
-    "DomainError",
-    "GridError",
-    "GridFunction",
-    "L2Solution",
-    "OracleReport",
-    "OrderEnvelopes",
-    "OutOfRegion",
-    "PMSEntry",
-    "ProblemSpec",
-    "ShiftSequence",
-    "SmoothFunction",
-    "SolutionField",
-    "StripSolution",
-    "UnknownCatalogEntry",
-    "UnsupportedNorm",
-    "VerificationReport",
-    "WaveInputError",
-    "approximate_c1",
-    "catalog",
-    "construct_h",
-    "convergence_study",
-    "dalembert",
-    "extend_input",
-    "fd_derivative",
-    "from_samples",
-    "full_norm",
-    "integrate",
-    "l1_oracle",
-    "l2_minimizer",
-    "l2_ms_check",
-    "l2_oracle",
-    "lp_norm",
-    "ms_endpoint_check",
-    "order_envelopes",
-    "pms_sequence",
-    "sample",
-    "segment_integrals",
-    "select_strip",
-    "shift_sequence",
-    "simpson_weights",
-    "strip_lower_bound",
-    "verify_solution",
-]
+# module -> the public names it provides; each module loads on first access
+_EXPORTS = {
+    "approx": ("ApproxResult", "PMSEntry", "approximate_c1", "pms_sequence"),
+    "errors": (
+        "ApproxBudgetExceeded",
+        "BadParams",
+        "ConfigError",
+        "DomainError",
+        "GridError",
+        "OutOfRegion",
+        "UnknownCatalogEntry",
+        "UnsupportedNorm",
+        "WaveInputError",
+    ),
+    "functions": (
+        "C1GridFunction",
+        "GridFunction",
+        "SmoothFunction",
+        "catalog",
+        "fd_derivative",
+        "from_samples",
+        "integrate",
+        "lp_norm",
+        "sample",
+        "simpson_weights",
+    ),
+    "l1": (
+        "OrderEnvelopes",
+        "StripSolution",
+        "construct_h",
+        "ms_endpoint_check",
+        "order_envelopes",
+        "select_strip",
+        "strip_lower_bound",
+    ),
+    "l2": ("L2Solution", "l2_minimizer", "l2_ms_check"),
+    "oracle": ("OracleReport", "l1_oracle", "l2_oracle"),
+    "tbvp": (
+        "ProblemSpec",
+        "ShiftSequence",
+        "SolutionField",
+        "dalembert",
+        "extend_input",
+        "full_norm",
+        "segment_integrals",
+        "shift_sequence",
+    ),
+    "verify": ("VerificationReport", "convergence_study", "verify_solution"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -13,9 +13,12 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
     output_dir      where CSVs go (default "out", --out overrides)
 
 Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
-config produces byte-identical output files.  ``solve`` formats the second
-half of each file's rows in a forked child (POSIX ``os.fork``) and appends
-them to the first half; the bytes do not depend on that split.
+config produces byte-identical output files.  A big ``solve`` (30000
+formatted cells or more, about n·(3K+2)) formats the second half of each
+file's rows in a forked child (POSIX ``os.fork``) and appends them to the
+first half; a smaller one writes both halves in this process.  The bytes
+depend neither on that split nor on the CPU count: the CLI runs numpy's
+BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 
 Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
 5 oracle did not certify, 6 approximation budget unreachable.
@@ -33,16 +36,14 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 
+# a threaded ddot sums in an order that depends on the CPU count; set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
-from .approx import pms_sequence
 from .errors import ApproxBudgetExceeded, ConfigError, WaveInputError
 from .functions import GridFunction, catalog, from_samples
-from .l1 import construct_h, ms_endpoint_check, order_envelopes, select_strip
-from .l2 import l2_minimizer, l2_ms_check
-from .oracle import l1_oracle, l2_oracle
 from .tbvp import ProblemSpec, extend_input
-from .verify import verify_solution
 
 _REQUIRED = ("f0", "ft", "t", "k1", "k2", "n", "norm")
 # nothing reads "seed" now, but perfbench's config writer still writes it
@@ -239,6 +240,8 @@ def _say(quiet: bool, *parts) -> None:
 
 def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
     """Shared solve stage: returns (ts, env, v, summary_lines)."""
+    from .l1 import construct_h, ms_endpoint_check, order_envelopes, select_strip
+
     ts = spec.shifts(cfg.n)
     env = order_envelopes(ts)
     lines = [
@@ -247,6 +250,8 @@ def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
         f"c2 = {_fmt(spec.c2)}",
     ]
     if cfg.norm == "l2":
+        from .l2 import l2_minimizer, l2_ms_check
+
         sol = l2_minimizer(ts, spec.A)
         lines.append(f"A1 = {_fmt(sol.A1)}")
         lines.append(f"objective = {_fmt(sol.objective)}")
@@ -299,19 +304,23 @@ def _write_solve_half(fhs, part: int, ts, order, v, ext) -> None:
     ext_fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _write_in_two_processes(paths, write_half, *args) -> None:
-    """Write each path by write_half(files, 0, *args) here and write_half(tails, 1, *args)
-    in a forked child.
+def _write_halves(paths, fork: bool, write_half, *args) -> None:
+    """Write each path by write_half(files, 0, *args), then write_half(files, 1, *args).
 
-    The child writes into one anonymous temporary file per path and leaves
-    through os._exit, so it runs no exit handler and flushes no buffer of
-    this process.  Once it has exited with status 0, each tail is appended
-    to its file, so the bytes are those of one process writing every row in
-    order.  Any other status raises OSError; on any failure no file is left.
+    With ``fork`` the second halves are written in a forked child, into one
+    anonymous temporary file per path; the child leaves through os._exit, so
+    it runs no exit handler and flushes no buffer of this process.  Once it
+    has exited with status 0, each tail is appended to its file, so the bytes
+    are those of one process writing every row in order.  Any other status
+    raises OSError.  On any failure no file is left.
     """
     try:
         with contextlib.ExitStack() as stack:
             outs = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+            if not fork:
+                write_half(outs, 0, *args)
+                write_half(outs, 1, *args)
+                return
             tails = [
                 stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
                 for _ in paths
@@ -320,8 +329,10 @@ def _write_in_two_processes(paths, write_half, *args) -> None:
             sys.stderr.flush()
             with warnings.catch_warnings():
                 # Python 3.12+ warns that fork() in a multi-threaded process may
-                # deadlock the child.  The other threads here are numpy's idle
-                # BLAS pool; the child only formats floats and writes files.
+                # deadlock the child.  The CLI runs BLAS on one thread, so there
+                # is no other thread unless OPENBLAS_NUM_THREADS is set; then the
+                # others are numpy's idle BLAS pool, and the child only formats
+                # floats and writes files.
                 warnings.filterwarnings(
                     "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
                 )
@@ -356,19 +367,27 @@ def _write_in_two_processes(paths, write_half, *args) -> None:
 
 
 _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
+# Formatted cells from which the forked writer wins; the write takes about 1.6 us a
+# cell in one process.  Measured on a 2-vCPU VM: n=2049/K=3 (22535 cells) is faster
+# in one process, n=2049/K=5 (34825 cells) in two.
+_FORK_CELLS = 30_000
 
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     spec = build_problem(cfg)
     ts, env, v, lines = _solve_minimizer(cfg, spec)
+    ext = extend_input(v, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_in_two_processes(
+    # x, the K shifts and v per decision node; x and v_ext per window node
+    cells = ts.values.size + 2 * v.n + 2 * ext.n
+    _write_halves(
         [os.path.join(cfg.output_dir, name) for name in _SOLVE_CSVS],
+        cells >= _FORK_CELLS,
         _write_solve_half,
         ts,
         env.order,
         v.values,
-        extend_input(v, spec),
+        ext,
     )
     for line in lines:
         _say(quiet, line)
@@ -377,6 +396,8 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
 
 
 def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
+    from .verify import verify_solution
+
     spec = build_problem(cfg)
     xs, vs = _read_xy(input_csv)
     if xs.size != cfg.n:
@@ -409,6 +430,8 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
+    from .oracle import l1_oracle, l2_oracle
+
     spec = build_problem(cfg)
     ts = spec.shifts(cfg.n)
     rep = (l2_oracle if cfg.norm == "l2" else l1_oracle)(ts, spec.A)
@@ -426,6 +449,8 @@ def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
 def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     if cfg.eps_schedule is None:
         raise ConfigError("pms runs need an eps_schedule in the config")
+    from .approx import pms_sequence
+
     spec = build_problem(cfg)
     _, _, v, _ = _solve_minimizer(cfg, spec)
     p = 1 if cfg.norm == "l1" else 2

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     BadParams,
@@ -95,6 +94,8 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
     if name == "poly":
         if len(params) < 1:
             raise BadParams("catalog entry 'poly' needs at least one coefficient")
+        from numpy.polynomial import polynomial as npoly
+
         c0 = np.asarray(params, dtype=float)
         c1 = npoly.polyder(c0) if len(c0) > 1 else np.zeros(1)
         c2 = npoly.polyder(c1) if len(c1) > 1 else np.zeros(1)

@@ -1,5 +1,9 @@
 """End-to-end command line runs through main(), including exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -304,6 +308,27 @@ def per_file_solve_csvs(cfg_path, out):
 SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
 
 
+# one config on each side of cli._FORK_CELLS: n=129/K=3 writes both halves in this
+# process, n=2049/K=5 forks a child for the second halves
+WRITERS = pytest.mark.parametrize(
+    "kv, forks",
+    [(dict(n="129"), False), (dict(n="2049", K1="2", K2="2"), True)],
+    ids=["one-process", "fork"],
+)
+
+
+def count_forks(monkeypatch):
+    """Record each os.fork call (the child never returns into the test)."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 class TestSolveWriter:
     @pytest.mark.parametrize(
         "kv",
@@ -326,7 +351,10 @@ class TestSolveWriter:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
     @pytest.mark.parametrize("part", [0, 1], ids=["this-process", "child"])
-    def test_failed_half_fails_and_leaves_no_csv(self, tmp_path, monkeypatch, capfd, part):
+    @WRITERS
+    def test_failed_half_fails_and_leaves_no_csv(
+        self, tmp_path, monkeypatch, capfd, part, kv, forks
+    ):
         write_half = cli._write_solve_half
 
         def failing(fhs, half, *args):
@@ -335,27 +363,75 @@ class TestSolveWriter:
             write_half(fhs, half, *args)
 
         monkeypatch.setattr(cli, "_write_solve_half", failing)
+        fork_calls = count_forks(monkeypatch)
         out = tmp_path / "o"
         out.mkdir()
         for name in SOLVE_CSVS:  # a complete earlier run must not survive either
             (out / name).write_text("stale\n", encoding="utf-8")
-        cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", n="129")
-        with pytest.raises(OSError if part else RuntimeError):
+        cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", **kv)
+        with pytest.raises(OSError if part and forks else RuntimeError):
             main(["solve", "--config", cfg, "--out", str(out)])
+        assert fork_calls == [1] * forks
         assert list(out.iterdir()) == []
         got = capfd.readouterr()
         assert "wrote" not in got.out
-        if part:
+        if part and forks:
             assert "writing the second halves failed: RuntimeError('disk full')" in got.err
+        else:
+            assert "writing the second halves failed" not in got.err
 
-    def test_summary_lines_appear_once(self, tmp_path, capfd):
+    @WRITERS
+    def test_summary_lines_appear_once(self, tmp_path, monkeypatch, capfd, kv, forks):
+        fork_calls = count_forks(monkeypatch)
         print("pending", end="")  # buffered before the fork, printed once
-        cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", n="129")
+        cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", **kv)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert fork_calls == [1] * forks
         lines = capfd.readouterr().out.splitlines()
         assert lines[0].startswith("pendingA  = ")
         assert lines[-1] == f"wrote {' '.join(SOLVE_CSVS)} to {tmp_path / 'o'}"
         assert len(lines) == 8 and len(set(lines)) == 8
+
+
+# pins itself to its first CPU when argv[1] is "one", before numpy loads
+_PINNED_CHILD = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from waveinput.cli import main
+codes = [main(["solve", "--config", sys.argv[2], "--out", "out"]),
+         main(["oracle", "--config", sys.argv[2]])]
+assert codes == [0, 0], codes
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs and CPU affinity",
+)
+def test_bytes_do_not_depend_on_cpu_count(tmp_path):
+    # at n=16385 the L2 closed form's dot products are long enough for a threaded
+    # BLAS to split them, which changes the last bits of A1 and v on many CPUs
+    cfg = write_config(
+        tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l2", n="16385"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    procs = {}
+    for cpus in ("all", "one"):
+        (tmp_path / cpus).mkdir()
+        procs[cpus] = subprocess.Popen(
+            [sys.executable, "-c", _PINNED_CHILD, cpus, cfg], cwd=tmp_path / cpus,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    outs = {cpus: proc.communicate() for cpus, proc in procs.items()}
+    for cpus, proc in procs.items():
+        assert proc.returncode == 0, outs[cpus][1]
+    assert outs["all"][0] == outs["one"][0]
+    for name in SOLVE_CSVS:
+        assert (tmp_path / "all" / "out" / name).read_bytes() == (
+            tmp_path / "one" / "out" / name
+        ).read_bytes(), name
 
 
 class TestOracle:

@@ -1,14 +1,17 @@
-"""Import hygiene: every imported name is used, and the program loads no scipy.
+"""Import hygiene: every imported name is used, and each call loads only what it runs.
 
 The unused-import check is stdlib-only over the sources.  Names listed in a
-module's ``__all__`` count as used (re-exports), and ``from __future__``
-imports are skipped.  Quoted annotations are parsed, so a name used only
-inside one still counts.
+module's ``__all__`` or in the package's lazy ``_EXPORTS`` table count as
+used (re-exports), and ``from __future__`` imports are skipped.  Quoted
+annotations are parsed, so a name used only inside one still counts.
 
 The import-path checks run the CLI in a fresh interpreter, since this
 process may already hold scipy: every subcommand needs numpy and the
 stdlib only, on catalog and ``file`` sample functions alike.  scipy is a
 test-only dependency (the spline reference in ``test_functions.py``).
+``import waveinput`` loads no numpy, and each subcommand loads only the
+modules it runs.  The CLI runs BLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is set.
 """
 
 import ast
@@ -48,9 +51,12 @@ def _used(tree):
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
                 names |= _used(ast.parse(ann.value, mode="eval"))
         elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id in ("__all__", "_EXPORTS") for t in node.targets
         ):
-            names |= set(ast.literal_eval(node.value))
+            names |= {
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
     return names
 
 
@@ -64,26 +70,44 @@ def test_no_unused_imports():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
+# exit codes, every loaded module, the BLAS thread setting and the thread count
 _CHILD = """
-import json, sys
+import json, os, sys
 from waveinput.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([codes, sorted(sys.modules), os.environ.get("OPENBLAS_NUM_THREADS"),
+                  len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None]))
 """
 
 _TRAVELING = {"f0": "sin 1 0", "fT": "sin 1 -1", "T": "1", "K1": "1", "K2": "1", "n": "65"}
 
 
-def _run_fresh(argvs):
-    """Exit codes of ``main`` on each argv, and the scipy modules loaded after."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _fresh(code, argvs, **env):
+    """The last stdout line of ``code`` in a fresh interpreter, as JSON.
+
+    The child's environment has no OPENBLAS_NUM_THREADS unless ``env`` sets it.
+    """
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(env, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argvs)],
-        env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=child_env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, mods = json.loads(proc.stdout.splitlines()[-1])
-    return codes, set(mods)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run_fresh(argvs):
+    """Exit codes of ``main`` on each argv, and the scipy modules loaded after."""
+    codes, mods, _, _ = _fresh(_CHILD, argvs)
+    return codes, {m for m in mods if m.split(".")[0] == "scipy"}
+
+
+def _loaded(argvs, **env):
+    """Exit codes, loaded waveinput and numpy.polynomial modules, BLAS setting, thread count."""
+    codes, mods, blas, threads = _fresh(_CHILD, argvs, **env)
+    mods = {m for m in mods if m.startswith(("waveinput.", "numpy.polynomial"))}
+    return codes, mods, blas, threads
 
 
 def _config(tmp_path, name, **kv):
@@ -132,3 +156,58 @@ def test_file_sample_function_loads_no_scipy(tmp_path):
     assert codes == [0, 0, 0]
     assert mods == set()
     assert (tmp_path / "out" / "minimizer.csv").exists()
+
+
+# what every subcommand needs: config parsing, the catalog and the problem's shifts
+_SHARED = {"waveinput.cli", "waveinput.errors", "waveinput.functions", "waveinput.tbvp"}
+
+
+def test_package_import_loads_no_numpy_and_star_binds_every_name():
+    code = """
+import json, sys
+import waveinput
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+ns = {}
+exec("from waveinput import *", ns)
+print(json.dumps([loaded, len(waveinput.__all__), sorted(set(waveinput.__all__) - set(ns))]))
+"""
+    loaded, count, unbound = _fresh(code, [])
+    assert loaded == []
+    assert count == 47
+    assert unbound == []
+
+
+def test_cli_import_loads_only_the_shared_modules():
+    assert _loaded([])[:2] == ([], _SHARED)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, norm):
+    cfg = _config(tmp_path, norm, norm=norm, eps_schedule="1e-1", **_TRAVELING)
+    out = str(tmp_path / "out")
+    solve = ["solve", "--config", cfg, "--out", out, "--quiet"]
+    verify = ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"]
+    l2 = {"waveinput.l2"} if norm == "l2" else set()
+    assert _loaded([solve])[:2] == ([0], _SHARED | {"waveinput.l1"} | l2)
+    assert _loaded([verify])[:2] == ([0], _SHARED | {"waveinput.verify"})
+    oracle = ["oracle", "--config", cfg, "--quiet"]
+    assert _loaded([oracle])[:2] == ([0], _SHARED | {f"waveinput.{m}" for m in ("oracle", "l1", "l2")})
+    codes, mods, _, _ = _loaded([["pms", "--config", cfg, "--out", out, "--quiet"]])
+    assert codes == [0]
+    assert {"waveinput.approx", "numpy.polynomial"} <= mods
+    assert not {"waveinput.oracle", "waveinput.verify"} & mods
+
+
+def test_poly_config_loads_numpy_polynomial(tmp_path):
+    cfg = _config(tmp_path, "poly", **dict(_TRAVELING, fT="poly 0.1 -0.2 0.05", norm="l1"))
+    codes, mods, _, _ = _loaded([["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]])
+    assert codes == [0]
+    assert "numpy.polynomial" in mods
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc thread listing")
+def test_cli_runs_blas_on_one_thread_unless_set(tmp_path):
+    cfg = _config(tmp_path, "l2", norm="l2", **_TRAVELING)
+    oracle = [["oracle", "--config", cfg, "--quiet"]]
+    assert _loaded(oracle)[2:] == ("1", 1)
+    assert _loaded(oracle, OPENBLAS_NUM_THREADS="2")[2] == "2"
