@@ -13,12 +13,11 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
     output_dir      where CSVs go (default "out", --out overrides)
 
 Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
-config produces byte-identical output files.  A big ``solve`` (30000
-formatted cells or more, about n·(3K+2)) formats the second half of each
-file's rows in a forked child (POSIX ``os.fork``) and appends them to the
-first half; a smaller one writes both halves in this process.  The bytes
-depend neither on that split nor on the CPU count: the CLI runs numpy's
-BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+config produces byte-identical output files.  A big ``solve`` (25000
+formatted cells or more, about n·(3K+2)) writes extended.csv in a forked
+child (POSIX ``os.fork``) while this process writes the other three files.
+The bytes depend neither on that split nor on the CPU count: the CLI runs
+numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 
 Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
 5 oracle did not certify, 6 approximation budget unreachable.
@@ -29,10 +28,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import operator
 import os
-import shutil
 import sys
-import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -214,23 +212,33 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write header and rows of str cells with '\\n' newlines, in one writelines."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+def _lines(cells, ncols: int) -> str:
+    """The CSV lines of the str ``cells``, flat and row-major, ``ncols`` to a row.
 
-
-def _float_rows(*columns):
-    """Rows of the stacked columns, each cell as repr of its Python float (same as _fmt).
-
-    The table goes through ``tolist`` in blocks, so a long file never holds a
-    Python float object for every cell at once.
+    One join sizes the text once: a % format over the block grew its buffer in
+    steps, and raised the RSS a process keeps after in-process solves.
     """
-    table = np.column_stack(columns)
-    for start in range(0, len(table), 4096):
-        for row in table[start : start + 4096].tolist():
-            yield map(repr, row)
+    return "\n".join([*map(",".join, zip(*[iter(cells)] * ncols)), ""])
+
+
+def _repr_blocks(*columns):
+    """The repr cells of each 256-row block of the stacked float columns, flat and row-major.
+
+    Each float is formatted once, as repr of its Python float (same as _fmt).
+    Small blocks keep few float and str objects alive at once: 2048-row
+    blocks raised the peak RSS of a process that solves in-process.
+    """
+    for a in range(0, len(columns[0]), 256):
+        block = np.column_stack([c[a : a + 256] for c in columns])
+        yield list(map(repr, block.ravel().tolist()))
+
+
+def _write_csv(path: str, names, blocks) -> None:
+    """Write the header of ``names``, then each block of str cells as CSV lines, '\\n' newlines."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_lines(names, len(names)))
+        for cells in blocks:
+            fh.write(_lines(cells, len(names)))
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -271,60 +279,53 @@ def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
     return ts, env, strip.h, lines
 
 
-def _write_solve_half(fhs, part: int, ts, order, v, ext) -> None:
-    """Write half ``part`` (0 first, with the headers; 1 second) of the solve CSVs.
+_SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
+# Formatted cells from which a forked child writes extended.csv.  Measured warm on a
+# 2-vCPU VM shared with other load: with the second CPU free the fork wins from about
+# 11271 cells (n=1025/K=3) on; with it busy the fork loses 5-7 ms at every size up to
+# 34825 (n=2049/K=5).  Weighted equally, the two even out near 22535 cells (n=2049/K=3).
+_FORK_CELLS = 25_000
 
-    The files are envelopes, shifts, minimizer and extended, in that order.
-    One pass over 256-row blocks of the decision grid formats x, the K
-    shift cells and v once each: a shifts.csv row joins the cells in row
-    order, an envelopes.csv row joins the same strings in ``order``.  The
-    blocks hold fewer cells than those of _float_rows.
+
+def _write_grid_csvs(paths, ts, order, v) -> None:
+    """Write envelopes.csv, shifts.csv and minimizer.csv, the decision-grid files, to ``paths``.
+
+    One pass over 256-row blocks formats x, the K shifts and v once each: a
+    shifts.csv row takes x and the shift cells in row order, an envelopes.csv
+    row x and the same strings in ``order``, a minimizer.csv row x and v.
     """
-    env_fh, shift_fh, min_fh, ext_fh = fhs
-    xs, shifts = ts.grid.xs, ts.values
-    n, N = xs.size, ext.n
-    if part == 0:
-        env_fh.write("x," + ",".join(f"a_{j}" for j in range(1, ts.K + 1)) + "\n")
-        shift_fh.write("x," + ",".join(f"t_{j}" for j in range(1, ts.K + 1)) + "\n")
-        min_fh.write("x,v\n")
-        ext_fh.write("x,v_ext\n")
-    start, stop = (0, n // 2) if part == 0 else (n // 2, n)
-    for a in range(start, stop, 256):
-        b = min(a + 256, stop)
-        x = list(map(repr, xs[a:b].tolist()))
-        cells = [list(map(repr, row)) for row in shifts[:, a:b].T.tolist()]
-        shift_fh.writelines(f"{xi},{','.join(c)}\n" for xi, c in zip(x, cells))
-        env_fh.writelines(
-            f"{xi},{','.join(map(c.__getitem__, o))}\n"
-            for xi, c, o in zip(x, cells, order[:, a:b].T.tolist())
-        )
-        min_fh.writelines(f"{xi},{vi!r}\n" for xi, vi in zip(x, v[a:b].tolist()))
-    start, stop = (0, N // 2) if part == 0 else (N // 2, N)
-    rows = _float_rows(ext.xs[start:stop], ext.values[start:stop])
-    ext_fh.writelines(",".join(row) + "\n" for row in rows)
+    K = ts.K
+    headers = (
+        ["x", *(f"a_{j}" for j in range(1, K + 1))],
+        ["x", *(f"t_{j}" for j in range(1, K + 1))],
+        ["x", "v"],
+    )
+    with contextlib.ExitStack() as stack:
+        fhs = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+        for fh, header in zip(fhs, headers):
+            fh.write(_lines(header, len(header)))
+        for a, cells in zip(range(0, ts.n, 256), _repr_blocks(ts.grid.xs, ts.values.T, v)):
+            # each file's cells, by index in the block; a block row holds x, the K shifts and v
+            x = np.arange(0, len(cells), K + 2)[:, None]
+            env = np.hstack([x, x + 1 + order[:, a : a + 256].T])
+            for fh, take in zip(fhs, (env, x + np.arange(K + 1), x + [0, K + 1])):
+                fh.write(_lines(operator.itemgetter(*take.ravel().tolist())(cells), take.shape[1]))
 
 
-def _write_halves(paths, fork: bool, write_half, *args) -> None:
-    """Write each path by write_half(files, 0, *args), then write_half(files, 1, *args).
+def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
+    """Write the _SOLVE_CSVS into ``out_dir``: three by _write_grid_csvs, and extended.csv.
 
-    With ``fork`` the second halves are written in a forked child, into one
-    anonymous temporary file per path; the child leaves through os._exit, so
-    it runs no exit handler and flushes no buffer of this process.  Once it
-    has exited with status 0, each tail is appended to its file, so the bytes
-    are those of one process writing every row in order.  Any other status
-    raises OSError.  On any failure no file is left.
+    From _FORK_CELLS formatted cells on, a child forked before any file is open
+    writes extended.csv while this process writes the other three.  The child
+    leaves through os._exit, so it runs no exit handler and flushes no buffer of
+    this process; a status other than 0 raises OSError, and the child is reaped
+    whatever fails here.  On any failure no file is left, stale ones included.
     """
+    paths = [os.path.join(out_dir, name) for name in _SOLVE_CSVS]
+    pid = 0
     try:
-        with contextlib.ExitStack() as stack:
-            outs = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
-            if not fork:
-                write_half(outs, 0, *args)
-                write_half(outs, 1, *args)
-                return
-            tails = [
-                stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-                for _ in paths
-            ]
+        # x, the K shifts and v per decision node; x and v_ext per window node
+        if ts.values.size + 2 * v.size + 2 * ext.n >= _FORK_CELLS:
             sys.stdout.flush()
             sys.stderr.flush()
             with warnings.catch_warnings():
@@ -332,7 +333,7 @@ def _write_halves(paths, fork: bool, write_half, *args) -> None:
                 # deadlock the child.  The CLI runs BLAS on one thread, so there
                 # is no other thread unless OPENBLAS_NUM_THREADS is set; then the
                 # others are numpy's idle BLAS pool, and the child only formats
-                # floats and writes files.
+                # floats and writes a file.
                 warnings.filterwarnings(
                     "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
                 )
@@ -340,25 +341,22 @@ def _write_halves(paths, fork: bool, write_half, *args) -> None:
             if pid == 0:
                 status = 1
                 try:
-                    write_half(tails, 1, *args)
-                    for fh in tails:
-                        fh.flush()
+                    _write_csv(paths[3], ("x", "v_ext"), _repr_blocks(ext.xs, ext.values))
                     status = 0
                 except Exception as exc:
-                    print(f"solve: writing the second halves failed: {exc!r}", file=sys.stderr)
+                    print(f"solve: writing extended.csv failed: {exc!r}", file=sys.stderr)
                     sys.stderr.flush()
                 finally:
                     # never return into the caller, which would run its code twice
                     os._exit(status)
-            try:
-                write_half(outs, 0, *args)
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status != 0:
-                raise OSError(f"the process writing the second halves exited with {status}")
-            for out, tail in zip(outs, tails):
-                tail.seek(0)
-                shutil.copyfileobj(tail, out)
+        try:
+            _write_grid_csvs(paths[:3], ts, order, v)
+            if not pid:
+                _write_csv(paths[3], ("x", "v_ext"), _repr_blocks(ext.xs, ext.values))
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 0
+        if status:
+            raise OSError(f"the process writing extended.csv exited with {status}")
     except BaseException:
         for p in paths:
             if os.path.exists(p):
@@ -366,29 +364,12 @@ def _write_halves(paths, fork: bool, write_half, *args) -> None:
         raise
 
 
-_SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
-# Formatted cells from which the forked writer wins; the write takes about 1.6 us a
-# cell in one process.  Measured on a 2-vCPU VM: n=2049/K=3 (22535 cells) is faster
-# in one process, n=2049/K=5 (34825 cells) in two.
-_FORK_CELLS = 30_000
-
-
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     spec = build_problem(cfg)
     ts, env, v, lines = _solve_minimizer(cfg, spec)
     ext = extend_input(v, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    # x, the K shifts and v per decision node; x and v_ext per window node
-    cells = ts.values.size + 2 * v.n + 2 * ext.n
-    _write_halves(
-        [os.path.join(cfg.output_dir, name) for name in _SOLVE_CSVS],
-        cells >= _FORK_CELLS,
-        _write_solve_half,
-        ts,
-        env.order,
-        v.values,
-        ext,
-    )
+    _write_solve_csvs(cfg.output_dir, ts, env.order, v.values, ext)
     for line in lines:
         _say(quiet, line)
     _say(quiet, f"wrote {' '.join(_SOLVE_CSVS)} to {cfg.output_dir}")
@@ -423,7 +404,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     rows.append(("kink_cells", ";".join(_fmt(x) for x in rep.kink_cells) or "none"))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.output_dir, "report.csv"), "metric,value", rows)
+    _write_csv(os.path.join(cfg.output_dir, "report.csv"), ("metric", "value"), [sum(rows, ())])
     for key, val in rows:
         _say(quiet, f"{key} = {val}")
     return 0 if rep.classification != "infeasible" else 4
@@ -463,21 +444,19 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
         entries = exc.entries
         failed = exc
 
-    summary_rows = []
+    summary = []  # the cells of pms_summary.csv, row after row
     for i, e in enumerate(entries, 1):
         _write_csv(
             os.path.join(cfg.output_dir, f"pms_{i:03d}.csv"),
-            "x,v,d1",
-            _float_rows(e.result.g.xs, e.result.g.values, e.result.g.d1),
+            ("x", "v", "d1"),
+            _repr_blocks(e.result.g.xs, e.result.g.values, e.result.g.d1),
         )
-        summary_rows.append(
-            (
-                _fmt(e.epsilon),
-                _fmt(e.result.achieved_lp_error),
-                _fmt(e.norm_gap),
-                _fmt(e.bound),
-                "yes" if e.satisfied else "no",
-            )
+        summary += (
+            _fmt(e.epsilon),
+            _fmt(e.result.achieved_lp_error),
+            _fmt(e.norm_gap),
+            _fmt(e.bound),
+            "yes" if e.satisfied else "no",
         )
         _say(
             quiet,
@@ -487,8 +466,8 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
         )
     _write_csv(
         os.path.join(cfg.output_dir, "pms_summary.csv"),
-        "eps,achieved_error,norm_gap,bound,satisfied",
-        summary_rows,
+        ("eps", "achieved_error", "norm_gap", "bound", "satisfied"),
+        [summary],
     )
     if failed is not None:
         print(f"approximation budget exceeded: {failed}", file=sys.stderr)

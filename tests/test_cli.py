@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from waveinput import cli, oracle
-from waveinput.cli import _float_rows, _write_csv, main, parse_config
+from waveinput.approx import pms_sequence
+from waveinput.cli import _repr_blocks, _write_csv, main, parse_config
 from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
 from waveinput.tbvp import extend_input, full_norm
@@ -261,7 +262,7 @@ class TestVerify:
 
 
 def per_cell_csv(path, header, rows):
-    """The per-cell writer `_write_csv` replaced: repr(float(x)) over tuple(row)."""
+    """The per-cell writer the block formatter replaced: repr(float(x)) over each row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -275,20 +276,20 @@ class TestWriteCsv:
     @pytest.mark.parametrize("ncols", [2, 18])
     def test_bytes_match_per_cell_writer(self, tmp_path, ncols):
         rng = np.random.default_rng(ncols)
-        # more rows than one tolist block, so a block seam is crossed
+        # more rows than one 256-row block, with a partial last block
         table = rng.standard_normal((8195, ncols)) * 10.0 ** rng.integers(-300, 300, (8195, ncols))
         for j in range(ncols):
             table[j : j + len(self.SPECIAL), j] = self.SPECIAL
-        table[4090:4100] = np.resize(self.SPECIAL, (10, ncols))
-        header = ",".join(f"c{j}" for j in range(ncols))
-        _write_csv(str(tmp_path / "new.csv"), header, _float_rows(table[:, 0], table[:, 1:]))
-        per_cell_csv(tmp_path / "old.csv", header, (tuple(row) for row in table))
+        table[250:260] = np.resize(self.SPECIAL, (10, ncols))  # across the first block seam
+        names = [f"c{j}" for j in range(ncols)]
+        _write_csv(str(tmp_path / "new.csv"), names, _repr_blocks(table[:, 0], table[:, 1:]))
+        per_cell_csv(tmp_path / "old.csv", ",".join(names), (tuple(row) for row in table))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def per_file_solve_csvs(cfg_path, out):
-    """The four solve CSVs as `cmd_solve` wrote them before the shared-cell writer:
-    one `_float_rows` table per file, envelopes from a descending np.sort."""
+    """The four solve CSVs written cell by cell by `per_cell_csv`, one table per
+    file, envelopes from a descending np.sort."""
     cfg = parse_config(cfg_path)
     spec = cli.build_problem(cfg)
     ts, _, v, _ = cli._solve_minimizer(cfg, spec)
@@ -302,14 +303,14 @@ def per_file_solve_csvs(cfg_path, out):
         ("minimizer.csv", "x,v", (xs, v.values)),
         ("extended.csv", "x,v_ext", (ext.xs, ext.values)),
     ):
-        _write_csv(str(out / name), header, _float_rows(*columns))
+        per_cell_csv(out / name, header, np.column_stack(columns).tolist())
 
 
 SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
 
 
-# one config on each side of cli._FORK_CELLS: n=129/K=3 writes both halves in this
-# process, n=2049/K=5 forks a child for the second halves
+# one config on each side of cli._FORK_CELLS: n=129/K=3 writes every file in this
+# process, n=2049/K=5 forks a child that writes extended.csv
 WRITERS = pytest.mark.parametrize(
     "kv, forks",
     [(dict(n="129"), False), (dict(n="2049", K1="2", K2="2"), True)],
@@ -318,51 +319,74 @@ WRITERS = pytest.mark.parametrize(
 
 
 def count_forks(monkeypatch):
-    """Record each os.fork call (the child never returns into the test)."""
-    calls, fork = [], os.fork
+    """Record the pid each os.fork call returns in this process."""
+    pids, fork = [], os.fork
 
     def counted():
-        calls.append(1)
-        return fork()
+        pid = fork()
+        pids.append(pid)  # the child appends 0 to its own copy, and never returns to the test
+        return pid
 
     monkeypatch.setattr(os, "fork", counted)
-    return calls
+    return pids
+
+
+def fail_on(monkeypatch, name, path_end=""):
+    """Make cli.<name> raise RuntimeError('disk full') on a first argument ending in path_end."""
+    write = getattr(cli, name)
+
+    def failing(path, *args):
+        if str(path).endswith(path_end):
+            raise RuntimeError("disk full")
+        write(path, *args)
+
+    monkeypatch.setattr(cli, name, failing)
 
 
 class TestSolveWriter:
     @pytest.mark.parametrize(
-        "kv",
+        "kv, forks",
         [
-            dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="65"),
-            dict(f0="sin 1 0", fT="sin 1 -1", norm="l2", n="65"),
-            dict(f0="gaussian 1 0 0.8", fT="poly 0.1 -0.2 0.05", norm="l1", n="513", K2="2"),
-            dict(f0="tanh-bump 1 0.2 0.6", fT="cos 1.3 0.4", norm="l2", n="513", K1="2"),
-            dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="8193", K1="8", K2="8"),
-            dict(norm="l1"),  # zero data: every shift row is 0.0, so every envelope row ties
-            dict(norm="l2"),
+            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="65"), False),
+            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l2", n="65"), False),
+            (
+                dict(f0="gaussian 1 0 0.8", fT="poly 0.1 -0.2 0.05", norm="l1", n="513", K2="2"),
+                False,
+            ),
+            (dict(f0="tanh-bump 1 0.2 0.6", fT="cos 1.3 0.4", norm="l2", n="513", K1="2"), False),
+            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="8193", K1="8", K2="8"), True),
+            # K=3 writes 11n - 4 cells: 24999 just below cli._FORK_CELLS, 25021 just above
+            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="2273"), False),
+            (dict(f0="gaussian 1 0 0.8", fT="sin 1.3 0.4", norm="l2", n="2275"), True),
+            # zero data: every shift row is 0.0, so every envelope row ties
+            (dict(norm="l1"), False),
+            (dict(norm="l2"), False),
         ],
-        ids=["l1-65", "l2-65", "l1-513", "l2-513", "l1-8193-K17", "zero-l1", "zero-l2"],
+        ids=[
+            "l1-65", "l2-65", "l1-513", "l2-513", "l1-8193-K17",
+            "l1-2273-below-fork", "l2-2275-above-fork", "zero-l1", "zero-l2",
+        ],
     )
-    def test_bytes_match_per_file_writer(self, tmp_path, kv):
+    def test_bytes_match_per_file_writer(self, tmp_path, monkeypatch, kv, forks):
+        fork_calls = count_forks(monkeypatch)
         cfg = write_config(tmp_path / "run.cfg", **kv)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "new"), "--quiet"]) == 0
+        assert len(fork_calls) == forks
         per_file_solve_csvs(cfg, tmp_path / "old")
         for name in SOLVE_CSVS:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
+    # "this-process" fails the envelopes/shifts/minimizer writer, which always runs in this
+    # process; "child" fails the extended.csv writer, which runs in the child when forked
     @pytest.mark.parametrize("part", [0, 1], ids=["this-process", "child"])
     @WRITERS
     def test_failed_half_fails_and_leaves_no_csv(
         self, tmp_path, monkeypatch, capfd, part, kv, forks
     ):
-        write_half = cli._write_solve_half
-
-        def failing(fhs, half, *args):
-            if half == part:
-                raise RuntimeError("disk full")
-            write_half(fhs, half, *args)
-
-        monkeypatch.setattr(cli, "_write_solve_half", failing)
+        if part:
+            fail_on(monkeypatch, "_write_csv", "extended.csv")
+        else:
+            fail_on(monkeypatch, "_write_grid_csvs")
         fork_calls = count_forks(monkeypatch)
         out = tmp_path / "o"
         out.mkdir()
@@ -371,14 +395,15 @@ class TestSolveWriter:
         cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", **kv)
         with pytest.raises(OSError if part and forks else RuntimeError):
             main(["solve", "--config", cfg, "--out", str(out)])
-        assert fork_calls == [1] * forks
+        assert len(fork_calls) == forks
+        for pid in fork_calls:  # reaped, whichever process failed
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
         assert list(out.iterdir()) == []
         got = capfd.readouterr()
         assert "wrote" not in got.out
-        if part and forks:
-            assert "writing the second halves failed: RuntimeError('disk full')" in got.err
-        else:
-            assert "writing the second halves failed" not in got.err
+        message = "solve: writing extended.csv failed: RuntimeError('disk full')"
+        assert got.err.count(message) == (1 if part and forks else 0)
 
     @WRITERS
     def test_summary_lines_appear_once(self, tmp_path, monkeypatch, capfd, kv, forks):
@@ -386,7 +411,7 @@ class TestSolveWriter:
         print("pending", end="")  # buffered before the fork, printed once
         cfg = write_config(tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", **kv)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert fork_calls == [1] * forks
+        assert len(fork_calls) == forks
         lines = capfd.readouterr().out.splitlines()
         assert lines[0].startswith("pendingA  = ")
         assert lines[-1] == f"wrote {' '.join(SOLVE_CSVS)} to {tmp_path / 'o'}"
@@ -489,6 +514,25 @@ class TestPMS:
         assert main(["pms", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         lines = (out / "pms_summary.csv").read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 2 and lines[1].endswith(",yes")
+
+    @pytest.mark.parametrize("norm, p", [("l1", 1), ("l2", 2)])
+    def test_curve_bytes_match_per_cell_writer(self, tmp_path, norm, p):
+        out = tmp_path / "p"
+        cfg = write_config(
+            tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm=norm, n="513",
+            eps_schedule="1e-1 1e-3",
+        )
+        assert main(["pms", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        run = parse_config(cfg)
+        spec = cli.build_problem(run)
+        _, _, v, _ = cli._solve_minimizer(run, spec)
+        entries = pms_sequence(v, spec, run.eps_schedule, p)
+        assert len(entries) == 2
+        for i, e in enumerate(entries, 1):
+            g = e.result.g
+            table = np.column_stack([g.xs, g.values, g.d1]).tolist()
+            per_cell_csv(tmp_path / "old.csv", "x,v,d1", table)
+            assert (out / f"pms_{i:03d}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_unreachable_budget_exit6_keeps_partial(self, tmp_path, capsys):
         out = tmp_path / "p"
