@@ -13,11 +13,14 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
     output_dir      where CSVs go (default "out", --out overrides)
 
 Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
-config produces byte-identical output files.  A big ``solve`` (25000
-formatted cells or more, about n·(3K+2)) writes extended.csv in a forked
-child (POSIX ``os.fork``) while this process writes the other three files.
-The bytes depend neither on that split nor on the CPU count: the CLI runs
-numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+config produces byte-identical output files.  A float is written as the bytes
+of Python's ``repr``: numpy computes them a block of cells at a time for
+1e-4 <= |x| < 1e16 (repr's fixed notation) and for ±0.0, and ``repr`` itself
+writes every other value.  A big ``solve`` (25000 formatted cells or more,
+about n·(3K+2)) writes extended.csv in a forked child (POSIX ``os.fork``)
+while this process writes the other three files.  The bytes depend neither
+on that split nor on the CPU count: the CLI runs numpy's BLAS on one thread
+unless OPENBLAS_NUM_THREADS is set.
 
 Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
 5 oracle did not certify, 6 approximation budget unreachable.
@@ -27,8 +30,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
-import operator
 import os
 import sys
 import warnings
@@ -212,33 +215,202 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _lines(cells, ncols: int) -> str:
-    """The CSV lines of the str ``cells``, flat and row-major, ``ncols`` to a row.
+def _lines(cells, ncols: int) -> bytes:
+    """The CSV lines of the str ``cells``, flat and row-major, ``ncols`` to a row, in UTF-8."""
+    return "\n".join([*map(",".join, zip(*[iter(cells)] * ncols)), ""]).encode()
 
-    One join sizes the text once: a % format over the block grew its buffer in
-    steps, and raised the RSS a process keeps after in-process solves.
+
+# A formatted float cell is one _CELL-byte row: a sign, a "0.000" prefix (2 to 5 of
+# its bytes lead 1e-4 <= |x| < 1), 18 slots for 17 digits and a point, and a
+# separator.  Its "keep" row marks the bytes of its text, in order.  The slots of
+# the template read "0.0", so a zero needs only its keep row.
+_CELL = 25
+_CELL_TEMPLATE = np.frombuffer(b"-0.000" + b"0." + b"0" * 16 + b",", np.uint8)
+_TEN = 10 ** np.arange(18, dtype=np.int64)
+# cells formatted at once; 2048 or 16384 left a process that solves in-process (the
+# perfbench harness) with 3-7 MB more RSS
+_BLOCK_CELLS = 4096
+
+
+@functools.cache
+def _cell_tables():
+    """Lookup tables of _repr_cells, built on first use.
+
+    - the ASCII digits of 0000..9999, four bytes to a uint32;
+    - 10^k for k = 0..22, exact doubles, with Veltkamp's 26-bit split of each;
+    - for a point after digit E (E = 17: no point), the slots that take digit i
+      (``left``) and the one that takes the point (``point``); every other slot
+      takes digit i - 1;
+    - the keep row of each (sign, e + 5, kept digits) for e = -5..16, 0..18 digits.
     """
-    return "\n".join([*map(",".join, zip(*[iter(cells)] * ncols)), ""])
+    digits = 48 + np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    pow10 = 10.0 ** np.arange(23)
+    big = 134217729.0 * pow10
+    pow10_hi = big - (big - pow10)
+    point_at, text_slot = np.arange(18)[:, None], np.arange(-3, 21)  # slot i at byte 3 + i
+    left = ((0 <= text_slot) & (text_slot <= point_at)).astype(np.uint8)
+    point = (text_slot == point_at + 1).astype(np.uint8)
+    trailing = np.zeros(10000, np.int64)
+    for k in range(1, 5):
+        trailing[:: 10**k] += 1
+    sign, e, kept = (
+        a.reshape(-1, 1)
+        for a in np.meshgrid([0, 1], np.arange(-5, 17), np.arange(19), indexing="ij")
+    )
+    prefix = np.array([99, 0, 0, 1, 2, 3] + [99] * 19)  # byte taken when below -e
+    cell_slot = np.array([99] * 6 + list(range(18)) + [99])  # taken below the digits (+ point)
+    keep = (prefix < -e) | (cell_slot < kept + (e >= 0))
+    keep[:, 0] = sign[:, 0] == 1
+    keep[:, -1] = True
+    return (digits.astype(np.uint8).view(np.uint32).ravel(), trailing, pow10, pow10_hi,
+            pow10 - pow10_hi, left, point, keep)
 
 
-def _repr_blocks(*columns):
-    """The repr cells of each 256-row block of the stacked float columns, flat and row-major.
+def _shortest(x):
+    """repr's digits of each x of the float64 ``x``, 1e-4 <= x < 1e16: (e, c, slow).
 
-    Each float is formatted once, as repr of its Python float (same as _fmt).
-    Small blocks keep few float and str objects alive at once: 2048-row
-    blocks raised the peak RSS of a process that solves in-process.
+    repr prints the shortest decimal that reads back as x, the nearest to x of
+    those (the problem Adams' Ryu solves, PLDI 2018).  Here it is c·10^(e-16),
+    with e = floor(log10 x) and c an int64 of 17 digits, found exactly:
+    y = x·10^(16-e) in [1e16, 1e17) is N + f (N an int64, 0 <= f < 1) by
+    Dekker's two-product, since 10^k is an exact double for k <= 22.  The
+    round-trip interval of x is y ± δ, δ = 2^(ex-54)·10^(16-e) for the frexp
+    exponent ex.  Over this range f, δ and f ± δ are multiples of 2^-47 below
+    16, so exact too.  The ends y ± δ are integers only from x = 2^52 on; there
+    they are 10x ± 5 or 10(x ± 1) with x ± 1 odd, never shorter than 10x
+    between them, so the interval may be taken closed whatever the mantissa's
+    parity.  A power of two has a lower end half as far; for the 67 of them in
+    range that changes no digit (the tests check each).  ``slow`` marks what
+    repr must decide: exact ties, and an e that log10 put off by one near a
+    power of ten.
     """
-    for a in range(0, len(columns[0]), 256):
-        block = np.column_stack([c[a : a + 256] for c in columns])
-        yield list(map(repr, block.ravel().tolist()))
+    _, _, pow10, pow10_hi, pow10_lo, *_ = _cell_tables()
+    e = np.floor(np.log10(x)).astype(np.int64)
+    p = pow10[16 - e]
+    hi = x * p
+    big = 134217729.0 * x  # Veltkamp's split into 26-bit halves
+    x_hi = big - (big - x)
+    x_lo = x - x_hi
+    p_hi, p_lo = pow10_hi[16 - e], pow10_lo[16 - e]
+    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    floor_lo = np.floor(lo)
+    N = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    f = lo - floor_lo
+    bits = x.view(np.int64)
+    delta = np.ldexp(p, (bits >> 52) - 1076)
+    # the integers of the interval are N + [low, high]
+    low, high = np.ceil(f - delta), np.floor(f + delta)
+    top = N + high.astype(np.int64)
+    width = (high - low).astype(np.int64)
+    # it holds a multiple of 10^j iff top mod 10^j <= width; one of 100 at most, so the
+    # nearest multiple of 1, 10 or 100 to y is the shortest digit string
+    step = _TEN[(top % 10 <= width).astype(np.int64) + (top % 100 <= width)]
+    q, r = np.divmod(N, step)
+    side = (2 * r - step).astype(np.float64) + 2 * f  # sign of y - (q + 1/2)·step, exactly
+    c = (q + (side > 0)) * step
+    slow = (side == 0) | (N < _TEN[16]) | (c >= _TEN[17])
+    return e, c, slow
+
+
+def _fixed_text(e, c):
+    """repr's fixed-notation digits and point for the (e, c) of _shortest: (text, kept).
+
+    Byte 3 + i of a row of ``text`` is slot i of the cell: digit i of c up to
+    digit e, then the point, then digit i - 1 (e < 0: digit i, no point).
+    ``kept`` is the number of digits the text keeps.
+    """
+    digits, trailing, _, _, _, left, point, _ = _cell_tables()
+    lead = c // _TEN[16]
+    rest = c - lead * _TEN[16]
+    high8 = rest // _TEN[8]
+    low8 = rest - high8 * _TEN[8]
+    words = np.empty((len(c), 6), np.uint32)  # the 17 digits at bytes 3..19, '0' after
+    zeros = 0  # trailing zeros of c; the lead digit is not 0
+    for i, g in enumerate((high8 // 10000, high8 % 10000, low8 // 10000, low8 % 10000)):
+        words[:, i + 1] = digits[g]
+        zeros = trailing[g] + (g == 0) * zeros
+    words[:, 5] = 0x30303030
+    d = words.view(np.uint8)
+    d[:, 3] = lead + 48
+    # flat, so that the uint8 arithmetic runs in one pass (it wraps, the sum does not)
+    at = np.where(e >= 0, e, 17)
+    flat, text = d.ravel(), np.empty_like(d)
+    take_i, take_point = (np.take(t, at, axis=0).ravel()[1:] for t in (left, point))
+    text.ravel()[1:] = flat[:-1] + take_i * (flat[1:] - flat[:-1]) + take_point * (46 - flat[:-1])
+    return text, np.maximum(17 - zeros, e + 2)
+
+
+def _repr_cells(values, rows, keep) -> None:
+    """Lay out repr(float(x)) of each x of the float64 ``values`` as a cell row.
+
+    Fills the first len(values) rows of ``rows`` (uint8) and ``keep`` (bool),
+    both _CELL wide, with a ',' separator kept after each text.  Over
+    1e-4 <= |x| < 1e16, repr's fixed notation, the text comes from _shortest;
+    ±0.0 are constants; exponent notation, nan, ±inf and _shortest's slow
+    cells take repr itself.
+    """
+    keep_of = _cell_tables()[-1]
+    m = len(values)
+    mag = np.abs(values)
+    fast = (mag >= 1e-4) & (mag < 1e16)
+    rows[:m] = _CELL_TEMPLATE
+    sel = slice(m) if fast.all() else np.flatnonzero(fast)
+    e, c, slow = _shortest(mag[sel])
+    text, kept = _fixed_text(e, c)
+    rows[sel, 6:24] = text[:, 3:21]
+    kept = (np.signbit(values[sel]) * 22 + e + 5) * 19 + kept
+    if isinstance(sel, slice):
+        np.take(keep_of, kept, axis=0, out=keep[:m])
+        other = slow
+    else:
+        keep[sel] = keep_of[kept]
+        other = ~fast
+        other[sel[slow]] = True
+    if other.any():
+        idx = np.flatnonzero(other)
+        zero = mag[idx] == 0
+        keep[idx[zero]] = keep_of[(np.signbit(values[idx[zero]]) * 22 + 5) * 19 + 2]
+        idx = idx[~zero]
+        text = ("%-24r" * len(idx) % tuple(values[idx].tolist())).encode()  # no repr has a space
+        text = np.frombuffer(text, np.uint8).reshape(-1, 24)
+        rows[idx, :24] = text
+        keep[idx, :24] = text != ord(" ")
+        keep[idx, 24] = True
+
+
+def _cell_blocks(*columns):
+    """The cell rows and keep rows of the stacked float columns, a block of rows at a time.
+
+    Yields both as (block rows, columns, _CELL) views of buffers that each
+    block reuses: a write keeps a few small arrays, however long its columns.
+    Each float is formatted once.
+    """
+    width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+    step = max(1, _BLOCK_CELLS // width)
+    values = np.empty((step, width))
+    rows = np.empty((step * width, _CELL), np.uint8)
+    keep = np.empty((step * width, _CELL), bool)
+    n = len(columns[0])
+    for a in range(0, n, step):
+        k = min(step, n - a)
+        np.concatenate([np.reshape(c[a : a + k], (k, -1)) for c in columns], axis=1, out=values[:k])
+        _repr_cells(values[:k].ravel(), rows, keep)
+        yield rows[: k * width].reshape(k, width, _CELL), keep[: k * width].reshape(k, width, _CELL)
+
+
+def _float_csv(*columns):
+    """The CSV lines of the stacked float columns, as byte blocks: repr(float(x)) per cell."""
+    for rows, keep in _cell_blocks(*columns):
+        rows[:, -1, -1] = ord("\n")
+        yield rows.ravel().compress(keep.ravel())
 
 
 def _write_csv(path: str, names, blocks) -> None:
-    """Write the header of ``names``, then each block of str cells as CSV lines, '\\n' newlines."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write the header of ``names``, then each block of CSV bytes."""
+    with open(path, "wb") as fh:
         fh.write(_lines(names, len(names)))
-        for cells in blocks:
-            fh.write(_lines(cells, len(names)))
+        for block in blocks:
+            fh.write(block)
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -290,9 +462,9 @@ _FORK_CELLS = 25_000
 def _write_grid_csvs(paths, ts, order, v) -> None:
     """Write envelopes.csv, shifts.csv and minimizer.csv, the decision-grid files, to ``paths``.
 
-    One pass over 256-row blocks formats x, the K shifts and v once each: a
+    One pass over blocks of rows formats x, the K shifts and v once each: a
     shifts.csv row takes x and the shift cells in row order, an envelopes.csv
-    row x and the same strings in ``order``, a minimizer.csv row x and v.
+    row x and the same cells in ``order``, a minimizer.csv row x and v.
     """
     K = ts.K
     headers = (
@@ -301,15 +473,20 @@ def _write_grid_csvs(paths, ts, order, v) -> None:
         ["x", "v"],
     )
     with contextlib.ExitStack() as stack:
-        fhs = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+        fhs = [stack.enter_context(open(p, "wb")) for p in paths]
         for fh, header in zip(fhs, headers):
             fh.write(_lines(header, len(header)))
-        for a, cells in zip(range(0, ts.n, 256), _repr_blocks(ts.grid.xs, ts.values.T, v)):
-            # each file's cells, by index in the block; a block row holds x, the K shifts and v
-            x = np.arange(0, len(cells), K + 2)[:, None]
-            env = np.hstack([x, x + 1 + order[:, a : a + 256].T])
-            for fh, take in zip(fhs, (env, x + np.arange(K + 1), x + [0, K + 1])):
-                fh.write(_lines(operator.itemgetter(*take.ravel().tolist())(cells), take.shape[1]))
+        a = 0
+        for rows, keep in _cell_blocks(ts.grid.xs, ts.values.T, v):
+            k = len(rows)
+            row = np.arange(k)[:, None]
+            # each file's cells, by column of the block row, which holds x, the K shifts and v
+            env = np.hstack([np.zeros((k, 1), np.intp), 1 + order[:, a : a + k].T])
+            for fh, take in zip(fhs, (env, np.arange(K + 1), [0, K + 1])):
+                cells = rows[row, take]
+                cells[:, -1, -1] = ord("\n")
+                fh.write(cells.ravel().compress(keep[row, take].ravel()))
+            a += k
 
 
 def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
@@ -341,7 +518,7 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
             if pid == 0:
                 status = 1
                 try:
-                    _write_csv(paths[3], ("x", "v_ext"), _repr_blocks(ext.xs, ext.values))
+                    _write_csv(paths[3], ("x", "v_ext"), _float_csv(ext.xs, ext.values))
                     status = 0
                 except Exception as exc:
                     print(f"solve: writing extended.csv failed: {exc!r}", file=sys.stderr)
@@ -352,7 +529,7 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
         try:
             _write_grid_csvs(paths[:3], ts, order, v)
             if not pid:
-                _write_csv(paths[3], ("x", "v_ext"), _repr_blocks(ext.xs, ext.values))
+                _write_csv(paths[3], ("x", "v_ext"), _float_csv(ext.xs, ext.values))
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 0
         if status:
@@ -404,7 +581,9 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     rows.append(("kink_cells", ";".join(_fmt(x) for x in rep.kink_cells) or "none"))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.output_dir, "report.csv"), ("metric", "value"), [sum(rows, ())])
+    _write_csv(
+        os.path.join(cfg.output_dir, "report.csv"), ("metric", "value"), [_lines(sum(rows, ()), 2)]
+    )
     for key, val in rows:
         _say(quiet, f"{key} = {val}")
     return 0 if rep.classification != "infeasible" else 4
@@ -449,7 +628,7 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
         _write_csv(
             os.path.join(cfg.output_dir, f"pms_{i:03d}.csv"),
             ("x", "v", "d1"),
-            _repr_blocks(e.result.g.xs, e.result.g.values, e.result.g.d1),
+            _float_csv(e.result.g.xs, e.result.g.values, e.result.g.d1),
         )
         summary += (
             _fmt(e.epsilon),
@@ -467,7 +646,7 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     _write_csv(
         os.path.join(cfg.output_dir, "pms_summary.csv"),
         ("eps", "achieved_error", "norm_gap", "bound", "satisfied"),
-        [summary],
+        [_lines(summary, 5)],
     )
     if failed is not None:
         print(f"approximation budget exceeded: {failed}", file=sys.stderr)

@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveinput import cli, oracle
 from waveinput.approx import pms_sequence
-from waveinput.cli import _repr_blocks, _write_csv, main, parse_config
+from waveinput.cli import _float_csv, _write_csv, main, parse_config
 from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
 from waveinput.tbvp import extend_input, full_norm
@@ -282,9 +284,53 @@ class TestWriteCsv:
             table[j : j + len(self.SPECIAL), j] = self.SPECIAL
         table[250:260] = np.resize(self.SPECIAL, (10, ncols))  # across the first block seam
         names = [f"c{j}" for j in range(ncols)]
-        _write_csv(str(tmp_path / "new.csv"), names, _repr_blocks(table[:, 0], table[:, 1:]))
+        _write_csv(str(tmp_path / "new.csv"), names, _float_csv(table[:, 0], table[:, 1:]))
         per_cell_csv(tmp_path / "old.csv", ",".join(names), (tuple(row) for row in table))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @staticmethod
+    def sweep():
+        """A deterministic sweep of float64 values, both signs, for the vectorized repr."""
+        rng = np.random.default_rng(23)
+
+        def ulps(x, k=3):  # x and its k neighbours on each side
+            return (np.asarray(x).view(np.int64)[:, None] + np.arange(-k, k + 1)).view(np.float64)
+
+        # exact halves: x = odd·2^-(17 - e) puts y = x·10^(16 - e) half-way between integers,
+        # and x = odd·2^-(16 - e) on an odd multiple of 5, half-way between multiples of 10
+        halves = []
+        for e in range(-4, 16):
+            for s in (17 - e, 16 - e):
+                lo, hi = 10.0**e * 2.0**s, min(10.0 ** (e + 1) * 2.0**s, 2.0**53)
+                odd = 2 * rng.integers(int(lo) // 2, int(hi) // 2, 2000) + 1
+                halves.append(np.ldexp(odd.astype(np.float64), -s))
+        values = np.concatenate([
+            rng.integers(0, 2**64, 30_000, dtype=np.uint64).view(np.float64),  # every exponent
+            10.0 ** rng.uniform(-4.5, 16.5, 90_000),  # mostly repr's fixed notation
+            np.round(rng.uniform(-50, 50, 20_000) * (d := 10.0 ** rng.integers(0, 12, 20_000))) / d,
+            np.linspace(-3, 3, 8193),  # a decision grid
+            ulps([float(f"1e{k}") for k in range(-5, 18)]).ravel(),
+            ulps(np.ldexp(1.0, np.arange(-30, 61))).ravel(),
+            ulps([1e-4, 1e16], 40).ravel(),
+            *halves,
+            [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            rng.integers(1, 2**52, 1000).view(np.float64),  # subnormals
+        ])
+        flip = (rng.random(len(values)) < 0.5).astype(np.uint64) << np.uint64(63)
+        return (values.view(np.uint64) ^ flip).view(np.float64)  # the sign bit, NaNs too
+
+    def test_kernel_matches_repr_on_a_sweep(self):
+        values = self.sweep()
+        assert len(values) >= 200_000
+        table = values[: len(values) // 3 * 3].reshape(-1, 3)
+        want = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        assert b"".join(_float_csv(*table.T)) == want.encode()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_kernel_matches_repr_on_any_float(self, xs):
+        want = "".join(f"{x!r}\n" for x in xs)
+        assert b"".join(_float_csv(np.array(xs, dtype=np.float64))) == want.encode()
 
 
 def per_file_solve_csvs(cfg_path, out):
