@@ -346,7 +346,7 @@ def _repr_cells(values, rows, keep) -> None:
     Fills the first len(values) rows of ``rows`` (uint8) and ``keep`` (bool),
     both _CELL wide, with a ',' separator kept after each text.  Over
     1e-4 <= |x| < 1e16, repr's fixed notation, the text comes from _shortest;
-    ±0.0 are constants; exponent notation, nan, ±inf and _shortest's slow
+    ±0.0 keep the template; exponent notation, nan, ±inf and _shortest's slow
     cells take repr itself.
     """
     keep_of = _cell_tables()[-1]
@@ -354,23 +354,17 @@ def _repr_cells(values, rows, keep) -> None:
     mag = np.abs(values)
     fast = (mag >= 1e-4) & (mag < 1e16)
     rows[:m] = _CELL_TEMPLATE
-    sel = slice(m) if fast.all() else np.flatnonzero(fast)
+    sel = np.flatnonzero(fast)
     e, c, slow = _shortest(mag[sel])
     text, kept = _fixed_text(e, c)
     rows[sel, 6:24] = text[:, 3:21]
-    kept = (np.signbit(values[sel]) * 22 + e + 5) * 19 + kept
-    if isinstance(sel, slice):
-        np.take(keep_of, kept, axis=0, out=keep[:m])
-        other = slow
-    else:
-        keep[sel] = keep_of[kept]
-        other = ~fast
-        other[sel[slow]] = True
+    code = (np.signbit(values) * 22 + 5) * 19 + 2  # the keep row of ±0.0
+    code[sel] += e * 19 + kept - 2
+    np.take(keep_of, code, axis=0, out=keep[:m])
+    other = ~fast & (mag != 0)
+    other[sel[slow]] = True
     if other.any():
         idx = np.flatnonzero(other)
-        zero = mag[idx] == 0
-        keep[idx[zero]] = keep_of[(np.signbit(values[idx[zero]]) * 22 + 5) * 19 + 2]
-        idx = idx[~zero]
         text = ("%-24r" * len(idx) % tuple(values[idx].tolist())).encode()  # no repr has a space
         text = np.frombuffer(text, np.uint8).reshape(-1, 24)
         rows[idx, :24] = text
