@@ -16,11 +16,13 @@ Every run writes CSVs with '\\n' newlines and repr-exact floats, so a given
 config produces byte-identical output files.  A float is written as the bytes
 of Python's ``repr``: numpy computes them a block of cells at a time for
 1e-4 <= |x| < 1e16 (repr's fixed notation) and for ±0.0, and ``repr`` itself
-writes every other value.  A big ``solve`` (25000 formatted cells or more,
-about n·(3K+2)) writes extended.csv in a forked child (POSIX ``os.fork``)
-while this process writes the other three files.  The bytes depend neither
-on that split nor on the CPU count: the CLI runs numpy's BLAS on one thread
-unless OPENBLAS_NUM_THREADS is set.
+writes every other value.  One writer writes every float CSV, formatting
+each block of rows once: solve's envelopes.csv, shifts.csv and minimizer.csv
+share its cells.  A big ``solve`` (25000 formatted cells or more, about
+n·(3K+2)) writes extended.csv in a forked child (POSIX ``os.fork``) while
+this process writes the other three files.  The bytes depend neither on that
+split nor on the CPU count: the CLI runs numpy's BLAS on one thread unless
+OPENBLAS_NUM_THREADS is set.
 
 Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
 5 oracle did not certify, 6 approximation budget unreachable.
@@ -372,39 +374,46 @@ def _repr_cells(values, rows, keep) -> None:
         keep[idx, 24] = True
 
 
-def _cell_blocks(*columns):
-    """The cell rows and keep rows of the stacked float columns, a block of rows at a time.
+def _csv_blocks(takes, *columns):
+    """The CSV lines of the stacked float columns, a block of rows at a time: one per take.
 
-    Yields both as (block rows, columns, _CELL) views of buffers that each
-    block reuses: a write keeps a few small arrays, however long its columns.
-    Each float is formatted once.
+    Each float is formatted once, into buffers that each block reuses: a write
+    keeps a few small arrays, however long its columns.  A take picks the
+    cells of a line from its block row: None every column, a list the same
+    columns in every row, a function of the block's first row and row count
+    one list per row.  None ends the lines in the shared buffer itself, so it
+    must be the only take.
     """
     width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
     step = max(1, _BLOCK_CELLS // width)
     values = np.empty((step, width))
-    rows = np.empty((step * width, _CELL), np.uint8)
-    keep = np.empty((step * width, _CELL), bool)
+    rows = np.empty((step, width, _CELL), np.uint8)
+    keep = np.empty((step, width, _CELL), bool)
     n = len(columns[0])
     for a in range(0, n, step):
         k = min(step, n - a)
         np.concatenate([np.reshape(c[a : a + k], (k, -1)) for c in columns], axis=1, out=values[:k])
-        _repr_cells(values[:k].ravel(), rows, keep)
-        yield rows[: k * width].reshape(k, width, _CELL), keep[: k * width].reshape(k, width, _CELL)
+        _repr_cells(values[:k].ravel(), rows.reshape(-1, _CELL), keep.reshape(-1, _CELL))
+        lines = []
+        for take in takes:
+            if callable(take):
+                take = take(a, k)
+            at = np.s_[:k] if take is None else np.s_[np.arange(k)[:, None], take]
+            cells, kept = rows[at], keep[at]
+            cells[:, -1, -1] = ord("\n")
+            lines.append(cells.ravel().compress(kept.ravel()))
+        yield lines
 
 
-def _float_csv(*columns):
-    """The CSV lines of the stacked float columns, as byte blocks: repr(float(x)) per cell."""
-    for rows, keep in _cell_blocks(*columns):
-        rows[:, -1, -1] = ord("\n")
-        yield rows.ravel().compress(keep.ravel())
-
-
-def _write_csv(path: str, names, blocks) -> None:
-    """Write the header of ``names``, then each block of CSV bytes."""
-    with open(path, "wb") as fh:
-        fh.write(_lines(names, len(names)))
-        for block in blocks:
-            fh.write(block)
+def _write_csvs(files, *columns) -> None:
+    """Write the (path, header, take) ``files`` from one pass of _csv_blocks over ``columns``."""
+    with contextlib.ExitStack() as stack:
+        fhs = [stack.enter_context(open(path, "wb")) for path, _, _ in files]
+        for fh, (_, header, _) in zip(fhs, files):
+            fh.write(_lines(header, len(header)))
+        for lines in _csv_blocks([take for _, _, take in files], *columns):
+            for fh, block in zip(fhs, lines):
+                fh.write(block)
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -453,46 +462,27 @@ _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
 _FORK_CELLS = 25_000
 
 
-def _write_grid_csvs(paths, ts, order, v) -> None:
-    """Write envelopes.csv, shifts.csv and minimizer.csv, the decision-grid files, to ``paths``.
-
-    One pass over blocks of rows formats x, the K shifts and v once each: a
-    shifts.csv row takes x and the shift cells in row order, an envelopes.csv
-    row x and the same cells in ``order``, a minimizer.csv row x and v.
-    """
-    K = ts.K
-    headers = (
-        ["x", *(f"a_{j}" for j in range(1, K + 1))],
-        ["x", *(f"t_{j}" for j in range(1, K + 1))],
-        ["x", "v"],
-    )
-    with contextlib.ExitStack() as stack:
-        fhs = [stack.enter_context(open(p, "wb")) for p in paths]
-        for fh, header in zip(fhs, headers):
-            fh.write(_lines(header, len(header)))
-        a = 0
-        for rows, keep in _cell_blocks(ts.grid.xs, ts.values.T, v):
-            k = len(rows)
-            row = np.arange(k)[:, None]
-            # each file's cells, by column of the block row, which holds x, the K shifts and v
-            env = np.hstack([np.zeros((k, 1), np.intp), 1 + order[:, a : a + k].T])
-            for fh, take in zip(fhs, (env, np.arange(K + 1), [0, K + 1])):
-                cells = rows[row, take]
-                cells[:, -1, -1] = ord("\n")
-                fh.write(cells.ravel().compress(keep[row, take].ravel()))
-            a += k
-
-
 def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
-    """Write the _SOLVE_CSVS into ``out_dir``: three by _write_grid_csvs, and extended.csv.
+    """Write the _SOLVE_CSVS into ``out_dir``: the three decision-grid files, then extended.csv.
 
-    From _FORK_CELLS formatted cells on, a child forked before any file is open
-    writes extended.csv while this process writes the other three.  The child
-    leaves through os._exit, so it runs no exit handler and flushes no buffer of
-    this process; a status other than 0 raises OSError, and the child is reaped
-    whatever fails here.  On any failure no file is left, stale ones included.
+    A decision-grid row formats x, the K shifts and v once: shifts.csv takes x
+    and the shifts in row order, envelopes.csv x and the shifts in ``order``,
+    minimizer.csv x and v.  From _FORK_CELLS formatted cells on, a child forked
+    before any file is open writes extended.csv while this process writes the
+    other three.  The child leaves through os._exit, so it runs no exit handler
+    and flushes no buffer of this process; a status other than 0 raises OSError,
+    and the child is reaped whatever fails here.  On any failure no file is
+    left, stale ones included.
     """
     paths = [os.path.join(out_dir, name) for name in _SOLVE_CSVS]
+    K = ts.K
+    grid = [
+        (paths[0], ["x", *(f"a_{j}" for j in range(1, K + 1))],
+         lambda a, k: np.hstack([np.zeros((k, 1), np.intp), 1 + order[:, a : a + k].T])),
+        (paths[1], ["x", *(f"t_{j}" for j in range(1, K + 1))], np.arange(K + 1)),
+        (paths[2], ["x", "v"], [0, K + 1]),
+    ]
+    extended = [(paths[3], ["x", "v_ext"], None)]
     pid = 0
     try:
         # x, the K shifts and v per decision node; x and v_ext per window node
@@ -512,7 +502,7 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
             if pid == 0:
                 status = 1
                 try:
-                    _write_csv(paths[3], ("x", "v_ext"), _float_csv(ext.xs, ext.values))
+                    _write_csvs(extended, ext.xs, ext.values)
                     status = 0
                 except Exception as exc:
                     print(f"solve: writing extended.csv failed: {exc!r}", file=sys.stderr)
@@ -521,9 +511,9 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
                     # never return into the caller, which would run its code twice
                     os._exit(status)
         try:
-            _write_grid_csvs(paths[:3], ts, order, v)
+            _write_csvs(grid, ts.grid.xs, ts.values.T, v)
             if not pid:
-                _write_csv(paths[3], ("x", "v_ext"), _float_csv(ext.xs, ext.values))
+                _write_csvs(extended, ext.xs, ext.values)
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 0
         if status:
@@ -575,9 +565,8 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     rows.append(("kink_cells", ";".join(_fmt(x) for x in rep.kink_cells) or "none"))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.output_dir, "report.csv"), ("metric", "value"), [_lines(sum(rows, ()), 2)]
-    )
+    with open(os.path.join(cfg.output_dir, "report.csv"), "wb") as fh:
+        fh.write(_lines(("metric", "value", *sum(rows, ())), 2))
     for key, val in rows:
         _say(quiet, f"{key} = {val}")
     return 0 if rep.classification != "infeasible" else 4
@@ -617,13 +606,11 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
         entries = exc.entries
         failed = exc
 
-    summary = []  # the cells of pms_summary.csv, row after row
+    summary = ["eps", "achieved_error", "norm_gap", "bound", "satisfied"]  # then row after row
     for i, e in enumerate(entries, 1):
-        _write_csv(
-            os.path.join(cfg.output_dir, f"pms_{i:03d}.csv"),
-            ("x", "v", "d1"),
-            _float_csv(e.result.g.xs, e.result.g.values, e.result.g.d1),
-        )
+        g = e.result.g
+        path = os.path.join(cfg.output_dir, f"pms_{i:03d}.csv")
+        _write_csvs([(path, ["x", "v", "d1"], None)], g.xs, g.values, g.d1)
         summary += (
             _fmt(e.epsilon),
             _fmt(e.result.achieved_lp_error),
@@ -637,11 +624,8 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
             f"gap={e.norm_gap:.3e} bound={e.bound:.3e} "
             f"{'ok' if e.satisfied else 'VIOLATED'}",
         )
-    _write_csv(
-        os.path.join(cfg.output_dir, "pms_summary.csv"),
-        ("eps", "achieved_error", "norm_gap", "bound", "satisfied"),
-        [_lines(summary, 5)],
-    )
+    with open(os.path.join(cfg.output_dir, "pms_summary.csv"), "wb") as fh:
+        fh.write(_lines(summary, 5))
     if failed is not None:
         print(f"approximation budget exceeded: {failed}", file=sys.stderr)
         return 6

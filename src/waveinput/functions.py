@@ -45,14 +45,14 @@ class SmoothFunction:
     d1: Evaluator
     d2: Evaluator
     domain: tuple[float, float] = (_NEG_INF, _POS_INF)
-    source: str = "catalog-analytic"
 
     def __call__(self, x):
         return self.value(x)
 
-    def covers(self, a: float, b: float, slack: float = 1e-12) -> bool:
+    def covers(self, a: float, b: float) -> bool:
+        """Whether [a, b] lies in the domain, up to a slack of 1e-12."""
         lo, hi = self.domain
-        return lo - slack <= a and b <= hi + slack
+        return lo - 1e-12 <= a and b <= hi + 1e-12
 
 
 def _require_arity(name: str, params, arity: int) -> None:
@@ -60,7 +60,7 @@ def _require_arity(name: str, params, arity: int) -> None:
         raise BadParams(f"catalog entry '{name}' takes {arity} parameter(s), got {len(params)}")
 
 
-def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF)) -> SmoothFunction:
+def catalog(name: str, params) -> SmoothFunction:
     """Build a SmoothFunction from a named analytic family.
 
     Families and their parameters:
@@ -87,9 +87,7 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
         _require_arity(name, params, 1)
         c = params[0]
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return SmoothFunction(
-            lambda x: np.full_like(np.asarray(x, dtype=float), c), zero, zero, domain, "catalog-analytic"
-        )
+        return SmoothFunction(lambda x: np.full_like(np.asarray(x, dtype=float), c), zero, zero)
 
     if name == "poly":
         if len(params) < 1:
@@ -103,8 +101,6 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
             lambda x: npoly.polyval(np.asarray(x, dtype=float), c0),
             lambda x: npoly.polyval(np.asarray(x, dtype=float), c1),
             lambda x: npoly.polyval(np.asarray(x, dtype=float), c2),
-            domain,
-            "catalog-analytic",
         )
 
     if name in ("sin", "cos"):
@@ -117,8 +113,6 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
             lambda x: f(w * np.asarray(x, dtype=float) + phi),
             lambda x: ws * g(w * np.asarray(x, dtype=float) + phi),
             lambda x: -w * w * f(w * np.asarray(x, dtype=float) + phi),
-            domain,
-            "catalog-analytic",
         )
 
     if name == "gaussian":
@@ -140,7 +134,7 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
             z = np.asarray(x, dtype=float) - mu
             return amp * (z * z / (s2 * s2) - 1.0 / s2) * np.exp(-z * z / (2 * s2))
 
-        return SmoothFunction(val, der, dd, domain, "catalog-analytic")
+        return SmoothFunction(val, der, dd)
 
     if name == "tanh-bump":
         _require_arity(name, params, 3)
@@ -165,7 +159,7 @@ def catalog(name: str, params, domain: tuple[float, float] = (_NEG_INF, _POS_INF
             th = np.tanh(z)
             return 2.0 * amp / (w * w) * sech2 * (2.0 * th * th - sech2)
 
-        return SmoothFunction(val, der, dd, domain, "catalog-analytic")
+        return SmoothFunction(val, der, dd)
 
     raise UnknownCatalogEntry(f"no catalog entry named '{name}'")
 
@@ -226,7 +220,7 @@ def from_samples(xs, ys) -> SmoothFunction:
         t, i = local(x)
         return 2.0 * c2[i] + t * (6.0 * c3[i])
 
-    return SmoothFunction(value, d1, d2, (float(xs[0]), float(xs[-1])), "spline-from-samples")
+    return SmoothFunction(value, d1, d2, (float(xs[0]), float(xs[-1])))
 
 
 @dataclass

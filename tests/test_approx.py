@@ -263,6 +263,25 @@ class TestPMSSequence:
         errs = [e.result.achieved_lp_error for e in entries]
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
+    def test_worse_later_result_carries_the_earlier_entry(self, monkeypatch):
+        # the second approximate_c1 call returns its result for a ten times looser
+        # budget, worse than the first entry, which already meets the second budget
+        spec, v = readme_minimizer(1, n=129)
+        real, calls = approx.approximate_c1, []
+
+        def worse_later(v, c1, c2, A, eps, p):
+            calls.append(eps)
+            return real(v, c1, c2, A, eps if len(calls) == 1 else 10 * eps, p)
+
+        monkeypatch.setattr(approx, "approximate_c1", worse_later)
+        entries = pms_sequence(v, spec, [1e-2, 5e-3], p=1)
+        assert calls == [1e-2, 5e-3]
+        first, later = (e.result for e in entries)
+        assert first.achieved_lp_error < 5e-3 < fresh_result(v, spec, 5e-2, 1).achieved_lp_error
+        assert later is first
+        errs = [e.result.achieved_lp_error for e in entries]
+        assert errs == sorted(errs, reverse=True)
+
     def test_infeasible_input_rejected(self):
         spec = traveling_spec()
         v = GridFunction(-1.0, 1.0, 129, np.full(129, 5.0))

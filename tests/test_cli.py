@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from waveinput import cli, oracle
 from waveinput.approx import pms_sequence
-from waveinput.cli import _float_csv, _write_csv, main, parse_config
+from waveinput.cli import _csv_blocks, _write_csvs, main, parse_config
 from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
 from waveinput.tbvp import extend_input, full_norm
@@ -278,13 +278,14 @@ class TestWriteCsv:
     @pytest.mark.parametrize("ncols", [2, 18])
     def test_bytes_match_per_cell_writer(self, tmp_path, ncols):
         rng = np.random.default_rng(ncols)
-        # more rows than one 256-row block, with a partial last block
+        # several blocks of cli._BLOCK_CELLS // ncols rows, the last one partial
         table = rng.standard_normal((8195, ncols)) * 10.0 ** rng.integers(-300, 300, (8195, ncols))
         for j in range(ncols):
             table[j : j + len(self.SPECIAL), j] = self.SPECIAL
-        table[250:260] = np.resize(self.SPECIAL, (10, ncols))  # across the first block seam
+        seam = cli._BLOCK_CELLS // ncols  # the first row of the second block
+        table[seam - 5 : seam + 5] = np.resize(self.SPECIAL, (10, ncols))
         names = [f"c{j}" for j in range(ncols)]
-        _write_csv(str(tmp_path / "new.csv"), names, _float_csv(table[:, 0], table[:, 1:]))
+        _write_csvs([(str(tmp_path / "new.csv"), names, None)], table[:, 0], table[:, 1:])
         per_cell_csv(tmp_path / "old.csv", ",".join(names), (tuple(row) for row in table))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -324,13 +325,14 @@ class TestWriteCsv:
         assert len(values) >= 200_000
         table = values[: len(values) // 3 * 3].reshape(-1, 3)
         want = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
-        assert b"".join(_float_csv(*table.T)) == want.encode()
+        assert b"".join(b for b, in _csv_blocks([None], *table.T)) == want.encode()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_kernel_matches_repr_on_any_float(self, xs):
         want = "".join(f"{x!r}\n" for x in xs)
-        assert b"".join(_float_csv(np.array(xs, dtype=np.float64))) == want.encode()
+        blocks = _csv_blocks([None], np.array(xs, dtype=np.float64))
+        assert b"".join(b for b, in blocks) == want.encode()
 
 
 def per_file_solve_csvs(cfg_path, out):
@@ -377,16 +379,16 @@ def count_forks(monkeypatch):
     return pids
 
 
-def fail_on(monkeypatch, name, path_end=""):
-    """Make cli.<name> raise RuntimeError('disk full') on a first argument ending in path_end."""
-    write = getattr(cli, name)
+def fail_on(monkeypatch, path_end):
+    """Make cli._write_csvs raise RuntimeError('disk full') on a file ending in path_end."""
+    write = cli._write_csvs
 
-    def failing(path, *args):
-        if str(path).endswith(path_end):
+    def failing(files, *columns):
+        if any(str(path).endswith(path_end) for path, _, _ in files):
             raise RuntimeError("disk full")
-        write(path, *args)
+        write(files, *columns)
 
-    monkeypatch.setattr(cli, name, failing)
+    monkeypatch.setattr(cli, "_write_csvs", failing)
 
 
 class TestSolveWriter:
@@ -429,10 +431,7 @@ class TestSolveWriter:
     def test_failed_half_fails_and_leaves_no_csv(
         self, tmp_path, monkeypatch, capfd, part, kv, forks
     ):
-        if part:
-            fail_on(monkeypatch, "_write_csv", "extended.csv")
-        else:
-            fail_on(monkeypatch, "_write_grid_csvs")
+        fail_on(monkeypatch, "extended.csv" if part else "minimizer.csv")
         fork_calls = count_forks(monkeypatch)
         out = tmp_path / "o"
         out.mkdir()

