@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
-from .functions import C1GridFunction, GridFunction, integrate, simpson_weights
+from .functions import C1GridFunction, GridFunction, integrate, simpson_weights, wsum
 from .tbvp import ProblemSpec, full_norm
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -142,7 +142,7 @@ class BoxCore:
     def integral(self, lo: float, hi: float) -> float:
         """Exact integral of the core over [lo, hi], inside [a, b]."""
         pts, wts = _gauss(self.edges(lo, hi))
-        return float(np.dot(wts, self(pts)[0]))
+        return float(wsum(wts, self(pts)[0]))
 
 
 # ------------------------------------------------------------- cubic Hermite
@@ -226,12 +226,9 @@ def _gauss(edges: np.ndarray):
     return pts.ravel(), wts.ravel()
 
 
-def _lp_total(parts, p: int) -> float:
-    """Combine (weights, diffs) pairs into one Lp norm."""
-    acc = 0.0
-    for w, d in parts:
-        acc += float(np.sum(w * np.abs(d) ** p))
-    return acc ** (1.0 / p)
+def _lp_total(w: np.ndarray, d: np.ndarray, p: int) -> float:
+    """The Lp norm of the differences d at the quadrature weights w."""
+    return float(wsum(w, np.abs(d) ** p)) ** (1.0 / p)
 
 
 def _check_epsilon(eps: float) -> None:
@@ -254,7 +251,7 @@ def _first_corner_width(core: BoxCore, share: float, width: float, p: int) -> fl
 # ------------------------------------------------------------- the pipeline
 
 def approximate_c1(
-    f: GridFunction, c1: float, c2: float, target_integral: float, epsilon: float, p: int = 2
+    f: GridFunction, c1: float, c2: float, target_integral: float, epsilon: float, p: int
 ) -> ApproxResult:
     """Run the pipeline; see the module docstring for the stage layout.
 
@@ -289,20 +286,21 @@ def approximate_c1(
         q_at_pts = core.target(pts)
         diffs = core_v - q_at_pts
         # the constant the corners add, which the integral shift removes
-        drift = float(np.dot(wts, diffs)) / width
+        drift = float(wsum(wts, diffs)) / width
         at_nodes = core(xs)[0] - f.values - drift
         if (
-            _lp_total([(wts, diffs - drift)], p) < share
-            and _lp_total([(w_nodes, at_nodes)], p) < share
+            _lp_total(wts, diffs - drift, p) < share
+            and _lp_total(w_nodes, at_nodes, p) < share
         ) or delta / 2.0 < delta_min:
             break
         delta /= 2.0
         halvings += 1
 
     # a measured error below 64 ulps of ||Q||_p is rounding, not a result
-    floor = 64.0 * np.finfo(float).eps * _lp_total([(wts, q_at_pts)], p)
+    floor = 64.0 * np.finfo(float).eps * _lp_total(wts, q_at_pts, p)
     # integrals of the core from a to each edge
-    prefix = np.concatenate(([0.0], np.cumsum(np.sum((wts * core_v).reshape(-1, _GAUSS_X.size), axis=1))))
+    cells = (-1, _GAUSS_X.size)
+    prefix = np.concatenate(([0.0], np.cumsum(wsum(wts.reshape(cells), core_v.reshape(cells)))))
 
     value_a, slope_a = core(a)
     v1, d1 = float(value_a[0]) + c1, float(slope_a[0]) + c2
@@ -327,18 +325,14 @@ def approximate_c1(
         inner = xs[(xs > seam) & (xs < b)]
         patch_pts, patch_wts = _gauss(np.concatenate(([seam], inner, [b])))
         hv, _ = _hermite(seam, b, *patch, patch_pts)
-        core_int = prefix[jc] + float(np.dot(part_wts, part_v))
+        core_int = prefix[jc] + float(wsum(part_wts, part_v))
         shift = (core_int + _hermite_integral(b - seam, *patch) - target_integral) / width
 
         n_left = jc * _GAUSS_X.size
-        achieved = _lp_total(
-            [
-                (wts[:n_left], diffs[:n_left] - shift),
-                (part_wts, part_v - shift - core.target(part_pts)),
-                (patch_wts, hv - shift - core.target(patch_pts)),
-            ],
-            p,
-        )
+        # off Q on the core's cells left of the seam's cell, that cell up to the seam, the patch
+        w_off = np.concatenate((wts[:n_left], part_wts, patch_wts))
+        off = (diffs[:n_left], part_v - core.target(part_pts), hv - core.target(patch_pts))
+        achieved = _lp_total(w_off, np.concatenate(off) - shift, p)
         reached = achieved < eps and eps > floor
         if reached or delta_raw / 2.0 < delta_min:
             break
@@ -384,7 +378,7 @@ class PMSEntry:
     satisfied: bool
 
 
-def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
+def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int):
     """Smooth a feasible input along a decreasing tolerance schedule.
 
     Each entry runs the pipeline with the problem's endpoint offsets and
@@ -425,7 +419,7 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int = 2):
             bound = 2.0 * spec.K * spec.T * eps
         else:
             w = -(vn.values + v.values)[None, :] + 2.0 * shifts.values
-            m_factor = np.sqrt(float(np.sum(w_simpson * np.sum(w, axis=0) ** 2)))
+            m_factor = np.sqrt(float(wsum(w_simpson, np.sum(w, axis=0) ** 2)))
             bound = m_factor * eps
         entries.append(PMSEntry(eps, result, gap, bound, gap <= bound + 1e-12))
         prev = result

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams
-from .functions import GridFunction, simpson_weights
+from .functions import GridFunction, simpson_weights, wsum
 from .tbvp import ShiftSequence, full_norm
 
 
@@ -42,11 +42,10 @@ class OrderEnvelopes:
 
 def order_envelopes(ts: ShiftSequence) -> OrderEnvelopes:
     # shifts hold no -0.0 and equal floats have equal bits, so these values
-    # are those of np.sort(ts.values, axis=0)[::-1]; reversing an ascending
-    # table keeps its memory layout too, and with it the bits of the matmul
+    # are those of np.sort(ts.values, axis=0)[::-1]
     order = np.argsort(ts.values, axis=0)
     vals = np.take_along_axis(ts.values, order, 0)[::-1]
-    return OrderEnvelopes(ts, vals, vals @ simpson_weights(ts.n, ts.grid.h), order[::-1])
+    return OrderEnvelopes(ts, vals, wsum(simpson_weights(ts.n, ts.grid.h), vals), order[::-1])
 
 
 def select_strip(env: OrderEnvelopes, A: float) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import GridFunction, simpson_weights
+from .functions import GridFunction, simpson_weights, wsum
 from .tbvp import ProblemSpec, ShiftSequence, full_norm
 
 
@@ -27,7 +27,7 @@ class L2Solution:
 
 def l2_minimizer(ts: ShiftSequence, A: float) -> L2Solution:
     mean = ts.values.mean(axis=0)
-    A1 = float(A - np.dot(simpson_weights(ts.n, ts.grid.h), mean))
+    A1 = float(A - wsum(simpson_weights(ts.n, ts.grid.h), mean))
     v_vals = mean + A1 / (2.0 * ts.spec.T)
     v = ts.grid.with_values(v_vals)
     return L2Solution(v, A1, ts.grid.with_values(mean), full_norm(v, ts, 2))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .functions import GridFunction, simpson_weights
+from .functions import GridFunction, simpson_weights, wsum
 from .l1 import construct_h, order_envelopes, select_strip
 from .l2 import l2_minimizer
 from .tbvp import ShiftSequence
@@ -61,7 +61,7 @@ def _certify(
     eps = np.finfo(float).eps
     converged = (
         abs(primal - dual) <= 64 * eps * gap_scale
-        and abs(np.dot(w, v.values) - A) <= 64 * eps * feas_scale
+        and abs(wsum(w, v.values) - A) <= 64 * eps * feas_scale
     )
     gap = abs(dual - primal) / max(primal, 1e-12)
     return OracleReport(dual, primal, gap, iterations, bool(converged), v)
@@ -82,13 +82,13 @@ def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     W = float(w.sum())
     m = tv.mean(axis=0)
     ss = ((tv - m) ** 2).sum(axis=0)
-    lam = 2.0 * K * (A - float(np.dot(w, m))) / W
-    dual = lam * A + float(np.dot(w, ss - lam * m)) - lam * lam * W / (4.0 * K)
+    lam = 2.0 * K * (A - float(wsum(w, m))) / W
+    dual = lam * A + float(wsum(w, ss - lam * m)) - lam * lam * W / (4.0 * K)
     sol = l2_minimizer(ts, A)
     v = sol.v.values
-    S2 = float(np.dot(w, ((np.abs(tv) + np.abs(v)) ** 2).sum(axis=0)))
+    S2 = float(wsum(w, ((np.abs(tv) + np.abs(v)) ** 2).sum(axis=0)))
     c = sol.A1 / (2.0 * ts.spec.T)
-    feas_scale = float(np.dot(w, np.abs(m) + abs(c))) + abs(A)
+    feas_scale = float(wsum(w, np.abs(m) + abs(c))) + abs(A)
     return _certify(dual, sol.objective, S2, sol.v, w, A, feas_scale, 1)
 
 
@@ -104,11 +104,11 @@ def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     w = simpson_weights(ts.n, ts.grid.h)
     lam = K - 2.0 * np.arange(K + 1)
     # at_shift[m, i]: the pointwise objective at v = ts_m,i
-    at_shift =np.abs(tv[:, None, :] - tv[None, :, :]).sum(axis=0)
+    at_shift = np.abs(tv[:, None, :] - tv[None, :, :]).sum(axis=0)
     inner = (at_shift[None] - lam[:, None, None] * tv[None]).min(axis=1)
-    dual = float(np.max(lam * A + inner @ w))
+    dual = float(np.max(lam * A + wsum(w, inner)))
     env = order_envelopes(ts)
     sol = construct_h(env, select_strip(env, A), A)
-    S = float(np.dot(w, np.abs(tv).sum(axis=0))) + K * abs(A)
-    feas_scale = np.dot(w, np.abs(sol.h.values)) + abs(A)
+    S = float(wsum(w, np.abs(tv).sum(axis=0))) + K * abs(A)
+    feas_scale = wsum(w, np.abs(sol.h.values)) + abs(A)
     return _certify(dual, sol.objective, S, sol.h, w, A, feas_scale, K + 1)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridError, OutOfRegion, UnsupportedNorm
-from .functions import GridFunction, SmoothFunction, simpson_weights
+from .functions import GridFunction, SmoothFunction, simpson_weights, wsum
 
 
 @dataclass
@@ -294,11 +294,8 @@ def full_norm(v: GridFunction, ts: ShiftSequence, p: int) -> float:
     _check_decision_grid(v, ts.spec)
     if p not in (1, 2):
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
-    diff = np.abs(ts.values - v.values[None, :])
-    if p == 2:
-        diff = diff * diff
-    w = simpson_weights(v.n, v.h)
-    return float(np.dot(w, diff.sum(axis=0)))
+    diff = np.abs(ts.values - v.values[None, :]) ** p
+    return float(wsum(simpson_weights(v.n, v.h), diff.sum(axis=0)))
 
 
 def segment_integrals(spec: ProblemSpec) -> np.ndarray:

@@ -25,11 +25,11 @@ each value is a slice of a row of the field's node table (``level``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import GridFunction, fd_derivative, integrate
+from .functions import GridFunction, fd_derivative, integrate, simpson_weights, wsum
 from .tbvp import ProblemSpec, SolutionField, dalembert, segment_integrals
 
 SEAM_TOL = 1e-6
@@ -50,9 +50,9 @@ class VerificationReport:
     seam_deriv_jumps: list
     equilibrium_residuals: np.ndarray
     classification: str
-    feasibility_residual: float = 0.0
-    pde_budget: float = 0.0
-    kink_cells: list = field(default_factory=list)
+    feasibility_residual: float
+    pde_budget: float
+    kink_cells: list
 
 
 def _pde_residual(field_: SolutionField, spec: ProblemSpec):
@@ -123,8 +123,7 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     seam_vals = list(zip(x_seams, np.abs(branches[:-1, -1] - branches[1:, 0]).tolist()))
     seam_ders = list(zip(x_seams, deriv_jumps.tolist()))
 
-    seg = segment_integrals(spec)
-    eq = np.array([abs(integrate(v.with_values(b)) - s) for b, s in zip(branches, seg)])
+    eq = np.abs(wsum(simpson_weights(v.n, v.h), branches) - segment_integrals(spec))
 
     if feas > FEAS_TOL:
         verdict = "infeasible"

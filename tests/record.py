@@ -5,15 +5,15 @@ Each ``*.cfg`` in ``tests/record/`` runs through ``solve``, ``verify`` (on that
 per config and command, the exit code, every stdout and stderr line (the output
 directory reads ``<out>``) and the sha256 of every file written.
 
-    python tests/record.py check [--small]   compare this tree's outputs with record.json
-    python tests/record.py update            rewrite record.json from this tree's outputs
-    python tests/record.py diff REV          list every output that differs between the
-                                             git revision REV and this tree
+    python tests/record.py check      compare this tree's outputs with record.json
+    python tests/record.py update     rewrite record.json from this tree's outputs
+    python tests/record.py diff REV   list every output that differs between the git
+                                      revision REV and this tree
 
 ``diff`` exports REV's ``src/`` with ``git archive``, runs the configs of this
 tree against both sources, and prints each changed file with its largest
 absolute and ulp difference over the float cells that differ, then each changed
-output line.  A change that moves output bytes runs ``diff`` against its parent,
+output line, by its key and difference.  A change that moves output bytes runs ``diff`` against its parent,
 quotes the output in CHANGES.md and commits the ``update``d record with it.
 
 The module imports ``waveinput.cli`` before numpy, as the CLI itself does.
@@ -147,13 +147,14 @@ def file_diff(old: Path, new: Path) -> str:
 
 
 def _line_diff(old: str, new: str) -> str:
-    d = _cell_diff(old.rpartition("= ")[2], new.rpartition("= ")[2])
-    tail = f"  (abs {d[0]:.3g}, ulp {d[1]})" if d else ""
-    return f"    - {old}\n    + {new}{tail}"
+    """``key abs A ulp U`` for two ``key = float`` lines, else both lines quoted."""
+    key, _, a = old.rpartition(" = ")
+    d = _cell_diff(a, new.rpartition(" = ")[2]) if new.startswith(key + " = ") else None
+    return f"{key} abs {d[0]:.3g} ulp {d[1]}" if d else f"{old!r} -> {new!r}"
 
 
 def report(old_root: Path, old: dict, new_root: Path, new: dict) -> list[str]:
-    """Every difference between two builds, one block per config and command."""
+    """Every difference between two builds: one line per changed exit code, file or stream."""
     out = []
     for name in sorted(set(old) | set(new)):
         for cmd in ("solve", "verify", "oracle", "pms"):
@@ -177,17 +178,15 @@ def report(old_root: Path, old: dict, new_root: Path, new: dict) -> list[str]:
                 if len(a[key]) != len(b[key]):
                     out.append(f"{name} {cmd}: {key} {len(a[key])} -> {len(b[key])} lines")
                     continue
-                for la, lb in zip(a[key], b[key]):
-                    if la != lb:
-                        out.append(f"{name} {cmd}: {key}\n{_line_diff(la, lb)}")
+                changed = [_line_diff(la, lb) for la, lb in zip(a[key], b[key]) if la != lb]
+                out.append(f"{name} {cmd}: {key}: " + "; ".join(changed))
     return out
 
 
-def _build_with(src: Path, out_root: Path, small: bool) -> dict:
+def _build_with(src: Path, out_root: Path) -> dict:
     """The record of the package under ``src``, built in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, __file__, "build", "--out", str(out_root)] + (["--small"] if small else [])
-    subprocess.run(argv, env=env, check=True)
+    subprocess.run([sys.executable, __file__, "build", "--out", str(out_root)], env=env, check=True)
     return json.loads((out_root / "record.json").read_text())
 
 
@@ -196,7 +195,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("check", "update", "build", "diff"):
         p = sub.add_parser(name)
-        p.add_argument("--small", action="store_true", help=f"only configs with n <= {SMALL_N}")
         if name == "build":
             p.add_argument("--out", required=True, type=Path)
         if name == "diff":
@@ -205,12 +203,12 @@ def main(argv=None) -> int:
 
     if args.command == "build":  # the worker of diff: this interpreter's waveinput
         args.out.mkdir(parents=True, exist_ok=True)
-        record = build(args.out, args.small)
+        record = build(args.out)
         (args.out / "record.json").write_text(json.dumps(record, indent=1, sort_keys=True))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        new = _build_with(ROOT / "src", tmp / "new", args.small)
+        new = _build_with(ROOT / "src", tmp / "new")
         if args.command == "update":
             RECORD.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
             return 0
@@ -222,7 +220,7 @@ def main(argv=None) -> int:
                                  check=True, capture_output=True).stdout
         (tmp / "rev").mkdir()
         subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
-        old = _build_with(tmp / "rev" / "src", tmp / "old", args.small)
+        old = _build_with(tmp / "rev" / "src", tmp / "old")
         lines = report(tmp / "old", old, tmp / "new", new)
         print("\n".join(lines) or f"no output differs from {args.rev} on {len(new)} configs")
         return 0

@@ -463,15 +463,19 @@ class TestSolveWriter:
         assert len(lines) == 8 and len(set(lines)) == 8
 
 
-# pins itself to its first CPU when argv[1] is "one", before numpy loads
+# argv: "one" pins the child to its first CPU; "numpy" loads numpy before the CLI,
+# so the CLI's BLAS default does not apply and OPENBLAS_NUM_THREADS alone decides
 _PINNED_CHILD = """
 import os, sys
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+if sys.argv[2] == "numpy":
+    import numpy
 from waveinput.cli import main
-codes = [main(["solve", "--config", sys.argv[2], "--out", "out"]),
-         main(["oracle", "--config", sys.argv[2]])]
-assert codes == [0, 0], codes
+for norm in ("l1", "l2"):
+    cfg = os.path.join(sys.argv[3], f"{norm}.cfg")
+    codes = [main([cmd, "--config", cfg, "--out", norm]) for cmd in ("solve", "oracle", "pms")]
+    assert codes == [0, 0, 0], codes
 """
 
 
@@ -480,28 +484,40 @@ assert codes == [0, 0], codes
     reason="needs two CPUs and CPU affinity",
 )
 def test_bytes_do_not_depend_on_cpu_count(tmp_path):
-    # at n=16385 the L2 closed form's dot products are long enough for a threaded
-    # BLAS to split them, which changes the last bits of A1 and v on many CPUs
-    cfg = write_config(
-        tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l2", n="16385"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    procs = {}
-    for cpus in ("all", "one"):
-        (tmp_path / cpus).mkdir()
-        procs[cpus] = subprocess.Popen(
-            [sys.executable, "-c", _PINNED_CHILD, cpus, cfg], cwd=tmp_path / cpus,
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    # at n=16385 the quadratures sum long enough vectors for a threaded BLAS to split
+    # them; every weighted sum is numpy's pairwise sum, so neither the CPU count nor the
+    # BLAS thread count reaches a bit, whether the CLI or its caller loaded numpy
+    for norm in ("l1", "l2"):
+        write_config(
+            tmp_path / f"{norm}.cfg", f0="sin 1 0", fT="sin 1 -1", norm=norm, n="16385",
+            eps_schedule="1e-1 1e-3",
         )
-    outs = {cpus: proc.communicate() for cpus, proc in procs.items()}
-    for cpus, proc in procs.items():
-        assert proc.returncode == 0, outs[cpus][1]
-    assert outs["all"][0] == outs["one"][0]
-    for name in SOLVE_CSVS:
-        assert (tmp_path / "all" / "out" / name).read_bytes() == (
-            tmp_path / "one" / "out" / name
-        ).read_bytes(), name
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = {
+        "all-cpus": ("all", "cli", {}),
+        "one-cpu": ("one", "cli", {}),
+        "blas-1": ("all", "numpy", {"OPENBLAS_NUM_THREADS": "1"}),
+        "blas-2": ("all", "numpy", {"OPENBLAS_NUM_THREADS": "2"}),
+    }
+    procs = {}
+    for run, (cpus, first, env) in runs.items():
+        (tmp_path / run).mkdir()
+        procs[run] = subprocess.Popen(
+            [sys.executable, "-c", _PINNED_CHILD, cpus, first, str(tmp_path)],
+            cwd=tmp_path / run, env={**base, **env},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    outs = {run: proc.communicate() for run, proc in procs.items()}
+    for run, proc in procs.items():
+        assert proc.returncode == 0, outs[run][1]
+    ref = tmp_path / "all-cpus"
+    files = sorted(p.relative_to(ref) for p in ref.rglob("*.csv"))
+    assert len(files) == 14
+    for run in runs:
+        assert outs[run][0] == outs["all-cpus"][0], run
+        differ = [str(f) for f in files if (tmp_path / run / f).read_bytes() != (ref / f).read_bytes()]
+        assert differ == [], run
 
 
 class TestOracle:

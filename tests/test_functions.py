@@ -11,6 +11,7 @@ from waveinput.errors import (
     UnsupportedNorm,
 )
 from waveinput.functions import (
+    C1GridFunction,
     GridFunction,
     catalog,
     fd_derivative,
@@ -169,6 +170,8 @@ def test_grid_validation():
         GridFunction(1.0, 0.0, 5, np.zeros(5))
     with pytest.raises(GridError):
         GridFunction(0.0, 1.0, 5, np.array([0.0, 1.0, np.nan, 0.0, 1.0]))
+    with pytest.raises(GridError):
+        C1GridFunction(0.0, 1.0, 5, np.zeros(5), np.zeros(4))
     g = GridFunction(0.0, 1.0, 5, np.ones(5))
     assert g.h == pytest.approx(0.25)
     assert np.allclose(g.xs, [0.0, 0.25, 0.5, 0.75, 1.0])

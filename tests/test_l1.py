@@ -10,7 +10,7 @@ from conftest import (
     traveling_spec,
 )
 from waveinput.errors import BadParams, GridError
-from waveinput.functions import GridFunction, integrate, simpson_weights
+from waveinput.functions import GridFunction, integrate, simpson_weights, wsum
 from waveinput.l1 import (
     construct_h,
     ms_endpoint_check,
@@ -51,10 +51,12 @@ def test_envelope_order_is_a_permutation_giving_the_descending_sort():
         env = order_envelopes(ts)
         ref = np.sort(ts.values, axis=0)[::-1]
         assert np.array_equal(env.values, ref)
-        # the same bits as the matmul of the sorted table: a C-contiguous copy
-        # of it changes the last bit of an n=8193, K=17 integral
+        # the same bits as the weighted sum of a C-contiguous copy of the sorted
+        # table, and of each of its rows alone: layout and row count move no bit
         weights = simpson_weights(ts.n, ts.grid.h)
-        assert (env.integrals == ref @ weights).all()
+        assert (env.integrals == wsum(weights, np.ascontiguousarray(ref))).all()
+        assert (env.integrals == wsum(weights, np.asfortranarray(ref))).all()
+        assert env.integrals.tolist() == [float(wsum(weights, row)) for row in ref]
         rows = np.broadcast_to(np.arange(ts.K)[:, None], ts.values.shape)
         assert np.array_equal(np.sort(env.order, axis=0), rows)
 
@@ -100,6 +102,20 @@ def test_construct_h_interior_convex_combination():
     assert sol.objective == pytest.approx(9.0, abs=1e-10)
     assert np.all(env.values[sol.j] <= sol.h.values + 1e-12)
     assert np.all(sol.h.values <= env.values[sol.j - 1] + 1e-12)
+
+
+def test_construct_h_clamps_onto_the_upper_envelope():
+    # A equal to the top envelope integral picks strip 1, where theta is exactly 1
+    spec = random_spec(np.random.default_rng(3))
+    ts = spec.shifts(129)
+    env = order_envelopes(ts)
+    A = float(env.integrals[0])
+    sol = construct_h(env, select_strip(env, A), A)
+    assert (sol.j, sol.boundary_case) == (1, "on_upper")
+    assert np.array_equal(sol.h.values, env.values[0])
+    w = simpson_weights(ts.n, ts.grid.h)
+    gap_scale = float(wsum(w, np.abs(ts.values).sum(axis=0))) + env.K * abs(A)
+    assert abs(sol.objective - strip_lower_bound(env, 1, A)) <= 64 * np.finfo(float).eps * gap_scale
 
 
 def test_construct_h_zero_problem():
