@@ -53,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
-from .functions import C1GridFunction, GridFunction, integrate, simpson_weights, wsum
+from .functions import (
+    GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, simpson_weights, wsum,
+)
 from .tbvp import ProblemSpec, full_norm
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 
 # widest corner half-width, as a fraction of the interval
 CORNER_CAP = 1.0 / 8.0
@@ -141,7 +141,7 @@ class BoxCore:
 
     def integral(self, lo: float, hi: float) -> float:
         """Exact integral of the core over [lo, hi], inside [a, b]."""
-        pts, wts = _gauss(self.edges(lo, hi))
+        pts, wts = gauss(self.edges(lo, hi))
         return float(wsum(wts, self(pts)[0]))
 
 
@@ -215,22 +215,6 @@ class ApproxResult:
     curve: C1Curve
 
 
-# ------------------------------------------------------------- measurement
-
-def _gauss(edges: np.ndarray):
-    """Gauss points and weights on every cell between consecutive edges, flattened."""
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    hw = (edges[1:] - edges[:-1]) / 2.0
-    pts = mid[:, None] + hw[:, None] * _GAUSS_X[None, :]
-    wts = hw[:, None] * _GAUSS_W[None, :]
-    return pts.ravel(), wts.ravel()
-
-
-def _lp_total(w: np.ndarray, d: np.ndarray, p: int) -> float:
-    """The Lp norm of the differences d at the quadrature weights w."""
-    return float(wsum(w, np.abs(d) ** p)) ** (1.0 / p)
-
-
 def _check_epsilon(eps: float) -> None:
     if not 0.0 < eps < np.inf:
         raise BadParams(f"epsilon must be positive and finite, got {eps}")
@@ -281,7 +265,7 @@ def approximate_c1(
     while True:
         core = BoxCore(f, delta)
         edges = core.edges(a, b)
-        pts, wts = _gauss(edges)
+        pts, wts = gauss(edges)
         core_v = core(pts)[0]
         q_at_pts = core.target(pts)
         diffs = core_v - q_at_pts
@@ -289,17 +273,17 @@ def approximate_c1(
         drift = float(wsum(wts, diffs)) / width
         at_nodes = core(xs)[0] - f.values - drift
         if (
-            _lp_total(wts, diffs - drift, p) < share
-            and _lp_total(w_nodes, at_nodes, p) < share
+            lp_total(wts, diffs - drift, p) < share
+            and lp_total(w_nodes, at_nodes, p) < share
         ) or delta / 2.0 < delta_min:
             break
         delta /= 2.0
         halvings += 1
 
     # a measured error below 64 ulps of ||Q||_p is rounding, not a result
-    floor = 64.0 * np.finfo(float).eps * _lp_total(wts, q_at_pts, p)
+    floor = 64.0 * np.finfo(float).eps * lp_total(wts, q_at_pts, p)
     # integrals of the core from a to each edge
-    cells = (-1, _GAUSS_X.size)
+    cells = (-1, GAUSS_X.size)
     prefix = np.concatenate(([0.0], np.cumsum(wsum(wts.reshape(cells), core_v.reshape(cells)))))
 
     value_a, slope_a = core(a)
@@ -320,19 +304,19 @@ def approximate_c1(
         seam_v, seam_d = core(seam)
         patch = (float(seam_v[0]), float(seam_d[0]), v1, d1)
 
-        part_pts, part_wts = _gauss(np.array([edges[jc], seam]))
+        part_pts, part_wts = gauss(np.array([edges[jc], seam]))
         part_v = core(part_pts)[0]
         inner = xs[(xs > seam) & (xs < b)]
-        patch_pts, patch_wts = _gauss(np.concatenate(([seam], inner, [b])))
+        patch_pts, patch_wts = gauss(np.concatenate(([seam], inner, [b])))
         hv, _ = _hermite(seam, b, *patch, patch_pts)
         core_int = prefix[jc] + float(wsum(part_wts, part_v))
         shift = (core_int + _hermite_integral(b - seam, *patch) - target_integral) / width
 
-        n_left = jc * _GAUSS_X.size
+        n_left = jc * GAUSS_X.size
         # off Q on the core's cells left of the seam's cell, that cell up to the seam, the patch
         w_off = np.concatenate((wts[:n_left], part_wts, patch_wts))
         off = (diffs[:n_left], part_v - core.target(part_pts), hv - core.target(patch_pts))
-        achieved = _lp_total(w_off, np.concatenate(off) - shift, p)
+        achieved = lp_total(w_off, np.concatenate(off) - shift, p)
         reached = achieved < eps and eps > floor
         if reached or delta_raw / 2.0 < delta_min:
             break

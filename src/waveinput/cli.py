@@ -20,9 +20,9 @@ writes every other value.  One writer writes every float CSV, formatting
 each block of rows once: solve's envelopes.csv, shifts.csv and minimizer.csv
 share its cells.  A big ``solve`` (25000 formatted cells or more, about
 n·(3K+2)) writes extended.csv in a forked child (POSIX ``os.fork``) while
-this process writes the other three files.  The bytes depend neither on that
-split nor on the CPU count or the BLAS threads: every quadrature sums in
-numpy's fixed pairwise order (``functions.wsum``), never in BLAS.
+this process writes the other three files.  No byte depends on that split, the
+CPU count, BLAS or LAPACK: every sum is a ``functions.wsum`` in a fixed order,
+and the ``OPENBLAS_NUM_THREADS`` default below is for start-up only.
 
 Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
 5 oracle did not certify, 6 approximation budget unreachable.

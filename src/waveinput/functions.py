@@ -1,4 +1,4 @@
-"""Smooth scalar functions, uniform grids, and Simpson quadrature.
+"""Smooth scalar functions, uniform grids, and the Simpson and Gauss quadrature rules.
 
 Two function carriers are used throughout the package:
 
@@ -6,8 +6,8 @@ Two function carriers are used throughout the package:
   derivatives as vectorized callables) used for problem data, where exact
   derivatives matter.
 * :class:`GridFunction`: samples on a uniform grid with an odd number of
-  nodes, so that composite Simpson weights always apply.  Every quadrature
-  in the package, Simpson or Gauss, is one :func:`wsum` in a fixed order.
+  nodes, so that composite Simpson weights always apply.  Every sum, Simpson,
+  Gauss (:func:`gauss`) or a stencil, is one :func:`wsum` in a fixed order.
 """
 
 from __future__ import annotations
@@ -91,15 +91,14 @@ def catalog(name: str, params) -> SmoothFunction:
     if name == "poly":
         if len(params) < 1:
             raise BadParams("catalog entry 'poly' needs at least one coefficient")
-        from numpy.polynomial import polynomial as npoly
-
-        c0 = np.asarray(params, dtype=float)
-        c1 = npoly.polyder(c0) if len(c0) > 1 else np.zeros(1)
-        c2 = npoly.polyder(c1) if len(c1) > 1 else np.zeros(1)
+        # Horner on descending powers: the steps numpy.polynomial takes on ascending ones
+        c0 = np.asarray(params[::-1], dtype=float)
+        c1 = np.polyder(c0) if len(c0) > 1 else np.zeros(1)
+        c2 = np.polyder(c1) if len(c1) > 1 else np.zeros(1)
         return SmoothFunction(
-            lambda x: npoly.polyval(np.asarray(x, dtype=float), c0),
-            lambda x: npoly.polyval(np.asarray(x, dtype=float), c1),
-            lambda x: npoly.polyval(np.asarray(x, dtype=float), c2),
+            lambda x: np.polyval(c0, np.asarray(x, dtype=float)),
+            lambda x: np.polyval(c1, np.asarray(x, dtype=float)),
+            lambda x: np.polyval(c2, np.asarray(x, dtype=float)),
         )
 
     if name in ("sin", "cos"):
@@ -300,6 +299,25 @@ def wsum(w: np.ndarray, x: np.ndarray):
     return np.sum(np.multiply(w, x, order="C"), axis=-1)
 
 
+def lp_total(w: np.ndarray, x: np.ndarray, p: int) -> float:
+    """The Lp norm of the samples x at the quadrature weights w."""
+    return float(wsum(w, np.abs(x) ** p)) ** (1.0 / p)
+
+
+# 8-point Gauss-Legendre on [-1, 1], bit for bit numpy's leggauss(8) (an eigenvalue solve);
+# the rule is symmetric, so four nodes and four weights fix it
+_X4 = [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]
+_W4 = [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]
+GAUSS_X, GAUSS_W = np.array([[-x for x in _X4[::-1]] + _X4, _W4[::-1] + _W4])
+
+
+def gauss(edges: np.ndarray):
+    """Gauss points and weights on the cells between consecutive edges, GAUSS_X.size per cell."""
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    hw = (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + hw[:, None] * GAUSS_X).ravel(), (hw[:, None] * GAUSS_W).ravel()
+
+
 def integrate(g: GridFunction) -> float:
     """Composite Simpson integral of the grid samples over [a, b]."""
     return float(wsum(simpson_weights(g.n, g.h), g.values))
@@ -309,12 +327,11 @@ def lp_norm(g: GridFunction, p: int) -> float:
     """L^p norm (p = 1 or 2) of the grid samples, by Simpson on |g|^p."""
     if p not in (1, 2):
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
-    return float(wsum(simpson_weights(g.n, g.h), np.abs(g.values) ** p)) ** (1.0 / p)
+    return lp_total(simpson_weights(g.n, g.h), g.values, p)
 
 
-# 4th-order finite differences; one-sided stencils at the four edge nodes.
-_FD_FORWARD = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_FD_OFFSET1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# 4th-order finite differences; one-sided stencils at the two edge nodes of each end.
+_FD_ENDS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
 
 
 def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -325,8 +342,6 @@ def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
         raise GridError("4th-order differences need at least 5 nodes")
     d = np.empty(n)
     d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    d[0] = np.dot(_FD_FORWARD, v[:5]) / h
-    d[1] = np.dot(_FD_OFFSET1, v[:5]) / h
-    d[-1] = -np.dot(_FD_FORWARD, v[-5:][::-1]) / h
-    d[-2] = -np.dot(_FD_OFFSET1, v[-5:][::-1]) / h
+    d[:2] = wsum(_FD_ENDS, v[:5]) / h
+    d[:-3:-1] = -wsum(_FD_ENDS, v[:-6:-1]) / h
     return d

@@ -103,9 +103,11 @@ def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     K = ts.K
     w = simpson_weights(ts.n, ts.grid.h)
     lam = K - 2.0 * np.arange(K + 1)
-    # at_shift[m, i]: the pointwise objective at v = ts_m,i
-    at_shift = np.abs(tv[:, None, :] - tv[None, :, :]).sum(axis=0)
-    inner = (at_shift[None] - lam[:, None, None] * tv[None]).min(axis=1)
+    # inner[j, i]: the least over m of the term at v = ts_m,i, one m at a time (O(K n) memory)
+    inner = np.full((K + 1, ts.n), np.inf)
+    for m in range(K):
+        at_shift = np.abs(tv - tv[m]).sum(axis=0)  # the pointwise objective at v = ts_m,i
+        np.minimum(inner, at_shift - lam[:, None] * tv[m], out=inner)
     dual = float(np.max(lam * A + wsum(w, inner)))
     env = order_envelopes(ts)
     sol = construct_h(env, select_strip(env, A), A)

@@ -197,8 +197,8 @@ def _prefix_tables(branch: np.ndarray, h: float) -> np.ndarray:
         + _PREFIX_INNER[2] * branch[:, 2:-1]
         + _PREFIX_INNER[3] * branch[:, 3:]
     )
-    inc[:, 0] = branch[:, :4] @ _PREFIX_FIRST
-    inc[:, -1] = branch[:, -4:] @ _PREFIX_FIRST[::-1]
+    inc[:, 0] = wsum(_PREFIX_FIRST, branch[:, :4])
+    inc[:, -1] = wsum(_PREFIX_FIRST[::-1], branch[:, -4:])
     table = np.zeros((branch.shape[0], n))
     np.cumsum(inc * h, axis=1, out=table[:, 1:])
     return table
@@ -213,9 +213,9 @@ class SolutionField:
     each period's own branch samples, so seam jumps of the extension never
     leak into neighbouring quadrature cells (C stays continuous and exact
     even when the input violates the endpoint value relation); ``branch``
-    holds those (K, n) rows v - ts_k.  One window-node table holds C, f0 and
-    the slopes at both ends of each cell: ``level`` reads node rows off it,
-    ``u`` fills a cell with the cubic Hermite of C on those slopes.
+    holds those (K, n) rows v - ts_k.  One window-node table holds C and f0:
+    ``level`` reads node rows off it, ``u`` fills a cell with the cubic
+    Hermite of C on the cell's end slopes, which are ``branch`` samples.
     """
 
     spec: ProblemSpec
@@ -227,7 +227,6 @@ class SolutionField:
         # each period's table, raised by the integral of the periods before
         C = np.concatenate([[0.0], np.cumsum(ptab[:-1, -1])])[:, None] + ptab
         self._C = np.append(C[:, :-1].ravel(), C[-1, -1])
-        self._slopes = np.stack([self.branch[:, :-1].ravel(), self.branch[:, 1:].ravel()])
         self._F = self.spec.f0.value(self.v_full.xs)
 
     def level(self, j: int) -> np.ndarray:
@@ -254,7 +253,8 @@ class SolutionField:
         th = (s - (g.a + j * h)) / h
         c0 = self._C[j]
         c1 = self._C[j + 1]
-        d0, d1 = self._slopes[:, j]
+        row, col = np.divmod(j, self.branch.shape[1] - 1)  # the cell's period and node in it
+        d0, d1 = self.branch[row, col], self.branch[row, col + 1]
         h00 = (2 * th - 3) * th * th + 1.0
         h10 = ((th - 2) * th + 1.0) * th
         h01 = (3 - 2 * th) * th * th

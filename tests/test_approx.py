@@ -11,7 +11,7 @@ from waveinput.approx import (
     approximate_c1,
     pms_sequence,
 )
-from waveinput.errors import ApproxBudgetExceeded, BadParams
+from waveinput.errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from waveinput.functions import GridFunction, integrate, simpson_weights
 from waveinput.l1 import construct_h, order_envelopes, select_strip
 from waveinput.l2 import l2_minimizer
@@ -294,6 +294,11 @@ class TestPMSSequence:
         v = GridFunction(-1.0, 1.0, 129, -np.cos(xs))
         with pytest.raises(BadParams):
             pms_sequence(v, spec, [1e-2, 1e-1], p=2)
+        # and a norm other than L1 and L2
+        with pytest.raises(UnsupportedNorm):
+            pms_sequence(v, spec, [1e-1], p=3)
+        with pytest.raises(UnsupportedNorm):
+            approximate_c1(v, spec.c1, spec.c2, spec.A, 1e-1, p=3)
 
 
 def minimizer(spec, p, n):

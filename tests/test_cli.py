@@ -92,8 +92,10 @@ class TestConfigParsing:
 
     def test_function_from_sample_file(self, tmp_path):
         xs = np.linspace(-3.0, 3.0, 41)
-        rows = "\n".join(f"{float(x)!r},{float(np.sin(x))!r}" for x in xs)
-        (tmp_path / "f0.csv").write_text("x,y\n" + rows + "\n", encoding="utf-8")
+        rows = [f"{float(x)!r},{float(np.sin(x))!r}" for x in xs]
+        rows.insert(20, "")  # a blank line inside the data is skipped
+        (tmp_path / "f0.csv").write_text("x,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert cli._read_xy(str(tmp_path / "f0.csv"))[0].tolist() == xs.tolist()
         cfg = parse_config(
             write_config(tmp_path / "run.cfg", f0=f"file {tmp_path / 'f0.csv'}")
         )
@@ -117,6 +119,66 @@ class TestConfigParsing:
         cfg = write_config(tmp_path / "run.cfg", f0=f"file {tmp_path / 'f0.csv'}")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "f0: " in capsys.readouterr().err
+
+
+def _samples(tmp_path, lo, hi, tail=""):
+    """A sample file of sin over [lo, hi], then ``tail``; returns its path."""
+    rows = "".join(f"{x!r},{float(np.sin(x))!r}\n" for x in np.linspace(lo, hi, 41).tolist())
+    path = tmp_path / "f0.csv"
+    path.write_text("x,y\n" + rows + tail, encoding="utf-8")
+    return path
+
+
+def _solve_argv(tmp_path, **kv):
+    return ["solve", "--config", write_config(tmp_path / "run.cfg", **kv)]
+
+
+def _text_config(tmp_path, text):
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    return ["solve", "--config", str(tmp_path / "run.cfg")]
+
+
+# each bad input: the argv it runs, and the text that names its key, line or file
+BAD_INPUTS = {
+    "empty-spec": (lambda t: _solve_argv(t, f0=""), "f0: empty function spec"),
+    "file-without-path": (lambda t: _solve_argv(t, f0="file"), "f0: file spec needs a path"),
+    "non-numeric-parameter": (lambda t: _solve_argv(t, fT="sin one 0"), "fT: bad parameter"),
+    "non-integer-K1": (lambda t: _solve_argv(t, K1="1.5"), "K1: expected an integer"),
+    "non-integer-n": (lambda t: _solve_argv(t, n="65.0"), "n: expected an integer"),
+    "non-numeric-T": (lambda t: _solve_argv(t, T="one"), "T: expected a number"),
+    "unreadable-config": (
+        lambda t: ["solve", "--config", str(t / "missing.cfg")],
+        "cannot read config file {tmp}/missing.cfg",
+    ),
+    "line-without-equals": (lambda t: _text_config(t, "f0 = zero\nfT zero\n"), "line 2:"),
+    "T-not-positive": (lambda t: _solve_argv(t, T="-1"), "T must be positive"),
+    "K1-below-1": (lambda t: _solve_argv(t, K1="0"), "K1 and K2 must be at least 1, got K1=0"),
+    "eps-not-positive": (lambda t: _solve_argv(t, eps_schedule="1e-1 0"), "eps_schedule entries"),
+    "malformed-sample-row": (
+        lambda t: _solve_argv(t, f0="file " + str(_samples(t, -3.05, 3.05, "0.5,oops\n"))),
+        "f0: malformed row '0.5,oops' in {tmp}/f0.csv",
+    ),
+    "unreadable-sample-file": (
+        lambda t: _solve_argv(t, f0=f"file {t / 'missing.csv'}"),
+        "f0: cannot read {tmp}/missing.csv",
+    ),
+    "unreadable-input": (
+        lambda t: ["verify", "--config", write_config(t / "run.cfg"), "--input", str(t / "in.csv")],
+        "cannot read {tmp}/in.csv",
+    ),
+    "f0-does-not-cover-window": (
+        lambda t: _solve_argv(t, f0=f"file {_samples(t, -1.0, 1.0)}"),
+        "f0 and fT must cover the window",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_and_names_it(tmp_path, capsys, case):
+    argv, needle = BAD_INPUTS[case]
+    assert main([*argv(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle.format(tmp=tmp_path) in err, err
 
 
 class TestSolve:

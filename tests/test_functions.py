@@ -11,15 +11,19 @@ from waveinput.errors import (
     UnsupportedNorm,
 )
 from waveinput.functions import (
+    GAUSS_W,
+    GAUSS_X,
     C1GridFunction,
     GridFunction,
     catalog,
     fd_derivative,
     from_samples,
+    gauss,
     integrate,
     lp_norm,
     sample,
     simpson_weights,
+    wsum,
 )
 
 
@@ -79,6 +83,23 @@ def test_catalog_trig_and_zero_bitwise_against_numpy(w, phi):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_catalog_poly_bitwise_against_numpy_polynomial():
+    # the Horner steps of numpy.polynomial on ascending powers, taken on descending ones
+    from numpy.polynomial import polynomial as npoly
+
+    rng = np.random.default_rng(5)
+    xs = rng.normal(scale=3.0, size=64)
+    for _ in range(2000):
+        c = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.integers(-3, 4)
+        f = catalog("poly", c)
+        ref = c
+        for got in (f.value, f.d1, f.d2):
+            want = npoly.polyval(xs, ref)
+            assert got(xs).tobytes() == want.tobytes()
+            assert np.float64(got(xs[0])).tobytes() == want[:1].tobytes()
+            ref = npoly.polyder(ref) if ref.size > 1 else np.zeros(1)
+
+
 def test_catalog_poly_values():
     # 1 - 2x + 0.5x^2 at x=2: 1 - 4 + 2 = -1
     f = catalog("poly", [1.0, -2.0, 0.5])
@@ -94,6 +115,8 @@ def test_catalog_rejects_unknown_and_bad_arity():
         catalog("sin", [1.0])
     with pytest.raises(BadParams):
         catalog("gaussian", [1.0, 0.0, 0.0])
+    with pytest.raises(BadParams):
+        catalog("tanh-bump", [1.0, 0.0, 0.0])
     with pytest.raises(BadParams):
         catalog("poly", [])
 
@@ -206,6 +229,21 @@ def test_integrate_sin_accuracy_and_order():
     err2 = abs(integrate(sample(f, 0.0, math.pi, 257)) - 2.0)
     # composite Simpson is 4th order: halving h cuts the error ~16x
     assert err / err2 == pytest.approx(16.0, rel=0.25)
+
+
+def test_gauss_rule_is_leggauss_8_and_exact_to_degree_15():
+    # the constants are numpy's leggauss(8) as found by its eigenvalue solve here; another
+    # LAPACK build may round that solve differently, so the check allows one ulp
+    from numpy.polynomial import legendre
+
+    x, w = legendre.leggauss(8)
+    assert np.all(np.abs(GAUSS_X - x) <= np.spacing(np.abs(x)))
+    assert np.all(np.abs(GAUSS_W - w) <= np.spacing(w))
+    assert np.array_equal(GAUSS_X, -GAUSS_X[::-1]) and np.array_equal(GAUSS_W, GAUSS_W[::-1])
+    pts, wts = gauss(np.array([-1.0, 0.5, 2.0]))
+    assert pts.shape == wts.shape == (16,)
+    assert wsum(wts, pts**15) == pytest.approx((2.0**16 - 1.0) / 16.0, rel=1e-14)
+    assert wsum(wts, pts**16) != pytest.approx((2.0**17 + 1.0) / 17.0, rel=1e-14)
 
 
 def test_lp_norms():

@@ -10,8 +10,10 @@ process may already hold scipy: every subcommand needs numpy and the
 stdlib only, on catalog and ``file`` sample functions alike.  scipy is a
 test-only dependency (the spline reference in ``test_functions.py``).
 ``import waveinput`` loads no numpy, and each subcommand loads only the
-modules it runs.  The CLI runs BLAS on one thread unless
-``OPENBLAS_NUM_THREADS`` is set.
+modules it runs, never ``numpy.polynomial``.  No source calls BLAS, LAPACK
+or ``numpy.polynomial``, so no output depends on them; the CLI still starts
+BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set, which only makes
+``import numpy`` faster.
 """
 
 import ast
@@ -58,6 +60,34 @@ def _used(tree):
                 if isinstance(c, ast.Constant) and isinstance(c.value, str)
             }
     return names
+
+
+# numpy calls that reach BLAS, LAPACK or numpy.polynomial: each sum is a functions.wsum
+_FORBIDDEN_ATTRS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg", "polynomial"}
+_FORBIDDEN_MODULES = ("numpy.linalg", "numpy.polynomial")
+
+
+def _blas_sites(tree):
+    """Line and text of every matrix product, BLAS-backed numpy call or forbidden import."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr in _FORBIDDEN_ATTRS:
+            yield node.lineno, f".{node.attr}"
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+            yield from ((node.lineno, n) for n in names if n.startswith(_FORBIDDEN_MODULES))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(_FORBIDDEN_MODULES):
+            yield node.lineno, node.module
+
+
+def test_no_blas_lapack_or_numpy_polynomial_in_the_package():
+    sites = [
+        f"{path.relative_to(ROOT)}:{line} {what}"
+        for path in FILES if path.parent.name == "waveinput"
+        for line, what in _blas_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not sites, "BLAS, LAPACK or numpy.polynomial in src: " + ", ".join(sites)
 
 
 def test_no_unused_imports():
@@ -192,17 +222,15 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, norm):
     assert _loaded([verify])[:2] == ([0], _SHARED | {"waveinput.verify"})
     oracle = ["oracle", "--config", cfg, "--quiet"]
     assert _loaded([oracle])[:2] == ([0], _SHARED | {f"waveinput.{m}" for m in ("oracle", "l1", "l2")})
-    codes, mods, _, _ = _loaded([["pms", "--config", cfg, "--out", out, "--quiet"]])
-    assert codes == [0]
-    assert {"waveinput.approx", "numpy.polynomial"} <= mods
-    assert not {"waveinput.oracle", "waveinput.verify"} & mods
+    pms = ["pms", "--config", cfg, "--out", out, "--quiet"]
+    assert _loaded([pms])[:2] == ([0], _SHARED | {"waveinput.approx", "waveinput.l1"} | l2)
 
 
-def test_poly_config_loads_numpy_polynomial(tmp_path):
+def test_poly_config_loads_no_numpy_polynomial(tmp_path):
     cfg = _config(tmp_path, "poly", **dict(_TRAVELING, fT="poly 0.1 -0.2 0.05", norm="l1"))
     codes, mods, _, _ = _loaded([["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]])
     assert codes == [0]
-    assert "numpy.polynomial" in mods
+    assert mods == _SHARED | {"waveinput.l1"}
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc thread listing")

@@ -9,7 +9,7 @@ from conftest import (
     scaled,
     traveling_spec,
 )
-from waveinput.errors import BadParams, GridError
+from waveinput.errors import BadParams, GridError, UnsupportedNorm
 from waveinput.functions import GridFunction, integrate, simpson_weights, wsum
 from waveinput.l1 import (
     construct_h,
@@ -205,6 +205,8 @@ def test_l1_objective_constants():
     assert full_norm(v, env_ts, 1) == pytest.approx(6.0, abs=1e-12)
     with pytest.raises(GridError):
         full_norm(GridFunction(-1.0, 1.0, 33, np.zeros(33)), env_ts, 1)
+    with pytest.raises(UnsupportedNorm):
+        full_norm(v, env_ts, 3)
 
 
 def test_ms_endpoint_check():
@@ -216,6 +218,8 @@ def test_ms_endpoint_check():
     assert ms_endpoint_check(env2, 1, 2.0) == "possible"  # boundary attained
     with pytest.raises(BadParams):
         ms_endpoint_check(env2, 0, 0.0)
+    with pytest.raises(BadParams):
+        strip_lower_bound(env2, env2.K + 1, 0.0)
 
 
 @pytest.mark.parametrize("s", [1e-13, 1.0, 1e6])

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import handmade_shifts, random_spec
-from waveinput.functions import simpson_weights
+from waveinput.errors import GridError
+from waveinput.functions import simpson_weights, wsum
 from waveinput.l1 import order_envelopes, select_strip
 from waveinput.l2 import l2_minimizer
 from waveinput.oracle import l1_oracle, l2_oracle
@@ -73,6 +74,8 @@ def test_l1_oracle_zero_problem():
     assert rep.converged
     assert rep.oracle_value == 0.0
     assert rep.iterations == 4
+    with pytest.raises(GridError):
+        l1_oracle(handmade_shifts(np.zeros((3, 33))), 0.0)
 
 
 def test_l1_oracle_median_case():
@@ -129,6 +132,37 @@ def test_l1_dual_is_exact_on_random_shift_arrays(K, half, log_amp, a, seed):
     env = order_envelopes(ts)
     j = select_strip(env, A)
     assert abs(_dual_at(ts, A, K - 2 * j) - rep.oracle_value) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(2, 17),
+    half=st.integers(32, 300),
+    log_amp=st.floats(-6.0, 6.0),
+    levels=st.sampled_from([0, 3, 1000]),
+    a=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_l1_dual_matches_the_shift_tensor_bitwise(K, half, log_amp, levels, a, seed):
+    """The dual from a (K, K, n) tensor of |ts_k - ts_m|, as l1_oracle once formed it,
+    equals the one-shift-at-a-time dual bit for bit: the sum over k keeps its order and
+    a minimum is exact.  Rounding to a few levels makes ties, also of +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    amp = 10.0**log_amp
+    rows = rng.normal(size=(K, 2 * half + 1))
+    if levels:
+        rows = np.round(rows * levels) / levels
+    rows[1] = 0.0  # period 0, as in every shift sequence
+    ts = handmade_shifts(amp * rows)
+    A = a * amp
+    tv = ts.values
+    lam = K - 2.0 * np.arange(K + 1)
+    at_shift = np.abs(tv[:, None, :] - tv[None, :, :]).sum(axis=0)
+    inner = (at_shift[None] - lam[:, None, None] * tv[None]).min(axis=1)
+    w = simpson_weights(ts.n, ts.grid.h)
+    dual = float(np.max(lam * A + wsum(w, inner)))
+    value = l1_oracle(ts, A).oracle_value
+    assert value == dual and np.signbit(value) == np.signbit(dual)
 
 
 def _scale2(ts, v):

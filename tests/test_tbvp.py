@@ -207,6 +207,11 @@ def test_extend_grid_mismatch():
     s = zero_spec()
     with pytest.raises(GridError):
         extend_input(GridFunction(-0.5, 1.0, 33, np.zeros(33)), s)
+    with pytest.raises(GridError):
+        shift_sequence(s, 64)
+    # three nodes make a shift sequence, but too few for the prefix tables
+    with pytest.raises(GridError):
+        dalembert(GridFunction(-1.0, 1.0, 3, np.zeros(3)), s)
 
 
 def test_seam_jump_is_endpoint_violation():
