@@ -136,7 +136,9 @@ class BoxCore:
     def edges(self, lo: float, hi: float) -> np.ndarray:
         """Nodes and core breakpoints x_2i +- delta strictly inside (lo, hi), with lo and hi."""
         z = self.xs[2:-1:2]
-        e = np.union1d(self.xs, np.concatenate((z - self.delta, z + self.delta)))
+        # np.union1d's sort and dedupe, which would load numpy.ma
+        e = np.sort(np.concatenate((self.xs, z - self.delta, z + self.delta)))
+        e = e[np.concatenate(([True], e[1:] != e[:-1]))]
         return np.concatenate(([lo], e[(e > lo) & (e < hi)], [hi]))
 
     def integral(self, lo: float, hi: float) -> float:

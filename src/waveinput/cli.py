@@ -26,6 +26,13 @@ and the ``OPENBLAS_NUM_THREADS`` default below is for start-up only.
 
 Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
 5 oracle did not certify, 6 approximation budget unreachable.
+
+The command line (``python -m waveinput.cli`` and the ``waveinput`` script)
+enters through ``run``.  Once ``main`` has returned, every file closed and the
+forked writer reaped, it flushes stdout and stderr and leaves by ``os._exit``,
+without interpreter teardown; so a tool that reports at exit (cProfile,
+coverage) must call ``main`` instead.  argparse and uncaught exceptions exit
+the normal way.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -176,8 +184,10 @@ def parse_config(path: str) -> RunConfig:
 def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The first two columns of a comma- or space-separated file, as floats.
 
-    Lines before the first row that parses are skipped as headers; every
-    later row must hold two numbers, and no value may be NaN or infinite.
+    A line before the first row is a header, and skipped, when its first
+    field does not start like a number: an optional sign, then a digit or a
+    point and a digit.  Every other line must hold two numbers, and no value
+    may be NaN or infinite.
     """
     rows = []
     try:
@@ -189,7 +199,7 @@ def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
                 try:
                     rows.append((float(parts[0]), float(parts[1])))
                 except (ValueError, IndexError):
-                    if rows:
+                    if rows or re.match(r"[+-]?\.?\d", parts[0]):
                         raise ConfigError(f"malformed row {line.strip()!r} in {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -669,5 +679,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """``main`` on ``sys.argv``, then its exit code without interpreter teardown."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

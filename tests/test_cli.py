@@ -1,8 +1,12 @@
 """End-to-end command line runs through main(), including exit codes."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,12 +124,28 @@ class TestConfigParsing:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "f0: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("head", ["", "x,y\n", "# sin samples\nx y\n", "nan or inf?\n"])
+    def test_leading_lines_not_starting_like_a_number_are_headers(self, tmp_path, head):
+        (tmp_path / "f.csv").write_text(head + "-1.0,0.5\n0.0,0.0\n1.0,0.5\n", encoding="utf-8")
+        xs, ys = cli._read_xy(str(tmp_path / "f.csv"))
+        assert (xs.tolist(), ys.tolist()) == ([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5])
 
-def _samples(tmp_path, lo, hi, tail=""):
-    """A sample file of sin over [lo, hi], then ``tail``; returns its path."""
-    rows = "".join(f"{x!r},{float(np.sin(x))!r}\n" for x in np.linspace(lo, hi, 41).tolist())
+    @pytest.mark.parametrize("first", ["-1.0;0.5", "-1.0", ".5 x", "+2e0 y", "7x,0.5"])
+    def test_a_first_row_starting_like_a_number_must_parse(self, tmp_path, first):
+        (tmp_path / "f.csv").write_text(f"x,y\n{first}\n0.0,0.0\n1.0,0.5\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"malformed row {first!r}")):
+            cli._read_xy(str(tmp_path / "f.csv"))
+
+
+def _samples(tmp_path, lo, hi, tail="", sep=","):
+    """A 41-row sample file of sin over [lo, hi], then ``tail``; returns its path.
+
+    ``sep`` takes the place of the first data row's comma.
+    """
+    rows = [f"{x!r},{float(np.sin(x))!r}\n" for x in np.linspace(lo, hi, 41).tolist()]
+    rows[0] = rows[0].replace(",", sep)
     path = tmp_path / "f0.csv"
-    path.write_text("x,y\n" + rows + tail, encoding="utf-8")
+    path.write_text("x,y\n" + "".join(rows) + tail, encoding="utf-8")
     return path
 
 
@@ -157,6 +177,11 @@ BAD_INPUTS = {
     "malformed-sample-row": (
         lambda t: _solve_argv(t, f0="file " + str(_samples(t, -3.05, 3.05, "0.5,oops\n"))),
         "f0: malformed row '0.5,oops' in {tmp}/f0.csv",
+    ),
+    # a first data row that starts like a number is a row, not a header to skip
+    "first-sample-row-with-semicolon": (
+        lambda t: _solve_argv(t, f0="file " + str(_samples(t, -3.05, 3.05, sep=";"))),
+        "f0: malformed row '-3.05;",
     ),
     "unreadable-sample-file": (
         lambda t: _solve_argv(t, f0=f"file {t / 'missing.csv'}"),
@@ -672,3 +697,64 @@ class TestPMS:
         assert not (out / "pms_002.csv").exists()
         lines = (out / "pms_summary.csv").read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 2  # header plus the one completed entry
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _infeasible_input(tmp_path):
+    """v = 0.1 on the 65-node grid of write_config's zero problem, whose A is 0."""
+    rows = "".join(f"{x!r},0.1\n" for x in np.linspace(-1.0, 1.0, 65).tolist())
+    (tmp_path / "bad.csv").write_text("x,v\n" + rows, encoding="utf-8")
+    return "bad.csv"
+
+
+# argv per case, run in tmp_path, with the exit code it must give
+EXITS = {
+    "solve": (0, lambda t: ["solve", "--config", write_config(t / "run.cfg", f0="sin 1 0",
+                                                             fT="sin 1 -1", norm="l1"), "--out", "o"]),
+    "missing-config": (2, lambda t: ["oracle", "--config", "missing.cfg"]),
+    "argparse-usage": (2, lambda t: ["solve"]),
+    "infeasible-verify": (4, lambda t: ["verify", "--config", write_config(t / "run.cfg"),
+                                        "--input", _infeasible_input(t), "--out", "o"]),
+    "unreachable-pms": (6, lambda t: ["pms", "--config", write_config(
+        t / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", eps_schedule="1e-1 1e-15"),
+        "--out", "o"]),
+}
+
+
+class TestExitPath:
+    """The command line exits by os._exit after main: each exit code and every byte of
+    stdout and stderr, both piped, are those of main in process."""
+
+    @staticmethod
+    def _in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+        return code, out.getvalue().encode(), err.getvalue().encode()
+
+    @pytest.mark.parametrize("case", list(EXITS))
+    def test_children_match_main_in_process(self, tmp_path, monkeypatch, case):
+        expected_code, argv = EXITS[case]
+        argv = argv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+        want = self._in_process(argv)
+        assert want[0] == expected_code
+        module, function = re.search(
+            r'^waveinput = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text("utf-8"), re.M
+        ).groups()
+        # block-buffered pipes, as in a plain run: only the flush before os._exit writes them
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        for entry in (
+            ["-m", "waveinput.cli"],
+            # what the installed script runs
+            ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"],
+        ):
+            proc = subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == want, entry

@@ -10,13 +10,18 @@ process may already hold scipy: every subcommand needs numpy and the
 stdlib only, on catalog and ``file`` sample functions alike.  scipy is a
 test-only dependency (the spline reference in ``test_functions.py``).
 ``import waveinput`` loads no numpy, and each subcommand loads only the
-modules it runs, never ``numpy.polynomial``.  No source calls BLAS, LAPACK
+waveinput modules it runs, and no numpy module that a fresh ``import numpy``
+does not load itself: never ``numpy.polynomial``, and never the ``numpy.ma``
+that numpy 2's ``unique``, ``union1d`` and ``median`` load on first call.
+The reference is a fresh ``import numpy`` child rather than a fixed list,
+because numpy 1.x loads ``numpy.ma`` at import.  No source calls BLAS, LAPACK
 or ``numpy.polynomial``, so no output depends on them; the CLI still starts
 BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set, which only makes
 ``import numpy`` faster.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -133,10 +138,17 @@ def _run_fresh(argvs):
     return codes, {m for m in mods if m.split(".")[0] == "scipy"}
 
 
+@functools.cache
+def _numpy_alone():
+    """Every module loaded after a fresh ``import numpy``."""
+    return set(_fresh("import json, sys, numpy\nprint(json.dumps(sorted(sys.modules)))", []))
+
+
 def _loaded(argvs, **env):
-    """Exit codes, loaded waveinput and numpy.polynomial modules, BLAS setting, thread count."""
+    """Exit codes, BLAS setting and thread count, and the modules loaded: waveinput's, and
+    numpy's beyond those of ``import numpy`` alone."""
     codes, mods, blas, threads = _fresh(_CHILD, argvs, **env)
-    mods = {m for m in mods if m.startswith(("waveinput.", "numpy.polynomial"))}
+    mods = {m for m in mods if m.startswith(("waveinput.", "numpy."))} - _numpy_alone()
     return codes, mods, blas, threads
 
 
@@ -217,13 +229,17 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, norm):
     out = str(tmp_path / "out")
     solve = ["solve", "--config", cfg, "--out", out, "--quiet"]
     verify = ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"]
-    l2 = {"waveinput.l2"} if norm == "l2" else set()
-    assert _loaded([solve])[:2] == ([0], _SHARED | {"waveinput.l1"} | l2)
-    assert _loaded([verify])[:2] == ([0], _SHARED | {"waveinput.verify"})
     oracle = ["oracle", "--config", cfg, "--quiet"]
-    assert _loaded([oracle])[:2] == ([0], _SHARED | {f"waveinput.{m}" for m in ("oracle", "l1", "l2")})
     pms = ["pms", "--config", cfg, "--out", out, "--quiet"]
-    assert _loaded([pms])[:2] == ([0], _SHARED | {"waveinput.approx", "waveinput.l1"} | l2)
+    l2 = {"waveinput.l2"} if norm == "l2" else set()
+    # every command in its own child, compared at once, so a failure names each command
+    loaded = {argv[0]: _loaded([argv])[:2] for argv in (solve, verify, oracle, pms)}
+    assert loaded == {
+        "solve": ([0], _SHARED | {"waveinput.l1"} | l2),
+        "verify": ([0], _SHARED | {"waveinput.verify"}),
+        "oracle": ([0], _SHARED | {f"waveinput.{m}" for m in ("oracle", "l1", "l2")}),
+        "pms": ([0], _SHARED | {"waveinput.approx", "waveinput.l1"} | l2),
+    }
 
 
 def test_poly_config_loads_no_numpy_polynomial(tmp_path):
