@@ -34,7 +34,6 @@ _EXPORTS = {
         "GridFunction",
         "SmoothFunction",
         "catalog",
-        "fd_derivative",
         "from_samples",
         "integrate",
         "lp_norm",

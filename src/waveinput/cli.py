@@ -20,9 +20,10 @@ writes every other value.  One writer writes every float CSV, formatting
 each block of rows once: solve's envelopes.csv, shifts.csv and minimizer.csv
 share its cells.  A big ``solve`` (25000 formatted cells or more, about
 n·(3K+2)) writes extended.csv in a forked child (POSIX ``os.fork``) while
-this process writes the other three files.  No byte depends on that split, the
-CPU count, BLAS or LAPACK: every sum is a ``functions.wsum`` in a fixed order,
-and the ``OPENBLAS_NUM_THREADS`` default below is for start-up only.
+this process writes the other three files; without ``os.fork`` this process
+writes all four.  No byte depends on that split, the CPU count, BLAS or
+LAPACK: every sum is a ``functions.wsum`` in a fixed order, and the
+``OPENBLAS_NUM_THREADS`` default below is for start-up only.
 
 Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
 5 oracle did not certify, 6 approximation budget unreachable.
@@ -478,12 +479,12 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
 
     A decision-grid row formats x, the K shifts and v once: shifts.csv takes x
     and the shifts in row order, envelopes.csv x and the shifts in ``order``,
-    minimizer.csv x and v.  From _FORK_CELLS formatted cells on, a child forked
-    before any file is open writes extended.csv while this process writes the
-    other three.  The child leaves through os._exit, so it runs no exit handler
-    and flushes no buffer of this process; a status other than 0 raises OSError,
-    and the child is reaped whatever fails here.  On any failure no file is
-    left, stale ones included.
+    minimizer.csv x and v.  From _FORK_CELLS formatted cells on, where os.fork
+    exists, a child forked before any file is open writes extended.csv while
+    this process writes the other three.  The child leaves through os._exit, so
+    it runs no exit handler and flushes no buffer of this process; a status
+    other than 0 raises OSError, and the child is reaped whatever fails here.
+    On any failure no file is left, stale ones included.
     """
     paths = [os.path.join(out_dir, name) for name in _SOLVE_CSVS]
     K = ts.K
@@ -497,7 +498,7 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
     pid = 0
     try:
         # x, the K shifts and v per decision node; x and v_ext per window node
-        if ts.values.size + 2 * v.size + 2 * ext.n >= _FORK_CELLS:
+        if hasattr(os, "fork") and ts.values.size + 2 * v.size + 2 * ext.n >= _FORK_CELLS:
             sys.stdout.flush()
             sys.stderr.flush()
             with warnings.catch_warnings():

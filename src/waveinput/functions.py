@@ -8,6 +8,7 @@ Two function carriers are used throughout the package:
 * :class:`GridFunction`: samples on a uniform grid with an odd number of
   nodes, so that composite Simpson weights always apply.  Every sum, Simpson,
   Gauss (:func:`gauss`) or a stencil, is one :func:`wsum` in a fixed order.
+  A stencil lives with its one user, as ``verify``'s end slopes of v at ±T.
 """
 
 from __future__ import annotations
@@ -329,19 +330,3 @@ def lp_norm(g: GridFunction, p: int) -> float:
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
     return lp_total(simpson_weights(g.n, g.h), g.values, p)
 
-
-# 4th-order finite differences; one-sided stencils at the two edge nodes of each end.
-_FD_ENDS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
-
-
-def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """First derivative of uniformly spaced samples, 4th order everywhere."""
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    if n < 5:
-        raise GridError("4th-order differences need at least 5 nodes")
-    d = np.empty(n)
-    d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    d[:2] = wsum(_FD_ENDS, v[:5]) / h
-    d[:-3:-1] = -wsum(_FD_ENDS, v[:-6:-1]) / h
-    return d

@@ -339,6 +339,25 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--input", str(bad), "--out", out]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_pms_file_verifies_as_its_x_v_columns(self, tmp_path, capsys):
+        # pms_001.csv holds x, v and d1; verify must read it as the x,v file it contains
+        cfg = write_config(
+            tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", n="129", eps_schedule="1e-1"
+        )
+        pms = tmp_path / "pms"
+        assert main(["pms", "--config", cfg, "--out", str(pms), "--quiet"]) == 0
+        lines = (pms / "pms_001.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "x,v,d1"
+        xv = tmp_path / "xv.csv"
+        xv.write_text("".join(",".join(ln.split(",")[:2]) + "\n" for ln in lines), encoding="utf-8")
+        got = {}
+        for name, path in (("pms", pms / "pms_001.csv"), ("xv", xv)):
+            out = tmp_path / f"verify-{name}"
+            assert main(["verify", "--config", cfg, "--input", str(path), "--out", str(out)]) == 0
+            got[name] = (capsys.readouterr().out, (out / "report.csv").read_bytes())
+        assert "classification = " in got["pms"][0]
+        assert got["pms"] == got["xv"]
+
     def test_x_column_shifted_by_nodes_at_small_T_exit2(self, tmp_path, capsys):
         T, n = 1e-6, 8193
         cfg = write_config(tmp_path / "run.cfg", T=repr(T), n=str(n))
@@ -511,6 +530,18 @@ class TestSolveWriter:
         for name in SOLVE_CSVS:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
+    def test_without_fork_a_big_solve_writes_in_one_process(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")  # as on a system without fork
+        # the "fork" config of WRITERS, which forks where os.fork exists
+        cfg = write_config(
+            tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", n="2049", K1="2", K2="2"
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "new"), "--quiet"]) == 0
+        per_file_solve_csvs(cfg, tmp_path / "old")
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(SOLVE_CSVS)
+        for name in SOLVE_CSVS:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
     # "this-process" fails the envelopes/shifts/minimizer writer, which always runs in this
     # process; "child" fails the extended.csv writer, which runs in the child when forked
     @pytest.mark.parametrize("part", [0, 1], ids=["this-process", "child"])
@@ -561,8 +592,9 @@ if sys.argv[2] == "numpy":
 from waveinput.cli import main
 for norm in ("l1", "l2"):
     cfg = os.path.join(sys.argv[3], f"{norm}.cfg")
-    codes = [main([cmd, "--config", cfg, "--out", norm]) for cmd in ("solve", "oracle", "pms")]
-    assert codes == [0, 0, 0], codes
+    cmds = (["solve"], ["verify", "--input", f"{norm}/minimizer.csv"], ["oracle"], ["pms"])
+    codes = [main([*cmd, "--config", cfg, "--out", norm]) for cmd in cmds]
+    assert codes == [0, 0, 0, 0], codes
 """
 
 
@@ -573,7 +605,8 @@ for norm in ("l1", "l2"):
 def test_bytes_do_not_depend_on_cpu_count(tmp_path):
     # at n=16385 the quadratures sum long enough vectors for a threaded BLAS to split
     # them; every weighted sum is numpy's pairwise sum, so neither the CPU count nor the
-    # BLAS thread count reaches a bit, whether the CLI or its caller loaded numpy
+    # BLAS thread count reaches a bit of solve, verify, oracle or pms, whether the CLI or
+    # its caller loaded numpy
     for norm in ("l1", "l2"):
         write_config(
             tmp_path / f"{norm}.cfg", f0="sin 1 0", fT="sin 1 -1", norm=norm, n="16385",
@@ -600,7 +633,7 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path):
         assert proc.returncode == 0, outs[run][1]
     ref = tmp_path / "all-cpus"
     files = sorted(p.relative_to(ref) for p in ref.rglob("*.csv"))
-    assert len(files) == 14
+    assert len(files) == 16
     for run in runs:
         assert outs[run][0] == outs["all-cpus"][0], run
         differ = [str(f) for f in files if (tmp_path / run / f).read_bytes() != (ref / f).read_bytes()]

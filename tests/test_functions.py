@@ -16,7 +16,6 @@ from waveinput.functions import (
     C1GridFunction,
     GridFunction,
     catalog,
-    fd_derivative,
     from_samples,
     gauss,
     integrate,
@@ -265,22 +264,3 @@ def test_lp_norm_triangle_inequality():
         for p in (1, 2):
             assert lp_norm(s, p) <= lp_norm(u, p) + lp_norm(v, p) + 1e-12
 
-
-def test_fd_derivative_fourth_order():
-    f = catalog("sin", [1.0, 0.0])
-    errs = []
-    for n in (65, 129):
-        g = sample(f, 0.0, 2.0, n)
-        d = fd_derivative(g.values, g.h)
-        errs.append(np.max(np.abs(d - f.d1(g.xs))))
-    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.4)
-    assert errs[1] < 2e-8
-
-
-def test_fd_derivative_exact_for_quartics():
-    xs = np.linspace(-1.0, 1.0, 21)
-    h = xs[1] - xs[0]
-    d = fd_derivative(xs**4, h)
-    assert np.max(np.abs(d - 4 * xs**3)) < 1e-12
-    with pytest.raises(GridError):
-        fd_derivative(np.zeros(4), 0.1)

@@ -6,13 +6,14 @@ used (re-exports), and ``from __future__`` imports are skipped.  Quoted
 annotations are parsed, so a name used only inside one still counts.
 
 The import-path checks run the CLI in a fresh interpreter, since this
-process may already hold scipy: every subcommand needs numpy and the
-stdlib only, on catalog and ``file`` sample functions alike.  scipy is a
-test-only dependency (the spline reference in ``test_functions.py``).
-``import waveinput`` loads no numpy, and each subcommand loads only the
-waveinput modules it runs, and no numpy module that a fresh ``import numpy``
-does not load itself: never ``numpy.polynomial``, and never the ``numpy.ma``
-that numpy 2's ``unique``, ``union1d`` and ``median`` load on first call.
+process may already hold scipy, and compare exact module sets.
+``import waveinput`` loads no numpy.  The CLI import and each subcommand, on
+catalog and ``file`` sample functions alike, load only the waveinput modules
+they run, no scipy module (scipy is a test-only dependency: the spline
+reference in ``test_functions.py``), and no numpy module that a fresh
+``import numpy`` does not load itself: never ``numpy.polynomial``, and never
+the ``numpy.ma`` that numpy 2's ``unique``, ``union1d`` and ``median`` load on
+first call.
 The reference is a fresh ``import numpy`` child rather than a fixed list,
 because numpy 1.x loads ``numpy.ma`` at import.  No source calls BLAS, LAPACK
 or ``numpy.polynomial``, so no output depends on them; the CLI still starts
@@ -132,12 +133,6 @@ def _fresh(code, argvs, **env):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _run_fresh(argvs):
-    """Exit codes of ``main`` on each argv, and the scipy modules loaded after."""
-    codes, mods, _, _ = _fresh(_CHILD, argvs)
-    return codes, {m for m in mods if m.split(".")[0] == "scipy"}
-
-
 @functools.cache
 def _numpy_alone():
     """Every module loaded after a fresh ``import numpy``."""
@@ -145,10 +140,10 @@ def _numpy_alone():
 
 
 def _loaded(argvs, **env):
-    """Exit codes, BLAS setting and thread count, and the modules loaded: waveinput's, and
-    numpy's beyond those of ``import numpy`` alone."""
+    """Exit codes, BLAS setting and thread count, and the modules loaded: waveinput's,
+    scipy's, and numpy's beyond those of ``import numpy`` alone."""
     codes, mods, blas, threads = _fresh(_CHILD, argvs, **env)
-    mods = {m for m in mods if m.startswith(("waveinput.", "numpy."))} - _numpy_alone()
+    mods = {m for m in mods if m.startswith(("waveinput.", "numpy.", "scipy"))} - _numpy_alone()
     return codes, mods, blas, threads
 
 
@@ -156,48 +151,6 @@ def _config(tmp_path, name, **kv):
     path = tmp_path / f"{name}.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()), encoding="utf-8")
     return str(path)
-
-
-def test_cli_import_loads_no_scipy():
-    assert _run_fresh([]) == ([], set())
-
-
-@pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_catalog_solve_verify_oracle_load_no_scipy(tmp_path, norm):
-    cfg = _config(tmp_path, norm, norm=norm, **_TRAVELING)
-    out = str(tmp_path / "out")
-    codes, mods = _run_fresh([
-        ["solve", "--config", cfg, "--out", out, "--quiet"],
-        ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"],
-        ["oracle", "--config", cfg, "--out", out, "--quiet"],
-    ])
-    assert codes == [0, 0, 0]
-    assert mods == set()
-
-
-def test_pms_loads_no_scipy(tmp_path):
-    cfg = _config(tmp_path, "pms", norm="l2", eps_schedule="1e-1", **_TRAVELING)
-    codes, mods = _run_fresh([["pms", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]])
-    assert codes == [0]
-    assert mods == set()
-
-
-def test_file_sample_function_loads_no_scipy(tmp_path):
-    samples = tmp_path / "f0.csv"
-    samples.write_text(
-        "x,y\n" + "".join(f"{x / 10!r},{(x / 10) ** 2!r}\n" for x in range(-30, 31)),
-        encoding="utf-8",
-    )
-    cfg = _config(tmp_path, "file", **dict(_TRAVELING, f0=f"file {samples}", norm="l1"))
-    out = str(tmp_path / "out")
-    codes, mods = _run_fresh([
-        ["solve", "--config", cfg, "--out", out, "--quiet"],
-        ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"],
-        ["oracle", "--config", cfg, "--out", out, "--quiet"],
-    ])
-    assert codes == [0, 0, 0]
-    assert mods == set()
-    assert (tmp_path / "out" / "minimizer.csv").exists()
 
 
 # what every subcommand needs: config parsing, the catalog and the problem's shifts
@@ -215,7 +168,7 @@ print(json.dumps([loaded, len(waveinput.__all__), sorted(set(waveinput.__all__) 
 """
     loaded, count, unbound = _fresh(code, [])
     assert loaded == []
-    assert count == 47
+    assert count == 46
     assert unbound == []
 
 
@@ -223,9 +176,16 @@ def test_cli_import_loads_only_the_shared_modules():
     assert _loaded([])[:2] == ([], _SHARED)
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_each_subcommand_loads_only_what_it_runs(tmp_path, norm):
-    cfg = _config(tmp_path, norm, norm=norm, eps_schedule="1e-1", **_TRAVELING)
+@pytest.mark.parametrize("case", ["l1", "l2", "file"])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
+    norm = "l2" if case == "l2" else "l1"
+    data = dict(_TRAVELING)
+    if case == "file":  # f0 from samples: its spline is built without scipy
+        samples = tmp_path / "f0.csv"
+        rows = "".join(f"{x / 10!r},{(x / 10) ** 2!r}\n" for x in range(-30, 31))
+        samples.write_text("x,y\n" + rows, encoding="utf-8")
+        data["f0"] = f"file {samples}"
+    cfg = _config(tmp_path, case, norm=norm, eps_schedule="1e-1", **data)
     out = str(tmp_path / "out")
     solve = ["solve", "--config", cfg, "--out", out, "--quiet"]
     verify = ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"]

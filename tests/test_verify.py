@@ -5,7 +5,7 @@ import pytest
 
 from waveinput.functions import GridFunction, catalog, sample
 from waveinput.tbvp import ProblemSpec
-from waveinput.verify import convergence_study, verify_solution
+from waveinput.verify import _end_slopes, convergence_study, verify_solution
 
 from conftest import feasible_random_v, random_spec, traveling_spec
 
@@ -13,6 +13,23 @@ from conftest import feasible_random_v, random_spec, traveling_spec
 def zero_spec(K1=1, K2=1, T=1.0):
     z = catalog("zero", [])
     return ProblemSpec(z, z, T, K1, K2)
+
+
+def test_end_slopes_fourth_order_at_both_ends():
+    f = catalog("sin", [1.0, 0.0])
+    errs = []
+    for n in (65, 129):
+        g = sample(f, 0.0, 2.0, n)
+        errs.append(np.abs(np.array(_end_slopes(g)) - f.d1(np.array([0.0, 2.0]))))
+    assert errs[0] / errs[1] == pytest.approx([16.0, 16.0], rel=0.4)
+    assert max(errs[1]) < 2e-8
+
+
+def test_end_slopes_exact_for_quartics():
+    xs = np.linspace(-1.0, 1.0, 21)
+    g = GridFunction(-1.0, 1.0, 21, (xs - 0.3) ** 4 + xs**3)
+    slopes = 4 * (np.array([-1.0, 1.0]) - 0.3) ** 3 + 3.0
+    assert np.max(np.abs(np.array(_end_slopes(g)) - slopes)) < 1e-12
 
 
 class TestClassification:
