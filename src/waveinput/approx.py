@@ -227,7 +227,10 @@ def _first_corner_width(core: BoxCore, share: float, width: float, p: int) -> fl
     jump = float(np.sum(np.abs(core.jumps)))
     delta = CORNER_CAP * width
     if jump > 0.0:
-        fit = np.sqrt(6.0 * share / jump) if p == 1 else (40.0 * (share / jump) ** 2) ** (1.0 / 3.0)
+        try:
+            fit = np.sqrt(6.0 * share / jump) if p == 1 else (40.0 * (share / jump) ** 2) ** (1.0 / 3.0)
+        except OverflowError:  # a budget past the float range: the cap wins
+            fit = np.inf
         delta = min(delta, fit)
     if delta >= core.h2:
         delta = core.h2 * 2.0 ** np.floor(np.log2(delta / core.h2))

@@ -117,9 +117,9 @@ def catalog(name: str, params) -> SmoothFunction:
     if name == "gaussian":
         _require_arity(name, params, 3)
         amp, mu, sigma = params
-        if sigma <= 0:
-            raise BadParams("catalog entry 'gaussian' needs sigma > 0")
         s2 = sigma * sigma
+        if sigma <= 0 or s2 == 0:
+            raise BadParams(f"catalog entry 'gaussian' needs sigma > 0 and sigma^2 > 0, got {sigma!r}")
 
         def val(x):
             z = np.asarray(x, dtype=float) - mu
@@ -138,8 +138,8 @@ def catalog(name: str, params) -> SmoothFunction:
     if name == "tanh-bump":
         _require_arity(name, params, 3)
         amp, c, w = params
-        if w == 0:
-            raise BadParams("catalog entry 'tanh-bump' needs w != 0")
+        if w * w == 0:
+            raise BadParams(f"catalog entry 'tanh-bump' needs w^2 > 0, got {w!r}")
 
         # f = amp * sech^2(z), z = (x - c)/w
         def val(x):

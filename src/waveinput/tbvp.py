@@ -55,6 +55,8 @@ class ProblemSpec:
             raise DomainError("K1 and K2 must be integers >= 1")
         self.K = self.K1 + self.K2 + 1
         lo, hi = self.window
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise DomainError(f"window [{lo}, {hi}] of T={self.T!r} must be finite")
         if not (self.f0.covers(lo, hi) and self.fT.covers(lo, hi)):
             raise DomainError(
                 f"f0 and fT must cover the window [{lo}, {hi}]; "

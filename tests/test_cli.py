@@ -195,6 +195,18 @@ BAD_INPUTS = {
         lambda t: _solve_argv(t, f0=f"file {_samples(t, -1.0, 1.0)}"),
         "f0 and fT must cover the window",
     ),
+    "window-not-finite": (
+        lambda t: _solve_argv(t, T="1e308"), "window [-inf, inf] of T=1e+308 must be finite"
+    ),
+    # sigma^2 and w^2 underflow to 0, where the second derivatives divide by them
+    "gaussian-sigma-squared-0": (
+        lambda t: _solve_argv(t, f0="gaussian 1 0 1e-200"),
+        "f0: catalog entry 'gaussian' needs sigma > 0 and sigma^2 > 0, got 1e-200",
+    ),
+    "tanh-bump-w-squared-0": (
+        lambda t: _solve_argv(t, fT="tanh-bump 1 0 1e-200"),
+        "fT: catalog entry 'tanh-bump' needs w^2 > 0, got 1e-200",
+    ),
 }
 
 
@@ -265,22 +277,6 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", out, "--quiet"]) == 0
         extra = ["--input", f"{out}/minimizer.csv"] if command == "verify" else []
         assert main([command, "--config", cfg, "--out", out, "--quiet", *extra]) == 0
-
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "run.cfg",
-            f0="sin 1 0",
-            fT="gaussian 1 0 0.8",
-            norm="l2",
-            seed="7",
-        )
-        outs = []
-        for d in ("a", "b"):
-            out = tmp_path / d
-            assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-            outs.append(out)
-        for name in ("envelopes.csv", "minimizer.csv", "shifts.csv", "extended.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg")
@@ -509,6 +505,7 @@ class TestSolveWriter:
             ),
             (dict(f0="tanh-bump 1 0.2 0.6", fT="cos 1.3 0.4", norm="l2", n="513", K1="2"), False),
             (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="8193", K1="8", K2="8"), True),
+            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l2", n="8193", K1="8", K2="8"), True),
             # K=3 writes 11n - 4 cells: 24999 just below cli._FORK_CELLS, 25021 just above
             (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="2273"), False),
             (dict(f0="gaussian 1 0 0.8", fT="sin 1.3 0.4", norm="l2", n="2275"), True),
@@ -517,7 +514,7 @@ class TestSolveWriter:
             (dict(norm="l2"), False),
         ],
         ids=[
-            "l1-65", "l2-65", "l1-513", "l2-513", "l1-8193-K17",
+            "l1-65", "l2-65", "l1-513", "l2-513", "l1-8193-K17", "l2-8193-K17",
             "l1-2273-below-fork", "l2-2275-above-fork", "zero-l1", "zero-l2",
         ],
     )
@@ -624,7 +621,8 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path):
     for run, (cpus, first, env) in runs.items():
         (tmp_path / run).mkdir()
         procs[run] = subprocess.Popen(
-            [sys.executable, "-c", _PINNED_CHILD, cpus, first, str(tmp_path)],
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", _PINNED_CHILD, cpus, first,
+             str(tmp_path)],
             cwd=tmp_path / run, env={**base, **env},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
@@ -714,6 +712,18 @@ class TestPMS:
             table = np.column_stack([g.xs, g.values, g.d1]).tolist()
             per_cell_csv(tmp_path / "old.csv", "x,v,d1", table)
             assert (out / f"pms_{i:03d}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_budget_past_float_range_is_satisfied(self, tmp_path, norm):
+        # in L2 the closed-form corner width squares share / jump past the float range;
+        # the corner cap then sets the width, as in L1
+        out = tmp_path / "p"
+        cfg = write_config(
+            tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm=norm, eps_schedule="1e300"
+        )
+        assert main(["pms", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        lines = (out / "pms_summary.csv").read_text(encoding="utf-8").strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("1e+300,") and lines[1].endswith(",yes")
 
     def test_unreachable_budget_exit6_keeps_partial(self, tmp_path, capsys):
         out = tmp_path / "p"
