@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
+from .errors import ApproxBudgetExceeded, BadParams, DomainError, UnsupportedNorm
 from .functions import (
     GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, simpson_weights, wsum,
 )
@@ -78,8 +78,11 @@ class BoxCore:
         h, v = f.h, f.values
         f0, f1, f2 = v[0:-2:2], v[1:-1:2], v[2::2]
         q0 = f0
-        q1 = (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * h)
-        q2 = (f0 - 2.0 * f1 + f2) / (2.0 * h * h)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            q1 = (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * h)
+            q2 = (f0 - 2.0 * f1 + f2) / (2.0 * h * h)
+        if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
+            raise DomainError(f"the Simpson-panel quadratics of the input overflow at h={h!r}")
         self.pad = pad = int(self.delta / self.h2) + 2
         # each padded panel re-expands the in-range quadratic nearest to it
         # about its own start, d away from that quadratic's start

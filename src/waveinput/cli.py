@@ -25,8 +25,9 @@ writes all four.  No byte depends on that split, the CPU count, BLAS or
 LAPACK: every sum is a ``functions.wsum`` in a fixed order, and the
 ``OPENBLAS_NUM_THREADS`` default below is for start-up only.
 
-Exit codes: 0 success, 2 bad config/input, 4 infeasible input in verify,
-5 oracle did not certify, 6 approximation budget unreachable.
+Exit codes: 0 success, 2 any ``WaveInputError`` (``main`` prints its one
+``config error:`` line), 4 infeasible input in verify, 5 oracle did not
+certify, 6 approximation budget unreachable (``cmd_pms`` catches it first).
 
 The command line (``python -m waveinput.cli`` and the ``waveinput`` script)
 enters through ``run``.  Once ``main`` has returned, every file closed and the
@@ -190,7 +191,7 @@ def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
     point and a digit.  Every other line must hold two numbers, and no value
     may be NaN or infinite.
     """
-    rows = []
+    flat = []  # x0, y0, x1, y1, ...
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -198,13 +199,13 @@ def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
                 if not parts:
                     continue
                 try:
-                    rows.append((float(parts[0]), float(parts[1])))
+                    flat += float(parts[0]), float(parts[1])
                 except (ValueError, IndexError):
-                    if rows or re.match(r"[+-]?\.?\d", parts[0]):
+                    if flat or re.match(r"[+-]?\.?\d", parts[0]):
                         raise ConfigError(f"malformed row {line.strip()!r} in {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    data = np.array(rows, dtype=float).reshape(-1, 2)
+    data = np.array(flat, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"non-finite value in {path}")
     xs, ys = data.T.copy()
@@ -223,10 +224,7 @@ def _build_function(key: str, spec: tuple):
 def build_problem(cfg: RunConfig) -> ProblemSpec:
     f0 = _build_function("f0", cfg.f0_spec)
     fT = _build_function("fT", cfg.fT_spec)
-    try:
-        return ProblemSpec(f0, fT, cfg.T, cfg.K1, cfg.K2)
-    except WaveInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ProblemSpec(f0, fT, cfg.T, cfg.K1, cfg.K2)
 
 
 def _lines(cells, ncols: int) -> bytes:
@@ -675,7 +673,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.quiet)
         return cmd_pms(cfg, args.quiet)
-    except ConfigError as exc:
+    except WaveInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

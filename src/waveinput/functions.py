@@ -55,6 +55,15 @@ class SmoothFunction:
         return lo - 1e-12 <= a and b <= hi + 1e-12
 
 
+def _finite_scale(amp: float, width_power: float) -> bool:
+    """Whether max(|amp|, 1)/width_power, a bound on a second derivative's scale, is finite.
+
+    An evaluator that formed an infinite amp/width_power or 1/width_power would
+    turn it into a NaN where the bump's exponential factor is 0.
+    """
+    return width_power > 0 and np.isfinite(max(abs(amp), 1.0) / width_power)
+
+
 def _require_arity(name: str, params, arity: int) -> None:
     if len(params) != arity:
         raise BadParams(f"catalog entry '{name}' takes {arity} parameter(s), got {len(params)}")
@@ -118,19 +127,24 @@ def catalog(name: str, params) -> SmoothFunction:
         _require_arity(name, params, 3)
         amp, mu, sigma = params
         s2 = sigma * sigma
-        if sigma <= 0 or s2 == 0:
-            raise BadParams(f"catalog entry 'gaussian' needs sigma > 0 and sigma^2 > 0, got {sigma!r}")
+        if not (sigma > 0 and _finite_scale(amp, s2 * s2)):
+            raise BadParams(
+                f"catalog entry 'gaussian' needs sigma > 0 and max(|amp|, 1)/sigma^4 finite, "
+                f"got sigma={sigma!r}"
+            )
 
+        # beyond 40 sigma the exponential is 0.0 already: clipping z there moves no bit,
+        # and keeps z^2/sigma^4 finite where it would overflow into inf * 0
         def val(x):
-            z = np.asarray(x, dtype=float) - mu
+            z = np.clip(np.asarray(x, dtype=float) - mu, -40 * sigma, 40 * sigma)
             return amp * np.exp(-z * z / (2 * s2))
 
         def der(x):
-            z = np.asarray(x, dtype=float) - mu
+            z = np.clip(np.asarray(x, dtype=float) - mu, -40 * sigma, 40 * sigma)
             return -amp * z / s2 * np.exp(-z * z / (2 * s2))
 
         def dd(x):
-            z = np.asarray(x, dtype=float) - mu
+            z = np.clip(np.asarray(x, dtype=float) - mu, -40 * sigma, 40 * sigma)
             return amp * (z * z / (s2 * s2) - 1.0 / s2) * np.exp(-z * z / (2 * s2))
 
         return SmoothFunction(val, der, dd)
@@ -138,23 +152,28 @@ def catalog(name: str, params) -> SmoothFunction:
     if name == "tanh-bump":
         _require_arity(name, params, 3)
         amp, c, w = params
-        if w * w == 0:
-            raise BadParams(f"catalog entry 'tanh-bump' needs w^2 > 0, got {w!r}")
+        if not _finite_scale(2.0 * amp, w * w):
+            raise BadParams(
+                f"catalog entry 'tanh-bump' needs max(|2 amp|, 1)/w^2 finite, got w={w!r}"
+            )
 
-        # f = amp * sech^2(z), z = (x - c)/w
+        # f = amp * sech^2(z), z = (x - c)/w; where cosh(z) overflows, sech = 1/inf = 0 exactly
         def val(x):
             z = (np.asarray(x, dtype=float) - c) / w
-            sech = 1.0 / np.cosh(z)
+            with np.errstate(over="ignore"):
+                sech = 1.0 / np.cosh(z)
             return amp * sech * sech
 
         def der(x):
             z = (np.asarray(x, dtype=float) - c) / w
-            sech2 = 1.0 / np.cosh(z) ** 2
+            with np.errstate(over="ignore"):
+                sech2 = 1.0 / np.cosh(z) ** 2
             return -2.0 * amp / w * sech2 * np.tanh(z)
 
         def dd(x):
             z = (np.asarray(x, dtype=float) - c) / w
-            sech2 = 1.0 / np.cosh(z) ** 2
+            with np.errstate(over="ignore"):
+                sech2 = 1.0 / np.cosh(z) ** 2
             th = np.tanh(z)
             return 2.0 * amp / (w * w) * sech2 * (2.0 * th * th - sech2)
 
@@ -277,9 +296,7 @@ def sample(f: SmoothFunction, a: float, b: float, n: int) -> GridFunction:
     """Sample a SmoothFunction onto a uniform grid (DomainError if not covered)."""
     if not f.covers(a, b):
         raise DomainError(f"[{a}, {b}] lies outside the function domain {f.domain}")
-    g = GridFunction(a, b, n, np.zeros(n))
-    g.values = np.asarray(f.value(g.xs), dtype=float)
-    return g
+    return GridFunction(a, b, n, f.value(np.linspace(a, b, n)))
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:

@@ -289,15 +289,20 @@ def full_norm(v: GridFunction, ts: ShiftSequence, p: int) -> float:
 
     Returns the integral over [-T, T] of sum_k |ts_k(x) - v(x)|^p, which
     equals the window integral of |v_ext|^p (branchwise, with the seam
-    convention of extend_input).  v must sit on the grid of ts.
+    convention of extend_input).  v must sit on the grid of ts.  A total
+    that overflows is a DomainError.
     """
     if v.n != ts.n:
         raise GridError(f"input has {v.n} nodes, the shift grid {ts.n}")
     _check_decision_grid(v, ts.spec)
     if p not in (1, 2):
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
-    diff = np.abs(ts.values - v.values[None, :]) ** p
-    return float(wsum(simpson_weights(v.n, v.h), diff.sum(axis=0)))
+    with np.errstate(over="ignore"):
+        diff = np.abs(ts.values - v.values[None, :]) ** p
+        total = float(wsum(simpson_weights(v.n, v.h), diff.sum(axis=0)))
+    if not np.isfinite(total):
+        raise DomainError(f"the window L{p} norm of the input overflows at T={ts.spec.T!r}")
+    return total
 
 
 def segment_integrals(spec: ProblemSpec) -> np.ndarray:

@@ -149,8 +149,12 @@ def _samples(tmp_path, lo, hi, tail="", sep=","):
     return path
 
 
+def _argv(tmp_path, command, **kv):
+    return [command, "--config", write_config(tmp_path / "run.cfg", **kv)]
+
+
 def _solve_argv(tmp_path, **kv):
-    return ["solve", "--config", write_config(tmp_path / "run.cfg", **kv)]
+    return _argv(tmp_path, "solve", **kv)
 
 
 def _text_config(tmp_path, text):
@@ -201,11 +205,44 @@ BAD_INPUTS = {
     # sigma^2 and w^2 underflow to 0, where the second derivatives divide by them
     "gaussian-sigma-squared-0": (
         lambda t: _solve_argv(t, f0="gaussian 1 0 1e-200"),
-        "f0: catalog entry 'gaussian' needs sigma > 0 and sigma^2 > 0, got 1e-200",
+        "f0: catalog entry 'gaussian' needs sigma > 0 and max(|amp|, 1)/sigma^4 finite, "
+        "got sigma=1e-200",
     ),
     "tanh-bump-w-squared-0": (
         lambda t: _solve_argv(t, fT="tanh-bump 1 0 1e-200"),
-        "fT: catalog entry 'tanh-bump' needs w^2 > 0, got 1e-200",
+        "fT: catalog entry 'tanh-bump' needs max(|2 amp|, 1)/w^2 finite, got w=1e-200",
+    ),
+    # sigma^4 and w^2 are subnormal: the second-derivative scale overflows
+    "gaussian-sigma-1e-80": (
+        lambda t: _solve_argv(t, f0="gaussian 1 0 1e-80"),
+        "f0: catalog entry 'gaussian' needs sigma > 0 and max(|amp|, 1)/sigma^4 finite, "
+        "got sigma=1e-80",
+    ),
+    "tanh-bump-w-1e-160": (
+        lambda t: _solve_argv(t, f0="tanh-bump 1 0 1e-160"),
+        "f0: catalog entry 'tanh-bump' needs max(|2 amp|, 1)/w^2 finite, got w=1e-160",
+    ),
+    # typed errors raised past the config: each reached main as a traceback before
+    "l2-pms-input-misses-integral": (
+        lambda t: _argv(t, "pms", f0="gaussian 1e12 0.1 0.6", fT="sin 1 -1", eps_schedule="1e-1"),
+        "input is not feasible: integral constraint fails",
+    ),
+    "solve-T-1e-310": (
+        lambda t: _argv(t, "solve", f0="sin 1 0", fT="sin 1 -1", T="1e-310"),
+        "grid values must be finite",
+    ),
+    "oracle-T-1e-310": (
+        lambda t: _argv(t, "oracle", f0="sin 1 0", fT="sin 1 -1", T="1e-310"),
+        "grid values must be finite",
+    ),
+    "l2-solve-T-1e-300": (
+        lambda t: _argv(t, "solve", f0="sin 1 0", fT="sin 1 -1", T="1e-300"),
+        "the window L2 norm of the input overflows at T=1e-300",
+    ),
+    "l1-pms-T-1e-300": (
+        lambda t: _argv(t, "pms", f0="sin 1 0", fT="sin 1 -1", T="1e-300", norm="l1",
+                        eps_schedule="1e-1"),
+        "the Simpson-panel quadratics of the input overflow at h=",
     ),
 }
 
@@ -277,6 +314,13 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", out, "--quiet"]) == 0
         extra = ["--input", f"{out}/minimizer.csv"] if command == "verify" else []
         assert main([command, "--config", cfg, "--out", out, "--quiet", *extra]) == 0
+
+    @pytest.mark.parametrize("f0", ["tanh-bump 1 0 0.001", "gaussian 1 0 1e-77"])
+    def test_narrow_bump_solves_without_a_warning(self, tmp_path, f0):
+        # cosh and z^2/sigma^4 overflow where the bump is 0 already; the suite's
+        # RuntimeWarning filter turns any warning into a failure
+        cfg = write_config(tmp_path / "run.cfg", f0=f0, fT="sin 1 -1")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg")
@@ -763,6 +807,9 @@ EXITS = {
     "unreachable-pms": (6, lambda t: ["pms", "--config", write_config(
         t / "run.cfg", f0="sin 1 0", fT="sin 1 -1", norm="l1", eps_schedule="1e-1 1e-15"),
         "--out", "o"]),
+    # a typed error raised past the config (GridError: v = A/(2T) overflows)
+    "typed-error": (2, lambda t: ["solve", "--config", write_config(
+        t / "run.cfg", f0="sin 1 0", fT="sin 1 -1", T="1e-310"), "--out", "o"]),
 }
 
 
@@ -801,3 +848,4 @@ class TestExitPath:
         ):
             proc = subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True)
             assert (proc.returncode, proc.stdout, proc.stderr) == want, entry
+            assert b"Traceback" not in proc.stderr

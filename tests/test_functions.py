@@ -15,6 +15,7 @@ from waveinput.functions import (
     GAUSS_X,
     C1GridFunction,
     GridFunction,
+    SmoothFunction,
     catalog,
     from_samples,
     gauss,
@@ -46,6 +47,18 @@ def test_catalog_derivatives_match_difference_quotients(name, params):
     for x in xs:
         assert f.d1(x) == pytest.approx(central_diff(f.value, x), abs=1e-7)
         assert f.d2(x) == pytest.approx(central_diff(f.d1, x), abs=1e-7)
+
+
+@pytest.mark.parametrize("amp, sigma", [(2.0, 0.8), (-1e12, 0.05), (1.0, 1e-3)])
+def test_gaussian_clip_moves_no_bit(amp, sigma):
+    # the evaluators clip x - mu at 40 sigma, where the exponential is 0.0 already
+    f = catalog("gaussian", [amp, 0.1, sigma])
+    x = 0.1 + np.linspace(-60.0, 60.0, 1201) * sigma
+    z, s2 = x - 0.1, sigma * sigma
+    e = np.exp(-z * z / (2 * s2))
+    formula = (amp * e, -amp * z / s2 * e, amp * (z * z / (s2 * s2) - 1.0 / s2) * e)
+    for got, want in zip((f.value(x), f.d1(x), f.d2(x)), formula):
+        assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
 def test_catalog_zero_and_const():
@@ -203,6 +216,15 @@ def test_sample_respects_domain():
     f = from_samples(np.linspace(0, 1, 9), np.zeros(9))
     with pytest.raises(DomainError):
         sample(f, -0.5, 0.5, 17)
+
+
+def test_sample_rejects_non_finite_values():
+    def log_past_half(x):  # nan, nan, -inf, log 0.25, log 0.5 on the 5 nodes of [0, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.asarray(x) - 0.5)
+
+    with pytest.raises(GridError, match="finite"):
+        sample(SmoothFunction(log_past_half, log_past_half, log_past_half), 0.0, 1.0, 5)
 
 
 def test_simpson_exact_for_cubics():
