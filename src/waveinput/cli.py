@@ -4,7 +4,7 @@ The config file is flat ``key = value`` text with ``#`` comments.  Keys:
 
     f0, fT          function data: either ``<name> <p1> <p2> ...`` from the
                     catalog or ``file <path>`` with two-column x,y samples
-    T               half-length of the decision interval (positive)
+    T               half-length of the decision interval, 1e-75 to 1e75
     K1, K2          periods to the left/right of the decision interval (>= 1)
     n               decision grid size (odd, >= 65)
     norm            l1 or l2
@@ -25,8 +25,9 @@ writes all four.  No byte depends on that split, the CPU count, BLAS or
 LAPACK: every sum is a ``functions.wsum`` in a fixed order, and the
 ``OPENBLAS_NUM_THREADS`` default below is for start-up only.
 
-Exit codes: 0 success, 2 any ``WaveInputError`` (``main`` prints its one
-``config error:`` line), 4 infeasible input in verify, 5 oracle did not
+Exit codes: 0 success, 2 any ``WaveInputError`` (``main`` prints its one ``config
+error:`` line), such as T outside [1e-75, 1e75] or data above 1e75 in size (A/(2T), the
+shifts, f0 and the extended input), 4 infeasible input in verify, 5 oracle did not
 certify, 6 approximation budget unreachable (``cmd_pms`` catches it first).
 
 The command line (``python -m waveinput.cli`` and the ``waveinput`` script)
@@ -142,8 +143,6 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"missing required config key {name!r}")
 
     T = _parse_float("T", raw["t"])
-    if not T > 0:
-        raise ConfigError(f"T must be positive, got {T}")
     K1 = _parse_int("K1", raw["k1"])
     K2 = _parse_int("K2", raw["k2"])
     if K1 < 1 or K2 < 1:

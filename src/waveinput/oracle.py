@@ -76,7 +76,6 @@ def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     scale where the two cancel.
     """
     _check_oracle_grid(ts)
-    sol = l2_minimizer(ts, A)  # first: it raises on a v or an objective that overflows
     tv = ts.values
     K = ts.K
     w = simpson_weights(ts.n, ts.grid.h)
@@ -85,6 +84,7 @@ def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     ss = ((tv - m) ** 2).sum(axis=0)
     lam = 2.0 * K * (A - float(wsum(w, m))) / W
     dual = lam * A + float(wsum(w, ss - lam * m)) - lam * lam * W / (4.0 * K)
+    sol = l2_minimizer(ts, A)
     v = sol.v.values
     S2 = float(wsum(w, ((np.abs(tv) + np.abs(v)) ** 2).sum(axis=0)))
     c = sol.A1 / (2.0 * ts.spec.T)

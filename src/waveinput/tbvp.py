@@ -47,16 +47,14 @@ class ProblemSpec:
 
     def __post_init__(self):
         self.T = float(self.T)
-        if not self.T > 0:
-            raise DomainError("horizon T must be positive")
+        if not 1e-75 <= self.T <= 1e75:  # the range of _check_scale
+            raise DomainError(f"T={self.T!r} is outside the supported range [1e-75, 1e75]")
         self.K1 = int(self.K1)
         self.K2 = int(self.K2)
         if self.K1 < 1 or self.K2 < 1:
             raise DomainError("K1 and K2 must be integers >= 1")
         self.K = self.K1 + self.K2 + 1
         lo, hi = self.window
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise DomainError(f"window [{lo}, {hi}] of T={self.T!r} must be finite")
         if not (self.f0.covers(lo, hi) and self.fT.covers(lo, hi)):
             raise DomainError(
                 f"f0 and fT must cover the window [{lo}, {hi}]; "
@@ -86,7 +84,23 @@ def recurrence_increment(spec: ProblemSpec, y, m: int = 1, f0_at=None):
     y = np.asarray(y, dtype=float)
     right, left = (y + spec.T, y - spec.T) if f0_at is None else f0_at
     fT, f0 = (getattr(f, ("value", "d1", "d2")[m]) for f in (spec.fT, spec.f0))
-    return 2.0 * fT(y) - f0(right) - f0(left)
+    with np.errstate(all="ignore"):
+        return 2.0 * fT(y) - f0(right) - f0(left)
+
+
+def _check_scale(spec: ProblemSpec, what: str, *parts) -> None:
+    """DomainError unless the data scale S, the largest |x| of ``parts``, is at most 1e75.
+
+    The parts are |A|/(2T), the shifts and their end slopes (which hold -c1 and -c2), and
+    f0 and v - ts_k on the window; data that overflow arrive as inf or NaN, unwarned.  For
+    1e-75 <= T <= 1e75 (< 2^250) and n, K <= 2^40, h = 2T/(n - 1) is in [2^-289, 2^250],
+    |v| <= 3S and |u| <= S + TS, so these are normal floats: h^2, 1/h^2 (< 2^578), v^2
+    (< 2^503), T K v^2 (< 2^836, as K^2 in the PMS bound), v/h^2 and u/h^2 (< 2^831), and
+    verify's budget 100 u h^2 (< 2^1007).
+    """
+    S = float(np.max([(np.max(part), -np.min(part)) for part in parts]))  # no |part| temporary
+    if not S <= 1e75:
+        raise DomainError(f"the data scale {S!r} ({what}) is outside the supported range [0, 1e75]")
 
 
 @dataclass
@@ -144,12 +158,13 @@ def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
     if n < 3 or n % 2 == 0:
         raise GridError(f"shift grid size must be odd >= 3, got {n}")
     xs = np.linspace(-spec.T, spec.T, n)
-    return ShiftSequence(spec, shift_values(spec, xs), shift_values(spec, xs[[0, -1]], 1))
+    values, d_ends = shift_values(spec, xs), shift_values(spec, xs[[0, -1]], 1)
+    _check_scale(spec, "|A|/(2T) and the shifts", spec.A / (2 * spec.T), values, d_ends)
+    return ShiftSequence(spec, values, d_ends)
 
 
 def _check_decision_grid(v: GridFunction, spec: ProblemSpec) -> None:
-    tol = 1e-9 * max(1.0, spec.T)
-    if abs(v.a + spec.T) > tol or abs(v.b - spec.T) > tol:
+    if max(abs(v.a + spec.T), abs(v.b - spec.T)) > 1e-9 * spec.T:
         raise GridError(
             f"input grid [{v.a}, {v.b}] must span the decision interval "
             f"[{-spec.T}, {spec.T}]"
@@ -225,11 +240,13 @@ class SolutionField:
     branch: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        with np.errstate(all="ignore"):
+            self._F = self.spec.f0.value(self.v_full.xs)
+        _check_scale(self.spec, "|f0| and the extended input", self._F, self.branch)
         ptab = _prefix_tables(self.branch, self.v_full.h)
         # each period's table, raised by the integral of the periods before
         C = np.concatenate([[0.0], np.cumsum(ptab[:-1, -1])])[:, None] + ptab
         self._C = np.append(C[:, :-1].ravel(), C[-1, -1])
-        self._F = self.spec.f0.value(self.v_full.xs)
 
     def level(self, j: int) -> np.ndarray:
         """u(j h, .) on window nodes j .. N-1-j, the nodes of trapezoid row j."""
@@ -243,7 +260,7 @@ class SolutionField:
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         lo, hi = self.spec.window
-        slack = 1e-12 * max(1.0, hi - lo)
+        slack = 1e-12 * (hi - lo)
         cap = np.minimum(np.minimum(x - lo, hi - x), self.spec.T)
         return (x >= lo - slack) & (x <= hi + slack) & (t >= -slack) & (t <= cap + slack)
 
@@ -289,20 +306,15 @@ def full_norm(v: GridFunction, ts: ShiftSequence, p: int) -> float:
 
     Returns the integral over [-T, T] of sum_k |ts_k(x) - v(x)|^p, which
     equals the window integral of |v_ext|^p (branchwise, with the seam
-    convention of extend_input).  v must sit on the grid of ts.  A total
-    that overflows is a DomainError.
+    convention of extend_input).  v must sit on the grid of ts.
     """
     if v.n != ts.n:
         raise GridError(f"input has {v.n} nodes, the shift grid {ts.n}")
     _check_decision_grid(v, ts.spec)
     if p not in (1, 2):
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
-    with np.errstate(over="ignore"):
-        diff = np.abs(ts.values - v.values[None, :]) ** p
-        total = float(wsum(simpson_weights(v.n, v.h), diff.sum(axis=0)))
-    if not np.isfinite(total):
-        raise DomainError(f"the window L{p} norm of the input overflows at T={ts.spec.T!r}")
-    return total
+    diff = np.abs(ts.values - v.values[None, :]) ** p
+    return float(wsum(simpson_weights(v.n, v.h), diff.sum(axis=0)))
 
 
 def segment_integrals(spec: ProblemSpec) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import GridFunction, integrate, simpson_weights, wsum
+from .functions import GridFunction, integrate, sample, simpson_weights, wsum
 from .tbvp import ProblemSpec, SolutionField, dalembert, segment_integrals
 
 SEAM_TOL = 1e-6
@@ -111,9 +111,8 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     relation, not a discretization artifact).
     """
     shifts = spec.shifts(v.n)
+    field_ = dalembert(v, spec)  # first: it checks the size of v's branches
     feas = abs(integrate(v) - spec.A)
-
-    field_ = dalembert(v, spec)
     pde_max, u_scale = _pde_residual(field_, spec)
     d2 = np.diff(v.values, 2)
     curvature = float(np.max(np.abs(d2))) / v.h ** 2
@@ -160,8 +159,6 @@ def convergence_study(v, spec: ProblemSpec, grids):
     v is a SmoothFunction so it can be sampled on each grid; returns a
     list of (n, pde_residual_max) pairs for the given increasing odd n.
     """
-    from .functions import sample
-
     out = []
     for n in grids:
         vg = sample(v, -spec.T, spec.T, n)

@@ -1,0 +1,177 @@
+"""Named studies of the CLI: the counts that ROADMAP.md and CHANGES.md quote, from one command.
+
+A study runs fixed configs, draws and schedules through this tree's
+``waveinput`` and returns a small dict of counts and run labels.
+``study/expected.json`` keeps the dict of every study.
+
+    python tests/study.py run [NAME ...]   print the named studies (all without a name)
+    python tests/study.py check            compare every study with study/expected.json
+    python tests/study.py update           rewrite study/expected.json from this tree
+
+The package comes from ``PYTHONPATH``, so ``PYTHONPATH=<other>/src python
+tests/study.py run float-range`` prints the counts of another tree.  A change
+that moves a count pastes ``run <name>`` before and after into CHANGES.md and
+commits the ``update``d file with it.  The expected file records today's
+defects as they are.  Tier-1 runs ``check`` through ``tests/test_study.py``.
+
+Studies:
+
+``float-range``
+    Every subcommand in both norms, at n = 65, on configs at the ends of the
+    float range: T from 5e-324 to 1e308, gaussian sigma and tanh-bump w from
+    1e-200 to 1e200, and amplitudes up to 1e308.  A run *escapes* when it
+    warns, raises an exception that is not a ``WaveInputError`` (a traceback
+    at the command line), prints inf or nan, or exits 2 with other than one
+    stderr line.  A run is *rejected* when it exits 2 cleanly.  ``verify``
+    reads the ``minimizer.csv`` of the same config's ``solve``, or zeros on
+    the decision grid where that ``solve`` wrote none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import re
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+EXPECTED = Path(__file__).resolve().parent / "study" / "expected.json"
+
+SIN = {"f0": "sin 1 0", "fT": "sin 1 -1"}
+FLOAT_RANGE = [
+    *({**SIN, "T": T} for T in (
+        "5e-324", "1e-310", "1e-305", "1e-300", "1e-250", "1e-200", "1e-170", "1e-150",
+        "1e-100", "1e-50", "1e-10", "1", "1e10", "1e50", "1e100", "1e150", "1e200", "1e250",
+        "1e300", "1e307", "1e308",
+    )),
+    *({"f0": f"gaussian {amp} 0 {sigma}", "fT": "sin 1 -1"} for amp, sigma in (
+        (1, "1e-200"), (1, "1e-160"), (1, "1e-80"), (1, "1e-77"), (1, "1e-20"), (1, "1e20"),
+        (1, "1e200"), ("1e150", 1), ("1e308", 1), ("1e12", 0.6),
+    )),
+    *({"f0": f"tanh-bump {amp} 0 {w}", "fT": "sin 1 -1"} for amp, w in (
+        (1, "1e-200"), (1, "1e-160"), (1, "1e-100"), (1, "0.001"), (1, "1e20"), (1, "1e200"),
+        ("1e308", 1),
+    )),
+    {"f0": "sin 1e300 0", "fT": "sin 1 -1"},
+    {"f0": "sin 1 0", "fT": "cos 1e150 0"},
+    {"f0": "zero", "fT": "const 1e300"},
+    {"f0": "const 1e308", "fT": "zero"},
+    {"f0": "const 1e300", "fT": "const 1e300", "T": "1e10"},
+    {"f0": "sin 1 0", "fT": "poly 0 1e300 1"},
+    {"f0": "sin 1 0", "fT": "poly 0 1e308 1"},
+    {"f0": "poly 1e200 0 1e200", "fT": "zero"},
+    {"f0": "poly 0 1e300", "fT": "poly 0 1e300", "T": "1e10"},
+    {"f0": "sin 1 0", "fT": "sin 1 -1", "T": "1e-3", "n": "4097"},
+]
+COMMANDS = ("solve", "verify", "oracle", "pms")
+_INF_NAN = re.compile(r"\b(inf|nan)\b")
+
+
+def _config(path: Path, **kv) -> Path:
+    base = {"T": "1", "K1": "1", "K2": "1", "n": "65", "norm": "l2", "eps_schedule": "1e-1"}
+    base.update(kv)
+    path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()), encoding="utf-8")
+    return path
+
+
+def _outcome(cli, argv: list[str]) -> str:
+    """Run ``main`` on argv: ``clean``, ``rejected: <stderr line>`` or ``escape: <why>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except Exception as exc:
+            return f"escape: raised {type(exc).__name__}"
+    lines = err.getvalue().splitlines()
+    if caught:
+        return f"escape: {len(caught)} warning(s)"
+    if _INF_NAN.search(out.getvalue()):
+        return "escape: printed inf/nan"
+    if code == 2:
+        return f"rejected: {lines[0]}" if len(lines) == 1 else "escape: stderr"
+    return "clean"
+
+
+def float_range_runs():
+    """(label, outcome) for every run of the float-range study."""
+    from waveinput import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for i, case in enumerate(FLOAT_RANGE):
+            label = " ".join(f"{k}={v}" for k, v in case.items())
+            for norm in ("l1", "l2"):
+                cfg = str(_config(tmp / f"{i}-{norm}.cfg", norm=norm, **case))
+                out = tmp / f"{i}-{norm}"
+                for command in COMMANDS:
+                    argv = [command, "--config", cfg, "--out", str(out / command)]
+                    if command == "verify":
+                        argv += ["--input", _verify_input(out, case)]
+                    yield f"{label} {norm} {command}", _outcome(cli, argv)
+
+
+def _verify_input(out: Path, case: dict) -> str:
+    """The solve's minimizer.csv, or zeros on the decision grid where it wrote none."""
+    path = out / "solve" / "minimizer.csv"
+    if not path.exists():
+        import numpy as np
+
+        T, n = float(case.get("T", 1)), int(case.get("n", 65))
+        path = out / "zeros.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with np.errstate(all="ignore"):
+            xs = np.linspace(-T, T, n).tolist()
+        path.write_text("x,v\n" + "".join(f"{x!r},0.0\n" for x in xs), encoding="utf-8")
+    return str(path)
+
+
+def float_range() -> dict:
+    runs = list(float_range_runs())
+    escapes = sorted(f"{label}: {what}" for label, what in runs if what.startswith("escape"))
+    return {
+        "runs": len(runs),
+        "clean": sum(what == "clean" for _, what in runs),
+        "rejected": sum(what.startswith("rejected") for _, what in runs),
+        "escaping": len(escapes),
+        "escapes": escapes,
+    }
+
+
+STUDIES = {"float-range": float_range}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run")
+    run.add_argument("names", nargs="*", metavar="NAME", help=", ".join(STUDIES))
+    sub.add_parser("check")
+    sub.add_parser("update")
+    args = parser.parse_args(argv)
+
+    names = getattr(args, "names", None) or list(STUDIES)
+    for name in set(names) - set(STUDIES):
+        parser.error(f"no study named {name!r}")
+    got = {name: STUDIES[name]() for name in names}
+    if args.command == "run":
+        print(json.dumps(got, indent=1))
+        return 0
+    if args.command == "update":
+        EXPECTED.parent.mkdir(exist_ok=True)
+        EXPECTED.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        return 0
+    want = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    bad = [name for name in sorted(set(got) | set(want)) if got.get(name) != want.get(name)]
+    print("\n".join(f"{name}: differs from {EXPECTED.name}" for name in bad)
+          or f"{len(got)} studies match {EXPECTED.name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

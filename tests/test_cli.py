@@ -157,6 +157,14 @@ def _solve_argv(tmp_path, **kv):
     return _argv(tmp_path, "solve", **kv)
 
 
+def _zeros(tmp_path, T, n=65):
+    """An input file of zeros on the n-node decision grid of [-T, T]; returns its path."""
+    path = tmp_path / "zeros.csv"
+    rows = "".join(f"{x!r},0.0\n" for x in np.linspace(-T, T, n).tolist())
+    path.write_text("x,v\n" + rows, encoding="utf-8")
+    return path
+
+
 def _text_config(tmp_path, text):
     (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
     return ["solve", "--config", str(tmp_path / "run.cfg")]
@@ -175,7 +183,9 @@ BAD_INPUTS = {
         "cannot read config file {tmp}/missing.cfg",
     ),
     "line-without-equals": (lambda t: _text_config(t, "f0 = zero\nfT zero\n"), "line 2:"),
-    "T-not-positive": (lambda t: _solve_argv(t, T="-1"), "T must be positive"),
+    "T-not-positive": (
+        lambda t: _solve_argv(t, T="-1"), "T=-1.0 is outside the supported range [1e-75, 1e75]"
+    ),
     "K1-below-1": (lambda t: _solve_argv(t, K1="0"), "K1 and K2 must be at least 1, got K1=0"),
     "eps-not-positive": (lambda t: _solve_argv(t, eps_schedule="1e-1 0"), "eps_schedule entries"),
     "malformed-sample-row": (
@@ -200,7 +210,7 @@ BAD_INPUTS = {
         "f0 and fT must cover the window",
     ),
     "window-not-finite": (
-        lambda t: _solve_argv(t, T="1e308"), "window [-inf, inf] of T=1e+308 must be finite"
+        lambda t: _solve_argv(t, T="1e308"), "T=1e+308 is outside the supported range [1e-75, 1e75]"
     ),
     # sigma^2 and w^2 underflow to 0, where the second derivatives divide by them
     "gaussian-sigma-squared-0": (
@@ -227,22 +237,54 @@ BAD_INPUTS = {
         lambda t: _argv(t, "pms", f0="gaussian 1e12 0.1 0.6", fT="sin 1 -1", eps_schedule="1e-1"),
         "input is not feasible: integral constraint fails",
     ),
+    # the float range (tbvp._check_scale): T, then the data scale
     "solve-T-1e-310": (
         lambda t: _argv(t, "solve", f0="sin 1 0", fT="sin 1 -1", T="1e-310"),
-        "grid values must be finite",
+        "T=1e-310 is outside the supported range [1e-75, 1e75]",
     ),
     "oracle-T-1e-310": (
         lambda t: _argv(t, "oracle", f0="sin 1 0", fT="sin 1 -1", T="1e-310"),
-        "grid values must be finite",
+        "T=1e-310 is outside the supported range [1e-75, 1e75]",
     ),
     "l2-solve-T-1e-300": (
         lambda t: _argv(t, "solve", f0="sin 1 0", fT="sin 1 -1", T="1e-300"),
-        "the window L2 norm of the input overflows at T=1e-300",
+        "T=1e-300 is outside the supported range [1e-75, 1e75]",
     ),
     "l1-pms-T-1e-300": (
         lambda t: _argv(t, "pms", f0="sin 1 0", fT="sin 1 -1", T="1e-300", norm="l1",
                         eps_schedule="1e-1"),
-        "the Simpson-panel quadratics of the input overflow at h=",
+        "T=1e-300 is outside the supported range [1e-75, 1e75]",
+    ),
+    # each warned, raised untyped or printed inf or nan before
+    "verify-T-1e-200": (
+        lambda t: [*_argv(t, "verify", f0="sin 1 0", fT="sin 1 -1", T="1e-200", norm="l1"),
+                   "--input", str(_zeros(t, 1e-200))],
+        "T=1e-200 is outside the supported range [1e-75, 1e75]",
+    ),
+    "verify-T-1e200": (
+        lambda t: [*_argv(t, "verify", f0="sin 1 0", fT="sin 1 -1", T="1e200"),
+                   "--input", str(_zeros(t, 1e200))],
+        "T=1e+200 is outside the supported range [1e-75, 1e75]",
+    ),
+    "sin-frequency-1e300": (
+        lambda t: _argv(t, "solve", f0="sin 1e300 0", fT="sin 1 -1", norm="l1"),
+        "the data scale nan (|A|/(2T) and the shifts) is outside the supported range [0, 1e75]",
+    ),
+    "l2-oracle-T-1e307": (
+        lambda t: _argv(t, "oracle", f0="sin 1 0", fT="sin 1 -1", T="1e307"),
+        "T=1e+307 is outside the supported range [1e-75, 1e75]",
+    ),
+    "l1-pms-poly-1e300": (
+        lambda t: _argv(t, "pms", f0="sin 1 0", fT="poly 0 1e300 1", norm="l1",
+                        eps_schedule="1e-1"),
+        "the data scale 2e+300 (|A|/(2T) and the shifts) is outside the supported range [0, 1e75]",
+    ),
+    # A and every shift are 0: only u, f0 on the window, is out of range
+    "verify-const-1e300-T-1e10": (
+        lambda t: [*_argv(t, "verify", f0="const 1e300", fT="const 1e300", T="1e10"),
+                   "--input", str(_zeros(t, 1e10))],
+        "the data scale 1e+300 (|f0| and the extended input) is outside the supported range "
+        "[0, 1e75]",
     ),
 }
 

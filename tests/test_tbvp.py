@@ -418,3 +418,86 @@ def test_poly_constants_and_segment_integrals_match_exact_values(f0, fT, T, K1, 
     ulp = Fraction(np.finfo(float).eps)
     for value, terms in zip(got, want, strict=True):
         assert abs(Fraction(value) - sum(terms)) <= 64 * ulp * sum(map(abs, terms))
+
+
+def test_decision_grid_tolerance_is_relative_to_T():
+    # at T = 2^-40 an absolute 1e-9 took [-2T, 2T] for the decision interval
+    T = 2.0**-40
+    s = traveling_spec(T=T)
+    with pytest.raises(GridError, match="must span the decision interval"):
+        full_norm(GridFunction(-2 * T, 2 * T, 65, np.zeros(65)), s.shifts(65), 1)
+
+
+def test_region_slack_is_relative_to_the_window():
+    # at T = 2^-40 an absolute slack of 1e-12 let t = 2T into the trapezoid
+    T = 2.0**-40
+    field = dalembert(GridFunction(-T, T, 65, np.zeros(65)), traveling_spec(T=T))
+    assert field.in_region(T, 0.0) and not field.in_region(2 * T, 0.0)
+
+
+# ---------------------------------------------------------------- dilations
+
+def _draw(rng):
+    """A catalog family and parameters, tame as conftest.random_spec draws them."""
+    fam = str(rng.choice(["sin", "cos", "gaussian", "poly", "tanh-bump"]))
+    if fam in ("sin", "cos"):
+        return fam, [rng.uniform(0.4, 1.6), rng.uniform(-1, 1)]
+    if fam in ("gaussian", "tanh-bump"):
+        return fam, [rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(0.8, 2.0)]
+    return fam, list(rng.normal(scale=0.3, size=3))
+
+
+def _dilated(fam, params, s, lam):
+    """The catalog entry of s f(x / lam), through the family's own parameters."""
+    from conftest import scaled
+
+    if fam in ("sin", "cos"):
+        return scaled(catalog(fam, [params[0] / lam, params[1]]), s)
+    if fam == "poly":
+        return catalog(fam, [c * s / lam**j for j, c in enumerate(params)])
+    amp, center, width = params
+    return catalog(fam, [amp * s, center * lam, width * lam])
+
+
+@pytest.mark.parametrize("m, k", [(-30, -4), (40, 10), (20, 0), (-8, 2)])
+def test_power_of_two_dilation_scales_every_output_bit_for_bit(m, k):
+    # u -> s u(t / lam, x / lam) maps solutions to solutions, and with s = 2^m and
+    # lam = 2^k every product and sum scales exactly: so do A, c1, c2, both
+    # minimizers, their objectives and the smoothed node values (k even: the L2
+    # budget scales by s lam^(-1/2)), and the oracle's verdict is the same
+    from waveinput.approx import approximate_c1
+    from waveinput.errors import ApproxBudgetExceeded
+    from waveinput.l1 import construct_h, order_envelopes, select_strip
+    from waveinput.l2 import l2_minimizer
+    from waveinput.oracle import l1_oracle, l2_oracle
+
+    s, lam, n = 2.0**m, 2.0**k, 257
+    rng = np.random.default_rng(7)
+
+    def solved(spec, l1_unit, l2_unit):
+        """Constants, minimizer values, objectives, oracle verdicts and smoothed node values."""
+        ts = spec.shifts(n)
+        env = order_envelopes(ts)
+        l1 = construct_h(env, select_strip(env, spec.A), spec.A)
+        l2 = l2_minimizer(ts, spec.A)
+        smooth = []
+        for eps in (1e-1, 1e-3):
+            for p, v, unit in ((1, l1.h, l1_unit), (2, l2.v, l2_unit)):
+                try:
+                    smooth.append(approximate_c1(v, spec.c1, spec.c2, spec.A, eps * unit, p).g)
+                except ApproxBudgetExceeded as exc:
+                    smooth.append(exc.result.g)
+        verdicts = (l1_oracle(ts, spec.A).converged, l2_oracle(ts, spec.A).converged)
+        values = (l1.h.values, l2.v.values, *(g.values for g in smooth))
+        return (spec.A, spec.c1, spec.c2), values, (l1.objective, l2.objective), verdicts
+
+    for _ in range(6):
+        (f0, p0), (fT, pT) = _draw(rng), _draw(rng)
+        T, K1, K2 = rng.uniform(0.6, 1.4), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        base = ProblemSpec(catalog(f0, p0), catalog(fT, pT), T, K1, K2)
+        big = ProblemSpec(_dilated(f0, p0, s, lam), _dilated(fT, pT, s, lam), lam * T, K1, K2)
+        (ca, va, oa, ra), (cb, vb, ob, rb) = solved(base, 1.0, 1.0), solved(big, s, s / lam**0.5)
+        assert cb == (ca[0] * s, ca[1] * s / lam, ca[2] * s / lam**2)
+        for x, y in zip(va, vb, strict=True):
+            np.testing.assert_array_equal(y, x * (s / lam))
+        assert (ob, rb) == ((oa[0] * s, oa[1] * (s * s / lam)), ra)
