@@ -54,7 +54,8 @@ import numpy as np
 
 from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from .functions import (
-    GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, simpson_weights, wsum,
+    GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, rounding,
+    simpson_weights, wsum,
 )
 from .tbvp import ProblemSpec, full_norm
 
@@ -248,9 +249,10 @@ def approximate_c1(
     node samples; the patch width shrinks from about a sixtieth of the
     interval (never below six grid cells to start, so the patch stays
     visible to node-level consumers whenever the budget allows) until the
-    measured error fits.  Failure raises ApproxBudgetExceeded with
-    the best attempt attached: a budget at or below 64 ulps of ||Q||_p is
-    below the rounding of the measurement and always fails.
+    measured error fits.  Neither halves below 2^-40 of the interval.
+    Failure raises ApproxBudgetExceeded with the best attempt attached: a
+    budget at or below 64 ulps of ||Q||_p is below the rounding of the
+    measurement and always fails.
     """
     eps = float(epsilon)
     _check_epsilon(eps)
@@ -261,7 +263,7 @@ def approximate_c1(
     xs = f.xs
     w_nodes = simpson_weights(f.n, f.h)
     share = eps / 2.0
-    delta_min = max(width * 2.0 ** -40, 1e-13)
+    delta_min = width * 2.0 ** -40
 
     # the slope jumps of Q at its corners do not depend on delta
     delta = _first_corner_width(BoxCore(f, 0.0), share, width, p)
@@ -285,7 +287,7 @@ def approximate_c1(
         halvings += 1
 
     # a measured error below 64 ulps of ||Q||_p is rounding, not a result
-    floor = 64.0 * np.finfo(float).eps * lp_total(wts, q_at_pts, p)
+    floor = rounding(lp_total(wts, q_at_pts, p))
     # integrals of the core from a to each edge
     cells = (-1, GAUSS_X.size)
     prefix = np.concatenate(([0.0], np.cumsum(wsum(wts.reshape(cells), core_v.reshape(cells)))))
@@ -372,9 +374,11 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int):
     Each entry runs the pipeline with the problem's endpoint offsets and
     integral, then checks the objective gap against the advertised bound:
     2KT*eps for p = 1 and M*eps for p = 2, where M is the Cauchy-Schwarz
-    factor ||sum_i (2 t_i - v_n - v)||_2 measured on the grid.  Results are
-    carried forward whenever an earlier entry already beats a later budget,
-    so achieved errors are non-increasing along the schedule.
+    factor ||sum_i (2 t_i - v_n - v)||_2 measured on the grid; `satisfied`
+    is gap <= bound, with no slack.  Under u -> s u(t/lam, x/lam) the gap
+    scales by s in L1 but the L1 bound by s lam, so its units are still
+    open.  Results are carried forward whenever an earlier entry already
+    beats a later budget, so achieved errors are non-increasing.
     """
     if p not in (1, 2):
         raise UnsupportedNorm(f"p must be 1 or 2, got {p}")
@@ -409,6 +413,6 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int):
             w = -(vn.values + v.values)[None, :] + 2.0 * shifts.values
             m_factor = np.sqrt(float(wsum(w_simpson, np.sum(w, axis=0) ** 2)))
             bound = m_factor * eps
-        entries.append(PMSEntry(eps, result, gap, bound, gap <= bound + 1e-12))
+        entries.append(PMSEntry(eps, result, gap, bound, gap <= bound))
         prev = result
     return entries

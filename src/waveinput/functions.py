@@ -50,9 +50,10 @@ class SmoothFunction:
         return self.value(x)
 
     def covers(self, a: float, b: float) -> bool:
-        """Whether [a, b] lies in the domain, up to a slack of 1e-12."""
+        """Whether [a, b] lies in the domain, up to a slack of 1e-12 (b - a)."""
         lo, hi = self.domain
-        return lo - 1e-12 <= a and b <= hi + 1e-12
+        slack = 1e-12 * (b - a)
+        return lo - slack <= a and b <= hi + slack
 
 
 def _finite_scale(amp: float, width_power: float) -> bool:
@@ -309,6 +310,11 @@ def wsum(w: np.ndarray, x: np.ndarray):
     No thread count or memory layout moves a bit, as it does for BLAS's ddot.
     """
     return np.sum(np.multiply(w, x, order="C"), axis=-1)
+
+
+def rounding(scale):
+    """64 ulps of scale, a power of two (2^-46) times it: the rounding allowance of a sum."""
+    return 64.0 * np.finfo(float).eps * scale
 
 
 def lp_total(w: np.ndarray, x: np.ndarray, p: int) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams
-from .functions import GridFunction, simpson_weights, wsum
+from .functions import GridFunction, rounding, simpson_weights, wsum
 from .tbvp import ShiftSequence, full_norm
 
 
@@ -149,5 +149,5 @@ def ms_endpoint_check(env: OrderEnvelopes, j: int, c1: float) -> str:
     if not 1 <= j <= env.K - 1:
         raise BadParams(f"endpoint check needs an interior strip, got j={j}")
     (up0, up1), (lo0, lo1) = ends = env.values[j - 1 : j + 1, [0, -1]]
-    slack = 64 * np.finfo(float).eps * (np.abs(ends).max() + abs(c1))
+    slack = rounding(np.abs(ends).max() + abs(c1))
     return "possible" if lo1 - up0 - slack <= c1 <= up1 - lo0 + slack else "obstructed"

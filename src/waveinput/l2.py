@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import GridFunction, simpson_weights, wsum
+from .functions import GridFunction, rounding, simpson_weights, wsum
 from .tbvp import ProblemSpec, ShiftSequence, full_norm
 
 
@@ -44,9 +44,8 @@ def l2_ms_check(sol: L2Solution, spec: ProblemSpec) -> str:
     (likewise for the slopes).
     """
     ts = spec.shifts(sol.v.n)
-    eps = np.finfo(float).eps
     for ends, c in ((ts.values[:, [0, -1]], spec.c1), (ts.d_ends, spec.c2)):
         diff = ends[:, 1] - ends[:, 0]
-        if abs(diff.mean() - c) > 64 * eps * (np.abs(diff).mean() + abs(c)):
+        if abs(diff.mean() - c) > rounding(np.abs(diff).mean() + abs(c)):
             return "pms_only"
     return "ms_exists"

@@ -12,7 +12,8 @@ The package comes from ``PYTHONPATH``, so ``PYTHONPATH=<other>/src python
 tests/study.py run float-range`` prints the counts of another tree.  A change
 that moves a count pastes ``run <name>`` before and after into CHANGES.md and
 commits the ``update``d file with it.  The expected file records today's
-defects as they are.  Tier-1 runs ``check`` through ``tests/test_study.py``.
+defects as they are.  Tier-1 checks the studies that fit in about 2 s
+(``tests/test_study.py``); CI runs ``check`` on all of them.
 
 Studies:
 
@@ -25,6 +26,15 @@ Studies:
     stderr line.  A run is *rejected* when it exits 2 cleanly.  ``verify``
     reads the ``minimizer.csv`` of the same config's ``solve``, or zeros on
     the decision grid where that ``solve`` wrote none.
+
+``dilation``
+    40 ``random_spec`` draws (seed 7, n = 257), each against its dilation
+    s f(x / lam) with horizon lam T, for s = 2^m and lam = 2^k at five (m, k).
+    A power-of-two dilation scales every value of the pipeline exactly, so
+    every verdict should stay.  For each (m, k) and norm it counts the pairs
+    whose ``verify`` verdict of the minimizer, ``pms`` outcome or flags (eps
+    1e-1 and 1e-3, times s in L1 and s lam^(-1/2) in L2), or oracle
+    ``rel_gap`` differ, and it lists the verdict changes.
 """
 
 from __future__ import annotations
@@ -143,7 +153,74 @@ def float_range() -> dict:
     }
 
 
-STUDIES = {"float-range": float_range}
+DILATIONS = ((20, 0), (0, 6), (-30, -4), (40, 10), (-8, 2))
+DIFFERS = ("verdict", "pms", "rel_gap")
+
+
+def _dilate(f, s: float, lam: float):
+    """s f(x / lam) with its derivatives; with s and lam powers of two every step is exact."""
+    from waveinput.functions import SmoothFunction
+
+    return SmoothFunction(
+        lambda x: s * f.value(x / lam),
+        lambda x: (s / lam) * f.d1(x / lam),
+        lambda x: (s / lam**2) * f.d2(x / lam),
+    )
+
+
+def _dilation_outcomes(spec, units: tuple) -> list:
+    """(verify verdict, pms outcome and flags, oracle rel_gap) of the L1 and L2 minimizers."""
+    from waveinput.approx import pms_sequence
+    from waveinput.errors import WaveInputError
+    from waveinput.l1 import construct_h, order_envelopes, select_strip
+    from waveinput.l2 import l2_minimizer
+    from waveinput.oracle import l1_oracle, l2_oracle
+    from waveinput.verify import verify_solution
+
+    ts = spec.shifts(257)
+    env = order_envelopes(ts)
+    minimizers = (construct_h(env, select_strip(env, spec.A), spec.A).h, l2_minimizer(ts, spec.A).v)
+    oracles = (l1_oracle, l2_oracle)
+    out = []
+    for p, v, oracle, unit in zip((1, 2), minimizers, oracles, units):
+        try:
+            entries = pms_sequence(v, spec, [1e-1 * unit, 1e-3 * unit], p)
+            pms = ("ok", *(e.satisfied for e in entries))
+        except WaveInputError as exc:
+            pms = (type(exc).__name__, *(e.satisfied for e in getattr(exc, "entries", [])))
+        out.append((verify_solution(v, spec).classification, pms, oracle(ts, spec.A).rel_gap))
+    return out
+
+
+def dilation() -> dict:
+    import numpy as np
+    from conftest import random_spec
+    from waveinput.tbvp import ProblemSpec
+
+    rng = np.random.default_rng(7)
+    specs = [random_spec(rng) for _ in range(40)]
+    base = [_dilation_outcomes(spec, (1.0, 1.0)) for spec in specs]
+    counts, changes = {}, {}
+    for m, k in DILATIONS:
+        s, lam = 2.0**m, 2.0**k
+        for spec, want in zip(specs, base):
+            big = ProblemSpec(
+                _dilate(spec.f0, s, lam), _dilate(spec.fT, s, lam), lam * spec.T, spec.K1, spec.K2
+            )
+            got = _dilation_outcomes(big, (s, s / lam**0.5))
+            for norm, a, b in zip(("l1", "l2"), want, got):
+                row = counts.setdefault(f"{m},{k} {norm}", dict.fromkeys(DIFFERS, 0))
+                for key, x, y in zip(DIFFERS, a, b):
+                    row[key] += bool(x != y)
+                if a[0] != b[0]:
+                    change = f"{m},{k} {norm} {a[0]} -> {b[0]}"
+                    changes[change] = changes.get(change, 0) + 1
+    total = {key: sum(row[key] for row in counts.values()) for key in DIFFERS}
+    return {"pairs": 2 * len(specs) * len(DILATIONS), "differ": {**counts, "total": total},
+            "verdict_changes": changes}
+
+
+STUDIES = {"float-range": float_range, "dilation": dilation}
 
 
 def main(argv=None) -> int:

@@ -218,6 +218,13 @@ def test_sample_respects_domain():
         sample(f, -0.5, 0.5, 17)
 
 
+def test_domain_slack_is_relative_to_the_interval():
+    # at a width of 2^-40 an absolute slack of 1e-12 took [-2T, 2T] for a subset of [-T, T]
+    T = 2.0**-40
+    f = from_samples(np.linspace(-T, T, 9), np.zeros(9))
+    assert f.covers(-T, T) and not f.covers(-2 * T, 2 * T)
+
+
 def test_sample_rejects_non_finite_values():
     def log_past_half(x):  # nan, nan, -inf, log 0.25, log 0.5 on the 5 nodes of [0, 1]
         with np.errstate(divide="ignore", invalid="ignore"):

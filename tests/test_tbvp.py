@@ -459,13 +459,20 @@ def _dilated(fam, params, s, lam):
     return catalog(fam, [amp * s, center * lam, width * lam])
 
 
-@pytest.mark.parametrize("m, k", [(-30, -4), (40, 10), (20, 0), (-8, 2)])
+# the norms whose pms_sequence entries scale: the L1 bound 2KT eps scales by s lam, not
+# by s, and at (40, 10) the absolute 1e-8 integral gate rejects the dilated input
+PMS_NORMS = {(-30, -4): (2,), (20, 0): (1, 2), (-8, 2): (2,)}
+
+
+@pytest.mark.parametrize("m, k", [(-30, -4), (40, 10), (20, 0), (-8, 2), (0, -8)])
 def test_power_of_two_dilation_scales_every_output_bit_for_bit(m, k):
     # u -> s u(t / lam, x / lam) maps solutions to solutions, and with s = 2^m and
     # lam = 2^k every product and sum scales exactly: so do A, c1, c2, both
-    # minimizers, their objectives and the smoothed node values (k even: the L2
-    # budget scales by s lam^(-1/2)), and the oracle's verdict is the same
-    from waveinput.approx import approximate_c1
+    # minimizers, their objectives, the smoothed node values (k even: the L2
+    # budget scales by s lam^(-1/2)), the L1 best attempt at a budget below the
+    # rounding floor and the pms norm gaps and bounds; the oracles' verdicts and
+    # relative gaps and the pms flags are the same
+    from waveinput.approx import approximate_c1, pms_sequence
     from waveinput.errors import ApproxBudgetExceeded
     from waveinput.l1 import construct_h, order_envelopes, select_strip
     from waveinput.l2 import l2_minimizer
@@ -473,31 +480,47 @@ def test_power_of_two_dilation_scales_every_output_bit_for_bit(m, k):
 
     s, lam, n = 2.0**m, 2.0**k, 257
     rng = np.random.default_rng(7)
+    pms_norms = PMS_NORMS.get((m, k), ())
 
-    def solved(spec, l1_unit, l2_unit):
-        """Constants, minimizer values, objectives, oracle verdicts and smoothed node values."""
+    def solved(spec, unit):
+        """Constants, node values, objectives, oracle reports and pms entries; unit[p]
+        is the Lp budget's."""
         ts = spec.shifts(n)
         env = order_envelopes(ts)
         l1 = construct_h(env, select_strip(env, spec.A), spec.A)
         l2 = l2_minimizer(ts, spec.A)
+        minimizers = {1: l1.h, 2: l2.v}
         smooth = []
-        for eps in (1e-1, 1e-3):
-            for p, v, unit in ((1, l1.h, l1_unit), (2, l2.v, l2_unit)):
+        # 1e-17 is below the rounding floor; at p = 2 the corner width it asks for is below
+        # 2h, where the closed form's cube root does not scale exactly
+        for eps, norms in ((1e-1, (1, 2)), (1e-3, (1, 2)), (1e-17, (1,))):
+            for p in norms:
+                v, budget = minimizers[p], eps * unit[p]
                 try:
-                    smooth.append(approximate_c1(v, spec.c1, spec.c2, spec.A, eps * unit, p).g)
+                    smooth.append(approximate_c1(v, spec.c1, spec.c2, spec.A, budget, p).g)
                 except ApproxBudgetExceeded as exc:
                     smooth.append(exc.result.g)
-        verdicts = (l1_oracle(ts, spec.A).converged, l2_oracle(ts, spec.A).converged)
+        reports = [(r.converged, r.rel_gap) for r in (l1_oracle(ts, spec.A), l2_oracle(ts, spec.A))]
+        pms = [
+            (p, e.norm_gap, e.bound, e.satisfied)
+            for p in pms_norms
+            for e in pms_sequence(minimizers[p], spec, [1e-1 * unit[p], 1e-3 * unit[p]], p)
+        ]
         values = (l1.h.values, l2.v.values, *(g.values for g in smooth))
-        return (spec.A, spec.c1, spec.c2), values, (l1.objective, l2.objective), verdicts
+        return (spec.A, spec.c1, spec.c2), values, (l1.objective, l2.objective), reports, pms
 
+    objective_unit = {1: s, 2: s * s / lam}
     for _ in range(6):
         (f0, p0), (fT, pT) = _draw(rng), _draw(rng)
         T, K1, K2 = rng.uniform(0.6, 1.4), int(rng.integers(1, 3)), int(rng.integers(1, 3))
         base = ProblemSpec(catalog(f0, p0), catalog(fT, pT), T, K1, K2)
         big = ProblemSpec(_dilated(f0, p0, s, lam), _dilated(fT, pT, s, lam), lam * T, K1, K2)
-        (ca, va, oa, ra), (cb, vb, ob, rb) = solved(base, 1.0, 1.0), solved(big, s, s / lam**0.5)
+        (ca, va, oa, ra, pa), (cb, vb, ob, rb, pb) = (
+            solved(base, {1: 1.0, 2: 1.0}), solved(big, {1: s, 2: s / lam**0.5})
+        )
         assert cb == (ca[0] * s, ca[1] * s / lam, ca[2] * s / lam**2)
         for x, y in zip(va, vb, strict=True):
             np.testing.assert_array_equal(y, x * (s / lam))
-        assert (ob, rb) == ((oa[0] * s, oa[1] * (s * s / lam)), ra)
+        assert (ob, rb) == ((oa[0] * objective_unit[1], oa[1] * objective_unit[2]), ra)
+        u = objective_unit
+        assert pb == [(p, gap * u[p], bound * u[p], ok) for p, gap, bound, ok in pa]
