@@ -562,13 +562,10 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
         ("feasibility_residual", _fmt(rep.feasibility_residual)),
         ("pde_residual_max", _fmt(rep.pde_residual_max)),
         ("pde_budget", _fmt(rep.pde_budget)),
-        ("boundary0_max", _fmt(rep.boundary0_max)),
         ("boundaryT_max", _fmt(rep.boundaryT_max)),
+        ("endpoint_value_residual", _fmt(rep.endpoint_value_residual)),
+        ("endpoint_deriv_residual", _fmt(rep.endpoint_deriv_residual)),
     ]
-    for loc, jump in rep.seam_value_jumps:
-        rows.append((f"seam_value_jump@{_fmt(loc)}", _fmt(jump)))
-    for loc, jump in rep.seam_deriv_jumps:
-        rows.append((f"seam_deriv_jump@{_fmt(loc)}", _fmt(jump)))
     for i, r in enumerate(rep.equilibrium_residuals):
         rows.append((f"equilibrium_residual_{i - spec.K1}", _fmt(r)))
     rows.append(("kink_cells", ";".join(_fmt(x) for x in rep.kink_cells) or "none"))

@@ -88,7 +88,7 @@ def recurrence_increment(spec: ProblemSpec, y, m: int = 1, f0_at=None):
         return 2.0 * fT(y) - f0(right) - f0(left)
 
 
-def _check_scale(spec: ProblemSpec, what: str, *parts) -> None:
+def _check_scale(what: str, *parts) -> None:
     """DomainError unless the data scale S, the largest |x| of ``parts``, is at most 1e75.
 
     The parts are |A|/(2T), the shifts and their end slopes (which hold -c1 and -c2), and
@@ -159,7 +159,7 @@ def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
         raise GridError(f"shift grid size must be odd >= 3, got {n}")
     xs = np.linspace(-spec.T, spec.T, n)
     values, d_ends = shift_values(spec, xs), shift_values(spec, xs[[0, -1]], 1)
-    _check_scale(spec, "|A|/(2T) and the shifts", spec.A / (2 * spec.T), values, d_ends)
+    _check_scale("|A|/(2T) and the shifts", spec.A / (2 * spec.T), values, d_ends)
     return ShiftSequence(spec, values, d_ends)
 
 
@@ -188,10 +188,10 @@ def extend_input(v: GridFunction, spec: ProblemSpec) -> GridFunction:
     every seam node x = (2k+1)T stores the right-limit branch (the
     recurrence-propagated value); in particular the node x = T holds
     v(-T) + c1 rather than v(T) whenever those differ.  The discrepancy
-    |v(T) - v(-T) - c1| is the seam jump observable by the verification
-    module, not an error here.  The final window node has no right
-    neighbour period, so it is closed with one more application of the
-    recurrence.
+    |v(T) - v(-T) - c1| is the seam jump that `verify` reports as its
+    endpoint value residual, not an error here.  The final window node has
+    no right neighbour period, so it is closed with one more application
+    of the recurrence.
     """
     return _extension(v, spec)[1]
 
@@ -242,7 +242,7 @@ class SolutionField:
     def __post_init__(self):
         with np.errstate(all="ignore"):
             self._F = self.spec.f0.value(self.v_full.xs)
-        _check_scale(self.spec, "|f0| and the extended input", self._F, self.branch)
+        _check_scale("|f0| and the extended input", self._F, self.branch)
         ptab = _prefix_tables(self.branch, self.v_full.h)
         # each period's table, raised by the integral of the periods before
         C = np.concatenate([[0.0], np.cumsum(ptab[:-1, -1])])[:, None] + ptab

@@ -1,17 +1,18 @@
 """Post-hoc verification of candidate inputs and their solution fields.
 
 Checks are grouped into: feasibility of the integral constraint, PDE
-residual of the reconstructed field, boundary matching at t = 0 and t = T,
-seam smoothness of the extension at the period boundaries, and the
-per-period equilibrium identity.  The verdict is deliberately coarse:
+residual of the reconstructed field, boundary matching at t = T, the two
+endpoint relations v(T) - v(-T) = c1 and v'(T) - v'(-T) = c2 that make the
+extension C1 across every seam, and the per-period equilibrium identity.
+The verdict is deliberately coarse:
 
 * infeasible     -- the integral constraint fails (nothing else matters),
-* MS_candidate   -- feasible and the extension is numerically C1 across
-                    every seam (the endpoint relations hold on the grid),
-* pseudo_MS      -- feasible but some seam carries a value or derivative
-                    jump; the exceptional set is a union of grid cells
-                    around the seams, which has vanishing measure under
-                    refinement.
+* MS_candidate   -- feasible and both endpoint relations hold, so the
+                    extension is numerically C1 across every seam,
+* pseudo_MS      -- feasible but an endpoint relation fails, so every seam
+                    carries that value or derivative jump; the exceptional
+                    set is a union of grid cells around the seams, which has
+                    vanishing measure under refinement.
 
 A note on the residual stencil: the reconstructed field is exactly a sum
 of one-variable functions of x + t and x - t, so a five-point cross with
@@ -19,7 +20,7 @@ equal time and space spacing cancels algebraically no matter how wrong
 those one-variable functions are.  The time step here is twice the space
 step, which breaks that degeneracy; the leading residual term is then
 (dt^2 - dx^2)/12 * u_xxxx = h^2/4 * u_xxxx, an honest second-order probe
-of the field.  Stencil points and boundary snapshots are window nodes, so
+of the field.  Stencil points and the t = T snapshot are window nodes, so
 each value is a slice of a row of the field's node table (``level``).
 """
 
@@ -41,15 +42,12 @@ _END_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
 @dataclass
 class VerificationReport:
-    """Checks and verdict of ``verify_solution``.  ``boundary0_max`` is 0 by
-    construction (the t = 0 row is (F + F)/2 + (C - C)/2 = F exactly), so it
-    is reported but does not enter the verdict."""
+    """Checks and verdict of ``verify_solution``."""
 
     pde_residual_max: float
-    boundary0_max: float
     boundaryT_max: float
-    seam_value_jumps: list
-    seam_deriv_jumps: list
+    endpoint_value_residual: float
+    endpoint_deriv_residual: float
     equilibrium_residuals: np.ndarray
     classification: str
     feasibility_residual: float
@@ -103,14 +101,15 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     patch bends hard, its third derivative jumps at the patch ends, and
     the stencil feels that as an O(h * jump) residual along the
     characteristics through those points.  For a fixed C2 input both
-    terms vanish with refinement, so the budget stays grid-order; for
-    rough inputs the residual grows like 1/h^2 while the budget only
-    grows like 1/h, so noise still fails the gate.  Seam jumps are
-    measured branch-aware (each period keeps its own translate of v, so
-    a jump is exactly the violation of the corresponding endpoint
-    relation, not a discretization artifact).
+    terms vanish with refinement, so the budget stays grid-order.  The
+    curvature term grows with rough input as well, so the gate does not
+    reject noise or an interior kink on its own (on -cos x plus noise of
+    sigma up to 1, the residual stays under 0.4 of the budget); on the
+    configs of tests/record it fails only where an endpoint relation fails
+    too.  The endpoint residuals |v(T) - v(-T) - c1| and |v'(T) - v'(-T) -
+    c2| are the jumps that every seam of the extension carries (each
+    period keeps its own translate of v), read once from the input's ends.
     """
-    shifts = spec.shifts(v.n)
     field_ = dalembert(v, spec)  # first: it checks the size of v's branches
     feas = abs(integrate(v) - spec.A)
     pde_max, u_scale = _pde_residual(field_, spec)
@@ -119,34 +118,22 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     pde_budget = 100.0 * u_scale * field_.v_full.h ** 2 + 0.5 * v.h * curvature
 
     g = field_.v_full
-    b0 = float(np.max(np.abs(field_.level(0) - field_._F)))  # _F: f0 on the window nodes
     half = (v.n - 1) // 2  # T in node units
     bT = float(np.max(np.abs(field_.level(half) - spec.fT.value(g.xs[half : g.n - half]))))
-
-    # the seam after period row i joins the end of branch i to the start of i + 1
-    branches = field_.branch
     left, right = _end_slopes(v)
-    x_seams = ((2 * np.arange(-spec.K1, spec.K2) + 1) * spec.T).tolist()
-    deriv_jumps = np.abs((right - shifts.d_ends[:-1, 1]) - (left - shifts.d_ends[1:, 0]))
-    seam_vals = list(zip(x_seams, np.abs(branches[:-1, -1] - branches[1:, 0]).tolist()))
-    seam_ders = list(zip(x_seams, deriv_jumps.tolist()))
-
-    eq = np.abs(wsum(simpson_weights(v.n, v.h), branches) - segment_integrals(spec))
+    value_res = float(abs(v.values[-1] - v.values[0] - spec.c1))
+    deriv_res = float(abs(right - left - spec.c2))
+    eq = np.abs(wsum(simpson_weights(v.n, v.h), field_.branch) - segment_integrals(spec))
 
     if feas > FEAS_TOL:
         verdict = "infeasible"
-    elif (
-        all(j <= SEAM_TOL for _, j in seam_vals)
-        and all(j <= SEAM_TOL for _, j in seam_ders)
-        and bT <= SEAM_TOL
-        and pde_max <= pde_budget
-    ):
+    elif all(r <= SEAM_TOL for r in (value_res, deriv_res, bT)) and pde_max <= pde_budget:
         verdict = "MS_candidate"
     else:
         verdict = "pseudo_MS"
 
     return VerificationReport(
-        pde_max, b0, bT, seam_vals, seam_ders, eq, verdict,
+        pde_max, bT, value_res, deriv_res, eq, verdict,
         feasibility_residual=feas,
         pde_budget=pde_budget,
         kink_cells=_kink_cells(v, d2),

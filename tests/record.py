@@ -13,7 +13,8 @@ directory reads ``<out>``) and the sha256 of every file written.
 ``diff`` exports REV's ``src/`` with ``git archive``, runs the configs of this
 tree against both sources, and prints each changed file with its largest
 absolute and ulp difference over the float cells that differ, then each changed
-output line, by its key and difference.  A change that moves output bytes runs ``diff`` against its parent,
+output line, by its key and difference, and each key that one side prints and
+the other does not.  A change that moves output bytes runs ``diff`` against its parent,
 quotes the output in CHANGES.md and commits the ``update``d record with it.
 
 The module imports ``waveinput.cli`` before numpy, as the CLI itself does.
@@ -175,12 +176,25 @@ def report(old_root: Path, old: dict, new_root: Path, new: dict) -> list[str]:
             for key in ("stdout", "stderr"):
                 if a[key] == b[key]:
                     continue
-                if len(a[key]) != len(b[key]):
-                    out.append(f"{name} {cmd}: {key} {len(a[key])} -> {len(b[key])} lines")
-                    continue
-                changed = [_line_diff(la, lb) for la, lb in zip(a[key], b[key]) if la != lb]
-                out.append(f"{name} {cmd}: {key}: " + "; ".join(changed))
+                out.append(f"{name} {cmd}: {key}: " + _stream_diff(a[key], b[key]))
     return out
+
+
+def _stream_diff(old: list[str], new: list[str]) -> str:
+    """The changed lines of a stream, paired in order, or by key when lines come or go.
+
+    Keys that only one side has are listed with - or +; ``name@x`` keys count as one
+    ``name@*`` entry with their number of rows.
+    """
+    if len(old) == len(new):
+        return "; ".join(_line_diff(la, lb) for la, lb in zip(old, new) if la != lb)
+    a, b = ({ln.partition(" = ")[0]: ln for ln in lines} for lines in (old, new))
+    out = [f"{len(old)} -> {len(new)} lines"]
+    for sign, mine, other in (("-", a, b), ("+", b, a)):
+        only = [k.partition("@")[0] + ("@*" if "@" in k else "") for k in mine if k not in other]
+        out += [f"{sign}{k}" + (f" ({only.count(k)} rows)" if k.endswith("@*") else "")
+                for k in dict.fromkeys(only)]
+    return "; ".join(out + [_line_diff(a[k], b[k]) for k in a if k in b and a[k] != b[k]])
 
 
 def _build_with(src: Path, out_root: Path) -> dict:

@@ -35,6 +35,13 @@ Studies:
     whose ``verify`` verdict of the minimizer, ``pms`` outcome or flags (eps
     1e-1 and 1e-3, times s in L1 and s lam^(-1/2) in L2), or oracle
     ``rel_gap`` differ, and it lists the verdict changes.
+
+``traveling-wave``
+    ``verify`` of the exact input -s cos x of u = s sin(x - t), at n = 513
+    with K1 = K2 = 1, for (T, s) = (1, 1), (10, 1), (1, 1e6) and (1, 1e-6).
+    Each case reports the verdict, the feasibility residual, the PDE residual
+    and its budget.  Every case should be an ``MS_candidate`` whose numbers
+    scale with s.
 """
 
 from __future__ import annotations
@@ -220,7 +227,31 @@ def dilation() -> dict:
             "verdict_changes": changes}
 
 
-STUDIES = {"float-range": float_range, "dilation": dilation}
+TRAVELING_WAVES = ((1.0, 1.0), (10.0, 1.0), (1.0, 1e6), (1.0, 1e-6))
+
+
+def traveling_wave() -> dict:
+    import numpy as np
+    from conftest import scaled
+    from waveinput.functions import catalog, sample
+    from waveinput.tbvp import ProblemSpec
+    from waveinput.verify import verify_solution
+
+    out = {}
+    for T, s in TRAVELING_WAVES:
+        f0, fT = (scaled(catalog("sin", [1.0, phi]), s) for phi in (0.0, -T))
+        v = sample(scaled(catalog("cos", [1.0, np.pi]), s), -T, T, 513)
+        rep = verify_solution(v, ProblemSpec(f0, fT, T, 1, 1))
+        out[f"T={T!r} s={s!r}"] = {
+            "verdict": rep.classification,
+            "feasibility_residual": rep.feasibility_residual,
+            "pde_residual_max": rep.pde_residual_max,
+            "pde_budget": rep.pde_budget,
+        }
+    return out
+
+
+STUDIES = {"float-range": float_range, "dilation": dilation, "traveling-wave": traveling_wave}
 
 
 def main(argv=None) -> int:

@@ -155,14 +155,14 @@ class TestPipeline:
             approximate_c1(f, 0.0, 0.0, 1.0, -1.0, p=2)
 
 
-class TestDegreeChoice:
+class TestCornerWidth:
     """The core's piecewise degree is 3; approximate_c1 chooses its corner half-width.
 
     The width starts from the budget's closed form, capped at CORNER_CAP of
     the interval, and `retries` counts its halvings.
     """
 
-    def test_constant_first_candidate(self):
+    def test_constant_keeps_the_capped_width(self):
         g = grid_of(lambda x: np.full_like(x, 3.0), 0.0, 1.0, 33)
         res = approximate_c1(g, 0.0, 0.0, 3.0, 1e-12, p=2)
         assert res.stages["m"] == 3
@@ -170,14 +170,14 @@ class TestDegreeChoice:
         assert res.stages["retries"] == 0
         assert np.max(np.abs(res.g.values - 3.0)) < 1e-13
 
-    def test_linear_first_candidate(self):
+    def test_line_keeps_the_capped_width(self):
         g = grid_of(lambda x: x, 0.0, 1.0, 33)
         res = approximate_c1(g, 1.0, 0.0, 0.5, 1e-10, p=2)
         assert res.stages["m"] == 3
         assert res.stages["delta_corner"] == CORNER_CAP
         assert res.stages["retries"] == 0
 
-    def test_kink_needs_finite_degree(self):
+    def test_kink_narrows_the_width_below_the_cap(self):
         # the kink's slope jump makes the budget's closed form bite below the cap
         g = grid_of(lambda x: np.abs(x - 0.5), 0.0, 1.0, 257)
         res = approximate_c1(g, 0.0, 0.0, 0.25, 0.01, p=2)

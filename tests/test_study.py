@@ -5,7 +5,7 @@ import json
 
 import study
 
-TIER1 = ("float-range",)
+TIER1 = ("float-range", "traveling-wave")
 
 
 def test_studies_match_the_expected_file():

@@ -226,6 +226,12 @@ def test_seam_jump_is_endpoint_violation():
     jump = abs(v.values[-1] - ext.values[seam])
     expected = abs(v.values[-1] - v.values[0] - s.c1)
     assert jump == pytest.approx(expected, abs=1e-10)
+    # every seam of the extension carries that same jump, branch end to next branch start
+    wide = traveling_spec(K1=2, K2=2)
+    branch = dalembert(v, wide).branch
+    jumps = np.abs(branch[:-1, -1] - branch[1:, 0])
+    assert jumps.size == wide.K - 1
+    assert jumps == pytest.approx(abs(v.values[-1] - v.values[0] - wide.c1), abs=1e-10)
     # a compatible input leaves no jump and restriction equals v everywhere
     vc = feasible_random_v(s, n, rng, compatible=True)
     extc = extend_input(vc, s)

@@ -5,7 +5,7 @@ import pytest
 
 from waveinput.functions import GridFunction, catalog, sample
 from waveinput.tbvp import ProblemSpec
-from waveinput.verify import _end_slopes, convergence_study, verify_solution
+from waveinput.verify import SEAM_TOL, _end_slopes, convergence_study, verify_solution
 
 from conftest import feasible_random_v, random_spec, traveling_spec
 
@@ -41,9 +41,9 @@ class TestClassification:
             rep = verify_solution(v, spec)
             assert rep.classification == "MS_candidate"
             assert rep.pde_residual_max == 0.0
-            assert rep.boundary0_max == 0.0
             assert rep.boundaryT_max == 0.0
-            assert all(j == 0.0 for _, j in rep.seam_value_jumps)
+            assert rep.endpoint_value_residual == 0.0
+            assert rep.endpoint_deriv_residual == 0.0
             assert rep.kink_cells == []
 
     def test_traveling_wave_is_ms_candidate(self):
@@ -53,8 +53,8 @@ class TestClassification:
         assert rep.classification == "MS_candidate"
         assert rep.boundaryT_max < 1e-7
         assert rep.pde_residual_max < rep.pde_budget
-        assert max(j for _, j in rep.seam_value_jumps) < 1e-10
-        assert max(j for _, j in rep.seam_deriv_jumps) < 1e-6
+        assert rep.endpoint_value_residual < 1e-10
+        assert rep.endpoint_deriv_residual < 1e-6
 
     def test_incompatible_input_is_pseudo_ms(self):
         rng = np.random.default_rng(11)
@@ -62,10 +62,10 @@ class TestClassification:
         v = feasible_random_v(spec, 257, rng, compatible=False)
         rep = verify_solution(v, spec)
         assert rep.classification == "pseudo_MS"
-        # every seam carries the same branch jump |v(T) - v(-T) - c1|
+        # the value relation's residual is |v(T) - v(-T) - c1|, read off the ends
         J = abs(v.values[-1] - v.values[0] - spec.c1)
-        for _, jump in rep.seam_value_jumps:
-            assert jump == pytest.approx(J, abs=1e-12)
+        assert rep.endpoint_value_residual == J
+        assert J > SEAM_TOL
 
     def test_infeasible_input(self):
         spec = zero_spec()
@@ -83,9 +83,8 @@ class TestClassification:
         assert rep.classification == "pseudo_MS"
         assert len(rep.kink_cells) >= 1
         assert min(abs(x) for x in rep.kink_cells) < 1e-12
-        # derivative jump at each seam is |v'(T) - v'(-T) - c2| = 2
-        for _, jump in rep.seam_deriv_jumps:
-            assert jump == pytest.approx(2.0, abs=1e-6)
+        # the slope relation's residual is |v'(T) - v'(-T) - c2| = 2
+        assert rep.endpoint_deriv_residual == pytest.approx(2.0, abs=1e-6)
 
 
 class TestResiduals:
@@ -98,12 +97,17 @@ class TestResiduals:
             assert float(np.max(rep.equilibrium_residuals)) < 1e-8
 
     def test_deriv_jump_constant_across_seams(self):
+        # the slope jump of the extension at each seam, from the branches' end
+        # slopes, is the one endpoint residual verify reports
         rng = np.random.default_rng(7)
         spec = random_spec(rng, K1=2, K2=2)
         v = feasible_random_v(spec, 513, rng)
         rep = verify_solution(v, spec)
-        jumps = [j for _, j in rep.seam_deriv_jumps]
-        assert max(jumps) - min(jumps) < 1e-7
+        left, right = _end_slopes(v)
+        d_ends = spec.shifts(v.n).d_ends
+        jumps = np.abs((right - d_ends[:-1, 1]) - (left - d_ends[1:, 0]))
+        assert jumps.size == spec.K - 1
+        assert np.max(np.abs(jumps - rep.endpoint_deriv_residual)) < 1e-7
 
 
 class TestConvergence:
