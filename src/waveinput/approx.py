@@ -336,7 +336,6 @@ def approximate_c1(
         "m": 3,  # the core's piecewise degree
         "delta_corner": delta,
         "delta_hermite": delta_h,
-        "shift": shift,
         "retries": halvings,  # corner-width halvings
     }
     result = ApproxResult(

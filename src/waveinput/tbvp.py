@@ -74,18 +74,16 @@ class ProblemSpec:
         return self._shift_cache[n]
 
 
-def recurrence_increment(spec: ProblemSpec, y, m: int = 1, f0_at=None):
+def recurrence_increment(spec: ProblemSpec, y, m: int = 1):
     """2 fT^(m)(y) - f0^(m)(y+T) - f0^(m)(y-T) for derivative order m in 0..2.
 
     At m = 1 this is the jump of the recurrence: v(y + T) = v(y - T) + r(y)
     for any input extension.  At y = 0 the orders 0, 1, 2 give A, c1, c2.
-    ``f0_at`` passes the points y + T and y - T rounded by the caller.
     """
     y = np.asarray(y, dtype=float)
-    right, left = (y + spec.T, y - spec.T) if f0_at is None else f0_at
     fT, f0 = (getattr(f, ("value", "d1", "d2")[m]) for f in (spec.fT, spec.f0))
     with np.errstate(all="ignore"):
-        return 2.0 * fT(y) - f0(right) - f0(left)
+        return 2.0 * fT(y) - f0(y + spec.T) - f0(y - spec.T)
 
 
 def _check_scale(what: str, *parts) -> None:
@@ -325,6 +323,4 @@ def segment_integrals(spec: ProblemSpec) -> np.ndarray:
     the corresponding periods.
     """
     ks = np.arange(-spec.K1, spec.K2 + 1, dtype=float)
-    T = spec.T
-    # (2k +- 1) T in one rounding each: 2kT +- T moves the verify equilibrium rows
-    return recurrence_increment(spec, 2 * ks * T, 0, ((2 * ks + 1) * T, (2 * ks - 1) * T))
+    return recurrence_increment(spec, 2 * ks * spec.T, 0)

@@ -1,9 +1,9 @@
 """Post-hoc verification of candidate inputs and their solution fields.
 
 Checks are grouped into: feasibility of the integral constraint, PDE
-residual of the reconstructed field, boundary matching at t = T, the two
-endpoint relations v(T) - v(-T) = c1 and v'(T) - v'(-T) = c2 that make the
-extension C1 across every seam, and the per-period equilibrium identity.
+residual of the reconstructed field, boundary matching at t = T, and the
+two endpoint relations v(T) - v(-T) = c1 and v'(T) - v'(-T) = c2 that make
+the extension C1 across every seam.
 The verdict is deliberately coarse:
 
 * infeasible     -- the integral constraint fails (nothing else matters),
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import GridFunction, integrate, sample, simpson_weights, wsum
-from .tbvp import ProblemSpec, SolutionField, dalembert, segment_integrals
+from .functions import GridFunction, integrate, sample, wsum
+from .tbvp import ProblemSpec, SolutionField, dalembert
 
 SEAM_TOL = 1e-6
 FEAS_TOL = 1e-8
@@ -48,7 +48,6 @@ class VerificationReport:
     boundaryT_max: float
     endpoint_value_residual: float
     endpoint_deriv_residual: float
-    equilibrium_residuals: np.ndarray
     classification: str
     feasibility_residual: float
     pde_budget: float
@@ -109,6 +108,12 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     too.  The endpoint residuals |v(T) - v(-T) - c1| and |v'(T) - v'(-T) -
     c2| are the jumps that every seam of the extension carries (each
     period keeps its own translate of v), read once from the input's ends.
+    boundaryT_max restates feasibility: it equals |int v - A| / 2 with the
+    field's four-point prefix rule in place of Simpson's (within 3.2e-9 on
+    the minimizers and PMS entries of 60 random_spec draws), so its
+    SEAM_TOL gate checks that the two rules agree; that gate alone makes 13
+    of 240 minimizers (all L1, n = 257) and 28 of 360 PMS entries (eps
+    1e-1) pseudo_MS.
     """
     field_ = dalembert(v, spec)  # first: it checks the size of v's branches
     feas = abs(integrate(v) - spec.A)
@@ -123,7 +128,6 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     left, right = _end_slopes(v)
     value_res = float(abs(v.values[-1] - v.values[0] - spec.c1))
     deriv_res = float(abs(right - left - spec.c2))
-    eq = np.abs(wsum(simpson_weights(v.n, v.h), field_.branch) - segment_integrals(spec))
 
     if feas > FEAS_TOL:
         verdict = "infeasible"
@@ -133,7 +137,7 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
         verdict = "pseudo_MS"
 
     return VerificationReport(
-        pde_max, bT, value_res, deriv_res, eq, verdict,
+        pde_max, bT, value_res, deriv_res, verdict,
         feasibility_residual=feas,
         pde_budget=pde_budget,
         kink_cells=_kink_cells(v, d2),

@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -183,16 +184,16 @@ def report(old_root: Path, old: dict, new_root: Path, new: dict) -> list[str]:
 def _stream_diff(old: list[str], new: list[str]) -> str:
     """The changed lines of a stream, paired in order, or by key when lines come or go.
 
-    Keys that only one side has are listed with - or +; ``name@x`` keys count as one
-    ``name@*`` entry with their number of rows.
+    Keys that only one side has are listed with - or +; ``name@x`` and ``name_<int>``
+    keys count as one ``name@*`` or ``name_*`` entry with their number of rows.
     """
     if len(old) == len(new):
         return "; ".join(_line_diff(la, lb) for la, lb in zip(old, new) if la != lb)
     a, b = ({ln.partition(" = ")[0]: ln for ln in lines} for lines in (old, new))
     out = [f"{len(old)} -> {len(new)} lines"]
     for sign, mine, other in (("-", a, b), ("+", b, a)):
-        only = [k.partition("@")[0] + ("@*" if "@" in k else "") for k in mine if k not in other]
-        out += [f"{sign}{k}" + (f" ({only.count(k)} rows)" if k.endswith("@*") else "")
+        only = [re.sub(r"(@).*|(_)-?\d+$", r"\1\2*", k) for k in mine if k not in other]
+        out += [f"{sign}{k}" + (f" ({only.count(k)} rows)" if k.endswith("*") else "")
                 for k in dict.fromkeys(only)]
     return "; ".join(out + [_line_diff(a[k], b[k]) for k in a if k in b and a[k] != b[k]])
 

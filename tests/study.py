@@ -42,6 +42,14 @@ Studies:
     Each case reports the verdict, the feasibility residual, the PDE residual
     and its budget.  Every case should be an ``MS_candidate`` whose numbers
     scale with s.
+
+``pms-flags``
+    60 ``random_spec`` draws (seed 7, n = 257) and their mirror images
+    (f0(-x), fT(-x), K2, K1), each smoothed by ``pms_sequence`` from the L1
+    strip minimizer and the L2 closed form at eps 1e-1, 1e-3 and 1e-5.  It
+    counts the entries whose ``satisfied`` flag is False on each side and
+    lists the flags that flip under mirroring.  Mirroring mirrors every
+    answer, so no flag should flip.
 """
 
 from __future__ import annotations
@@ -175,18 +183,24 @@ def _dilate(f, s: float, lam: float):
     )
 
 
+def _minimizers(spec) -> tuple:
+    """The shifts at n = 257, the L1 strip minimizer and the L2 closed form."""
+    from waveinput.l1 import construct_h, order_envelopes, select_strip
+    from waveinput.l2 import l2_minimizer
+
+    ts = spec.shifts(257)
+    env = order_envelopes(ts)
+    return ts, construct_h(env, select_strip(env, spec.A), spec.A).h, l2_minimizer(ts, spec.A).v
+
+
 def _dilation_outcomes(spec, units: tuple) -> list:
     """(verify verdict, pms outcome and flags, oracle rel_gap) of the L1 and L2 minimizers."""
     from waveinput.approx import pms_sequence
     from waveinput.errors import WaveInputError
-    from waveinput.l1 import construct_h, order_envelopes, select_strip
-    from waveinput.l2 import l2_minimizer
     from waveinput.oracle import l1_oracle, l2_oracle
     from waveinput.verify import verify_solution
 
-    ts = spec.shifts(257)
-    env = order_envelopes(ts)
-    minimizers = (construct_h(env, select_strip(env, spec.A), spec.A).h, l2_minimizer(ts, spec.A).v)
+    ts, *minimizers = _minimizers(spec)
     oracles = (l1_oracle, l2_oracle)
     out = []
     for p, v, oracle, unit in zip((1, 2), minimizers, oracles, units):
@@ -251,7 +265,50 @@ def traveling_wave() -> dict:
     return out
 
 
-STUDIES = {"float-range": float_range, "dilation": dilation, "traveling-wave": traveling_wave}
+PMS_SCHEDULE = (1e-1, 1e-3, 1e-5)
+
+
+def _pms_flags(spec) -> tuple:
+    """The ``satisfied`` flags of the L1 and L2 minimizers' PMS entries."""
+    from waveinput.approx import pms_sequence
+
+    _, *minimizers = _minimizers(spec)
+    return tuple(
+        tuple(e.satisfied for e in pms_sequence(v, spec, PMS_SCHEDULE, p))
+        for p, v in zip((1, 2), minimizers)
+    )
+
+
+def pms_flags() -> dict:
+    import numpy as np
+    from conftest import random_spec
+    from waveinput.tbvp import ProblemSpec
+
+    rng = np.random.default_rng(7)
+    unsatisfied, mirrored, flips = ({"l1": 0, "l2": 0} for _ in range(3))
+    flipped = []
+    for draw in range(60):
+        spec = random_spec(rng)
+        # lam = -1 gives f(-x), -f'(-x), f''(-x) bit for bit
+        mirror = ProblemSpec(_dilate(spec.f0, 1.0, -1.0), _dilate(spec.fT, 1.0, -1.0),
+                             spec.T, spec.K2, spec.K1)
+        for norm, a, b in zip(("l1", "l2"), _pms_flags(spec), _pms_flags(mirror)):
+            unsatisfied[norm] += a.count(False)
+            mirrored[norm] += b.count(False)
+            for eps, x, y in zip(PMS_SCHEDULE, a, b):
+                if x != y:
+                    flips[norm] += 1
+                    flipped.append(f"draw {draw} {norm} eps {eps!r}: {x} -> {y}")
+    return {"entries": 2 * 60 * len(PMS_SCHEDULE), "unsatisfied": unsatisfied,
+            "unsatisfied_mirrored": mirrored, "flips": flips, "flipped": flipped}
+
+
+STUDIES = {
+    "float-range": float_range,
+    "dilation": dilation,
+    "traveling-wave": traveling_wave,
+    "pms-flags": pms_flags,
+}
 
 
 def main(argv=None) -> int:

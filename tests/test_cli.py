@@ -110,6 +110,24 @@ class TestConfigParsing:
         ), "--out", str(out), "--quiet"]) == 0
         assert (out / "minimizer.csv").exists()
 
+    def test_a_utf8_bom_reads_like_a_plain_file(self, tmp_path):
+        # a headerless sample file and a config, each written once plain and once
+        # with a byte order mark: the BOM must not cost the first row or the first key
+        xs = np.linspace(-3.05, 3.05, 41)
+        rows = "".join(f"{x!r},{float(np.sin(x))!r}\n" for x in xs.tolist())
+        outs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            run = tmp_path / encoding
+            run.mkdir()
+            (run / "f0.csv").write_text(rows, encoding=encoding)
+            got = cli._read_xy(str(run / "f0.csv"))
+            assert [a.tolist() for a in got] == [xs.tolist(), np.sin(xs).tolist()]
+            cfg = write_config(run / "run.cfg", f0=f"file {run / 'f0.csv'}", norm="l1")
+            (run / "run.cfg").write_text((run / "run.cfg").read_text(), encoding=encoding)
+            assert main(["solve", "--config", cfg, "--out", str(run / "o"), "--quiet"]) == 0
+            outs.append({f.name: f.read_bytes() for f in sorted((run / "o").iterdir())})
+        assert outs[0] == outs[1] and "minimizer.csv" in outs[0]
+
     @pytest.mark.parametrize("defect", ["unsorted_x", "nan_y"])
     def test_bad_sample_file_exit2(self, tmp_path, capsys, defect):
         xs = np.linspace(-3.0, 3.0, 41)
@@ -372,18 +390,25 @@ class TestSolve:
 
 class TestVerify:
     def test_roundtrip_zero_data(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path / "run.cfg")
-        assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        code = main(
-            ["verify", "--config", cfg, "--input", str(out / "minimizer.csv"), "--out", str(out)]
-        )
-        assert code == 0
-        got = capsys.readouterr().out
-        assert "classification = MS_candidate" in got
-        report = (out / "report.csv").read_text(encoding="utf-8")
-        assert report.startswith("metric,value\n")
-        assert "classification,MS_candidate" in report
+        # the report holds the same rows at every K
+        keys = ["classification", "feasibility_residual", "pde_residual_max", "pde_budget",
+                "boundaryT_max", "endpoint_value_residual", "endpoint_deriv_residual",
+                "kink_cells"]
+        for K in ("1", "8"):
+            out = tmp_path / f"out-{K}"
+            cfg = write_config(tmp_path / f"run-{K}.cfg", K1=K, K2=K)
+            assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            code = main(
+                ["verify", "--config", cfg, "--input", str(out / "minimizer.csv"), "--out", str(out)]
+            )
+            assert code == 0
+            got = capsys.readouterr().out
+            assert "classification = MS_candidate" in got
+            assert [ln.partition(" = ")[0] for ln in got.splitlines()] == keys
+            report = (out / "report.csv").read_text(encoding="utf-8")
+            assert report.startswith("metric,value\n")
+            assert "classification,MS_candidate" in report
+            assert [ln.partition(",")[0] for ln in report.splitlines()[1:]] == keys
 
     def test_infeasible_exit4(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg")
