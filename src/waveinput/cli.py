@@ -57,7 +57,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .errors import ApproxBudgetExceeded, ConfigError, WaveInputError
-from .functions import GridFunction, catalog, from_samples
+from .functions import GridFunction, SmoothFunction, catalog, from_samples
 from .tbvp import ProblemSpec, extend_input
 
 _REQUIRED = ("f0", "ft", "t", "k1", "k2", "n", "norm")
@@ -67,11 +67,7 @@ _KNOWN = _REQUIRED + ("eps_schedule", "seed", "output_dir")
 
 @dataclass
 class RunConfig:
-    f0_spec: tuple
-    fT_spec: tuple
-    T: float
-    K1: int
-    K2: int
+    spec: ProblemSpec
     n: int
     norm: str
     eps_schedule: list | None
@@ -82,22 +78,26 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _parse_function_spec(key: str, value: str) -> tuple:
+def _function(key: str, value: str) -> SmoothFunction:
+    """f0 or fT from its config value: ``<name> <p1> <p2> ...`` or ``file <path>``."""
     parts = value.split()
-    if not parts:
-        raise ConfigError(f"{key}: empty function spec")
-    if parts[0] == "file":
-        path = value[value.index("file") + 4 :].strip()
-        if not path:
-            raise ConfigError(f"{key}: file spec needs a path")
-        return ("file", path)
     try:
-        params = [float(tok) for tok in parts[1:]]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: bad parameter in {parts[1:]!r}") from exc
-    if not all(map(math.isfinite, params)):
-        raise ConfigError(f"{key}: non-finite parameter in {parts[1:]!r}")
-    return ("catalog", parts[0], params)
+        if not parts:
+            raise ConfigError("empty function spec")
+        if parts[0] == "file":
+            path = value[4:].strip()
+            if not path:
+                raise ConfigError("file spec needs a path")
+            return from_samples(*_read_xy(path))
+        try:
+            params = [float(tok) for tok in parts[1:]]
+        except ValueError as exc:
+            raise ConfigError(f"bad parameter in {parts[1:]!r}") from exc
+        if not all(map(math.isfinite, params)):
+            raise ConfigError(f"non-finite parameter in {parts[1:]!r}")
+        return catalog(parts[0], params)
+    except WaveInputError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -145,8 +145,7 @@ def parse_config(path: str) -> RunConfig:
     T = _parse_float("T", raw["t"])
     K1 = _parse_int("K1", raw["k1"])
     K2 = _parse_int("K2", raw["k2"])
-    if K1 < 1 or K2 < 1:
-        raise ConfigError(f"K1 and K2 must be at least 1, got K1={K1}, K2={K2}")
+    spec = ProblemSpec(_function("f0", raw["f0"]), _function("fT", raw["ft"]), T, K1, K2)
     n = _parse_int("n", raw["n"])
     if n % 2 == 0:
         raise ConfigError(f"n must be odd, got n={n}")
@@ -169,17 +168,7 @@ def parse_config(path: str) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    return RunConfig(
-        _parse_function_spec("f0", raw["f0"]),
-        _parse_function_spec("fT", raw["ft"]),
-        T,
-        K1,
-        K2,
-        n,
-        norm,
-        schedule,
-        raw.get("output_dir", "out"),
-    )
+    return RunConfig(spec, n, norm, schedule, raw.get("output_dir", "out"))
 
 
 def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -209,21 +198,6 @@ def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"non-finite value in {path}")
     xs, ys = data.T.copy()
     return xs, ys
-
-
-def _build_function(key: str, spec: tuple):
-    try:
-        if spec[0] == "file":
-            return from_samples(*_read_xy(spec[1]))
-        return catalog(spec[1], spec[2])
-    except WaveInputError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def build_problem(cfg: RunConfig) -> ProblemSpec:
-    f0 = _build_function("f0", cfg.f0_spec)
-    fT = _build_function("fT", cfg.fT_spec)
-    return ProblemSpec(f0, fT, cfg.T, cfg.K1, cfg.K2)
 
 
 def _lines(cells, ncols: int) -> bytes:
@@ -430,10 +404,11 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _solve_minimizer(cfg: RunConfig, spec: ProblemSpec):
+def _solve_minimizer(cfg: RunConfig):
     """Shared solve stage: returns (ts, env, v, summary_lines)."""
     from .l1 import construct_h, ms_endpoint_check, order_envelopes, select_strip
 
+    spec = cfg.spec
     ts = spec.shifts(cfg.n)
     env = order_envelopes(ts)
     lines = [
@@ -535,8 +510,8 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
 
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
-    spec = build_problem(cfg)
-    ts, env, v, lines = _solve_minimizer(cfg, spec)
+    spec = cfg.spec
+    ts, env, v, lines = _solve_minimizer(cfg)
     ext = extend_input(v, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_solve_csvs(cfg.output_dir, ts, env.order, v.values, ext)
@@ -549,7 +524,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
 def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     from .verify import verify_solution
 
-    spec = build_problem(cfg)
+    spec = cfg.spec
     xs, vs = _read_xy(input_csv)
     if xs.size != cfg.n:
         raise ConfigError(f"input csv has {xs.size} rows, config says n={cfg.n}")
@@ -579,9 +554,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
 def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
     from .oracle import l1_oracle, l2_oracle
 
-    spec = build_problem(cfg)
-    ts = spec.shifts(cfg.n)
-    rep = (l2_oracle if cfg.norm == "l2" else l1_oracle)(ts, spec.A)
+    rep = (l2_oracle if cfg.norm == "l2" else l1_oracle)(cfg.spec.shifts(cfg.n), cfg.spec.A)
     _say(quiet, f"norm = {cfg.norm}")
     _say(quiet, f"oracle_value = {_fmt(rep.oracle_value)}")
     _say(quiet, f"analytic_value = {_fmt(rep.analytic_value)}")
@@ -598,8 +571,8 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
         raise ConfigError("pms runs need an eps_schedule in the config")
     from .approx import pms_sequence
 
-    spec = build_problem(cfg)
-    _, _, v, _ = _solve_minimizer(cfg, spec)
+    spec = cfg.spec
+    _, _, v, _ = _solve_minimizer(cfg)
     p = 1 if cfg.norm == "l1" else 2
     os.makedirs(cfg.output_dir, exist_ok=True)
 
@@ -636,7 +609,9 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (about 1 ms, a fifth of a small solve)."""
     parser = argparse.ArgumentParser(
         prog="waveinput",
         description="Wave boundary-value input reconstruction toolkit",
@@ -654,8 +629,11 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true", help="suppress stdout")
         if name == "verify":
             p.add_argument("--input", required=True, help="candidate CSV with x,v columns")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
         if args.out:

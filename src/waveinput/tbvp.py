@@ -52,7 +52,7 @@ class ProblemSpec:
         self.K1 = int(self.K1)
         self.K2 = int(self.K2)
         if self.K1 < 1 or self.K2 < 1:
-            raise DomainError("K1 and K2 must be integers >= 1")
+            raise DomainError(f"K1 and K2 must be at least 1, got K1={self.K1}, K2={self.K2}")
         self.K = self.K1 + self.K2 + 1
         lo, hi = self.window
         if not (self.f0.covers(lo, hi) and self.fT.covers(lo, hi)):
@@ -60,7 +60,7 @@ class ProblemSpec:
                 f"f0 and fT must cover the window [{lo}, {hi}]; "
                 f"got f0.domain={self.f0.domain}, fT.domain={self.fT.domain}"
             )
-        self._shift_cache: dict[int, ShiftSequence] = {}
+        self._shift_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.A, self.c1, self.c2 = (float(recurrence_increment(self, 0.0, m)) for m in range(3))
 
     @property
@@ -68,10 +68,16 @@ class ProblemSpec:
         return (-(2 * self.K1 + 1) * self.T, (2 * self.K2 + 1) * self.T)
 
     def shifts(self, n: int) -> "ShiftSequence":
-        """Shift sequence on the n-node decision grid, cached per n."""
+        """Shift sequence on the n-node decision grid, its arrays cached per n.
+
+        The cache holds the arrays, not the ShiftSequence, which refers back to
+        this spec: with no cycle, a dropped spec frees them at once, not at the
+        next garbage collection.
+        """
         if n not in self._shift_cache:
-            self._shift_cache[n] = shift_sequence(self, n)
-        return self._shift_cache[n]
+            ts = shift_sequence(self, n)
+            self._shift_cache[n] = ts.values, ts.d_ends
+        return ShiftSequence(self, *self._shift_cache[n])
 
 
 def recurrence_increment(spec: ProblemSpec, y, m: int = 1):

@@ -5,7 +5,9 @@ A study runs fixed configs, draws and schedules through this tree's
 ``study/expected.json`` keeps the dict of every study.
 
     python tests/study.py run [NAME ...]   print the named studies (all without a name)
-    python tests/study.py check            compare every study with study/expected.json
+    python tests/study.py check            compare every study with study/expected.json;
+                                           print each that differs at its first differing
+                                           key path, with both values
     python tests/study.py update           rewrite study/expected.json from this tree
 
 The package comes from ``PYTHONPATH``, so ``PYTHONPATH=<other>/src python
@@ -50,6 +52,20 @@ Studies:
     counts the entries whose ``satisfied`` flag is False on each side and
     lists the flags that flip under mirroring.  Mirroring mirrors every
     answer, so no flag should flip.
+
+``strips``
+    300 ``random_spec`` draws (seed 7, n = 257): the count of each L1
+    ``boundary_case``, and the width of each interior strip,
+    int (a_j - a_{j+1}) over int max_k |a_k|, as its minimum and median.
+    A width above 0 means the L1 minimizer is not unique.
+
+``verify-gates``
+    60 ``random_spec`` draws (seed 7): ``verify_solution`` on the L1 strip
+    minimizer and the L2 closed form at n = 257 and 1025 (240 inputs), and
+    on their PMS entries at n = 257 for eps 1e-1, 1e-3 and 1e-5 (360).  For
+    each set it counts the verdicts, and the verdicts that the
+    ``boundaryT_max`` gate or the PDE gate decides alone: feasible inputs
+    that every other check passes.
 """
 
 from __future__ import annotations
@@ -183,12 +199,12 @@ def _dilate(f, s: float, lam: float):
     )
 
 
-def _minimizers(spec) -> tuple:
-    """The shifts at n = 257, the L1 strip minimizer and the L2 closed form."""
+def _minimizers(spec, n: int = 257) -> tuple:
+    """The shifts at n, the L1 strip minimizer and the L2 closed form."""
     from waveinput.l1 import construct_h, order_envelopes, select_strip
     from waveinput.l2 import l2_minimizer
 
-    ts = spec.shifts(257)
+    ts = spec.shifts(n)
     env = order_envelopes(ts)
     return ts, construct_h(env, select_strip(env, spec.A), spec.A).h, l2_minimizer(ts, spec.A).v
 
@@ -303,12 +319,93 @@ def pms_flags() -> dict:
             "unsatisfied_mirrored": mirrored, "flips": flips, "flipped": flipped}
 
 
+def strips() -> dict:
+    import statistics
+
+    import numpy as np
+    from conftest import random_spec
+    from waveinput.functions import simpson_weights, wsum
+    from waveinput.l1 import construct_h, order_envelopes, select_strip
+
+    rng = np.random.default_rng(7)
+    cases, widths = {}, []
+    for _ in range(300):
+        spec = random_spec(rng)
+        env = order_envelopes(spec.shifts(257))
+        j = select_strip(env, spec.A)
+        case = construct_h(env, j, spec.A).boundary_case
+        cases[case] = cases.get(case, 0) + 1
+        if 1 <= j <= env.K - 1:
+            scale = wsum(simpson_weights(env.ts.n, env.ts.grid.h), np.abs(env.values).max(axis=0))
+            widths.append(float((env.integrals[j - 1] - env.integrals[j]) / scale))
+    return {"draws": 300, "boundary_case": cases,
+            "interior_width": {"min": min(widths), "median": statistics.median(widths)}}
+
+
+def _gates(reports) -> dict:
+    """The verdicts of ``reports``, and those that boundaryT_max or the PDE gate decides alone."""
+    from waveinput.verify import FEAS_TOL, SEAM_TOL
+
+    verdicts, alone = {}, {"boundaryT_max": 0, "pde": 0}
+    for rep in reports:
+        verdicts[rep.classification] = verdicts.get(rep.classification, 0) + 1
+        ends = max(rep.endpoint_value_residual, rep.endpoint_deriv_residual) <= SEAM_TOL
+        bT = rep.boundaryT_max <= SEAM_TOL
+        pde = rep.pde_residual_max <= rep.pde_budget
+        if rep.feasibility_residual <= FEAS_TOL and ends:
+            alone["boundaryT_max"] += pde and not bT
+            alone["pde"] += bT and not pde
+    return {"inputs": len(reports), "verdicts": verdicts, "decided_alone": alone}
+
+
+def verify_gates() -> dict:
+    import numpy as np
+    from conftest import random_spec
+    from waveinput.approx import pms_sequence
+    from waveinput.verify import verify_solution
+
+    rng = np.random.default_rng(7)
+    minimizers, entries = [], []
+    for _ in range(60):
+        spec = random_spec(rng)
+        _, *vs = _minimizers(spec, 257)
+        _, *fine = _minimizers(spec, 1025)
+        minimizers += (verify_solution(v, spec) for v in (*vs, *fine))
+        for p, v in zip((1, 2), vs):
+            entries += (verify_solution(e.result.g, spec)
+                        for e in pms_sequence(v, spec, PMS_SCHEDULE, p))
+    return {"minimizers": _gates(minimizers), "pms_entries": _gates(entries)}
+
+
 STUDIES = {
     "float-range": float_range,
     "dilation": dilation,
     "traveling-wave": traveling_wave,
     "pms-flags": pms_flags,
+    "strips": strips,
+    "verify-gates": verify_gates,
 }
+
+
+class _Missing:
+    def __repr__(self) -> str:
+        return "nothing"
+
+
+MISSING = _Missing()
+
+
+def first_difference(want, got, path: str):
+    """``<path>: expected <want>, got <got>`` at the first key or index that differs, or None."""
+    if isinstance(want, list) and isinstance(got, list):
+        want, got = dict(enumerate(want)), dict(enumerate(got))
+    if not (isinstance(want, dict) and isinstance(got, dict)):
+        return None if want == got else f"{path}: expected {want!r}, got {got!r}"
+    for key in [*want, *(key for key in got if key not in want)]:
+        found = first_difference(want.get(key, MISSING), got.get(key, MISSING), f"{path}[{key!r}]")
+        if found:
+            return found
+    return None
 
 
 def main(argv=None) -> int:
@@ -332,9 +429,10 @@ def main(argv=None) -> int:
         EXPECTED.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         return 0
     want = json.loads(EXPECTED.read_text(encoding="utf-8"))
-    bad = [name for name in sorted(set(got) | set(want)) if got.get(name) != want.get(name)]
-    print("\n".join(f"{name}: differs from {EXPECTED.name}" for name in bad)
-          or f"{len(got)} studies match {EXPECTED.name}")
+    bad = [first_difference(want.get(name, MISSING), got.get(name, MISSING), name)
+           for name in sorted(set(got) | set(want))]
+    bad = [line for line in bad if line]
+    print("\n".join(bad) or f"{len(got)} studies match {EXPECTED.name}")
     return 1 if bad else 0
 
 

@@ -103,7 +103,8 @@ class TestConfigParsing:
         cfg = parse_config(
             write_config(tmp_path / "run.cfg", f0=f"file {tmp_path / 'f0.csv'}")
         )
-        assert cfg.f0_spec[0] == "file"
+        assert cfg.spec.f0.domain == (-3.0, 3.0)  # the spline through the samples
+        assert cfg.spec.f0.value(xs[7]) == np.sin(xs[7])
         out = tmp_path / "o"
         assert main(["solve", "--config", write_config(
             tmp_path / "run2.cfg", f0=f"file {tmp_path / 'f0.csv'}"
@@ -313,6 +314,41 @@ def test_bad_input_exits_2_and_names_it(tmp_path, capsys, case):
     assert main([*argv(tmp_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and needle.format(tmp=tmp_path) in err, err
+
+
+# two faults each.  parse_config reads f0, fT, T, K1 and K2 into one ProblemSpec before
+# it reads n, norm, eps_schedule and seed, and before pms looks for an eps_schedule, so a
+# data or K fault is named first
+TWO_FAULTS = {
+    "sample-file-and-even-n": (
+        lambda t: _solve_argv(t, f0=f"file {t / 'missing.csv'}", n="64"), "f0: cannot read"
+    ),
+    "T-range-and-norm": (
+        lambda t: _solve_argv(t, T="1e80", norm="sup"), "T=1e+80 is outside the supported range"
+    ),
+    "window-and-seed": (
+        lambda t: _solve_argv(t, f0=f"file {_samples(t, -1.0, 1.0)}", seed="-1"),
+        "f0 and fT must cover the window",
+    ),
+    "K-and-schedule": (
+        lambda t: _solve_argv(t, K2="0", eps_schedule="1e-2 1e-1"),
+        "K1 and K2 must be at least 1, got K1=1, K2=0",
+    ),
+    "catalog-and-pms-schedule": (
+        lambda t: _argv(t, "pms", fT="tanh-bump 1 0 1e-200"), "fT: catalog entry 'tanh-bump'"
+    ),
+    "K-and-pms-schedule": (
+        lambda t: _argv(t, "pms", K1="0"), "K1 and K2 must be at least 1, got K1=0, K2=1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_FAULTS))
+def test_a_data_or_K_fault_is_named_first(tmp_path, capsys, case):
+    argv, needle = TWO_FAULTS[case]
+    assert main([*argv(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and needle in err, err
 
 
 class TestSolve:
@@ -552,9 +588,8 @@ def per_file_solve_csvs(cfg_path, out):
     """The four solve CSVs written cell by cell by `per_cell_csv`, one table per
     file, envelopes from a descending np.sort."""
     cfg = parse_config(cfg_path)
-    spec = cli.build_problem(cfg)
-    ts, _, v, _ = cli._solve_minimizer(cfg, spec)
-    ext = extend_input(v, spec)
+    ts, _, v, _ = cli._solve_minimizer(cfg)
+    ext = extend_input(v, cfg.spec)
     xs, K = ts.grid.xs, ts.K
     out.mkdir()
     for name, header, columns in (
@@ -814,9 +849,8 @@ class TestPMS:
         )
         assert main(["pms", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         run = parse_config(cfg)
-        spec = cli.build_problem(run)
-        _, _, v, _ = cli._solve_minimizer(run, spec)
-        entries = pms_sequence(v, spec, run.eps_schedule, p)
+        _, _, v, _ = cli._solve_minimizer(run)
+        entries = pms_sequence(v, run.spec, run.eps_schedule, p)
         assert len(entries) == 2
         for i, e in enumerate(entries, 1):
             g = e.result.g
@@ -916,3 +950,13 @@ class TestExitPath:
             proc = subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True)
             assert (proc.returncode, proc.stdout, proc.stderr) == want, entry
             assert b"Traceback" not in proc.stderr
+
+    def test_repeated_main_calls_in_one_process_agree(self, tmp_path, monkeypatch):
+        # main builds its argparse parser once per process, and every later call reuses it
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        # each case writes its own run.cfg just before it runs
+        first = [self._in_process(argv(tmp_path)) for _, argv in EXITS.values()]
+        assert [code for code, _, _ in first] == [code for code, _ in EXITS.values()]
+        assert [self._in_process(argv(tmp_path)) for _, argv in EXITS.values()] == first
+        assert cli._parser() is cli._parser()

@@ -5,7 +5,7 @@ import json
 
 import study
 
-TIER1 = ("float-range", "traveling-wave")
+TIER1 = ("float-range", "traveling-wave", "strips")
 
 
 def test_studies_match_the_expected_file():
@@ -13,3 +13,12 @@ def test_studies_match_the_expected_file():
     assert sorted(want) == sorted(study.STUDIES)
     for name in TIER1:
         assert study.STUDIES[name]() == want[name], name
+
+
+def test_check_names_the_first_differing_key_path():
+    want = {"runs": 4, "counts": {"a": [1, 2, 3], "b": 0.5}}
+    assert study.first_difference(want, want, "s") is None
+    got = {"runs": 4, "counts": {"a": [1, 5], "b": 0.25}}
+    assert study.first_difference(want, got, "s") == "s['counts']['a'][1]: expected 2, got 5"
+    got = {"runs": 4, "counts": {"a": [1, 2, 3], "b": 0.5, "c": 1}}
+    assert study.first_difference(want, got, "s") == "s['counts']['c']: expected nothing, got 1"

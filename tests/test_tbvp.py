@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import exact
@@ -81,11 +83,24 @@ def test_constants_parabola():
 def test_spec_validation():
     with pytest.raises(DomainError):
         ProblemSpec(ZERO, ZERO, -1.0, 1, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^K1 and K2 must be at least 1, got K1=0, K2=1$"):
         ProblemSpec(ZERO, ZERO, 1.0, 0, 1)
     narrow = dataclasses.replace(catalog("zero", []), domain=(-1.0, 1.0))
     with pytest.raises(DomainError):
         ProblemSpec(narrow, narrow, 1.0, 1, 1)
+
+
+def test_shift_arrays_are_cached_and_a_dropped_spec_frees_them_at_once():
+    spec = traveling_spec(2, 2)
+    ts = spec.shifts(65)
+    assert spec.shifts(65).values is ts.values and spec.shifts(65).d_ends is ts.d_ends
+    alive = weakref.ref(spec)
+    gc.disable()
+    try:
+        del spec, ts
+        assert alive() is None  # no reference cycle keeps the spec for the collector
+    finally:
+        gc.enable()
 
 
 def test_shift_sequence_zero_data():
