@@ -2,24 +2,14 @@
 # tolerance schedule and watch the objective gap close at the advertised
 # linear rate.
 
-from waveinput import (
-    ProblemSpec,
-    catalog,
-    construct_h,
-    full_norm,
-    order_envelopes,
-    pms_sequence,
-    select_strip,
-)
+from waveinput import ProblemSpec, answer, catalog, pms_sequence
 
 T = 1.0
 spec = ProblemSpec(catalog("sin", [1.0, 0.0]), catalog("sin", [1.0, -T]), T, 1, 1)
-ts = spec.shifts(257)
-env = order_envelopes(ts)
-h = construct_h(env, select_strip(env, spec.A), spec.A).h
+strip = answer(spec.shifts(257), spec.A, "l1")
+h = strip.v
 
-base = full_norm(h, ts, 1)
-print(f"strip minimizer objective (window L1 size): {base:.8f}")
+print(f"strip minimizer objective (window L1 size): {strip.objective:.8f}")
 print(f"linear gap bound per unit eps: 2KT = {2 * spec.K * spec.T:.1f}")
 
 print(f"\n{'eps':>8} {'achieved':>12} {'norm gap':>12} {'bound':>12} ok")

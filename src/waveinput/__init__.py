@@ -50,7 +50,7 @@ _EXPORTS = {
         "strip_lower_bound",
     ),
     "l2": ("L2Solution", "l2_minimizer", "l2_ms_check"),
-    "oracle": ("OracleReport", "l1_oracle", "l2_oracle"),
+    "oracle": ("Answer", "OracleReport", "answer", "l1_oracle", "l2_oracle"),
     "tbvp": (
         "ProblemSpec",
         "ShiftSequence",

@@ -75,7 +75,7 @@ class RunConfig:
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 def _function(key: str, value: str) -> SmoothFunction:
@@ -124,7 +124,7 @@ def parse_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    raw = {}
+    raw, seen = {}, {}  # key -> value, line number
     for idx, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -135,7 +135,9 @@ def parse_config(path: str) -> RunConfig:
         key = key.strip().lower()
         if key not in _KNOWN:
             raise ConfigError(f"line {idx}: unknown config key {key!r}")
-        raw[key] = value.strip()
+        if key in seen:
+            raise ConfigError(f"line {idx}: config key {key!r} already set on line {seen[key]}")
+        raw[key], seen[key] = value.strip(), idx
 
     for key in _REQUIRED:
         if key not in raw:
@@ -404,40 +406,6 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _solve_minimizer(cfg: RunConfig):
-    """Shared solve stage: returns (ts, env, v, summary_lines)."""
-    from .l1 import construct_h, ms_endpoint_check, order_envelopes, select_strip
-
-    spec = cfg.spec
-    ts = spec.shifts(cfg.n)
-    env = order_envelopes(ts)
-    lines = [
-        f"A  = {_fmt(spec.A)}",
-        f"c1 = {_fmt(spec.c1)}",
-        f"c2 = {_fmt(spec.c2)}",
-    ]
-    if cfg.norm == "l2":
-        from .l2 import l2_minimizer, l2_ms_check
-
-        sol = l2_minimizer(ts, spec.A)
-        lines.append(f"A1 = {_fmt(sol.A1)}")
-        lines.append(f"objective = {_fmt(sol.objective)}")
-        lines.append(f"ms_check = {l2_ms_check(sol, spec)}")
-        return ts, env, sol.v, lines
-    j = select_strip(env, spec.A)
-    strip = construct_h(env, j, spec.A)
-    lines.append(f"strip = {j}")
-    lines.append(f"objective = {_fmt(strip.objective)}")
-    lines.append(f"boundary_case = {strip.boundary_case}")
-    if strip.degenerate:
-        lines.append("degenerate = yes (coinciding envelopes, weight arbitrary)")
-    if 1 <= j <= env.K - 1:
-        lines.append(f"ms_endpoints = {ms_endpoint_check(env, j, spec.c1)}")
-    else:
-        lines.append("ms_endpoints = n/a (edge strip)")
-    return ts, env, strip.h, lines
-
-
 _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
 # Formatted cells from which a forked child writes extended.csv.  Measured warm on a
 # 2-vCPU VM shared with other load: with the second CPU free the fork wins from about
@@ -510,13 +478,15 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
 
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
+    from .oracle import answer
+
     spec = cfg.spec
-    ts, env, v, lines = _solve_minimizer(cfg)
-    ext = extend_input(v, spec)
+    ans = answer(spec.shifts(cfg.n), spec.A, cfg.norm)
+    ext = extend_input(ans.v, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_solve_csvs(cfg.output_dir, ts, env.order, v.values, ext)
-    for line in lines:
-        _say(quiet, line)
+    _write_solve_csvs(cfg.output_dir, ans.ts, ans.env.order, ans.v.values, ext)
+    for name, value in (("A ", spec.A), ("c1", spec.c1), ("c2", spec.c2), *ans.facts):
+        _say(quiet, f"{name} = {_fmt(value)}")
     _say(quiet, f"wrote {' '.join(_SOLVE_CSVS)} to {cfg.output_dir}")
     return 0
 
@@ -555,12 +525,8 @@ def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
     from .oracle import l1_oracle, l2_oracle
 
     rep = (l2_oracle if cfg.norm == "l2" else l1_oracle)(cfg.spec.shifts(cfg.n), cfg.spec.A)
-    _say(quiet, f"norm = {cfg.norm}")
-    _say(quiet, f"oracle_value = {_fmt(rep.oracle_value)}")
-    _say(quiet, f"analytic_value = {_fmt(rep.analytic_value)}")
-    _say(quiet, f"rel_gap = {_fmt(rep.rel_gap)}")
-    _say(quiet, f"iterations = {rep.iterations}")
-    _say(quiet, f"converged = {rep.converged}")
+    for name, value in (("norm", cfg.norm), *vars(rep).items()):
+        _say(quiet, f"{name} = {_fmt(value)}")
     if not rep.converged:
         _say(quiet, "certification failed (gap or constraint above 64 ulps of scale)")
     return 0 if rep.converged else 5
@@ -570,9 +536,10 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     if cfg.eps_schedule is None:
         raise ConfigError("pms runs need an eps_schedule in the config")
     from .approx import pms_sequence
+    from .oracle import answer
 
     spec = cfg.spec
-    _, _, v, _ = _solve_minimizer(cfg)
+    v = answer(spec.shifts(cfg.n), spec.A, cfg.norm).v
     p = 1 if cfg.norm == "l1" else 2
     os.makedirs(cfg.output_dir, exist_ok=True)
 

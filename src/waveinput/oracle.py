@@ -1,11 +1,12 @@
-"""Independent certification of the minimizers.
+"""The answer to one problem, built once by ``answer`` for ``solve``, ``pms`` and
+both oracles: the minimum-norm input with its L1 strip or L2 closed-form facts.
 
 Both oracles evaluate the exact Lagrangian dual of the discretized problem
 min sum_i w_i sum_k |ts_k,i - v_i|^p subject to w.v = A straight from the
 shift array, without touching the closed forms.  The dual value bounds
 every feasible objective from below (weak duality) and equals the optimum
 (strong duality); it takes no sort, strip choice or iteration.  The
-analytic values enter only the final report.
+answer enters only the final report.
 
 L2: with m the pointwise shift mean and SS_i = sum_k (ts_k,i - m_i)^2,
 the inner minimum sits at v_i = m_i + lam/(2K), so
@@ -24,37 +25,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnsupportedNorm
 from .functions import GridFunction, rounding, simpson_weights, wsum
-from .l1 import construct_h, order_envelopes, select_strip
-from .l2 import l2_minimizer
+from .l1 import OrderEnvelopes, construct_h, ms_endpoint_check, order_envelopes, select_strip
 from .tbvp import ShiftSequence
+
+
+@dataclass(frozen=True)
+class Answer:
+    """The minimizer v, its objective, L2's A1 (None in L1) and ``facts``, the (name, value)
+    pairs ``solve`` prints after A, c1 and c2: L2 A1, objective, ms_check; L1 strip,
+    objective, boundary_case, degenerate (only when it is), ms_endpoints."""
+
+    ts: ShiftSequence
+    env: OrderEnvelopes
+    v: GridFunction
+    objective: float
+    A1: float | None
+    facts: tuple
+
+
+def answer(ts: ShiftSequence, A: float, norm: str) -> Answer:
+    """The least ``norm`` ("l1" or "l2") window size of v subject to w.v = A, on ``ts``."""
+    if norm not in ("l1", "l2"):
+        raise UnsupportedNorm(f"norm must be l1 or l2, got {norm!r}")
+    env = order_envelopes(ts)
+    if norm == "l2":
+        from .l2 import l2_minimizer, l2_ms_check
+
+        sol = l2_minimizer(ts, A)
+        facts = ("A1", sol.A1), ("objective", sol.objective), ("ms_check", l2_ms_check(sol, ts.spec))
+        return Answer(ts, env, sol.v, sol.objective, sol.A1, facts)
+    j = select_strip(env, A)
+    sol = construct_h(env, j, A)
+    facts = [("strip", j), ("objective", sol.objective), ("boundary_case", sol.boundary_case)]
+    if sol.degenerate:
+        facts.append(("degenerate", "yes (coinciding envelopes, weight arbitrary)"))
+    ends = ms_endpoint_check(env, j, ts.spec.c1) if 1 <= j <= env.K - 1 else "n/a (edge strip)"
+    return Answer(ts, env, sol.h, sol.objective, None, (*facts, ("ms_endpoints", ends)))
 
 
 @dataclass
 class OracleReport:
     """The dual value, the primal value and rel_gap = |dual - primal| / primal (0.0 where
-    they agree, inf where only the primal is 0); `converged` is `_certify`'s verdict."""
+    they agree, inf where only the primal is 0); `converged` is `_certify`'s verdict.
+    ``oracle`` prints the fields in this order."""
 
     oracle_value: float
     analytic_value: float
     rel_gap: float
     iterations: int
     converged: bool
-    v_oracle: GridFunction
 
 
 def _certify(
-    dual: float, primal: float, gap_scale: float, v: GridFunction, w: np.ndarray, A: float,
-    feas_scale: float, iterations: int,
+    dual: float, ans: Answer, gap_scale: float, w: np.ndarray, A: float, feas_scale: float,
+    iterations: int,
 ) -> OracleReport:
     """Converged when the duality gap is within 64 ulps of gap_scale and the
-    primal input v meets w.v = A within 64 ulps of feas_scale (`rounding`)."""
+    answer's v meets w.v = A within 64 ulps of feas_scale (`rounding`)."""
+    primal = ans.objective
     converged = (
         abs(primal - dual) <= rounding(gap_scale)
-        and abs(wsum(w, v.values) - A) <= rounding(feas_scale)
+        and abs(wsum(w, ans.v.values) - A) <= rounding(feas_scale)
     )
     rel_gap = abs(dual - primal) / primal if primal else (np.inf if dual else 0.0)
-    return OracleReport(dual, primal, rel_gap, iterations, bool(converged), v)
+    return OracleReport(dual, primal, rel_gap, iterations, bool(converged))
 
 
 def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
@@ -73,12 +109,10 @@ def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
     ss = ((tv - m) ** 2).sum(axis=0)
     lam = 2.0 * K * (A - float(wsum(w, m))) / W
     dual = lam * A + float(wsum(w, ss - lam * m)) - lam * lam * W / (4.0 * K)
-    sol = l2_minimizer(ts, A)
-    v = sol.v.values
-    S2 = float(wsum(w, ((np.abs(tv) + np.abs(v)) ** 2).sum(axis=0)))
-    c = sol.A1 / (2.0 * ts.spec.T)
-    feas_scale = float(wsum(w, np.abs(m) + abs(c))) + abs(A)
-    return _certify(dual, sol.objective, S2, sol.v, w, A, feas_scale, 1)
+    ans = answer(ts, A, "l2")
+    S2 = float(wsum(w, ((np.abs(tv) + np.abs(ans.v.values)) ** 2).sum(axis=0)))
+    feas_scale = float(wsum(w, np.abs(m) + abs(ans.A1 / (2.0 * ts.spec.T)))) + abs(A)
+    return _certify(dual, ans, S2, w, A, feas_scale, 1)
 
 
 def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
@@ -97,8 +131,7 @@ def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
         at_shift = np.abs(tv - tv[m]).sum(axis=0)  # the pointwise objective at v = ts_m,i
         np.minimum(inner, at_shift - lam[:, None] * tv[m], out=inner)
     dual = float(np.max(lam * A + wsum(w, inner)))
-    env = order_envelopes(ts)
-    sol = construct_h(env, select_strip(env, A), A)
+    ans = answer(ts, A, "l1")
     S = float(wsum(w, np.abs(tv).sum(axis=0))) + K * abs(A)
-    feas_scale = wsum(w, np.abs(sol.h.values)) + abs(A)
-    return _certify(dual, sol.objective, S, sol.h, w, A, feas_scale, K + 1)
+    feas_scale = wsum(w, np.abs(ans.v.values)) + abs(A)
+    return _certify(dual, ans, S, w, A, feas_scale, K + 1)

@@ -65,7 +65,17 @@ Studies:
     on their PMS entries at n = 257 for eps 1e-1, 1e-3 and 1e-5 (360).  For
     each set it counts the verdicts, and the verdicts that the
     ``boundaryT_max`` gate or the PDE gate decides alone: feasible inputs
-    that every other check passes.
+    that every other check passes.  It also counts the ``MS_candidate``s
+    that list ``kink_cells``, and by verdict the PMS entries with a corner
+    or end patch (``delta_corner``, ``delta_hermite``) under 2h.
+
+``convergence``
+    40 ``random_spec`` draws (seed 7) at n = 129, 513, 2049 and 16385, read
+    through ``answer``.  ``A1_error`` is the largest |A1 - mean(S)| /
+    mean_k |S_k| at each n, S from ``segment_integrals``: the identity
+    A1 = mean(S) of ROADMAP item 10.  ``l1_objective_error`` is the largest
+    |objective(n) - objective(16385)| / |objective(16385)| of the L1
+    minimizer at each coarser n: its grid error (item 8).
 """
 
 from __future__ import annotations
@@ -201,12 +211,10 @@ def _dilate(f, s: float, lam: float):
 
 def _minimizers(spec, n: int = 257) -> tuple:
     """The shifts at n, the L1 strip minimizer and the L2 closed form."""
-    from waveinput.l1 import construct_h, order_envelopes, select_strip
-    from waveinput.l2 import l2_minimizer
+    from waveinput.oracle import answer
 
     ts = spec.shifts(n)
-    env = order_envelopes(ts)
-    return ts, construct_h(env, select_strip(env, spec.A), spec.A).h, l2_minimizer(ts, spec.A).v
+    return ts, answer(ts, spec.A, "l1").v, answer(ts, spec.A, "l2").v
 
 
 def _dilation_outcomes(spec, units: tuple) -> list:
@@ -325,15 +333,15 @@ def strips() -> dict:
     import numpy as np
     from conftest import random_spec
     from waveinput.functions import simpson_weights, wsum
-    from waveinput.l1 import construct_h, order_envelopes, select_strip
+    from waveinput.oracle import answer
 
     rng = np.random.default_rng(7)
     cases, widths = {}, []
     for _ in range(300):
         spec = random_spec(rng)
-        env = order_envelopes(spec.shifts(257))
-        j = select_strip(env, spec.A)
-        case = construct_h(env, j, spec.A).boundary_case
+        ans = answer(spec.shifts(257), spec.A, "l1")
+        env, facts = ans.env, dict(ans.facts)
+        j, case = facts["strip"], facts["boundary_case"]
         cases[case] = cases.get(case, 0) + 1
         if 1 <= j <= env.K - 1:
             scale = wsum(simpson_weights(env.ts.n, env.ts.grid.h), np.abs(env.values).max(axis=0))
@@ -343,19 +351,22 @@ def strips() -> dict:
 
 
 def _gates(reports) -> dict:
-    """The verdicts of ``reports``, and those that boundaryT_max or the PDE gate decides alone."""
+    """The verdicts of ``reports``, the ``MS_candidate``s that list kink cells, and the
+    verdicts that boundaryT_max or the PDE gate decides alone."""
     from waveinput.verify import FEAS_TOL, SEAM_TOL
 
-    verdicts, alone = {}, {"boundaryT_max": 0, "pde": 0}
+    verdicts, alone, kinked = {}, {"boundaryT_max": 0, "pde": 0}, 0
     for rep in reports:
         verdicts[rep.classification] = verdicts.get(rep.classification, 0) + 1
+        kinked += rep.classification == "MS_candidate" and len(rep.kink_cells) > 0
         ends = max(rep.endpoint_value_residual, rep.endpoint_deriv_residual) <= SEAM_TOL
         bT = rep.boundaryT_max <= SEAM_TOL
         pde = rep.pde_residual_max <= rep.pde_budget
         if rep.feasibility_residual <= FEAS_TOL and ends:
             alone["boundaryT_max"] += pde and not bT
             alone["pde"] += bT and not pde
-    return {"inputs": len(reports), "verdicts": verdicts, "decided_alone": alone}
+    return {"inputs": len(reports), "verdicts": verdicts, "decided_alone": alone,
+            "kinked_MS_candidate": kinked}
 
 
 def verify_gates() -> dict:
@@ -365,16 +376,49 @@ def verify_gates() -> dict:
     from waveinput.verify import verify_solution
 
     rng = np.random.default_rng(7)
-    minimizers, entries = [], []
+    minimizers, entries, sub_2h = [], [], {}
     for _ in range(60):
         spec = random_spec(rng)
         _, *vs = _minimizers(spec, 257)
         _, *fine = _minimizers(spec, 1025)
         minimizers += (verify_solution(v, spec) for v in (*vs, *fine))
         for p, v in zip((1, 2), vs):
-            entries += (verify_solution(e.result.g, spec)
-                        for e in pms_sequence(v, spec, PMS_SCHEDULE, p))
-    return {"minimizers": _gates(minimizers), "pms_entries": _gates(entries)}
+            for e in pms_sequence(v, spec, PMS_SCHEDULE, p):
+                rep = verify_solution(e.result.g, spec)
+                entries.append(rep)
+                if min(e.result.stages["delta_corner"], e.result.stages["delta_hermite"]) < 2 * v.h:
+                    sub_2h[rep.classification] = sub_2h.get(rep.classification, 0) + 1
+    return {"minimizers": _gates(minimizers),
+            "pms_entries": {**_gates(entries), "sub_2h_verdicts": sub_2h}}
+
+
+CONVERGENCE_N = (129, 513, 2049, 16385)
+
+
+def convergence() -> dict:
+    import numpy as np
+    from conftest import random_spec
+    from waveinput.oracle import answer
+    from waveinput.tbvp import segment_integrals
+
+    rng = np.random.default_rng(7)
+    a1 = dict.fromkeys(CONVERGENCE_N, 0.0)
+    l1 = dict.fromkeys(CONVERGENCE_N[:-1], 0.0)
+    for _ in range(40):
+        spec = random_spec(rng)
+        S = segment_integrals(spec)
+        objective = {}
+        for n in CONVERGENCE_N:
+            ts = spec.shifts(n)
+            A1 = answer(ts, spec.A, "l2").A1
+            a1[n] = max(a1[n], float(abs(A1 - S.mean()) / np.abs(S).mean()))
+            objective[n] = answer(ts, spec.A, "l1").objective
+        fine = objective[CONVERGENCE_N[-1]]
+        for n in l1:
+            l1[n] = max(l1[n], abs(objective[n] - fine) / abs(fine))
+    return {"draws": 40,
+            "A1_error": {f"n={n}": x for n, x in a1.items()},
+            "l1_objective_error": {f"n={n}": x for n, x in l1.items()}}
 
 
 STUDIES = {
@@ -384,6 +428,7 @@ STUDIES = {
     "pms-flags": pms_flags,
     "strips": strips,
     "verify-gates": verify_gates,
+    "convergence": convergence,
 }
 
 

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveinput import cli, oracle
+from waveinput import cli, l2
 from waveinput.approx import pms_sequence
 from waveinput.cli import _csv_blocks, _write_csvs, main, parse_config
 from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
+from waveinput.oracle import answer
 from waveinput.tbvp import extend_input, full_norm
 
 
@@ -60,6 +61,20 @@ class TestConfigParsing:
         path.write_text("f0 = zero\nbogus = 1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(str(path))
+
+    @pytest.mark.parametrize(
+        "extra, key, first",
+        [("n = 129\nnorm = l1\n", "n", 7), ("t = 2.0\n", "t", 4)],
+        ids=["n-and-norm", "T-and-t"],
+    )
+    def test_repeated_key_exit2_names_both_lines(self, tmp_path, capsys, extra, key, first):
+        # keys are case-insensitive, so T and t are one key; the first repeat (line 9) is named
+        path = tmp_path / "run.cfg"
+        path.write_text(Path(write_config(path)).read_text(encoding="utf-8") + extra, "utf-8")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = f"config error: line 9: config key {key!r} already set on line {first}\n"
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_norm(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", norm="sup")
@@ -588,7 +603,8 @@ def per_file_solve_csvs(cfg_path, out):
     """The four solve CSVs written cell by cell by `per_cell_csv`, one table per
     file, envelopes from a descending np.sort."""
     cfg = parse_config(cfg_path)
-    ts, _, v, _ = cli._solve_minimizer(cfg)
+    ans = answer(cfg.spec.shifts(cfg.n), cfg.spec.A, cfg.norm)
+    ts, v = ans.ts, ans.v
     ext = extend_input(v, cfg.spec)
     xs, K = ts.grid.xs, ts.K
     out.mkdir()
@@ -801,7 +817,7 @@ class TestOracle:
             v = ts.grid.with_values(sol.v.values + bump)
             return L2Solution(v, sol.A1, sol.mean_shift, full_norm(v, ts, 2))
 
-        monkeypatch.setattr(oracle, "l2_minimizer", bumped)
+        monkeypatch.setattr(l2, "l2_minimizer", bumped)
         cfg = write_config(tmp_path / "run.cfg")
         assert main(["oracle", "--config", cfg]) == 5
         assert "converged = False" in capsys.readouterr().out
@@ -849,7 +865,7 @@ class TestPMS:
         )
         assert main(["pms", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         run = parse_config(cfg)
-        _, _, v, _ = cli._solve_minimizer(run)
+        v = answer(run.spec.shifts(run.n), run.spec.A, run.norm).v
         entries = pms_sequence(v, run.spec, run.eps_schedule, p)
         assert len(entries) == 2
         for i, e in enumerate(entries, 1):

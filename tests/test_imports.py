@@ -168,7 +168,7 @@ print(json.dumps([loaded, len(waveinput.__all__), sorted(set(waveinput.__all__) 
 """
     loaded, count, unbound = _fresh(code, [])
     assert loaded == []
-    assert count == 46
+    assert count == 48
     assert unbound == []
 
 
@@ -195,10 +195,10 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
     # every command in its own child, compared at once, so a failure names each command
     loaded = {argv[0]: _loaded([argv])[:2] for argv in (solve, verify, oracle, pms)}
     assert loaded == {
-        "solve": ([0], _SHARED | {"waveinput.l1"} | l2),
+        "solve": ([0], _SHARED | {"waveinput.oracle", "waveinput.l1"} | l2),
         "verify": ([0], _SHARED | {"waveinput.verify"}),
-        "oracle": ([0], _SHARED | {f"waveinput.{m}" for m in ("oracle", "l1", "l2")}),
-        "pms": ([0], _SHARED | {"waveinput.approx", "waveinput.l1"} | l2),
+        "oracle": ([0], _SHARED | {"waveinput.oracle", "waveinput.l1"} | l2),
+        "pms": ([0], _SHARED | {"waveinput.approx", "waveinput.oracle", "waveinput.l1"} | l2),
     }
 
 
@@ -206,7 +206,7 @@ def test_poly_config_loads_no_numpy_polynomial(tmp_path):
     cfg = _config(tmp_path, "poly", **dict(_TRAVELING, fT="poly 0.1 -0.2 0.05", norm="l1"))
     codes, mods, _, _ = _loaded([["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]])
     assert codes == [0]
-    assert mods == _SHARED | {"waveinput.l1"}
+    assert mods == _SHARED | {"waveinput.oracle", "waveinput.l1"}
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc thread listing")
