@@ -28,7 +28,7 @@ print(f"objective (squared window norm) = {sol.objective:.8f}")
 resid = sol.v.values - sol.mean_shift.values
 print(f"v minus the shift mean is constant: spread {np.ptp(resid):.3e}")
 
-print(f"smoothness verdict for this instance: {l2_ms_check(sol, spec)}")
+print(f"smoothness verdict for this instance: {l2_ms_check(ts)}")
 
 rep = l2_oracle(ts, spec.A)
 print(f"\nLagrangian dual value {rep.oracle_value:.8f}")

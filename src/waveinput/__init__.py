@@ -61,7 +61,7 @@ _EXPORTS = {
         "segment_integrals",
         "shift_sequence",
     ),
-    "verify": ("VerificationReport", "convergence_study", "verify_solution"),
+    "verify": ("VerificationReport", "verify_solution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

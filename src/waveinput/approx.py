@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from .functions import (
-    GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, rounding,
+    FEAS_TOL, GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, rounding,
     simpson_weights, wsum,
 )
 from .tbvp import ProblemSpec, full_norm
@@ -386,7 +386,7 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int):
         _check_epsilon(e)
     if any(b <= s for b, s in zip(eps_schedule, eps_schedule[1:])):
         raise BadParams("tolerance schedule must be strictly decreasing")
-    if abs(integrate(v) - spec.A) > 1e-8:
+    if abs(integrate(v) - spec.A) > FEAS_TOL:
         raise BadParams("input is not feasible: integral constraint fails")
 
     shifts = spec.shifts(v.n)

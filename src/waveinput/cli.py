@@ -75,6 +75,8 @@ class RunConfig:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, list):
+        return ";".join(map(_fmt, x)) or "none"
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
@@ -502,17 +504,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
         raise ConfigError("input csv x-column does not match the decision grid")
     rep = verify_solution(GridFunction(-spec.T, spec.T, cfg.n, vs), spec)
 
-    rows = [
-        ("classification", rep.classification),
-        ("feasibility_residual", _fmt(rep.feasibility_residual)),
-        ("pde_residual_max", _fmt(rep.pde_residual_max)),
-        ("pde_budget", _fmt(rep.pde_budget)),
-        ("boundaryT_max", _fmt(rep.boundaryT_max)),
-        ("endpoint_value_residual", _fmt(rep.endpoint_value_residual)),
-        ("endpoint_deriv_residual", _fmt(rep.endpoint_deriv_residual)),
-        ("kink_cells", ";".join(_fmt(x) for x in rep.kink_cells) or "none"),
-    ]
-
+    rows = [(key, _fmt(val)) for key, val in vars(rep).items()]
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "report.csv"), "wb") as fh:
         fh.write(_lines(("metric", "value", *sum(rows, ())), 2))

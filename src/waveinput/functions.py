@@ -317,6 +317,9 @@ def rounding(scale):
     return 64.0 * np.finfo(float).eps * scale
 
 
+FEAS_TOL = 1e-8  # the absolute gate on |int v - A| that `verify` and `pms` apply to an input
+
+
 def lp_total(w: np.ndarray, x: np.ndarray, p: int) -> float:
     """The Lp norm of the samples x at the quadrature weights w."""
     return float(wsum(w, np.abs(x) ** p)) ** (1.0 / p)

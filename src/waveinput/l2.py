@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import GridFunction, rounding, simpson_weights, wsum
-from .tbvp import ProblemSpec, ShiftSequence, full_norm
+from .tbvp import ShiftSequence, full_norm
 
 
 @dataclass
@@ -33,8 +33,8 @@ def l2_minimizer(ts: ShiftSequence, A: float) -> L2Solution:
     return L2Solution(v, A1, ts.grid.with_values(mean), full_norm(v, ts, 2))
 
 
-def l2_ms_check(sol: L2Solution, spec: ProblemSpec) -> str:
-    """Classify the closed-form minimizer as an exact smooth solution or not.
+def l2_ms_check(ts: ShiftSequence) -> str:
+    """Classify the closed-form minimizer on ``ts`` as an exact smooth solution or not.
 
     The extension of v is C2 across the seams iff v matches both endpoint
     relations.  v is the shift mean plus a constant, so its offsets are
@@ -43,8 +43,7 @@ def l2_ms_check(sol: L2Solution, spec: ProblemSpec) -> str:
     must equal c1 (c2) within 64 ulps of mean_k|ts_k(T) - ts_k(-T)| + |c1|
     (likewise for the slopes).
     """
-    ts = spec.shifts(sol.v.n)
-    for ends, c in ((ts.values[:, [0, -1]], spec.c1), (ts.d_ends, spec.c2)):
+    for ends, c in ((ts.values[:, [0, -1]], ts.spec.c1), (ts.d_ends, ts.spec.c2)):
         diff = ends[:, 1] - ends[:, 0]
         if abs(diff.mean() - c) > rounding(np.abs(diff).mean() + abs(c)):
             return "pms_only"

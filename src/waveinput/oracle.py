@@ -54,7 +54,7 @@ def answer(ts: ShiftSequence, A: float, norm: str) -> Answer:
         from .l2 import l2_minimizer, l2_ms_check
 
         sol = l2_minimizer(ts, A)
-        facts = ("A1", sol.A1), ("objective", sol.objective), ("ms_check", l2_ms_check(sol, ts.spec))
+        facts = ("A1", sol.A1), ("objective", sol.objective), ("ms_check", l2_ms_check(ts))
         return Answer(ts, env, sol.v, sol.objective, sol.A1, facts)
     j = select_strip(env, A)
     sol = construct_h(env, j, A)

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import GridFunction, integrate, sample, wsum
+from .functions import FEAS_TOL, GridFunction, integrate, wsum
 from .tbvp import ProblemSpec, SolutionField, dalembert
 
 SEAM_TOL = 1e-6
-FEAS_TOL = 1e-8
 TIME_LEVELS = 9  # time levels sampled by the PDE residual check
 # one-sided 4th-order first difference from the five samples at the left end; exact for quartics
 _END_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -42,15 +41,15 @@ _END_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
 @dataclass
 class VerificationReport:
-    """Checks and verdict of ``verify_solution``."""
+    """Verdict and checks of ``verify_solution``; ``verify`` prints the fields in this order."""
 
+    classification: str
+    feasibility_residual: float
     pde_residual_max: float
+    pde_budget: float
     boundaryT_max: float
     endpoint_value_residual: float
     endpoint_deriv_residual: float
-    classification: str
-    feasibility_residual: float
-    pde_budget: float
     kink_cells: list
 
 
@@ -137,23 +136,5 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
         verdict = "pseudo_MS"
 
     return VerificationReport(
-        pde_max, bT, value_res, deriv_res, verdict,
-        feasibility_residual=feas,
-        pde_budget=pde_budget,
-        kink_cells=_kink_cells(v, d2),
+        verdict, feas, pde_max, pde_budget, bT, value_res, deriv_res, _kink_cells(v, d2)
     )
-
-
-def convergence_study(v, spec: ProblemSpec, grids):
-    """PDE residual of the field reconstructed from v at several grids.
-
-    v is a SmoothFunction so it can be sampled on each grid; returns a
-    list of (n, pde_residual_max) pairs for the given increasing odd n.
-    """
-    out = []
-    for n in grids:
-        vg = sample(v, -spec.T, spec.T, n)
-        field_ = dalembert(vg, spec)
-        resid, _ = _pde_residual(field_, spec)
-        out.append((n, resid))
-    return out

@@ -168,7 +168,7 @@ print(json.dumps([loaded, len(waveinput.__all__), sorted(set(waveinput.__all__) 
 """
     loaded, count, unbound = _fresh(code, [])
     assert loaded == []
-    assert count == 48
+    assert count == 47
     assert unbound == []
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import handmade_shifts, random_spec, scaled, traveling_spec, zero_integral_bump
 from waveinput.functions import catalog, integrate, simpson_weights
 from waveinput.l2 import l2_minimizer, l2_ms_check
+from waveinput.oracle import answer
 from waveinput.tbvp import ProblemSpec, full_norm
 
 ZERO = catalog("zero", [])
@@ -96,17 +97,16 @@ def test_decomposition_identity():
 
 def test_ms_check_zero_data():
     spec = ProblemSpec(ZERO, ZERO, 1.0, 1, 1)
-    sol = l2_minimizer(spec.shifts(65), spec.A)
-    assert l2_ms_check(sol, spec) == "ms_exists"
+    assert l2_ms_check(spec.shifts(65)) == "ms_exists"
 
 
 def test_ms_check_constant_cannot_jump():
     # f0 = 0, fT = x gives c1 = 2 but a constant closed-form minimizer
     spec = ProblemSpec(ZERO, catalog("poly", [0.0, 1.0]), 1.0, 1, 1)
     assert spec.c1 == pytest.approx(2.0)
-    sol = l2_minimizer(spec.shifts(129), spec.A)
-    assert np.ptp(sol.v.values) < 1e-12
-    assert l2_ms_check(sol, spec) == "pms_only"
+    ts = spec.shifts(129)
+    assert np.ptp(l2_minimizer(ts, spec.A).v.values) < 1e-12
+    assert l2_ms_check(ts) == "pms_only"
 
 
 def test_ms_check_traveling_wave():
@@ -119,7 +119,7 @@ def test_ms_check_traveling_wave():
     shape = factor * np.cos(ts.grid.xs) - math.sin(1.0) * (1.0 + factor)
     assert np.max(np.abs(sol.v.values - shape)) < 1e-9
     assert abs(sol.v.values[-1] - sol.v.values[0] - spec.c1) < 1e-12
-    assert l2_ms_check(sol, spec) == "pms_only"
+    assert l2_ms_check(ts) == "pms_only"
 
 
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
@@ -129,7 +129,16 @@ def test_ms_check_is_exact_at_every_scale(s, n):
     # because 1 + 2 cos(2 pi / 3) = 0, so the closed form is an exact MS
     spec = ProblemSpec(ZERO, scaled(catalog("sin", [math.pi / 3, 0.0]), s), 1.0, 1, 1)
     assert spec.c1 != 0.0
-    assert l2_ms_check(l2_minimizer(spec.shifts(n), spec.A), spec) == "ms_exists"
+    assert l2_ms_check(spec.shifts(n)) == "ms_exists"
     readme = traveling_spec()
     readme = ProblemSpec(scaled(readme.f0, s), scaled(readme.fT, s), 1.0, 1, 1)
-    assert l2_ms_check(l2_minimizer(readme.shifts(n), readme.A), readme) == "pms_only"
+    assert l2_ms_check(readme.shifts(n)) == "pms_only"
+
+
+def test_ms_check_reads_the_shifts_it_is_given():
+    # hand-made rows on zero data (c1 = 0) whose mean 2x/3 jumps by 4/3 across [-1, 1]
+    xs = np.linspace(-1.0, 1.0, 65)
+    ans = answer(handmade_shifts([xs, 0.0 * xs, xs]), 0.0, "l2")
+    assert ans.ts.spec.c1 == 0.0
+    assert ans.v.values[-1] - ans.v.values[0] == pytest.approx(4.0 / 3.0)
+    assert dict(ans.facts)["ms_check"] == "pms_only"

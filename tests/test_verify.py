@@ -5,7 +5,7 @@ import pytest
 
 from waveinput.functions import GridFunction, catalog, sample
 from waveinput.tbvp import ProblemSpec
-from waveinput.verify import SEAM_TOL, _end_slopes, convergence_study, verify_solution
+from waveinput.verify import SEAM_TOL, _end_slopes, verify_solution
 
 from conftest import feasible_random_v, random_spec, traveling_spec
 
@@ -100,14 +100,3 @@ class TestResiduals:
         jumps = np.abs((right - d_ends[:-1, 1]) - (left - d_ends[1:, 0]))
         assert jumps.size == spec.K - 1
         assert np.max(np.abs(jumps - rep.endpoint_deriv_residual)) < 1e-7
-
-
-class TestConvergence:
-    def test_residual_ratios_second_order(self):
-        spec = traveling_spec()
-        v = catalog("cos", [1.0, np.pi])  # -cos(x), the exact input
-        pairs = convergence_study(v, spec, [129, 257, 513])
-        res = [r for _, r in pairs]
-        assert res[0] > res[1] > res[2]
-        assert 3.0 <= res[0] / res[1] <= 5.0
-        assert 3.0 <= res[1] / res[2] <= 5.0
