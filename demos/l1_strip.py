@@ -15,6 +15,7 @@ from waveinput import (
     ms_endpoint_check,
     order_envelopes,
     select_strip,
+    shift_sequence,
     strip_lower_bound,
 )
 
@@ -26,7 +27,7 @@ spec = ProblemSpec(
     2,
 )
 n = 257
-ts = spec.shifts(n)
+ts = shift_sequence(spec, n)
 xs = ts.grid.xs
 print(f"K = {spec.K} periods, decision grid n = {n}")
 

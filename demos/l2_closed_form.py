@@ -8,7 +8,7 @@ evaluated straight from the shift sequence, confirms the formula.
 
 import numpy as np
 
-from waveinput import ProblemSpec, catalog, l2_minimizer, l2_ms_check, l2_oracle
+from waveinput import ProblemSpec, catalog, l2_minimizer, l2_ms_check, l2_oracle, shift_sequence
 
 spec = ProblemSpec(
     catalog("poly", [0.1, -0.2, 0.15]),
@@ -18,7 +18,7 @@ spec = ProblemSpec(
     1,
 )
 n = 257
-ts = spec.shifts(n)
+ts = shift_sequence(spec, n)
 
 sol = l2_minimizer(ts, spec.A)
 print(f"K = {spec.K}, A = {spec.A:+.6f}")

@@ -7,7 +7,7 @@ in must reproduce u(t, x) = sin(x - t) over the whole trapezoid.
 
 import numpy as np
 
-from waveinput import GridFunction, ProblemSpec, catalog, dalembert, extend_input
+from waveinput import GridFunction, ProblemSpec, catalog, dalembert, extend_input, shift_sequence
 
 T = 1.0
 spec = ProblemSpec(catalog("sin", [1.0, 0.0]), catalog("sin", [1.0, -T]), T, 1, 1)
@@ -20,13 +20,14 @@ print(f"  c2 = {spec.c2:+.6f}   (v'(T) - v'(-T) for a C1 extension)")
 n = 513
 xs = np.linspace(-T, T, n)
 v = GridFunction(-T, T, n, -np.cos(xs))
+ts = shift_sequence(spec, n)  # the problem on the n-node decision grid
 
-ext = extend_input(v, spec)
+ext = extend_input(v, ts)
 lo, hi = spec.window
 print(f"\nextension covers [{lo:+.1f}, {hi:+.1f}] with {ext.n} nodes")
 print(f"  max |v_ext + cos| over the window: {np.max(np.abs(ext.values + np.cos(ext.xs))):.3e}")
 
-field = dalembert(v, spec)
+field = dalembert(v, ts)
 print("\nfield reconstruction errors against sin(x - t)")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
     xq = np.linspace(lo + t, hi - t, 401)

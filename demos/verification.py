@@ -14,6 +14,7 @@ from waveinput import (
     catalog,
     integrate,
     sample,
+    shift_sequence,
     verify_solution,
 )
 
@@ -21,6 +22,7 @@ T = 1.0
 spec = ProblemSpec(catalog("sin", [1.0, 0.0]), catalog("sin", [1.0, -T]), T, 1, 1)
 n = 513
 xs = np.linspace(-T, T, n)
+ts = shift_sequence(spec, n)
 
 
 def show(title, rep):
@@ -35,20 +37,20 @@ def show(title, rep):
 
 
 exact = GridFunction(-T, T, n, -np.cos(xs))
-show("exact input -cos(x)", verify_solution(exact, spec))
+show("exact input -cos(x)", verify_solution(exact, ts))
 
 rough = GridFunction(-T, T, n, -np.cos(xs) + 0.05 * np.abs(np.sin(2.0 * xs)))
 rough = rough.with_values(rough.values + (spec.A - integrate(rough)) / (2 * T))
-show("feasible but kinked perturbation", verify_solution(rough, spec))
+show("feasible but kinked perturbation", verify_solution(rough, ts))
 
 bad = GridFunction(-T, T, n, -np.cos(xs) + 0.1)
-show("integral constraint violated", verify_solution(bad, spec))
+show("integral constraint violated", verify_solution(bad, ts))
 
 print("\ninterior residual convergence (exact input, halving h):")
 smooth = catalog("cos", [1.0, np.pi])  # -cos(x) as a function, sampled on each grid
 prev = None
 for m in (129, 257, 513):
-    r = verify_solution(sample(smooth, -T, T, m), spec).pde_residual_max
+    r = verify_solution(sample(smooth, -T, T, m), shift_sequence(spec, m)).pde_residual_max
     ratio = "" if prev is None else f"   ratio {prev / r:.2f}"
     print(f"  n = {m:4d}   residual {r:.3e}{ratio}")
     prev = r

@@ -57,7 +57,7 @@ from .functions import (
     FEAS_TOL, GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, rounding,
     simpson_weights, wsum,
 )
-from .tbvp import ProblemSpec, full_norm
+from .tbvp import ShiftSequence, full_norm
 
 # widest corner half-width, as a fraction of the interval
 CORNER_CAP = 1.0 / 8.0
@@ -367,7 +367,7 @@ class PMSEntry:
     satisfied: bool
 
 
-def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int):
+def pms_sequence(v: GridFunction, ts: ShiftSequence, eps_schedule, p: int):
     """Smooth a feasible input along a decreasing tolerance schedule.
 
     Each entry runs the pipeline with the problem's endpoint offsets and
@@ -386,30 +386,28 @@ def pms_sequence(v: GridFunction, spec: ProblemSpec, eps_schedule, p: int):
         _check_epsilon(e)
     if any(b <= s for b, s in zip(eps_schedule, eps_schedule[1:])):
         raise BadParams("tolerance schedule must be strictly decreasing")
-    if abs(integrate(v) - spec.A) > FEAS_TOL:
+    if abs(integrate(v) - ts.spec.A) > FEAS_TOL:
         raise BadParams("input is not feasible: integral constraint fails")
 
-    shifts = spec.shifts(v.n)
-    base_norm = full_norm(v, shifts, p)
+    base_norm = full_norm(v, ts, p)
     w_simpson = simpson_weights(v.n, v.h)
 
     entries = []
     prev: ApproxResult | None = None
     for eps in eps_schedule:
         try:
-            result = approximate_c1(v, spec.c1, spec.c2, spec.A, eps, p)
+            result = approximate_c1(v, ts.spec.c1, ts.spec.c2, ts.spec.A, eps, p)
         except ApproxBudgetExceeded as exc:
             exc.entries = entries  # expose what already succeeded
             raise
         if prev is not None and prev.achieved_lp_error < result.achieved_lp_error:
             if prev.achieved_lp_error < eps:
                 result = prev
-        vn = GridFunction(v.a, v.b, v.n, result.g.values)
-        gap = abs(full_norm(vn, shifts, p) - base_norm)
+        gap = abs(full_norm(result.g, ts, p) - base_norm)
         if p == 1:
-            bound = 2.0 * spec.K * spec.T * eps
+            bound = 2.0 * ts.spec.K * ts.spec.T * eps
         else:
-            w = -(vn.values + v.values)[None, :] + 2.0 * shifts.values
+            w = -(result.g.values + v.values)[None, :] + 2.0 * ts.values
             m_factor = np.sqrt(float(wsum(w_simpson, np.sum(w, axis=0) ** 2)))
             bound = m_factor * eps
         entries.append(PMSEntry(eps, result, gap, bound, gap <= bound))

@@ -35,7 +35,8 @@ enters through ``run``.  Once ``main`` has returned, every file closed and the
 forked writer reaped, it flushes stdout and stderr and leaves by ``os._exit``,
 without interpreter teardown; so a tool that reports at exit (cProfile,
 coverage) must call ``main`` instead.  argparse and uncaught exceptions exit
-the normal way.
+the normal way.  A closed stdout (``| head``) ends quietly: from the first write
+that finds it closed it is os.devnull, and every CSV and the exit code stand.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import ApproxBudgetExceeded, ConfigError, WaveInputError
 from .functions import GridFunction, SmoothFunction, catalog, from_samples
-from .tbvp import ProblemSpec, extend_input
+from .tbvp import ProblemSpec, extend_input, shift_sequence
 
 _REQUIRED = ("f0", "ft", "t", "k1", "k2", "n", "norm")
 # nothing reads "seed" now, but perfbench's config writer still writes it
@@ -403,9 +404,18 @@ def _write_csvs(files, *columns) -> None:
                 fh.write(block)
 
 
+def _to_stdout(write, *args) -> None:
+    """``write(*args)``; from a closed stdout on, fd 1 is os.devnull: every write ends quietly."""
+    try:
+        write(*args)
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _say(quiet: bool, *parts) -> None:
     if not quiet:
-        print(*parts)
+        _to_stdout(print, *parts)
 
 
 _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
@@ -482,12 +492,11 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     from .oracle import answer
 
-    spec = cfg.spec
-    ans = answer(spec.shifts(cfg.n), spec.A, cfg.norm)
-    ext = extend_input(ans.v, spec)
+    ans = answer(shift_sequence(cfg.spec, cfg.n), cfg.spec.A, cfg.norm)
+    ext = extend_input(ans.v, ans.ts)
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_solve_csvs(cfg.output_dir, ans.ts, ans.env.order, ans.v.values, ext)
-    for name, value in (("A ", spec.A), ("c1", spec.c1), ("c2", spec.c2), *ans.facts):
+    for name, value in (("A ", cfg.spec.A), ("c1", cfg.spec.c1), ("c2", cfg.spec.c2), *ans.facts):
         _say(quiet, f"{name} = {_fmt(value)}")
     _say(quiet, f"wrote {' '.join(_SOLVE_CSVS)} to {cfg.output_dir}")
     return 0
@@ -502,7 +511,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
         raise ConfigError(f"input csv has {xs.size} rows, config says n={cfg.n}")
     if np.max(np.abs(xs - np.linspace(-spec.T, spec.T, cfg.n))) > 1e-9 * spec.T:
         raise ConfigError("input csv x-column does not match the decision grid")
-    rep = verify_solution(GridFunction(-spec.T, spec.T, cfg.n, vs), spec)
+    rep = verify_solution(GridFunction(-spec.T, spec.T, cfg.n, vs), shift_sequence(spec, cfg.n))
 
     rows = [(key, _fmt(val)) for key, val in vars(rep).items()]
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -516,7 +525,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
 def cmd_oracle(cfg: RunConfig, quiet: bool = False) -> int:
     from .oracle import l1_oracle, l2_oracle
 
-    rep = (l2_oracle if cfg.norm == "l2" else l1_oracle)(cfg.spec.shifts(cfg.n), cfg.spec.A)
+    rep = (l2_oracle if cfg.norm == "l2" else l1_oracle)(shift_sequence(cfg.spec, cfg.n), cfg.spec.A)
     for name, value in (("norm", cfg.norm), *vars(rep).items()):
         _say(quiet, f"{name} = {_fmt(value)}")
     if not rep.converged:
@@ -530,14 +539,13 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     from .approx import pms_sequence
     from .oracle import answer
 
-    spec = cfg.spec
-    v = answer(spec.shifts(cfg.n), spec.A, cfg.norm).v
+    ans = answer(shift_sequence(cfg.spec, cfg.n), cfg.spec.A, cfg.norm)
     p = 1 if cfg.norm == "l1" else 2
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     failed = None
     try:
-        entries = pms_sequence(v, spec, cfg.eps_schedule, p)
+        entries = pms_sequence(ans.v, ans.ts, cfg.eps_schedule, p)
     except ApproxBudgetExceeded as exc:
         entries = exc.entries
         failed = exc
@@ -612,7 +620,7 @@ def main(argv=None) -> int:
 def run() -> None:
     """``main`` on ``sys.argv``, then its exit code without interpreter teardown."""
     code = main()
-    sys.stdout.flush()
+    _to_stdout(sys.stdout.flush)
     sys.stderr.flush()
     os._exit(code)
 

@@ -10,8 +10,9 @@ so v on the decision interval [-T, T] determines it on the whole window
 [-(2 K1 + 1) T, (2 K2 + 1) T].  `recurrence_increment` is the one copy of
 2 fT^(m)(y) - f0^(m)(y + T) - f0^(m)(y - T): A, c1 and c2 are its orders
 0-2 at y = 0, and `shift_values` accumulates it into the shifts ts_k (or
-their slopes) at any points of [-T, T].  The module also extends inputs by
-the recurrence and reconstructs u(t, x) by D'Alembert's formula.
+their slopes) at any points of [-T, T].  `shift_sequence(spec, n)`, the one way to the
+shifts, discretizes the continuous problem, a `ProblemSpec`, on n nodes; the module also
+extends inputs by the recurrence and reconstructs u(t, x) by D'Alembert's formula.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .functions import GridFunction, SmoothFunction, simpson_weights, wsum
 
 @dataclass
 class ProblemSpec:
-    """Problem data plus the derived constants of the endpoint relations.
+    """The continuous problem: data plus the derived constants of the endpoint relations.
 
     A  = 2 fT(0)  - f0(T)  - f0(-T)    (value of the integral of v over [-T, T])
     c1 = 2 fT'(0) - f0'(T) - f0'(-T)   (v(T) - v(-T) for a continuous extension)
@@ -60,24 +61,11 @@ class ProblemSpec:
                 f"f0 and fT must cover the window [{lo}, {hi}]; "
                 f"got f0.domain={self.f0.domain}, fT.domain={self.fT.domain}"
             )
-        self._shift_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.A, self.c1, self.c2 = (float(recurrence_increment(self, 0.0, m)) for m in range(3))
 
     @property
     def window(self) -> tuple[float, float]:
         return (-(2 * self.K1 + 1) * self.T, (2 * self.K2 + 1) * self.T)
-
-    def shifts(self, n: int) -> "ShiftSequence":
-        """Shift sequence on the n-node decision grid, its arrays cached per n.
-
-        The cache holds the arrays, not the ShiftSequence, which refers back to
-        this spec: with no cycle, a dropped spec frees them at once, not at the
-        next garbage collection.
-        """
-        if n not in self._shift_cache:
-            ts = shift_sequence(self, n)
-            self._shift_cache[n] = ts.values, ts.d_ends
-        return ShiftSequence(self, *self._shift_cache[n])
 
 
 def recurrence_increment(spec: ProblemSpec, y, m: int = 1):
@@ -109,7 +97,7 @@ def _check_scale(what: str, *parts) -> None:
 
 @dataclass
 class ShiftSequence:
-    """The K translate-correction functions on the decision interval.
+    """The n-node discretization of ``spec``: its K shifts on the decision grid.
 
     Row i of ``values`` is the shift ts_k of window period k = i - K1, so
     rows run k = -K1..K2 in window order and row K1 (period 0) is zero.
@@ -167,25 +155,26 @@ def shift_sequence(spec: ProblemSpec, n: int) -> ShiftSequence:
     return ShiftSequence(spec, values, d_ends)
 
 
-def _check_decision_grid(v: GridFunction, spec: ProblemSpec) -> None:
-    if max(abs(v.a + spec.T), abs(v.b - spec.T)) > 1e-9 * spec.T:
-        raise GridError(
-            f"input grid [{v.a}, {v.b}] must span the decision interval "
-            f"[{-spec.T}, {spec.T}]"
-        )
+def _branches(v: GridFunction, ts: ShiftSequence) -> np.ndarray:
+    """The (K, n) branch rows v - ts_k; GridError unless v has ts.n nodes spanning [-T, T]."""
+    if v.n != ts.n:
+        raise GridError(f"input has {v.n} nodes, the shift grid {ts.n}")
+    T = ts.spec.T
+    if max(abs(v.a + T), abs(v.b - T)) > 1e-9 * T:
+        raise GridError(f"input grid [{v.a}, {v.b}] must span the decision interval [{-T}, {T}]")
+    return v.values[None, :] - ts.values
 
 
-def _extension(v: GridFunction, spec: ProblemSpec) -> tuple[np.ndarray, GridFunction]:
+def _extension(v: GridFunction, ts: ShiftSequence) -> tuple[np.ndarray, GridFunction]:
     """The (K, n) branch rows v - ts_k and the window array they make."""
-    _check_decision_grid(v, spec)
-    lo, hi = spec.window
-    branch = v.values[None, :] - spec.shifts(v.n).values
-    closing = branch[-1, 0] + float(recurrence_increment(spec, hi - spec.T))
+    branch = _branches(v, ts)
+    lo, hi = ts.spec.window
+    closing = branch[-1, 0] + float(recurrence_increment(ts.spec, hi - ts.spec.T))
     out = np.append(branch[:, :-1].ravel(), closing)
     return branch, GridFunction(lo, hi, out.size, out)
 
 
-def extend_input(v: GridFunction, spec: ProblemSpec) -> GridFunction:
+def extend_input(v: GridFunction, ts: ShiftSequence) -> GridFunction:
     """Propagate a decision-interval input to the whole window.
 
     Each period contributes its branch v - ts_k without its last node, so
@@ -197,7 +186,7 @@ def extend_input(v: GridFunction, spec: ProblemSpec) -> GridFunction:
     no right neighbour period, so it is closed with one more application
     of the recurrence.
     """
-    return _extension(v, spec)[1]
+    return _extension(v, ts)[1]
 
 
 # Per-interval quadrature rules exact for cubics, used to build the
@@ -299,10 +288,10 @@ class SolutionField:
         return float(out) if out.ndim == 0 else out
 
 
-def dalembert(v: GridFunction, spec: ProblemSpec) -> SolutionField:
+def dalembert(v: GridFunction, ts: ShiftSequence) -> SolutionField:
     """Reconstruct the solution field from a decision-interval input."""
-    branch, v_full = _extension(v, spec)
-    return SolutionField(spec, v_full, branch)
+    branch, v_full = _extension(v, ts)
+    return SolutionField(ts.spec, v_full, branch)
 
 
 def full_norm(v: GridFunction, ts: ShiftSequence, p: int) -> float:
@@ -312,13 +301,10 @@ def full_norm(v: GridFunction, ts: ShiftSequence, p: int) -> float:
     equals the window integral of |v_ext|^p (branchwise, with the seam
     convention of extend_input).  v must sit on the grid of ts.
     """
-    if v.n != ts.n:
-        raise GridError(f"input has {v.n} nodes, the shift grid {ts.n}")
-    _check_decision_grid(v, ts.spec)
+    branch = _branches(v, ts)
     if p not in (1, 2):
         raise UnsupportedNorm(f"only p in {{1, 2}} is supported, got p={p}")
-    diff = np.abs(ts.values - v.values[None, :]) ** p
-    return float(wsum(simpson_weights(v.n, v.h), diff.sum(axis=0)))
+    return float(wsum(simpson_weights(v.n, v.h), (np.abs(branch) ** p).sum(axis=0)))
 
 
 def segment_integrals(spec: ProblemSpec) -> np.ndarray:

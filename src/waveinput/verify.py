@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import FEAS_TOL, GridFunction, integrate, wsum
-from .tbvp import ProblemSpec, SolutionField, dalembert
+from .tbvp import ShiftSequence, SolutionField, dalembert
 
 SEAM_TOL = 1e-6
 TIME_LEVELS = 9  # time levels sampled by the PDE residual check
@@ -53,10 +53,10 @@ class VerificationReport:
     kink_cells: list
 
 
-def _pde_residual(field_: SolutionField, spec: ProblemSpec):
+def _pde_residual(field_: SolutionField):
     """Max |d2_t u - d2_x u| over node-aligned interior samples."""
     h = field_.v_full.h
-    m_max = int(np.floor((spec.T / h - 2.0) / 2.0))
+    m_max = int(np.floor((field_.spec.T / h - 2.0) / 2.0))
     if m_max < 1:
         return 0.0, 0.0
     levels = np.linspace(1, m_max, min(TIME_LEVELS, m_max)).round().astype(int)
@@ -89,7 +89,7 @@ def _end_slopes(v: GridFunction) -> tuple:
     return wsum(_END_STENCIL, v.values[:5]) / v.h, -wsum(_END_STENCIL, v.values[:-6:-1]) / v.h
 
 
-def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
+def verify_solution(v: GridFunction, ts: ShiftSequence) -> VerificationReport:
     """Run every check against the input and classify the outcome.
 
     The PDE budget has two terms: 100 h^2 scaled by the sampled field
@@ -114,19 +114,19 @@ def verify_solution(v: GridFunction, spec: ProblemSpec) -> VerificationReport:
     of 240 minimizers (all L1, n = 257) and 28 of 360 PMS entries (eps
     1e-1) pseudo_MS.
     """
-    field_ = dalembert(v, spec)  # first: it checks the size of v's branches
-    feas = abs(integrate(v) - spec.A)
-    pde_max, u_scale = _pde_residual(field_, spec)
+    field_ = dalembert(v, ts)  # first: it checks that v sits on the grid of ts
+    feas = abs(integrate(v) - ts.spec.A)
+    pde_max, u_scale = _pde_residual(field_)
     d2 = np.diff(v.values, 2)
     curvature = float(np.max(np.abs(d2))) / v.h ** 2
     pde_budget = 100.0 * u_scale * field_.v_full.h ** 2 + 0.5 * v.h * curvature
 
     g = field_.v_full
     half = (v.n - 1) // 2  # T in node units
-    bT = float(np.max(np.abs(field_.level(half) - spec.fT.value(g.xs[half : g.n - half]))))
+    bT = float(np.max(np.abs(field_.level(half) - ts.spec.fT.value(g.xs[half : g.n - half]))))
     left, right = _end_slopes(v)
-    value_res = float(abs(v.values[-1] - v.values[0] - spec.c1))
-    deriv_res = float(abs(right - left - spec.c2))
+    value_res = float(abs(v.values[-1] - v.values[0] - ts.spec.c1))
+    deriv_res = float(abs(right - left - ts.spec.c2))
 
     if feas > FEAS_TOL:
         verdict = "infeasible"

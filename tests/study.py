@@ -212,8 +212,9 @@ def _dilate(f, s: float, lam: float):
 def _minimizers(spec, n: int = 257) -> tuple:
     """The shifts at n, the L1 strip minimizer and the L2 closed form."""
     from waveinput.oracle import answer
+    from waveinput.tbvp import shift_sequence
 
-    ts = spec.shifts(n)
+    ts = shift_sequence(spec, n)
     return ts, answer(ts, spec.A, "l1").v, answer(ts, spec.A, "l2").v
 
 
@@ -229,11 +230,11 @@ def _dilation_outcomes(spec, units: tuple) -> list:
     out = []
     for p, v, oracle, unit in zip((1, 2), minimizers, oracles, units):
         try:
-            entries = pms_sequence(v, spec, [1e-1 * unit, 1e-3 * unit], p)
+            entries = pms_sequence(v, ts, [1e-1 * unit, 1e-3 * unit], p)
             pms = ("ok", *(e.satisfied for e in entries))
         except WaveInputError as exc:
             pms = (type(exc).__name__, *(e.satisfied for e in getattr(exc, "entries", [])))
-        out.append((verify_solution(v, spec).classification, pms, oracle(ts, spec.A).rel_gap))
+        out.append((verify_solution(v, ts).classification, pms, oracle(ts, spec.A).rel_gap))
     return out
 
 
@@ -272,14 +273,14 @@ def traveling_wave() -> dict:
     import numpy as np
     from conftest import scaled
     from waveinput.functions import catalog, sample
-    from waveinput.tbvp import ProblemSpec
+    from waveinput.tbvp import ProblemSpec, shift_sequence
     from waveinput.verify import verify_solution
 
     out = {}
     for T, s in TRAVELING_WAVES:
         f0, fT = (scaled(catalog("sin", [1.0, phi]), s) for phi in (0.0, -T))
         v = sample(scaled(catalog("cos", [1.0, np.pi]), s), -T, T, 513)
-        rep = verify_solution(v, ProblemSpec(f0, fT, T, 1, 1))
+        rep = verify_solution(v, shift_sequence(ProblemSpec(f0, fT, T, 1, 1), 513))
         out[f"T={T!r} s={s!r}"] = {
             "verdict": rep.classification,
             "feasibility_residual": rep.feasibility_residual,
@@ -296,9 +297,9 @@ def _pms_flags(spec) -> tuple:
     """The ``satisfied`` flags of the L1 and L2 minimizers' PMS entries."""
     from waveinput.approx import pms_sequence
 
-    _, *minimizers = _minimizers(spec)
+    ts, *minimizers = _minimizers(spec)
     return tuple(
-        tuple(e.satisfied for e in pms_sequence(v, spec, PMS_SCHEDULE, p))
+        tuple(e.satisfied for e in pms_sequence(v, ts, PMS_SCHEDULE, p))
         for p, v in zip((1, 2), minimizers)
     )
 
@@ -334,12 +335,13 @@ def strips() -> dict:
     from conftest import random_spec
     from waveinput.functions import simpson_weights, wsum
     from waveinput.oracle import answer
+    from waveinput.tbvp import shift_sequence
 
     rng = np.random.default_rng(7)
     cases, widths = {}, []
     for _ in range(300):
         spec = random_spec(rng)
-        ans = answer(spec.shifts(257), spec.A, "l1")
+        ans = answer(shift_sequence(spec, 257), spec.A, "l1")
         env, facts = ans.env, dict(ans.facts)
         j, case = facts["strip"], facts["boundary_case"]
         cases[case] = cases.get(case, 0) + 1
@@ -379,12 +381,13 @@ def verify_gates() -> dict:
     minimizers, entries, sub_2h = [], [], {}
     for _ in range(60):
         spec = random_spec(rng)
-        _, *vs = _minimizers(spec, 257)
-        _, *fine = _minimizers(spec, 1025)
-        minimizers += (verify_solution(v, spec) for v in (*vs, *fine))
+        ts, *vs = _minimizers(spec, 257)
+        ts_fine, *fine = _minimizers(spec, 1025)
+        minimizers += [*(verify_solution(v, ts) for v in vs),
+                       *(verify_solution(v, ts_fine) for v in fine)]
         for p, v in zip((1, 2), vs):
-            for e in pms_sequence(v, spec, PMS_SCHEDULE, p):
-                rep = verify_solution(e.result.g, spec)
+            for e in pms_sequence(v, ts, PMS_SCHEDULE, p):
+                rep = verify_solution(e.result.g, ts)
                 entries.append(rep)
                 if min(e.result.stages["delta_corner"], e.result.stages["delta_hermite"]) < 2 * v.h:
                     sub_2h[rep.classification] = sub_2h.get(rep.classification, 0) + 1
@@ -399,7 +402,7 @@ def convergence() -> dict:
     import numpy as np
     from conftest import random_spec
     from waveinput.oracle import answer
-    from waveinput.tbvp import segment_integrals
+    from waveinput.tbvp import segment_integrals, shift_sequence
 
     rng = np.random.default_rng(7)
     a1 = dict.fromkeys(CONVERGENCE_N, 0.0)
@@ -409,7 +412,7 @@ def convergence() -> dict:
         S = segment_integrals(spec)
         objective = {}
         for n in CONVERGENCE_N:
-            ts = spec.shifts(n)
+            ts = shift_sequence(spec, n)
             A1 = answer(ts, spec.A, "l2").A1
             a1[n] = max(a1[n], float(abs(A1 - S.mean()) / np.abs(S).mean()))
             objective[n] = answer(ts, spec.A, "l1").objective

@@ -29,7 +29,9 @@ from waveinput.l1 import (
 )
 from waveinput.l2 import l2_minimizer
 from waveinput.oracle import answer, l1_oracle, l2_oracle
-from waveinput.tbvp import ProblemSpec, dalembert, extend_input, full_norm, segment_integrals
+from waveinput.tbvp import (
+    ProblemSpec, dalembert, extend_input, full_norm, segment_integrals, shift_sequence,
+)
 from waveinput.verify import verify_solution
 
 ZERO = catalog("zero", [])
@@ -53,7 +55,7 @@ def test_01_traveling_wave_reconstruction():
         n = 1025
         xs = np.linspace(-1.0, 1.0, n)
         v = GridFunction(-1.0, 1.0, n, -np.cos(xs))
-        field = dalembert(v, spec)
+        field = dalembert(v, shift_sequence(spec, n))
         lo, hi = spec.window
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 21):
@@ -71,7 +73,7 @@ def test_02_zero_data_degenerate_suite():
         assert abs(spec.A) <= 1e-12
         assert abs(spec.c1) <= 1e-12
         assert abs(spec.c2) <= 1e-12
-        ts = spec.shifts(257)
+        ts = shift_sequence(spec, 257)
         assert np.max(np.abs(ts.values)) <= 1e-12
         sol2 = l2_minimizer(ts, spec.A)
         assert abs(sol2.objective) <= 1e-12
@@ -79,7 +81,7 @@ def test_02_zero_data_degenerate_suite():
         env = order_envelopes(ts)
         sol1 = construct_h(env, select_strip(env, spec.A), spec.A)
         assert abs(sol1.objective) <= 1e-12
-        rep = verify_solution(sol2.v, spec)
+        rep = verify_solution(sol2.v, ts)
         assert rep.classification == "MS_candidate"
 
 
@@ -88,7 +90,7 @@ def test_03_l2_closed_form_vs_oracle():
         rng = np.random.default_rng(301)
         for i in range(5):
             spec = random_spec(rng)
-            ts = spec.shifts(257)
+            ts = shift_sequence(spec, 257)
             t0 = time.perf_counter()
             rep = l2_oracle(ts, spec.A)
             elapsed = time.perf_counter() - t0
@@ -103,7 +105,7 @@ def _interior_strip_instances(rng, count, n, min_room=1e-2, max_draws=300):
     found = []
     for _ in range(max_draws):
         spec = random_spec(rng)
-        ts = spec.shifts(n)
+        ts = shift_sequence(spec, n)
         env = order_envelopes(ts)
         j = select_strip(env, spec.A)
         if not 1 <= j <= env.K - 1:
@@ -176,15 +178,15 @@ def test_06_offset_approximation_constraints():
 def test_07_pms_norm_gap_bounds():
     with gate("07 smoothing sequences keep their advertised norm-gap bounds"):
         spec = traveling_spec(1, 1, 1.0)
-        ts = spec.shifts(257)
+        ts = shift_sequence(spec, 257)
         schedule = [1e-1, 1e-2, 1e-3]
         env = order_envelopes(ts)
         h = construct_h(env, select_strip(env, spec.A), spec.A).h
-        for e in pms_sequence(h, spec, schedule, p=1):
+        for e in pms_sequence(h, ts, schedule, p=1):
             assert e.norm_gap <= 2 * spec.K * spec.T * e.epsilon + 1e-12
             assert e.satisfied
         v2 = l2_minimizer(ts, spec.A).v
-        for e in pms_sequence(v2, spec, schedule, p=2):
+        for e in pms_sequence(v2, ts, schedule, p=2):
             assert e.satisfied, f"eps {e.epsilon}: gap {e.norm_gap} > {e.bound}"
 
 
@@ -193,9 +195,10 @@ def test_08_equilibrium_identity():
         rng = np.random.default_rng(801)
         for _ in range(5):
             spec = random_spec(rng)
+            ts = shift_sequence(spec, 1025)
             for _ in range(4):
                 v = feasible_random_v(spec, 1025, rng)
-                per_period = wsum(simpson_weights(v.n, v.h), dalembert(v, spec).branch)
+                per_period = wsum(simpson_weights(v.n, v.h), dalembert(v, ts).branch)
                 assert np.max(np.abs(per_period - segment_integrals(spec))) < 1e-8
 
 
@@ -204,13 +207,14 @@ def test_09_reduction_identity():
         rng = np.random.default_rng(901)
         for _ in range(10):
             spec = random_spec(rng)
+            ts = shift_sequence(spec, 513)
             for _ in range(5):
                 v = feasible_random_v(spec, 513, rng, compatible=True)
-                ext = extend_input(v, spec)
+                ext = extend_input(v, ts)
                 w = simpson_weights(ext.n, ext.h)
                 for p in (1, 2):
                     direct = float(np.dot(w, np.abs(ext.values) ** p))
-                    folded = full_norm(v, spec.shifts(v.n), p)
+                    folded = full_norm(v, ts, p)
                     assert abs(folded - direct) <= 1e-6 * max(1.0, direct)
 
 
@@ -219,7 +223,7 @@ def test_10_residual_convergence_order():
         spec = traveling_spec(1, 1, 1.0)
         v = catalog("cos", [1.0, math.pi])  # -cos(x)
         grids = [sample(v, -spec.T, spec.T, n) for n in (129, 257, 513)]
-        res = [verify_solution(g, spec).pde_residual_max for g in grids]
+        res = [verify_solution(g, shift_sequence(spec, g.n)).pde_residual_max for g in grids]
         r01 = res[0] / res[1]
         r12 = res[1] / res[2]
         assert 3.0 <= r01 <= 5.0, f"ratio 129/257 = {r01:.2f}"

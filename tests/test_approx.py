@@ -15,6 +15,7 @@ from waveinput.errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from waveinput.functions import GridFunction, integrate, simpson_weights
 from waveinput.l1 import construct_h, order_envelopes, select_strip
 from waveinput.l2 import l2_minimizer
+from waveinput.tbvp import shift_sequence
 from waveinput.verify import verify_solution
 
 from conftest import feasible_random_v, random_spec, traveling_spec
@@ -57,14 +58,16 @@ class TestIntegralShift:
     def test_readme_schedule_integral_is_rounding(self, n, p):
         # integral_residual re-integrates the result, apart from the sums that set the shift
         spec, v = readme_minimizer(p, n)
-        assert_integral_within_64_ulps(pms_sequence(v, spec, [10.0**-k for k in range(1, 9)], p), spec)
+        schedule = [10.0**-k for k in range(1, 9)]
+        assert_integral_within_64_ulps(pms_sequence(v, shift_sequence(spec, n), schedule, p), spec)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_problem_integral_is_rounding(self, seed):
         spec = random_spec(np.random.default_rng(seed))
         p = 1 + seed % 2
         v = minimizer(spec, p, 257)
-        assert_integral_within_64_ulps(pms_sequence(v, spec, [1e-1, 1e-3, 1e-5], p), spec)
+        entries = pms_sequence(v, shift_sequence(spec, 257), [1e-1, 1e-3, 1e-5], p)
+        assert_integral_within_64_ulps(entries, spec)
 
 
 class TestHermitePatch:
@@ -221,11 +224,11 @@ class TestSmoothingClassification:
         # break both endpoint relations with Simpson-neutral perturbations
         rough = v.values + 0.05 * (xs**2 - 1.0 / 3.0) + 0.05 * xs**3
         v = v.with_values(rough)
-        assert verify_solution(v, spec).classification == "pseudo_MS"
+        assert verify_solution(v, shift_sequence(spec, v.n)).classification == "pseudo_MS"
 
         res = approximate_c1(v, spec.c1, spec.c2, spec.A, 5e-2, p=2)
         smoothed = GridFunction(v.a, v.b, v.n, res.g.values)
-        rep = verify_solution(smoothed, spec)
+        rep = verify_solution(smoothed, shift_sequence(spec, smoothed.n))
         assert rep.classification == "MS_candidate"
 
 
@@ -237,7 +240,7 @@ class TestPMSSequence:
         z = catalog("zero", [])
         spec = ProblemSpec(z, z, 1.0, 1, 1)
         v = GridFunction(-1.0, 1.0, 129, np.zeros(129))
-        entries = pms_sequence(v, spec, [1e-1, 1e-2], p=1)
+        entries = pms_sequence(v, shift_sequence(spec, v.n), [1e-1, 1e-2], p=1)
         for e in entries:
             assert np.allclose(e.result.g.values, 0.0, atol=1e-14)
             assert e.norm_gap < 1e-12
@@ -248,7 +251,7 @@ class TestPMSSequence:
         spec = traveling_spec()
         xs = np.linspace(-1.0, 1.0, 257)
         v = GridFunction(-1.0, 1.0, 257, -np.cos(xs))
-        entries = pms_sequence(v, spec, [1e-1, 1e-2, 1e-3], p=p)
+        entries = pms_sequence(v, shift_sequence(spec, v.n), [1e-1, 1e-2, 1e-3], p=p)
         errs = [e.result.achieved_lp_error for e in entries]
         assert errs == sorted(errs, reverse=True) or len(set(errs)) < 3
         for e in entries:
@@ -259,7 +262,7 @@ class TestPMSSequence:
         rng = np.random.default_rng(9)
         spec = random_spec(rng, K1=1, K2=2, T=1.0)
         v = feasible_random_v(spec, 257, rng, compatible=False)
-        entries = pms_sequence(v, spec, [2e-1, 1e-1, 5e-2], p=2)
+        entries = pms_sequence(v, shift_sequence(spec, v.n), [2e-1, 1e-1, 5e-2], p=2)
         errs = [e.result.achieved_lp_error for e in entries]
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
@@ -274,7 +277,7 @@ class TestPMSSequence:
             return real(v, c1, c2, A, eps if len(calls) == 1 else 10 * eps, p)
 
         monkeypatch.setattr(approx, "approximate_c1", worse_later)
-        entries = pms_sequence(v, spec, [1e-2, 5e-3], p=1)
+        entries = pms_sequence(v, shift_sequence(spec, v.n), [1e-2, 5e-3], p=1)
         assert calls == [1e-2, 5e-3]
         first, later = (e.result for e in entries)
         assert first.achieved_lp_error < 5e-3 < fresh_result(v, spec, 5e-2, 1).achieved_lp_error
@@ -286,24 +289,24 @@ class TestPMSSequence:
         spec = traveling_spec()
         v = GridFunction(-1.0, 1.0, 129, np.full(129, 5.0))
         with pytest.raises(BadParams):
-            pms_sequence(v, spec, [1e-1], p=2)
+            pms_sequence(v, shift_sequence(spec, v.n), [1e-1], p=2)
 
     def test_bad_schedule_rejected(self):
         spec = traveling_spec()
         xs = np.linspace(-1.0, 1.0, 129)
         v = GridFunction(-1.0, 1.0, 129, -np.cos(xs))
         with pytest.raises(BadParams):
-            pms_sequence(v, spec, [1e-2, 1e-1], p=2)
+            pms_sequence(v, shift_sequence(spec, v.n), [1e-2, 1e-1], p=2)
         # and a norm other than L1 and L2
         with pytest.raises(UnsupportedNorm):
-            pms_sequence(v, spec, [1e-1], p=3)
+            pms_sequence(v, shift_sequence(spec, v.n), [1e-1], p=3)
         with pytest.raises(UnsupportedNorm):
             approximate_c1(v, spec.c1, spec.c2, spec.A, 1e-1, p=3)
 
 
 def minimizer(spec, p, n):
     """The L1 strip minimizer or the L2 closed form of a problem."""
-    ts = spec.shifts(n)
+    ts = shift_sequence(spec, n)
     if p == 2:
         return l2_minimizer(ts, spec.A).v
     env = order_envelopes(ts)
@@ -340,7 +343,7 @@ class TestWarmStart:
     )
     def test_entries_match_fresh_searches(self, p, schedule):
         spec, v = readme_minimizer(p)
-        entries = pms_sequence(v, spec, schedule, p)
+        entries = pms_sequence(v, shift_sequence(spec, v.n), schedule, p)
         assert [e.epsilon for e in entries] == schedule
         for e in entries:
             assert_same_result(e.result, fresh_result(v, spec, e.epsilon, p))
@@ -355,7 +358,7 @@ class TestWarmStart:
         spec, v = readme_minimizer(p)
         schedule = [1e-1, 1e-2, 1e-3, 1e-17]
         with pytest.raises(ApproxBudgetExceeded) as exc:
-            pms_sequence(v, spec, schedule, p)
+            pms_sequence(v, shift_sequence(spec, v.n), schedule, p)
         with pytest.raises(ApproxBudgetExceeded) as fresh:
             fresh_result(v, spec, schedule[-1], p)
         assert str(exc.value) == str(fresh.value)
@@ -383,7 +386,7 @@ class TestEveryTolerance:
     def test_readme_schedule_to_1e_8(self, n, p):
         spec, v = readme_minimizer(p, n)
         schedule = [10.0**-k for k in range(1, 9)]
-        entries = pms_sequence(v, spec, schedule, p)
+        entries = pms_sequence(v, shift_sequence(spec, v.n), schedule, p)
         assert [e.epsilon for e in entries] == schedule
         for e in entries:
             res = e.result
@@ -399,7 +402,7 @@ class TestEveryTolerance:
         with pytest.raises(BadParams):
             approximate_c1(v, spec.c1, spec.c2, spec.A, eps, p=2)
         with pytest.raises(BadParams):
-            pms_sequence(v, spec, [1e-1, eps], p=2)
+            pms_sequence(v, shift_sequence(spec, v.n), [1e-1, eps], p=2)
 
 
 def random_q(rng, n=65, a=-1.0, b=1.5):

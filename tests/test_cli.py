@@ -19,7 +19,7 @@ from waveinput.cli import _csv_blocks, _write_csvs, main, parse_config
 from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
 from waveinput.oracle import answer
-from waveinput.tbvp import extend_input, full_norm
+from waveinput.tbvp import extend_input, full_norm, shift_sequence
 
 
 def write_config(path, **kv):
@@ -603,9 +603,9 @@ def per_file_solve_csvs(cfg_path, out):
     """The four solve CSVs written cell by cell by `per_cell_csv`, one table per
     file, envelopes from a descending np.sort."""
     cfg = parse_config(cfg_path)
-    ans = answer(cfg.spec.shifts(cfg.n), cfg.spec.A, cfg.norm)
+    ans = answer(shift_sequence(cfg.spec, cfg.n), cfg.spec.A, cfg.norm)
     ts, v = ans.ts, ans.v
-    ext = extend_input(v, cfg.spec)
+    ext = extend_input(v, ts)
     xs, K = ts.grid.xs, ts.K
     out.mkdir()
     for name, header, columns in (
@@ -865,8 +865,8 @@ class TestPMS:
         )
         assert main(["pms", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         run = parse_config(cfg)
-        v = answer(run.spec.shifts(run.n), run.spec.A, run.norm).v
-        entries = pms_sequence(v, run.spec, run.eps_schedule, p)
+        ans = answer(shift_sequence(run.spec, run.n), run.spec.A, run.norm)
+        entries = pms_sequence(ans.v, ans.ts, run.eps_schedule, p)
         assert len(entries) == 2
         for i, e in enumerate(entries, 1):
             g = e.result.g
@@ -966,6 +966,54 @@ class TestExitPath:
             proc = subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True)
             assert (proc.returncode, proc.stdout, proc.stderr) == want, entry
             assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_ends_quietly(self, tmp_path, monkeypatch, unbuffered):
+        # the read end of the child's stdout pipe is closed before it starts: its first
+        # print (unbuffered) or the flush before os._exit (buffered) finds no reader, and
+        # still every CSV is written, the exit code and stderr are main's, and no traceback
+        expected_code, argv = EXITS["unreachable-pms"]
+        argv = argv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = self._in_process(argv)
+        assert code == expected_code and out.count(b"\n") == 1
+        csvs = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+        assert "pms_summary.csv" in csvs
+        for p in (tmp_path / "o").iterdir():
+            p.unlink()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "waveinput.cli", *argv], env=env,
+                                  stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, err)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()} == csvs
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle", "pms"])
+    def test_each_subcommand_builds_one_shift_sequence(self, tmp_path, monkeypatch, command):
+        from waveinput import tbvp
+
+        real, calls = tbvp.shift_sequence, []
+
+        def counted(spec, n):
+            calls.append(n)
+            return real(spec, n)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "waveinput" and getattr(module, "shift_sequence", None) is real:
+                monkeypatch.setattr(module, "shift_sequence", counted)
+        argv = [command, "--config", write_config(tmp_path / "run.cfg", eps_schedule="1e-1 1e-2"),
+                "--out", str(tmp_path / "o"), "--quiet"]
+        if command == "verify":
+            argv += ["--input", str(_zeros(tmp_path, 1.0))]
+        assert main(argv) == 0
+        assert calls == [65]
 
     def test_repeated_main_calls_in_one_process_agree(self, tmp_path, monkeypatch):
         # main builds its argparse parser once per process, and every later call reuses it

@@ -19,7 +19,7 @@ from waveinput.l1 import (
     strip_lower_bound,
 )
 from waveinput.oracle import l1_oracle
-from waveinput.tbvp import ProblemSpec, full_norm
+from waveinput.tbvp import ProblemSpec, full_norm, shift_sequence
 
 
 def lines_example(n=101):
@@ -46,8 +46,8 @@ def test_envelopes_of_three_lines():
 
 def test_envelope_order_is_a_permutation_giving_the_descending_sort():
     rng = np.random.default_rng(5)
-    tables = [consts_example([0.0, 0.0, 0.0]), traveling_spec(8, 8).shifts(8193)]
-    for ts in tables + [random_spec(rng).shifts(129) for _ in range(4)]:
+    tables = [consts_example([0.0, 0.0, 0.0]), shift_sequence(traveling_spec(8, 8), 8193)]
+    for ts in tables + [shift_sequence(random_spec(rng), 129) for _ in range(4)]:
         env = order_envelopes(ts)
         ref = np.sort(ts.values, axis=0)[::-1]
         assert np.array_equal(env.values, ref)
@@ -64,7 +64,7 @@ def test_envelope_order_is_a_permutation_giving_the_descending_sort():
 def test_envelopes_preserve_multiset_and_order():
     rng = np.random.default_rng(2)
     spec = random_spec(rng, K1=2, K2=2)
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     env = order_envelopes(ts)
     assert np.all(np.diff(env.values, axis=0) <= 1e-15)
     assert np.allclose(np.sort(env.values, axis=0), np.sort(ts.values, axis=0))
@@ -73,7 +73,7 @@ def test_envelopes_preserve_multiset_and_order():
 def test_envelope_continuity_bound():
     rng = np.random.default_rng(4)
     spec = random_spec(rng, K1=2, K2=1)
-    ts = spec.shifts(257)
+    ts = shift_sequence(spec, 257)
     env = order_envelopes(ts)
     slopes = np.max(np.abs(np.diff(ts.values, axis=1))) / ts.grid.h
     jumps = np.max(np.abs(np.diff(env.values, axis=1))) / ts.grid.h
@@ -107,7 +107,7 @@ def test_construct_h_interior_convex_combination():
 def test_construct_h_clamps_onto_the_upper_envelope():
     # A equal to the top envelope integral picks strip 1, where theta is exactly 1
     spec = random_spec(np.random.default_rng(3))
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     env = order_envelopes(ts)
     A = float(env.integrals[0])
     sol = construct_h(env, select_strip(env, A), A)
@@ -180,7 +180,7 @@ def test_edge_strips_attain_the_lower_bound_on_random_data():
     edges = []
     for _ in range(300):
         spec = random_spec(rng)
-        ts = spec.shifts(257)
+        ts = shift_sequence(spec, 257)
         env = order_envelopes(ts)
         j = select_strip(env, spec.A)
         if 1 <= j <= env.K - 1:
@@ -236,7 +236,7 @@ def test_ms_endpoint_check_does_not_depend_on_the_amplitude(s):
     draws = [random_spec(rng) for _ in range(248)]
     for base in (draws[233], draws[247]):
         spec = ProblemSpec(scaled(base.f0, s), scaled(base.fT, s), base.T, base.K1, base.K2)
-        env = order_envelopes(spec.shifts(257))
+        env = order_envelopes(shift_sequence(spec, 257))
         j = select_strip(env, spec.A)
         assert 1 <= j <= env.K - 1
         assert ms_endpoint_check(env, j, spec.c1) == "possible"
@@ -246,7 +246,7 @@ def test_optimality_against_random_feasible_inputs():
     rng = np.random.default_rng(31)
     for _ in range(3):
         spec = random_spec(rng)
-        ts = spec.shifts(257)
+        ts = shift_sequence(spec, 257)
         env = order_envelopes(ts)
         j = select_strip(env, spec.A)
         sol = construct_h(env, j, spec.A)
@@ -260,7 +260,7 @@ def test_flat_optimum_inside_strip():
     found = 0
     for _ in range(8):
         spec = random_spec(rng)
-        ts = spec.shifts(257)
+        ts = shift_sequence(spec, 257)
         env = order_envelopes(ts)
         j = select_strip(env, spec.A)
         if not 1 <= j <= env.K - 1:
@@ -280,7 +280,7 @@ def test_lower_bound_identity_and_floor():
     rng = np.random.default_rng(41)
     for _ in range(5):
         spec = random_spec(rng)
-        ts = spec.shifts(257)
+        ts = shift_sequence(spec, 257)
         env = order_envelopes(ts)
         j = select_strip(env, spec.A)
         bound = strip_lower_bound(env, j, spec.A)
@@ -295,7 +295,7 @@ def test_slope_ladder():
     # inside strip j
     rng = np.random.default_rng(43)
     spec = random_spec(rng, K1=2, K2=2)
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     env = order_envelopes(ts)
     j = 2
     gap = env.values[j - 1] - env.values[j]

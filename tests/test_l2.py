@@ -7,7 +7,7 @@ from conftest import handmade_shifts, random_spec, scaled, traveling_spec, zero_
 from waveinput.functions import catalog, integrate, simpson_weights
 from waveinput.l2 import l2_minimizer, l2_ms_check
 from waveinput.oracle import answer
-from waveinput.tbvp import ProblemSpec, full_norm
+from waveinput.tbvp import ProblemSpec, full_norm, shift_sequence
 
 ZERO = catalog("zero", [])
 
@@ -51,7 +51,7 @@ def test_minimizer_node_identity_and_feasibility():
     rng = np.random.default_rng(12)
     for _ in range(5):
         spec = random_spec(rng)
-        ts = spec.shifts(257)
+        ts = shift_sequence(spec, 257)
         sol = l2_minimizer(ts, spec.A)
         assert np.allclose(
             sol.v.values, sol.mean_shift.values + sol.A1 / (2 * spec.T), atol=1e-14
@@ -63,7 +63,7 @@ def test_minimizer_node_identity_and_feasibility():
 def test_quadratic_expansion_optimality():
     rng = np.random.default_rng(14)
     spec = random_spec(rng, K1=2, K2=1)
-    ts = spec.shifts(257)
+    ts = shift_sequence(spec, 257)
     sol = l2_minimizer(ts, spec.A)
     w = simpson_weights(257, ts.grid.h)
     for _ in range(100):
@@ -83,7 +83,7 @@ def l2_minimizer_objective(ts, v):
 def test_decomposition_identity():
     rng = np.random.default_rng(16)
     spec = random_spec(rng, K1=1, K2=2)
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     w = simpson_weights(129, ts.grid.h)
     mean = ts.values.mean(axis=0)
     spread = float(np.dot(w, (ts.values**2).sum(axis=0) - ts.K * mean * mean))
@@ -97,14 +97,14 @@ def test_decomposition_identity():
 
 def test_ms_check_zero_data():
     spec = ProblemSpec(ZERO, ZERO, 1.0, 1, 1)
-    assert l2_ms_check(spec.shifts(65)) == "ms_exists"
+    assert l2_ms_check(shift_sequence(spec, 65)) == "ms_exists"
 
 
 def test_ms_check_constant_cannot_jump():
     # f0 = 0, fT = x gives c1 = 2 but a constant closed-form minimizer
     spec = ProblemSpec(ZERO, catalog("poly", [0.0, 1.0]), 1.0, 1, 1)
     assert spec.c1 == pytest.approx(2.0)
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     assert np.ptp(l2_minimizer(ts, spec.A).v.values) < 1e-12
     assert l2_ms_check(ts) == "pms_only"
 
@@ -113,7 +113,7 @@ def test_ms_check_traveling_wave():
     # the closed form reproduces c1 = 0 but its derivative jump misses c2,
     # so the L2 minimum is only approached by smooth inputs, not attained
     spec = traveling_spec()
-    ts = spec.shifts(513)
+    ts = shift_sequence(spec, 513)
     sol = l2_minimizer(ts, spec.A)
     factor = 2.0 * (math.cos(2.0) - 1.0) / 3.0
     shape = factor * np.cos(ts.grid.xs) - math.sin(1.0) * (1.0 + factor)
@@ -129,10 +129,10 @@ def test_ms_check_is_exact_at_every_scale(s, n):
     # because 1 + 2 cos(2 pi / 3) = 0, so the closed form is an exact MS
     spec = ProblemSpec(ZERO, scaled(catalog("sin", [math.pi / 3, 0.0]), s), 1.0, 1, 1)
     assert spec.c1 != 0.0
-    assert l2_ms_check(spec.shifts(n)) == "ms_exists"
+    assert l2_ms_check(shift_sequence(spec, n)) == "ms_exists"
     readme = traveling_spec()
     readme = ProblemSpec(scaled(readme.f0, s), scaled(readme.fT, s), 1.0, 1, 1)
-    assert l2_ms_check(readme.shifts(n)) == "pms_only"
+    assert l2_ms_check(shift_sequence(readme, n)) == "pms_only"
 
 
 def test_ms_check_reads_the_shifts_it_is_given():

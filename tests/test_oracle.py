@@ -8,7 +8,7 @@ from waveinput.functions import simpson_weights, wsum
 from waveinput.l1 import order_envelopes, select_strip
 from waveinput.l2 import l2_minimizer
 from waveinput.oracle import answer, l1_oracle, l2_oracle
-from waveinput.tbvp import full_norm
+from waveinput.tbvp import full_norm, shift_sequence
 
 
 EPS = np.finfo(float).eps
@@ -36,7 +36,7 @@ def test_l2_oracle_constant_solution():
 def test_l2_oracle_matches_closed_form():
     rng = np.random.default_rng(8)
     spec = random_spec(rng, K1=1, K2=1)
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     rep = l2_oracle(ts, spec.A)
     assert rep.converged
     assert rep.rel_gap < 1e-6
@@ -47,7 +47,7 @@ def test_l2_oracle_matches_closed_form():
 def test_l2_oracle_input_meets_constraint():
     rng = np.random.default_rng(21)
     spec = random_spec(rng, K1=1, K2=2)
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     w = simpson_weights(129, ts.grid.h)
     assert l2_oracle(ts, spec.A).converged
     assert abs(np.dot(w, answer(ts, spec.A, "l2").v.values) - spec.A) <= 1e-12
@@ -87,7 +87,7 @@ def test_l1_oracle_median_case():
 def test_l1_oracle_certifies_strip_construction():
     rng = np.random.default_rng(33)
     spec = random_spec(rng, K1=1, K2=1)
-    ts = spec.shifts(129)
+    ts = shift_sequence(spec, 129)
     rep = l1_oracle(ts, spec.A)
     assert rep.converged
     assert rep.rel_gap < 1e-4

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from waveinput.functions import catalog, rounding, simpson_weights, wsum
 from waveinput.oracle import answer
-from waveinput.tbvp import ProblemSpec
+from waveinput.tbvp import ProblemSpec, shift_sequence
 
 _UNIT = st.floats(-1.0, 1.0)
 
@@ -50,7 +50,7 @@ def test_mirrored_data_have_the_mirrored_answer(f0, fT, T, K1, K2, n):
     for f, g in ((spec.f0, mirror.f0), (spec.fT, mirror.fT)):
         assert np.array_equal(g.value(xs), f.value(-xs))
         assert np.array_equal(g.d1(xs), -f.d1(-xs))
-    ts, ts_m = spec.shifts(n), mirror.shifts(n)
+    ts, ts_m = shift_sequence(spec, n), shift_sequence(mirror, n)
     w = simpson_weights(n, ts.grid.h)
     for norm, p in (("l1", 1), ("l2", 2)):
         a, b = answer(ts, spec.A, norm), answer(ts_m, mirror.A, norm)

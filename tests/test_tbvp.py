@@ -90,15 +90,16 @@ def test_spec_validation():
         ProblemSpec(narrow, narrow, 1.0, 1, 1)
 
 
-def test_shift_arrays_are_cached_and_a_dropped_spec_frees_them_at_once():
+def test_a_spec_holds_no_shift_arrays_and_a_dropped_sequence_frees_them_at_once():
     spec = traveling_spec(2, 2)
-    ts = spec.shifts(65)
-    assert spec.shifts(65).values is ts.values and spec.shifts(65).d_ends is ts.d_ends
-    alive = weakref.ref(spec)
+    ts = shift_sequence(spec, 65)
+    assert set(vars(spec)) == {"f0", "fT", "T", "K1", "K2", "A", "c1", "c2", "K"}
+    assert ts.grid.n == 65  # the cached decision grid refers to no sequence either
+    alive = [weakref.ref(a) for a in (spec, ts, ts.values, ts.d_ends)]
     gc.disable()
     try:
         del spec, ts
-        assert alive() is None  # no reference cycle keeps the spec for the collector
+        assert [ref() for ref in alive] == [None] * 4  # no cycle waits for the collector
     finally:
         gc.enable()
 
@@ -192,7 +193,7 @@ def test_shift_values_off_the_grid_traveling_wave(T):
 def test_extend_zero():
     s = zero_spec()
     v = GridFunction(-1.0, 1.0, 33, np.zeros(33))
-    ext = extend_input(v, s)
+    ext = extend_input(v, shift_sequence(s, 33))
     assert ext.a == -3.0 and ext.b == 3.0
     assert ext.n == 3 * 32 + 1
     assert np.all(ext.values == 0.0)
@@ -202,7 +203,7 @@ def test_extend_zero():
 def test_extend_traveling_wave_is_global_cosine():
     s = traveling_spec()
     v = GridFunction(-1.0, 1.0, 129, -np.cos(np.linspace(-1, 1, 129)))
-    ext = extend_input(v, s)
+    ext = extend_input(v, shift_sequence(s, 129))
     assert np.max(np.abs(ext.values + np.cos(ext.xs))) < 1e-10
 
 
@@ -212,7 +213,7 @@ def test_extend_recurrence_closure_everywhere():
     s = traveling_spec(K1=2, K2=2)
     n = 65
     v = GridFunction(-1.0, 1.0, n, rng.normal(size=n))
-    ext = extend_input(v, s)
+    ext = extend_input(v, shift_sequence(s, n))
     m = (n - 1) // 2  # T in node units
     idx = np.arange(m, ext.n - m)
     ys = ext.xs[idx]
@@ -223,12 +224,49 @@ def test_extend_recurrence_closure_everywhere():
 def test_extend_grid_mismatch():
     s = zero_spec()
     with pytest.raises(GridError):
-        extend_input(GridFunction(-0.5, 1.0, 33, np.zeros(33)), s)
+        extend_input(GridFunction(-0.5, 1.0, 33, np.zeros(33)), shift_sequence(s, 33))
     with pytest.raises(GridError):
         shift_sequence(s, 64)
     # three nodes make a shift sequence, but too few for the prefix tables
     with pytest.raises(GridError):
-        dalembert(GridFunction(-1.0, 1.0, 3, np.zeros(3)), s)
+        dalembert(GridFunction(-1.0, 1.0, 3, np.zeros(3)), shift_sequence(s, 3))
+
+
+@pytest.mark.parametrize("function", ["extend_input", "dalembert", "verify_solution",
+                                      "pms_sequence", "full_norm"])
+def test_an_input_off_the_shift_grid_raises_grid_error(function):
+    # v spans [-T, T] with 129 nodes, the sequence has 65: each function of the discretized
+    # problem takes the sequence's grid as v's, and the integral gate of pms_sequence passes
+    from waveinput.approx import pms_sequence
+    from waveinput.verify import verify_solution
+
+    s = traveling_spec()
+    v = feasible_random_v(s, 129, np.random.default_rng(3))
+    call = {
+        "extend_input": lambda ts: extend_input(v, ts),
+        "dalembert": lambda ts: dalembert(v, ts),
+        "verify_solution": lambda ts: verify_solution(v, ts),
+        "pms_sequence": lambda ts: pms_sequence(v, ts, [1e-1], 2),
+        "full_norm": lambda ts: full_norm(v, ts, 2),
+    }[function]
+    call(shift_sequence(s, 129))  # on its own grid it runs
+    with pytest.raises(GridError, match=r"^input has 129 nodes, the shift grid 65$"):
+        call(shift_sequence(s, 65))
+
+
+def test_extend_input_reads_the_rows_it_is_given():
+    # a hand-made sequence whose spec is zero data: the extension is v - ts_k period by
+    # period, closed by the zero recurrence, not the zero extension of the spec's own shifts
+    from conftest import handmade_shifts
+
+    x = np.linspace(-1.0, 1.0, 65)
+    ts = handmade_shifts([x**2, np.zeros(65), np.sin(x)])
+    v = GridFunction(-1.0, 1.0, 65, np.cos(x))
+    ext = extend_input(v, ts)
+    branch = v.values - ts.values
+    assert ext.n == 3 * 64 + 1 and (ext.a, ext.b) == (-3.0, 3.0)
+    np.testing.assert_array_equal(ext.values, np.append(branch[:, :-1].ravel(), branch[-1, 0]))
+    assert np.any(ext.values != extend_input(v, shift_sequence(ts.spec, 65)).values)
 
 
 def test_seam_jump_is_endpoint_violation():
@@ -236,20 +274,20 @@ def test_seam_jump_is_endpoint_violation():
     s = traveling_spec()
     n = 129
     v = feasible_random_v(s, n, rng, compatible=False)
-    ext = extend_input(v, s)
+    ext = extend_input(v, shift_sequence(s, n))
     seam = 2 * (n - 1)  # node x = T (right-limit branch stored)
     jump = abs(v.values[-1] - ext.values[seam])
     expected = abs(v.values[-1] - v.values[0] - s.c1)
     assert jump == pytest.approx(expected, abs=1e-10)
     # every seam of the extension carries that same jump, branch end to next branch start
     wide = traveling_spec(K1=2, K2=2)
-    branch = dalembert(v, wide).branch
+    branch = dalembert(v, shift_sequence(wide, n)).branch
     jumps = np.abs(branch[:-1, -1] - branch[1:, 0])
     assert jumps.size == wide.K - 1
     assert jumps == pytest.approx(abs(v.values[-1] - v.values[0] - wide.c1), abs=1e-10)
     # a compatible input leaves no jump and restriction equals v everywhere
     vc = feasible_random_v(s, n, rng, compatible=True)
-    extc = extend_input(vc, s)
+    extc = extend_input(vc, shift_sequence(s, n))
     lo = n - 1
     assert np.max(np.abs(extc.values[lo : lo + n] - vc.values)) < 1e-12
 
@@ -257,7 +295,7 @@ def test_seam_jump_is_endpoint_violation():
 def test_dalembert_zero():
     s = zero_spec()
     v = GridFunction(-1.0, 1.0, 33, np.zeros(33))
-    field = dalembert(v, s)
+    field = dalembert(v, shift_sequence(s, 33))
     tt, xx = np.meshgrid(np.linspace(0, 1, 5), np.linspace(-1.5, 1.5, 7))
     assert np.max(np.abs(field.u(tt, xx))) == 0.0
 
@@ -266,7 +304,7 @@ def test_dalembert_traveling_wave():
     s = traveling_spec()
     n = 257
     v = GridFunction(-1.0, 1.0, n, -np.cos(np.linspace(-1, 1, n)))
-    field = dalembert(v, s)
+    field = dalembert(v, shift_sequence(s, n))
     rng = np.random.default_rng(1)
     pts = 0
     while pts < 400:
@@ -282,16 +320,17 @@ def test_dalembert_traveling_wave():
 def test_dalembert_terminal_value_for_feasible_input():
     rng = np.random.default_rng(9)
     s = traveling_spec()
+    ts = shift_sequence(s, 513)
     for _ in range(5):
         v = feasible_random_v(s, 513, rng)
-        field = dalembert(v, s)
+        field = dalembert(v, ts)
         assert field.u(s.T, 0.0) == pytest.approx(s.fT.value(0.0), abs=1e-8)
 
 
 def test_dalembert_out_of_region():
     s = zero_spec()
     v = GridFunction(-1.0, 1.0, 33, np.zeros(33))
-    field = dalembert(v, s)
+    field = dalembert(v, shift_sequence(s, 33))
     with pytest.raises(OutOfRegion):
         field.u(1.5, 0.0)  # above the trapezoid cap t <= T
     with pytest.raises(OutOfRegion):
@@ -305,7 +344,7 @@ def random_field(seed, half, K1, K2, T):
     s = random_spec(rng, K1=K1, K2=K2, T=T)
     n = 2 * half + 1
     v = GridFunction(-T, T, n, rng.normal(size=n) * rng.uniform(0.1, 10.0))
-    return rng, dalembert(v, s)
+    return rng, dalembert(v, shift_sequence(s, n))
 
 
 def per_period_u(field, t, x):
@@ -387,8 +426,8 @@ def test_u_matches_per_period_lookup_bitwise(seed, half, K1, K2, T):
 def test_full_norm_constant_input():
     s = zero_spec()
     v = GridFunction(-1.0, 1.0, 65, np.ones(65))
-    assert full_norm(v, s.shifts(65), 1) == pytest.approx(6.0, abs=1e-12)
-    assert full_norm(v, s.shifts(65), 2) == pytest.approx(6.0, abs=1e-12)
+    assert full_norm(v, shift_sequence(s, 65), 1) == pytest.approx(6.0, abs=1e-12)
+    assert full_norm(v, shift_sequence(s, 65), 2) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_full_norm_traveling_wave():
@@ -396,18 +435,19 @@ def test_full_norm_traveling_wave():
     n = 513
     v = GridFunction(-1.0, 1.0, n, -np.cos(np.linspace(-1, 1, n)))
     # window integral of cos^2 over [-3, 3] is 3 + sin(6)/2
-    assert full_norm(v, s.shifts(n), 2) == pytest.approx(3 + math.sin(6.0) / 2, abs=1e-10)
+    assert full_norm(v, shift_sequence(s, n), 2) == pytest.approx(3 + math.sin(6.0) / 2, abs=1e-10)
 
 
 def test_reduction_identity_compatible_inputs():
     rng = np.random.default_rng(17)
     s = traveling_spec(K1=2, K2=1)
+    ts = shift_sequence(s, 257)
     for _ in range(10):
         v = feasible_random_v(s, 257, rng, compatible=True)
-        ext = extend_input(v, s)
+        ext = extend_input(v, ts)
         for p in (1, 2):
             window = lp_norm(ext, p) ** p
-            folded = full_norm(v, s.shifts(257), p)
+            folded = full_norm(v, ts, p)
             assert abs(window - folded) <= 1e-6 * max(abs(window), 1e-12)
 
 
@@ -419,7 +459,7 @@ def test_segment_integrals_match_equilibrium():
     assert seg.shape == (s.K,)
     assert seg[s.K1] == pytest.approx(s.A, abs=1e-14)
     v = feasible_random_v(s, n, rng)
-    for row, want in zip(s.shifts(n).values, seg):
+    for row, want in zip(shift_sequence(s, n).values, seg):
         assert integrate(v.with_values(v.values - row)) == pytest.approx(want, abs=1e-8)
 
 
@@ -446,13 +486,14 @@ def test_decision_grid_tolerance_is_relative_to_T():
     T = 2.0**-40
     s = traveling_spec(T=T)
     with pytest.raises(GridError, match="must span the decision interval"):
-        full_norm(GridFunction(-2 * T, 2 * T, 65, np.zeros(65)), s.shifts(65), 1)
+        full_norm(GridFunction(-2 * T, 2 * T, 65, np.zeros(65)), shift_sequence(s, 65), 1)
 
 
 def test_region_slack_is_relative_to_the_window():
     # at T = 2^-40 an absolute slack of 1e-12 let t = 2T into the trapezoid
     T = 2.0**-40
-    field = dalembert(GridFunction(-T, T, 65, np.zeros(65)), traveling_spec(T=T))
+    ts = shift_sequence(traveling_spec(T=T), 65)
+    field = dalembert(GridFunction(-T, T, 65, np.zeros(65)), ts)
     assert field.in_region(T, 0.0) and not field.in_region(2 * T, 0.0)
 
 
@@ -506,7 +547,7 @@ def test_power_of_two_dilation_scales_every_output_bit_for_bit(m, k):
     def solved(spec, unit):
         """Constants, node values, objectives, oracle reports and pms entries; unit[p]
         is the Lp budget's."""
-        ts = spec.shifts(n)
+        ts = shift_sequence(spec, n)
         env = order_envelopes(ts)
         l1 = construct_h(env, select_strip(env, spec.A), spec.A)
         l2 = l2_minimizer(ts, spec.A)
@@ -525,7 +566,7 @@ def test_power_of_two_dilation_scales_every_output_bit_for_bit(m, k):
         pms = [
             (p, e.norm_gap, e.bound, e.satisfied)
             for p in pms_norms
-            for e in pms_sequence(minimizers[p], spec, [1e-1 * unit[p], 1e-3 * unit[p]], p)
+            for e in pms_sequence(minimizers[p], ts, [1e-1 * unit[p], 1e-3 * unit[p]], p)
         ]
         values = (l1.h.values, l2.v.values, *(g.values for g in smooth))
         return (spec.A, spec.c1, spec.c2), values, (l1.objective, l2.objective), reports, pms

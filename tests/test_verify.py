@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from waveinput.functions import GridFunction, catalog, sample
-from waveinput.tbvp import ProblemSpec
+from waveinput.tbvp import ProblemSpec, shift_sequence
 from waveinput.verify import SEAM_TOL, _end_slopes, verify_solution
 
 from conftest import feasible_random_v, random_spec, traveling_spec
@@ -38,7 +38,7 @@ class TestClassification:
         # at n = 7 the PDE check has no interior row and reports 0
         for n in (257, 7):
             v = GridFunction(-1.0, 1.0, n, np.zeros(n))
-            rep = verify_solution(v, spec)
+            rep = verify_solution(v, shift_sequence(spec, v.n))
             assert rep.classification == "MS_candidate"
             assert rep.pde_residual_max == 0.0
             assert rep.boundaryT_max == 0.0
@@ -49,7 +49,7 @@ class TestClassification:
     def test_traveling_wave_is_ms_candidate(self):
         spec = traveling_spec()
         v = sample(catalog("cos", [1.0, np.pi]), -1.0, 1.0, 257)  # -cos(x)
-        rep = verify_solution(v, spec)
+        rep = verify_solution(v, shift_sequence(spec, v.n))
         assert rep.classification == "MS_candidate"
         assert rep.boundaryT_max < 1e-7
         assert rep.pde_residual_max < rep.pde_budget
@@ -60,7 +60,7 @@ class TestClassification:
         rng = np.random.default_rng(11)
         spec = random_spec(rng, K1=1, K2=2)
         v = feasible_random_v(spec, 257, rng, compatible=False)
-        rep = verify_solution(v, spec)
+        rep = verify_solution(v, shift_sequence(spec, v.n))
         assert rep.classification == "pseudo_MS"
         # the value relation's residual is |v(T) - v(-T) - c1|, read off the ends
         J = abs(v.values[-1] - v.values[0] - spec.c1)
@@ -70,7 +70,7 @@ class TestClassification:
     def test_infeasible_input(self):
         spec = zero_spec()
         v = GridFunction(-1.0, 1.0, 129, np.full(129, 0.1))
-        rep = verify_solution(v, spec)
+        rep = verify_solution(v, shift_sequence(spec, v.n))
         assert rep.classification == "infeasible"
         assert rep.feasibility_residual == pytest.approx(0.2, abs=1e-12)
 
@@ -79,7 +79,7 @@ class TestClassification:
         n = 257
         xs = np.linspace(-1.0, 1.0, n)
         v = GridFunction(-1.0, 1.0, n, np.abs(xs) - 0.5)
-        rep = verify_solution(v, spec)
+        rep = verify_solution(v, shift_sequence(spec, v.n))
         assert rep.classification == "pseudo_MS"
         assert len(rep.kink_cells) >= 1
         assert min(abs(x) for x in rep.kink_cells) < 1e-12
@@ -94,9 +94,10 @@ class TestResiduals:
         rng = np.random.default_rng(7)
         spec = random_spec(rng, K1=2, K2=2)
         v = feasible_random_v(spec, 513, rng)
-        rep = verify_solution(v, spec)
+        ts = shift_sequence(spec, v.n)
+        rep = verify_solution(v, ts)
         left, right = _end_slopes(v)
-        d_ends = spec.shifts(v.n).d_ends
+        d_ends = ts.d_ends
         jumps = np.abs((right - d_ends[:-1, 1]) - (left - d_ends[1:, 0]))
         assert jumps.size == spec.K - 1
         assert np.max(np.abs(jumps - rep.endpoint_deriv_residual)) < 1e-7
