@@ -25,18 +25,18 @@ writes all four.  No byte depends on that split, the CPU count, BLAS or
 LAPACK: every sum is a ``functions.wsum`` in a fixed order, and the
 ``OPENBLAS_NUM_THREADS`` default below is for start-up only.
 
-Exit codes: 0 success, 2 any ``WaveInputError`` (``main`` prints its one ``config
-error:`` line), such as T outside [1e-75, 1e75] or data above 1e75 in size (A/(2T), the
-shifts, f0 and the extended input), 4 infeasible input in verify, 5 oracle did not
+Exit codes: 0 success, 2 a usage error or any ``WaveInputError`` (``main`` prints its one
+``config error:`` line), such as T outside [1e-75, 1e75] or data above 1e75 in size (A/(2T),
+the shifts, f0 and the extended input), 4 infeasible input in verify, 5 oracle did not
 certify, 6 approximation budget unreachable (``cmd_pms`` catches it first).
 
-The command line (``python -m waveinput.cli`` and the ``waveinput`` script)
-enters through ``run``.  Once ``main`` has returned, every file closed and the
-forked writer reaped, it flushes stdout and stderr and leaves by ``os._exit``,
-without interpreter teardown; so a tool that reports at exit (cProfile,
-coverage) must call ``main`` instead.  argparse and uncaught exceptions exit
-the normal way.  A closed stdout (``| head``) ends quietly: from the first write
-that finds it closed it is os.devnull, and every CSV and the exit code stand.
+The command line (``python -m waveinput.cli`` and the ``waveinput`` script) enters through
+``run``.  Once ``main`` has returned its code (argparse's too), every file closed and the
+forked writer reaped, it flushes stdout and stderr and leaves by ``os._exit``, without
+interpreter teardown; so a tool that reports at exit (cProfile, coverage) must call ``main``
+instead.  Only an uncaught exception exits the normal way.  A closed stdout or stderr
+(``| head``) ends quietly: from the first write that finds no reader that stream is
+os.devnull, and every CSV and the exit code stand.
 """
 
 from __future__ import annotations
@@ -404,18 +404,18 @@ def _write_csvs(files, *columns) -> None:
                 fh.write(block)
 
 
-def _to_stdout(write, *args) -> None:
-    """``write(*args)``; from a closed stdout on, fd 1 is os.devnull: every write ends quietly."""
+def _to(stream, write, *args) -> None:
+    """``write(*args)``; from a closed ``stream`` on, its fd is os.devnull: every write ends quietly."""
     try:
         write(*args)
     except BrokenPipeError:
         with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+            os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _say(quiet: bool, *parts) -> None:
     if not quiet:
-        _to_stdout(print, *parts)
+        _to(sys.stdout, print, *parts)
 
 
 _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
@@ -571,15 +571,20 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     with open(os.path.join(cfg.output_dir, "pms_summary.csv"), "wb") as fh:
         fh.write(_lines(summary, 5))
     if failed is not None:
-        print(f"approximation budget exceeded: {failed}", file=sys.stderr)
+        _to(sys.stderr, sys.stderr.write, f"approximation budget exceeded: {failed}\n")
         return 6
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # 3.10's argparse lets BrokenPipeError out
+        _to(file, super()._print_message, message, file)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (about 1 ms, a fifth of a small solve)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="waveinput",
         description="Wave boundary-value input reconstruction toolkit",
     )
@@ -600,7 +605,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2), its text written
+        return exc.code
     try:
         cfg = parse_config(args.config)
         if args.out:
@@ -613,15 +621,15 @@ def main(argv=None) -> int:
             return cmd_oracle(cfg, args.quiet)
         return cmd_pms(cfg, args.quiet)
     except WaveInputError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _to(sys.stderr, sys.stderr.write, f"config error: {exc}\n")
         return 2
 
 
 def run() -> None:
     """``main`` on ``sys.argv``, then its exit code without interpreter teardown."""
     code = main()
-    _to_stdout(sys.stdout.flush)
-    sys.stderr.flush()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: its fd was closed at start
+        _to(stream, stream.flush)
     os._exit(code)
 
 

@@ -30,6 +30,13 @@ def scaled(f, s):
     return SmoothFunction(lambda x: s * f.value(x), lambda x: s * f.d1(x), lambda x: s * f.d2(x))
 
 
+def summed(f, g):
+    """The function f + g, with its derivatives."""
+    return SmoothFunction(
+        lambda x: f.value(x) + g.value(x), lambda x: f.d1(x) + g.d1(x), lambda x: f.d2(x) + g.d2(x)
+    )
+
+
 def random_spec(rng, K1=None, K2=None, T=None):
     """Problem data drawn from the analytic catalog with tame derivatives."""
     if K1 is None:

@@ -666,8 +666,10 @@ class TestSolveWriter:
                 False,
             ),
             (dict(f0="tanh-bump 1 0.2 0.6", fT="cos 1.3 0.4", norm="l2", n="513", K1="2"), False),
-            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="8193", K1="8", K2="8"), True),
-            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l2", n="8193", K1="8", K2="8"), True),
+            # K=17 at n=513: 27157 cells fork, in 3 decision-grid blocks of 215 rows and 5
+            # window blocks (CI's record step pins the n=8193 bytes)
+            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="513", K1="8", K2="8"), True),
+            (dict(f0="sin 1 0", fT="sin 1 -1", norm="l2", n="513", K1="8", K2="8"), True),
             # K=3 writes 11n - 4 cells: 24999 just below cli._FORK_CELLS, 25021 just above
             (dict(f0="sin 1 0", fT="sin 1 -1", norm="l1", n="2273"), False),
             (dict(f0="gaussian 1 0 0.8", fT="sin 1.3 0.4", norm="l2", n="2275"), True),
@@ -676,7 +678,7 @@ class TestSolveWriter:
             (dict(norm="l2"), False),
         ],
         ids=[
-            "l1-65", "l2-65", "l1-513", "l2-513", "l1-8193-K17", "l2-8193-K17",
+            "l1-65", "l2-65", "l1-513", "l2-513", "l1-513-K17", "l2-513-K17",
             "l1-2273-below-fork", "l2-2275-above-fork", "zero-l1", "zero-l2",
         ],
     )
@@ -762,10 +764,13 @@ for norm in ("l1", "l2"):
     reason="needs two CPUs and CPU affinity",
 )
 def test_bytes_do_not_depend_on_cpu_count(tmp_path):
-    # at n=16385 the quadratures sum long enough vectors for a threaded BLAS to split
-    # them; every weighted sum is numpy's pairwise sum, so neither the CPU count nor the
-    # BLAS thread count reaches a bit of solve, verify, oracle or pms, whether the CLI or
-    # its caller loaded numpy
+    # every weighted sum is numpy's pairwise sum, so neither the CPU count nor the BLAS
+    # thread count reaches a bit of solve, verify, oracle or pms, whether the CLI or its
+    # caller loaded numpy.  The size is measured: with functions.wsum calling np.dot, the
+    # blas-2 child first writes another byte at n=751, in pms_summary.csv only (OpenBLAS
+    # splits a dot product above 10000 terms, and the PMS curves are that long); the
+    # decision-grid sums split from n=10001 on, and np.dot in the L2 closed form alone
+    # passes at n=751 but fails here
     for norm in ("l1", "l2"):
         write_config(
             tmp_path / f"{norm}.cfg", f0="sin 1 0", fT="sin 1 -1", norm=norm, n="16385",
@@ -930,19 +935,80 @@ EXITS = {
 }
 
 
+# id: (the stream whose reader is gone, exit case as in EXITS)
+CLOSED = {
+    "stdout-help": ("stdout", (0, lambda t: ["--help"])),
+    "stdout-unreachable-pms": ("stdout", EXITS["unreachable-pms"]),
+    "stderr-argparse-usage": ("stderr", EXITS["argparse-usage"]),
+    "stderr-missing-config": ("stderr", EXITS["missing-config"]),
+    "stderr-unreachable-pms": ("stderr", EXITS["unreachable-pms"]),
+}
+
+
 class TestExitPath:
-    """The command line exits by os._exit after main: each exit code and every byte of
-    stdout and stderr, both piped, are those of main in process."""
+    """The command line exits by os._exit after main, argparse's codes included: each exit
+    code and every byte of stdout and stderr, both piped, are those of main in process.
+    A stream with no reader ends quietly, and the other stream, the CSVs and the exit code
+    stay main's."""
 
     @staticmethod
     def _in_process(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse
-                code = exc.code
+            code = main(argv)
         return code, out.getvalue().encode(), err.getvalue().encode()
+
+    @pytest.fixture(scope="class")
+    def closed_runs(self, tmp_path_factory):
+        """{(CLOSED case, unbuffered): (main in process, the child)}, each a dict of the exit
+        code, the CSVs in "o" and the bytes of each stream the child could write.
+
+        Every child starts at once, its one stream the write end of a pipe whose read end is
+        already closed: its first write (unbuffered) or the flush before os._exit (buffered)
+        finds no reader.
+        """
+        def csvs(t):
+            return {p.name: p.read_bytes() for p in (t / "o").glob("*")}
+
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        read, write = os.pipe()
+        os.close(read)
+        children, wants = {}, {}
+        try:
+            for case, (stream, (_, argv)) in CLOSED.items():
+                for unbuffered in (False, True):
+                    t = tmp_path_factory.mktemp(case)
+                    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
+                    children[case, unbuffered] = t, subprocess.Popen(
+                        [sys.executable, "-m", "waveinput.cli", *argv(t)], cwd=t,
+                        env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env, **pipes,
+                    )
+            with pytest.MonkeyPatch.context() as mp:  # main runs while the children do
+                for case, (_, (_, argv)) in CLOSED.items():
+                    t = tmp_path_factory.mktemp(case)
+                    mp.chdir(t)
+                    code, out, err = self._in_process(argv(t))
+                    wants[case] = {"code": code, "stdout": out, "stderr": err, "csvs": csvs(t)}
+        finally:
+            os.close(write)
+            outs = {key: proc.communicate() for key, (_, proc) in children.items()}
+        runs = {}
+        for (case, unbuffered), (t, proc) in children.items():
+            got = dict(zip(("stdout", "stderr"), outs[case, unbuffered]))
+            got.update(code=proc.returncode, csvs=csvs(t))
+            del got[CLOSED[case][0]]
+            runs[case, unbuffered] = wants[case], got
+        return runs
+
+    @staticmethod
+    def _ends_quietly(runs, case, unbuffered):
+        stream, (expected_code, _) = CLOSED[case]
+        want, got = runs[case, unbuffered]
+        assert want["code"] == expected_code
+        assert got == {key: value for key, value in want.items() if key != stream}
+        assert all(b"Traceback" not in got.get(s, b"") for s in ("stdout", "stderr"))
+        return want
 
     @pytest.mark.parametrize("case", list(EXITS))
     def test_children_match_main_in_process(self, tmp_path, monkeypatch, case):
@@ -968,32 +1034,36 @@ class TestExitPath:
             assert b"Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_a_closed_stdout_ends_quietly(self, tmp_path, monkeypatch, unbuffered):
-        # the read end of the child's stdout pipe is closed before it starts: its first
-        # print (unbuffered) or the flush before os._exit (buffered) finds no reader, and
-        # still every CSV is written, the exit code and stderr are main's, and no traceback
+    def test_a_closed_stdout_ends_quietly(self, closed_runs, unbuffered):
+        # pms prints a line before it fails: every CSV is still written, and the exit code
+        # and stderr are main's
+        want = self._ends_quietly(closed_runs, "stdout-unreachable-pms", unbuffered)
+        assert want["stdout"].count(b"\n") == 1 and want["stderr"]
+        assert sorted(want["csvs"]) == ["pms_001.csv", "pms_summary.csv"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case", [case for case in CLOSED if case != "stdout-unreachable-pms"])
+    def test_a_closed_stream_ends_quietly(self, closed_runs, case, unbuffered):
+        want = self._ends_quietly(closed_runs, case, unbuffered)
+        assert want[CLOSED[case][0]]  # main writes to the closed stream
+
+    def test_a_stdout_closed_at_start_takes_nothing(self, tmp_path, monkeypatch):
+        # fd 1 is closed before the interpreter starts (as by ">&-"), so sys.stdout is None;
+        # every CSV, the exit code and stderr are still main's
         expected_code, argv = EXITS["unreachable-pms"]
-        argv = argv(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        code, out, err = self._in_process(argv)
-        assert code == expected_code and out.count(b"\n") == 1
-        csvs = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
-        assert "pms_summary.csv" in csvs
-        for p in (tmp_path / "o").iterdir():
-            p.unlink()
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(ROOT / "src")
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "waveinput.cli", *argv], env=env,
-                                  stdout=write, stderr=subprocess.PIPE)
-        finally:
-            os.close(write)
-        assert (proc.returncode, proc.stderr) == (code, err)
-        assert {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()} == csvs
+        here, child = tmp_path / "in-process", tmp_path / "child"
+        for t in (here, child):
+            t.mkdir()
+        monkeypatch.chdir(here)
+        code, _, err = self._in_process(argv(here))
+        proc = subprocess.run(
+            [sys.executable, "-m", "waveinput.cli", *argv(child)], cwd=child,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+        )
+        assert code == expected_code and (proc.returncode, proc.stderr) == (code, err)
+        written = [{p.name: p.read_bytes() for p in (t / "o").iterdir()} for t in (here, child)]
+        assert written[0] == written[1] and "pms_summary.csv" in written[0]
 
     @pytest.mark.parametrize("command", ["solve", "verify", "oracle", "pms"])
     def test_each_subcommand_builds_one_shift_sequence(self, tmp_path, monkeypatch, command):

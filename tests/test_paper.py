@@ -6,9 +6,15 @@ mirrors bit for bit under gaussian mu -> -mu, tanh-bump c -> -c, sin/cos
 w -> -w and poly with its odd coefficients negated, so a mismatch is never
 the data's fault.  The decision grid is symmetric to rounding, not bitwise,
 so the answers agree within 64 ulps of their scale (``functions.rounding``).
+
+Superposition: the wave equation and the integral constraint are linear, and
+the L2 minimizer is the closed form of its data, so the data of two problems on
+the same T, K1, K2 and n, added, have the sum of their L2 minimizers, within 64
+ulps of max(|v_a| + |v_b|).
 """
 
 import numpy as np
+from conftest import summed
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -65,3 +71,23 @@ def test_mirrored_data_have_the_mirrored_answer(f0, fT, T, K1, K2, n):
         assert abs(a.objective - b.objective) <= rounding(scale)
         v = a.v.values
         assert np.max(np.abs(b.v.values[::-1] - v)) <= rounding(np.abs(v).max())
+
+
+_FUNCTION = _mirrored_entry().map(lambda entry: catalog(*entry[:2]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    f0=st.tuples(_FUNCTION, _FUNCTION),
+    fT=st.tuples(_FUNCTION, _FUNCTION),
+    T=st.floats(0.5, 2.0),
+    K1=st.integers(1, 3),
+    K2=st.integers(1, 3),
+    n=st.sampled_from([65, 129]),
+)
+def test_the_l2_minimizer_of_a_sum_is_the_sum_of_the_minimizers(f0, fT, T, K1, K2, n):
+    a = ProblemSpec(f0[0], fT[0], T, K1, K2)
+    b = ProblemSpec(f0[1], fT[1], T, K1, K2)
+    both = ProblemSpec(summed(*f0), summed(*fT), T, K1, K2)
+    va, vb, v = (answer(shift_sequence(s, n), s.A, "l2").v.values for s in (a, b, both))
+    assert np.max(np.abs(v - (va + vb))) <= rounding(np.max(np.abs(va) + np.abs(vb)))
