@@ -571,7 +571,8 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     with open(os.path.join(cfg.output_dir, "pms_summary.csv"), "wb") as fh:
         fh.write(_lines(summary, 5))
     if failed is not None:
-        _to(sys.stderr, sys.stderr.write, f"approximation budget exceeded: {failed}\n")
+        if sys.stderr:  # None: its fd was closed at start
+            _to(sys.stderr, sys.stderr.write, f"approximation budget exceeded: {failed}\n")
         return 6
     return 0
 
@@ -621,7 +622,8 @@ def main(argv=None) -> int:
             return cmd_oracle(cfg, args.quiet)
         return cmd_pms(cfg, args.quiet)
     except WaveInputError as exc:
-        _to(sys.stderr, sys.stderr.write, f"config error: {exc}\n")
+        if sys.stderr:  # None: its fd was closed at start
+            _to(sys.stderr, sys.stderr.write, f"config error: {exc}\n")
         return 2
 
 

@@ -1,15 +1,105 @@
-"""Shared builders for randomized problem instances.
+"""Shared builders for randomized problem instances, and the launcher of every fresh interpreter.
 
 Random draws are always made from a seeded Generator passed in by the
 test, so every test is reproducible on its own.
+
+A test declares its fresh interpreters with ``@spawns``.  Before the first test runs, the
+launcher starts every selected test's children, as many at once as this process has CPUs,
+so they run beside the in-process tests; the ``children`` fixture waits for a test's own.
 """
 
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
+import pytest
 
 from waveinput.functions import GridFunction, SmoothFunction, catalog, integrate
 from waveinput.tbvp import ProblemSpec, ShiftSequence
 
 ZERO = catalog("zero", [])
+
+# copied once, before a test can set a variable: the package from src, argparse's text
+# wrapped at 80 columns, the CLI's own BLAS thread default and block-buffered pipes
+_ENV = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+_ENV.update(PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), COLUMNS="80")
+TIMEOUT = 60  # seconds, after which a child is killed and its test fails
+
+
+@dataclass(frozen=True, eq=False)
+class Child:
+    """``python *args`` in its test's directory, or in its subdirectory ``cwd``, with ``env``
+    added to the shared environment; one object that several tests list runs once."""
+
+    args: list
+    env: dict = field(default_factory=dict)
+    cwd: str = ""
+
+
+class Ran(NamedTuple):
+    code: int
+    stdout: bytes
+    stderr: bytes
+    cwd: Path
+
+
+def spawns(children):
+    """Declares a test's children: ``children(its directory, **its parameters)`` writes the
+    files they read there and returns ``{name: Child}``."""
+    def declare(test):
+        test.children = children
+        return test
+    return declare
+
+
+def _run(child, cwd):
+    argv, env = [sys.executable, *child.args], {**_ENV, **child.env}
+    try:
+        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired as exc:  # killed and reaped by run
+        stderr = (exc.stderr or b"").decode()
+        raise TimeoutError(f"{child.args} ran over {TIMEOUT} s; its stderr:\n{stderr}") from None
+    return Ran(proc.returncode, proc.stdout, proc.stderr, cwd)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _launched(request, tmp_path_factory):
+    """{test id: {name: future of its Ran}, or the error its declaration raised}.  At the end
+    of the session, children not yet started never start, and the others are reaped."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    started, tests = {}, {}
+    with ThreadPoolExecutor(cpus) as pool:
+        for item in request.session.items:
+            declared = getattr(getattr(item, "function", None), "children", None)
+            if declared is None:
+                continue
+            params = item.callspec.params if hasattr(item, "callspec") else {}
+            try:
+                t = tmp_path_factory.mktemp("spawned")
+                children = declared(t, **params)
+                for child in children.values():
+                    if child not in started:
+                        (t / child.cwd).mkdir(exist_ok=True)
+                        started[child] = pool.submit(_run, child, t / child.cwd)
+                tests[item.nodeid] = {name: started[child] for name, child in children.items()}
+            except Exception as exc:  # fails its own test only
+                tests[item.nodeid] = exc
+        yield tests
+        pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture
+def children(request, _launched):
+    """{name: Ran} of this test's children, each once it has exited."""
+    futures = _launched[request.node.nodeid]
+    if isinstance(futures, Exception):
+        raise futures
+    return {name: future.result() for name, future in futures.items()}
 
 
 def handmade_shifts(rows):

@@ -17,7 +17,8 @@ commits the ``update``d file with it.  The expected file records today's
 defects as they are.  Tier-1 (``tests/test_study.py``) checks the studies that fit
 in about 2 s together: ``float-range``, ``traveling-wave``, ``strips`` and
 ``convergence`` (0.32-0.52 s in process).  CI runs ``check`` on all of them;
-``verify-gates`` (1.65-1.80 s in process) stays there until ``verify`` is cheaper.
+``verify-gates`` (1.65-1.80 s in process, 2.58-2.68 s on a loaded VM) stays there
+until ``verify`` is cheaper.
 
 Studies:
 

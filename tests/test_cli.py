@@ -1,10 +1,10 @@
 """End-to-end command line runs through main(), including exit codes."""
 
 import contextlib
+import functools
 import io
 import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +20,9 @@ from waveinput.errors import ConfigError
 from waveinput.l2 import L2Solution, l2_minimizer
 from waveinput.oracle import answer
 from waveinput.tbvp import extend_input, full_norm, shift_sequence
+
+import conftest
+from conftest import Child, spawns
 
 
 def write_config(path, **kv):
@@ -759,11 +762,31 @@ for norm in ("l1", "l2"):
 """
 
 
+def _pinned(tmp_path):
+    for norm in ("l1", "l2"):
+        write_config(
+            tmp_path / f"{norm}.cfg", f0="sin 1 0", fT="sin 1 -1", norm=norm, n="16385",
+            eps_schedule="1e-1 1e-3",
+        )
+    runs = {
+        "all-cpus": ("all", "cli", {}),
+        "one-cpu": ("one", "cli", {}),
+        "blas-1": ("all", "numpy", {"OPENBLAS_NUM_THREADS": "1"}),
+        "blas-2": ("all", "numpy", {"OPENBLAS_NUM_THREADS": "2"}),
+    }
+    args = ["-W", "error::DeprecationWarning", "-c", _PINNED_CHILD]
+    return {
+        run: Child([*args, cpus, first, str(tmp_path)], env, cwd=run)
+        for run, (cpus, first, env) in runs.items()
+    }
+
+
+@spawns(_pinned)
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs two CPUs and CPU affinity",
 )
-def test_bytes_do_not_depend_on_cpu_count(tmp_path):
+def test_bytes_do_not_depend_on_cpu_count(children):
     # every weighted sum is numpy's pairwise sum, so neither the CPU count nor the BLAS
     # thread count reaches a bit of solve, verify, oracle or pms, whether the CLI or its
     # caller loaded numpy.  The size is measured: with functions.wsum calling np.dot, the
@@ -771,38 +794,23 @@ def test_bytes_do_not_depend_on_cpu_count(tmp_path):
     # splits a dot product above 10000 terms, and the PMS curves are that long); the
     # decision-grid sums split from n=10001 on, and np.dot in the L2 closed form alone
     # passes at n=751 but fails here
-    for norm in ("l1", "l2"):
-        write_config(
-            tmp_path / f"{norm}.cfg", f0="sin 1 0", fT="sin 1 -1", norm=norm, n="16385",
-            eps_schedule="1e-1 1e-3",
-        )
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    base["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    runs = {
-        "all-cpus": ("all", "cli", {}),
-        "one-cpu": ("one", "cli", {}),
-        "blas-1": ("all", "numpy", {"OPENBLAS_NUM_THREADS": "1"}),
-        "blas-2": ("all", "numpy", {"OPENBLAS_NUM_THREADS": "2"}),
-    }
-    procs = {}
-    for run, (cpus, first, env) in runs.items():
-        (tmp_path / run).mkdir()
-        procs[run] = subprocess.Popen(
-            [sys.executable, "-W", "error::DeprecationWarning", "-c", _PINNED_CHILD, cpus, first,
-             str(tmp_path)],
-            cwd=tmp_path / run, env={**base, **env},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-    outs = {run: proc.communicate() for run, proc in procs.items()}
-    for run, proc in procs.items():
-        assert proc.returncode == 0, outs[run][1]
-    ref = tmp_path / "all-cpus"
+    for ran in children.values():
+        assert ran.code == 0, ran.stderr.decode()
+    ref = children["all-cpus"].cwd
     files = sorted(p.relative_to(ref) for p in ref.rglob("*.csv"))
     assert len(files) == 16
-    for run in runs:
-        assert outs[run][0] == outs["all-cpus"][0], run
-        differ = [str(f) for f in files if (tmp_path / run / f).read_bytes() != (ref / f).read_bytes()]
+    for run, ran in children.items():
+        assert ran.stdout == children["all-cpus"].stdout, run
+        differ = [str(f) for f in files if (ran.cwd / f).read_bytes() != (ref / f).read_bytes()]
         assert differ == [], run
+
+
+def test_a_hung_child_fails_with_its_stderr(tmp_path, monkeypatch):
+    # killed at the launcher's timeout and reaped, its test failing with what it wrote
+    monkeypatch.setattr(conftest, "TIMEOUT", 0.5)
+    hung = Child(["-c", "import os, time; os.write(2, b'hung'); time.sleep(60)"])
+    with pytest.raises(TimeoutError, match="its stderr:\nhung$"):
+        conftest._run(hung, tmp_path)
 
 
 class TestOracle:
@@ -915,7 +923,7 @@ def _infeasible_input(tmp_path):
     """v = 0.1 on the 65-node grid of write_config's zero problem, whose A is 0."""
     rows = "".join(f"{x!r},0.1\n" for x in np.linspace(-1.0, 1.0, 65).tolist())
     (tmp_path / "bad.csv").write_text("x,v\n" + rows, encoding="utf-8")
-    return "bad.csv"
+    return str(tmp_path / "bad.csv")
 
 
 # argv per case, run in tmp_path, with the exit code it must give
@@ -944,12 +952,49 @@ CLOSED = {
     "stderr-unreachable-pms": ("stderr", EXITS["unreachable-pms"]),
 }
 
+# how the command line starts: as a module, and as the installed script does
+_MODULE, _FUNCTION = re.search(
+    r'^waveinput = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text("utf-8"), re.M
+).groups()
+ENTRIES = {
+    "module": ["-m", "waveinput.cli"],
+    "script": ["-c", f"import sys; from {_MODULE} import {_FUNCTION}; sys.exit({_FUNCTION}())"],
+}
+
+
+# a stream cut before the interpreter starts, by an os.execv wrapper (a preexec_fn is unsafe
+# beside the launcher's threads): fd 1 or 2 closed, as ">&-" does, or on a pipe whose read end
+# is already closed
+CUTS = {
+    "closed": "os.close({fd})",
+    "no_reader": "r, w = os.pipe(); os.close(r); os.dup2(w, {fd})",
+}
+_EXEC = "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+
+
+def _cli(t, argv, entry=ENTRIES["module"], cut="", stream="", **child):
+    """A child running the command line on ``argv(t)``, its ``stream`` cut as CUTS[cut] says."""
+    if cut:
+        fd = 1 if stream == "stdout" else 2
+        entry = ["-c", f"import os, sys; {CUTS[cut].format(fd=fd)}; {_EXEC}", *entry]
+    return Child([*entry, *argv(t)], **child)
+
+
+def _closed(t, case, unbuffered):
+    stream, (_, argv) = CLOSED[case]
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    return {"cli": _cli(t, argv, cut="no_reader", stream=stream, env=env)}
+
+
+def _outputs(t):
+    return {p.name: p.read_bytes() for p in (t / "o").glob("*")}
+
 
 class TestExitPath:
     """The command line exits by os._exit after main, argparse's codes included: each exit
-    code and every byte of stdout and stderr, both piped, are those of main in process.
-    A stream with no reader ends quietly, and the other stream, the CSVs and the exit code
-    stay main's."""
+    code and every byte of stdout and stderr, both piped and block-buffered as in a plain
+    run, are those of main in process.  A stream with no reader, or closed at start, ends
+    quietly, and the other stream, the CSVs and the exit code stay main's."""
 
     @staticmethod
     def _in_process(argv):
@@ -959,111 +1004,68 @@ class TestExitPath:
         return code, out.getvalue().encode(), err.getvalue().encode()
 
     @pytest.fixture(scope="class")
-    def closed_runs(self, tmp_path_factory):
-        """{(CLOSED case, unbuffered): (main in process, the child)}, each a dict of the exit
-        code, the CSVs in "o" and the bytes of each stream the child could write.
-
-        Every child starts at once, its one stream the write end of a pipe whose read end is
-        already closed: its first write (unbuffered) or the flush before os._exit (buffered)
-        finds no reader.
-        """
-        def csvs(t):
-            return {p.name: p.read_bytes() for p in (t / "o").glob("*")}
-
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(ROOT / "src")
-        read, write = os.pipe()
-        os.close(read)
-        children, wants = {}, {}
-        try:
-            for case, (stream, (_, argv)) in CLOSED.items():
-                for unbuffered in (False, True):
-                    t = tmp_path_factory.mktemp(case)
-                    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
-                    children[case, unbuffered] = t, subprocess.Popen(
-                        [sys.executable, "-m", "waveinput.cli", *argv(t)], cwd=t,
-                        env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env, **pipes,
-                    )
-            with pytest.MonkeyPatch.context() as mp:  # main runs while the children do
-                for case, (_, (_, argv)) in CLOSED.items():
-                    t = tmp_path_factory.mktemp(case)
-                    mp.chdir(t)
-                    code, out, err = self._in_process(argv(t))
-                    wants[case] = {"code": code, "stdout": out, "stderr": err, "csvs": csvs(t)}
-        finally:
-            os.close(write)
-            outs = {key: proc.communicate() for key, (_, proc) in children.items()}
-        runs = {}
-        for (case, unbuffered), (t, proc) in children.items():
-            got = dict(zip(("stdout", "stderr"), outs[case, unbuffered]))
-            got.update(code=proc.returncode, csvs=csvs(t))
-            del got[CLOSED[case][0]]
-            runs[case, unbuffered] = wants[case], got
-        return runs
+    def mains(self, tmp_path_factory):
+        """main in process on an exit case as in EXITS, once per case: a dict of the exit code,
+        the bytes of each stream and the CSVs in "o"."""
+        @functools.cache
+        def main_on(exit_case):
+            t = tmp_path_factory.mktemp("main")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.chdir(t)
+                mp.setenv("COLUMNS", "80")  # as in every child: argparse wraps its text to it
+                code, out, err = self._in_process(exit_case[1](t))
+            return {"code": code, "stdout": out, "stderr": err, "csvs": _outputs(t)}
+        return main_on
 
     @staticmethod
-    def _ends_quietly(runs, case, unbuffered):
-        stream, (expected_code, _) = CLOSED[case]
-        want, got = runs[case, unbuffered]
-        assert want["code"] == expected_code
+    def _ends_quietly(mains, ran, stream, exit_case):
+        """The child's exit code, CSVs and the stream other than ``stream`` are main's."""
+        want = mains(exit_case)
+        got = {"code": ran.code, "stdout": ran.stdout, "stderr": ran.stderr}
+        got["csvs"] = _outputs(ran.cwd)
+        del got[stream]
+        assert want["code"] == exit_case[0]
         assert got == {key: value for key, value in want.items() if key != stream}
         assert all(b"Traceback" not in got.get(s, b"") for s in ("stdout", "stderr"))
         return want
 
+    @spawns(lambda t, case: {
+        entry: _cli(t, EXITS[case][1], start, cwd=entry) for entry, start in ENTRIES.items()
+    })
     @pytest.mark.parametrize("case", list(EXITS))
-    def test_children_match_main_in_process(self, tmp_path, monkeypatch, case):
-        expected_code, argv = EXITS[case]
-        argv = argv(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
-        want = self._in_process(argv)
-        assert want[0] == expected_code
-        module, function = re.search(
-            r'^waveinput = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text("utf-8"), re.M
-        ).groups()
-        # block-buffered pipes, as in a plain run: only the flush before os._exit writes them
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(ROOT / "src")
-        for entry in (
-            ["-m", "waveinput.cli"],
-            # what the installed script runs
-            ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"],
-        ):
-            proc = subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True)
-            assert (proc.returncode, proc.stdout, proc.stderr) == want, entry
-            assert b"Traceback" not in proc.stderr
+    def test_children_match_main_in_process(self, mains, children, case):
+        want = tuple(mains(EXITS[case])[key] for key in ("code", "stdout", "stderr"))
+        assert want[0] == EXITS[case][0]
+        for entry, ran in children.items():
+            assert (ran.code, ran.stdout, ran.stderr) == want, entry
+            assert b"Traceback" not in ran.stderr
 
+    # each child's one stream is the write end of a pipe whose read end is already closed: its
+    # first write (unbuffered) or the flush before os._exit (buffered) finds no reader
+    @spawns(lambda t, unbuffered: _closed(t, "stdout-unreachable-pms", unbuffered))
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_a_closed_stdout_ends_quietly(self, closed_runs, unbuffered):
+    def test_a_closed_stdout_ends_quietly(self, mains, children, unbuffered):
         # pms prints a line before it fails: every CSV is still written, and the exit code
         # and stderr are main's
-        want = self._ends_quietly(closed_runs, "stdout-unreachable-pms", unbuffered)
+        want = self._ends_quietly(mains, children["cli"], *CLOSED["stdout-unreachable-pms"])
         assert want["stdout"].count(b"\n") == 1 and want["stderr"]
         assert sorted(want["csvs"]) == ["pms_001.csv", "pms_summary.csv"]
 
+    @spawns(_closed)
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("case", [case for case in CLOSED if case != "stdout-unreachable-pms"])
-    def test_a_closed_stream_ends_quietly(self, closed_runs, case, unbuffered):
-        want = self._ends_quietly(closed_runs, case, unbuffered)
+    def test_a_closed_stream_ends_quietly(self, mains, children, case, unbuffered):
+        want = self._ends_quietly(mains, children["cli"], *CLOSED[case])
         assert want[CLOSED[case][0]]  # main writes to the closed stream
 
-    def test_a_stdout_closed_at_start_takes_nothing(self, tmp_path, monkeypatch):
-        # fd 1 is closed before the interpreter starts (as by ">&-"), so sys.stdout is None;
-        # every CSV, the exit code and stderr are still main's
-        expected_code, argv = EXITS["unreachable-pms"]
-        here, child = tmp_path / "in-process", tmp_path / "child"
-        for t in (here, child):
-            t.mkdir()
-        monkeypatch.chdir(here)
-        code, _, err = self._in_process(argv(here))
-        proc = subprocess.run(
-            [sys.executable, "-m", "waveinput.cli", *argv(child)], cwd=child,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
-        )
-        assert code == expected_code and (proc.returncode, proc.stderr) == (code, err)
-        written = [{p.name: p.read_bytes() for p in (t / "o").iterdir()} for t in (here, child)]
-        assert written[0] == written[1] and "pms_summary.csv" in written[0]
+    @spawns(lambda t, stream, case: {"cli": _cli(t, EXITS[case][1], cut="closed", stream=stream)})
+    @pytest.mark.parametrize("case", ["unreachable-pms", "missing-config"])
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_a_stream_closed_at_start_takes_nothing(self, mains, children, stream, case):
+        # fd 1 or 2 is closed before the interpreter starts (as by ">&-" or "2>&-"), so that
+        # sys stream is None; every CSV, the exit code and the other stream are still main's
+        want = self._ends_quietly(mains, children["cli"], stream, EXITS[case])
+        assert ("pms_summary.csv" in want["csvs"]) == (case == "unreachable-pms")
 
     @pytest.mark.parametrize("command", ["solve", "verify", "oracle", "pms"])
     def test_each_subcommand_builds_one_shift_sequence(self, tmp_path, monkeypatch, command):

@@ -5,8 +5,10 @@ module's ``__all__`` or in the package's lazy ``_EXPORTS`` table count as
 used (re-exports), and ``from __future__`` imports are skipped.  Quoted
 annotations are parsed, so a name used only inside one still counts.
 
-The import-path checks run the CLI in a fresh interpreter, since this
-process may already hold scipy, and compare exact module sets.
+The import-path checks run the CLI in fresh interpreters, since this
+process may already hold scipy, and compare exact module sets.  Each
+check declares its children with ``conftest.spawns``; the launcher there
+starts them before the first test runs, beside the in-process tests.
 ``import waveinput`` loads no numpy.  The CLI import and each subcommand, on
 catalog and ``file`` sample functions alike, load only the waveinput modules
 they run, no scipy module (scipy is a test-only dependency: the spline
@@ -22,14 +24,15 @@ BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set, which only makes
 """
 
 import ast
-import functools
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from waveinput.cli import main
+
+from conftest import Child, spawns
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -118,32 +121,30 @@ print(json.dumps([codes, sorted(sys.modules), os.environ.get("OPENBLAS_NUM_THREA
 _TRAVELING = {"f0": "sin 1 0", "fT": "sin 1 -1", "T": "1", "K1": "1", "K2": "1", "n": "65"}
 
 
-def _fresh(code, argvs, **env):
-    """The last stdout line of ``code`` in a fresh interpreter, as JSON.
+def _fresh(code, argvs=(), **env):
+    """``code`` in a fresh interpreter, given ``argvs`` as JSON.
 
     The child's environment has no OPENBLAS_NUM_THREADS unless ``env`` sets it.
     """
-    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    child_env.update(env, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argvs)],
-        env=child_env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return Child(["-c", code, json.dumps(argvs)], env)
 
 
-@functools.cache
-def _numpy_alone():
-    """Every module loaded after a fresh ``import numpy``."""
-    return set(_fresh("import json, sys, numpy\nprint(json.dumps(sorted(sys.modules)))", []))
+def _json(ran):
+    """The last stdout line of a child, as JSON."""
+    assert ran.code == 0, ran.stderr.decode()
+    return json.loads(ran.stdout.splitlines()[-1])
 
 
-def _loaded(argvs, **env):
+# every module loaded after a fresh ``import numpy``: a child of each test that reads _loaded
+_NUMPY_ALONE = _fresh("import json, sys, numpy\nprint(json.dumps(sorted(sys.modules)))")
+
+
+def _loaded(children, name):
     """Exit codes, BLAS setting and thread count, and the modules loaded: waveinput's,
     scipy's, and numpy's beyond those of ``import numpy`` alone."""
-    codes, mods, blas, threads = _fresh(_CHILD, argvs, **env)
-    mods = {m for m in mods if m.startswith(("waveinput.", "numpy.", "scipy"))} - _numpy_alone()
+    codes, mods, blas, threads = _json(children[name])
+    alone = set(_json(children["numpy"]))
+    mods = {m for m in mods if m.startswith(("waveinput.", "numpy.", "scipy"))} - alone
     return codes, mods, blas, threads
 
 
@@ -156,9 +157,7 @@ def _config(tmp_path, name, **kv):
 # what every subcommand needs: config parsing, the catalog and the problem's shifts
 _SHARED = {"waveinput.cli", "waveinput.errors", "waveinput.functions", "waveinput.tbvp"}
 
-
-def test_package_import_loads_no_numpy_and_star_binds_every_name():
-    code = """
+_STAR = """
 import json, sys
 import waveinput
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
@@ -166,18 +165,22 @@ ns = {}
 exec("from waveinput import *", ns)
 print(json.dumps([loaded, len(waveinput.__all__), sorted(set(waveinput.__all__) - set(ns))]))
 """
-    loaded, count, unbound = _fresh(code, [])
+
+
+@spawns(lambda t: {"star": _fresh(_STAR)})
+def test_package_import_loads_no_numpy_and_star_binds_every_name(children):
+    loaded, count, unbound = _json(children["star"])
     assert loaded == []
     assert count == 47
     assert unbound == []
 
 
-def test_cli_import_loads_only_the_shared_modules():
-    assert _loaded([])[:2] == ([], _SHARED)
+@spawns(lambda t: {"numpy": _NUMPY_ALONE, "cli": _fresh(_CHILD)})
+def test_cli_import_loads_only_the_shared_modules(children):
+    assert _loaded(children, "cli")[:2] == ([], _SHARED)
 
 
-@pytest.mark.parametrize("case", ["l1", "l2", "file"])
-def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
+def _subcommands(tmp_path, case):
     norm = "l2" if case == "l2" else "l1"
     data = dict(_TRAVELING)
     if case == "file":  # f0 from samples: its spline is built without scipy
@@ -186,14 +189,25 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
         samples.write_text("x,y\n" + rows, encoding="utf-8")
         data["f0"] = f"file {samples}"
     cfg = _config(tmp_path, case, norm=norm, eps_schedule="1e-1", **data)
-    out = str(tmp_path / "out")
+    out, solved = str(tmp_path / "out"), str(tmp_path / "solved")
+    # verify reads the minimizer.csv of a solve run here, in process: the solve child runs beside it
+    assert main(["solve", "--config", cfg, "--out", solved, "--quiet"]) == 0
     solve = ["solve", "--config", cfg, "--out", out, "--quiet"]
-    verify = ["verify", "--config", cfg, "--input", f"{out}/minimizer.csv", "--out", out, "--quiet"]
+    verify = ["verify", "--config", cfg, "--input", f"{solved}/minimizer.csv", "--out", out,
+              "--quiet"]
     oracle = ["oracle", "--config", cfg, "--quiet"]
     pms = ["pms", "--config", cfg, "--out", out, "--quiet"]
-    l2 = {"waveinput.l2"} if norm == "l2" else set()
+    return {"numpy": _NUMPY_ALONE} | {
+        argv[0]: _fresh(_CHILD, [argv]) for argv in (solve, verify, oracle, pms)
+    }
+
+
+@spawns(_subcommands)
+@pytest.mark.parametrize("case", ["l1", "l2", "file"])
+def test_each_subcommand_loads_only_what_it_runs(children, case):
+    l2 = {"waveinput.l2"} if case == "l2" else set()
     # every command in its own child, compared at once, so a failure names each command
-    loaded = {argv[0]: _loaded([argv])[:2] for argv in (solve, verify, oracle, pms)}
+    loaded = {command: _loaded(children, command)[:2] for command in children if command != "numpy"}
     assert loaded == {
         "solve": ([0], _SHARED | {"waveinput.oracle", "waveinput.l1"} | l2),
         "verify": ([0], _SHARED | {"waveinput.verify"}),
@@ -202,16 +216,27 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
     }
 
 
-def test_poly_config_loads_no_numpy_polynomial(tmp_path):
-    cfg = _config(tmp_path, "poly", **dict(_TRAVELING, fT="poly 0.1 -0.2 0.05", norm="l1"))
-    codes, mods, _, _ = _loaded([["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]])
+@spawns(lambda t: {"numpy": _NUMPY_ALONE, "solve": _fresh(_CHILD, [[
+    "solve", "--config", _config(t, "poly", **dict(_TRAVELING, fT="poly 0.1 -0.2 0.05", norm="l1")),
+    "--out", str(t / "o"), "--quiet",
+]])})
+def test_poly_config_loads_no_numpy_polynomial(children):
+    codes, mods, _, _ = _loaded(children, "solve")
     assert codes == [0]
     assert mods == _SHARED | {"waveinput.oracle", "waveinput.l1"}
 
 
+def _blas(tmp_path):
+    oracle = [["oracle", "--config", _config(tmp_path, "l2", norm="l2", **_TRAVELING), "--quiet"]]
+    return {
+        "numpy": _NUMPY_ALONE,
+        "unset": _fresh(_CHILD, oracle),
+        "set": _fresh(_CHILD, oracle, OPENBLAS_NUM_THREADS="2"),
+    }
+
+
+@spawns(_blas)
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc thread listing")
-def test_cli_runs_blas_on_one_thread_unless_set(tmp_path):
-    cfg = _config(tmp_path, "l2", norm="l2", **_TRAVELING)
-    oracle = [["oracle", "--config", cfg, "--quiet"]]
-    assert _loaded(oracle)[2:] == ("1", 1)
-    assert _loaded(oracle, OPENBLAS_NUM_THREADS="2")[2] == "2"
+def test_cli_runs_blas_on_one_thread_unless_set(children):
+    assert _loaded(children, "unset")[2:] == ("1", 1)
+    assert _loaded(children, "set")[2] == "2"

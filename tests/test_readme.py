@@ -6,26 +6,25 @@
   temporary directory, exit 0.
 """
 
-import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 from waveinput.cli import main
 
+from conftest import Child, spawns
+
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
+QUICK_START = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
 
 
-def test_library_quick_start_runs():
-    blocks = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
-    assert len(blocks) == 1
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    verdict, value = proc.stdout.split()
+@spawns(lambda t: {"quick-start": Child(["-c", *QUICK_START[:1]])})
+def test_library_quick_start_runs(children):
+    assert len(QUICK_START) == 1
+    ran = children["quick-start"]
+    assert ran.code == 0, ran.stderr.decode()
+    verdict, value = ran.stdout.decode().split()
     assert verdict in ("MS_candidate", "pseudo_MS", "infeasible")
     float(value)
 
