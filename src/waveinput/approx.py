@@ -46,8 +46,6 @@ samples.  A budget within 64 ulps of ||Q||_p is below the rounding of that
 measurement and is reported unreachable.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

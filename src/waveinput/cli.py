@@ -26,23 +26,23 @@ LAPACK: every sum is a ``functions.wsum`` in a fixed order, and the
 ``OPENBLAS_NUM_THREADS`` default below is for start-up only.
 
 Exit codes: 0 success, 2 a usage error or any ``WaveInputError`` (``main`` prints its one
-``config error:`` line), such as T outside [1e-75, 1e75] or data above 1e75 in size (A/(2T),
-the shifts, f0 and the extended input), 4 infeasible input in verify, 5 oracle did not
-certify, 6 approximation budget unreachable (``cmd_pms`` catches it first).
+``config error:`` line), such as T outside [1e-75, 1e75], data above 1e75 in size (A/(2T),
+the shifts, f0 and the extended input) or an output directory that cannot be created, 4
+infeasible input in verify, 5 oracle did not certify, 6 approximation budget unreachable
+(``cmd_pms`` catches it first).
 
 The command line (``python -m waveinput.cli`` and the ``waveinput`` script) enters through
 ``run``.  Once ``main`` has returned its code (argparse's too), every file closed and the
 forked writer reaped, it flushes stdout and stderr and leaves by ``os._exit``, without
 interpreter teardown; so a tool that reports at exit (cProfile, coverage) must call ``main``
-instead.  Only an uncaught exception exits the normal way.  A closed stdout or stderr
-(``| head``) ends quietly: from the first write that finds no reader that stream is
-os.devnull, and every CSV and the exit code stand.
+instead.  Only an uncaught exception exits the normal way.  A stdout or stderr that is
+closed at start (``>&-``), has no reader (``| head``) or is open read-only takes nothing and
+ends quietly (``_to``): every CSV, the other stream and the exit code stand.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import math
 import os
@@ -404,18 +404,30 @@ def _write_csvs(files, *columns) -> None:
                 fh.write(block)
 
 
-def _to(stream, write, *args) -> None:
-    """``write(*args)``; from a closed ``stream`` on, its fd is os.devnull: every write ends quietly."""
+def _to(stream, method: str, *args) -> None:
+    """``stream.method(*args)`` on sys.stdout or sys.stderr.  None (fd closed at start) takes
+    nothing, and from an EPIPE (no reader) or EBADF (read-only fd) on, its fd is os.devnull."""
+    if stream is None:
+        return
     try:
-        write(*args)
-    except BrokenPipeError:
+        getattr(stream, method)(*args)
+    except OSError as exc:
+        if exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), stream.fileno())
 
 
-def _say(quiet: bool, *parts) -> None:
+def _say(quiet: bool, line: str) -> None:
     if not quiet:
-        _to(sys.stdout, print, *parts)
+        _to(sys.stdout, "write", line + "\n")
+
+
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # a regular file on the path, no permission, ...
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
 
 _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
@@ -451,8 +463,8 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
     try:
         # x, the K shifts and v per decision node; x and v_ext per window node
         if hasattr(os, "fork") and ts.values.size + 2 * v.size + 2 * ext.n >= _FORK_CELLS:
-            sys.stdout.flush()
-            sys.stderr.flush()
+            for stream in (sys.stdout, sys.stderr):
+                _to(stream, "flush")
             with warnings.catch_warnings():
                 # Python 3.12+ warns that fork() in a multi-threaded process may
                 # deadlock the child.  The CLI runs BLAS on one thread, so there
@@ -469,8 +481,8 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
                     _write_csvs(extended, ext.xs, ext.values)
                     status = 0
                 except Exception as exc:
-                    print(f"solve: writing extended.csv failed: {exc!r}", file=sys.stderr)
-                    sys.stderr.flush()
+                    _to(sys.stderr, "write", f"solve: writing extended.csv failed: {exc!r}\n")
+                    _to(sys.stderr, "flush")
                 finally:
                     # never return into the caller, which would run its code twice
                     os._exit(status)
@@ -494,7 +506,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
 
     ans = answer(shift_sequence(cfg.spec, cfg.n), cfg.spec.A, cfg.norm)
     ext = extend_input(ans.v, ans.ts)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_dir(cfg.output_dir)
     _write_solve_csvs(cfg.output_dir, ans.ts, ans.env.order, ans.v.values, ext)
     for name, value in (("A ", cfg.spec.A), ("c1", cfg.spec.c1), ("c2", cfg.spec.c2), *ans.facts):
         _say(quiet, f"{name} = {_fmt(value)}")
@@ -514,7 +526,7 @@ def cmd_verify(cfg: RunConfig, input_csv: str, quiet: bool = False) -> int:
     rep = verify_solution(GridFunction(-spec.T, spec.T, cfg.n, vs), shift_sequence(spec, cfg.n))
 
     rows = [(key, _fmt(val)) for key, val in vars(rep).items()]
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_dir(cfg.output_dir)
     with open(os.path.join(cfg.output_dir, "report.csv"), "wb") as fh:
         fh.write(_lines(("metric", "value", *sum(rows, ())), 2))
     for key, val in rows:
@@ -541,7 +553,7 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
 
     ans = answer(shift_sequence(cfg.spec, cfg.n), cfg.spec.A, cfg.norm)
     p = 1 if cfg.norm == "l1" else 2
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_dir(cfg.output_dir)
 
     failed = None
     try:
@@ -571,21 +583,15 @@ def cmd_pms(cfg: RunConfig, quiet: bool = False) -> int:
     with open(os.path.join(cfg.output_dir, "pms_summary.csv"), "wb") as fh:
         fh.write(_lines(summary, 5))
     if failed is not None:
-        if sys.stderr:  # None: its fd was closed at start
-            _to(sys.stderr, sys.stderr.write, f"approximation budget exceeded: {failed}\n")
+        _to(sys.stderr, "write", f"approximation budget exceeded: {failed}\n")
         return 6
     return 0
-
-
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):  # 3.10's argparse lets BrokenPipeError out
-        _to(file, super()._print_message, message, file)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (about 1 ms, a fifth of a small solve)."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="waveinput",
         description="Wave boundary-value input reconstruction toolkit",
     )
@@ -622,16 +628,15 @@ def main(argv=None) -> int:
             return cmd_oracle(cfg, args.quiet)
         return cmd_pms(cfg, args.quiet)
     except WaveInputError as exc:
-        if sys.stderr:  # None: its fd was closed at start
-            _to(sys.stderr, sys.stderr.write, f"config error: {exc}\n")
+        _to(sys.stderr, "write", f"config error: {exc}\n")
         return 2
 
 
 def run() -> None:
     """``main`` on ``sys.argv``, then its exit code without interpreter teardown."""
     code = main()
-    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: its fd was closed at start
-        _to(stream, stream.flush)
+    for stream in (sys.stdout, sys.stderr):
+        _to(stream, "flush")
     os._exit(code)
 
 

@@ -11,8 +11,6 @@ Two function carriers are used throughout the package:
   A stencil lives with its one user, as ``verify``'s end slopes of v at ±T.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from typing import Callable
 

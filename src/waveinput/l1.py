@@ -10,8 +10,6 @@ minimizer is a convex combination of the two bounding envelopes, or on an
 edge strip the outer envelope shifted by a constant.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

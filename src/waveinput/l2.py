@@ -7,8 +7,6 @@ constant is exactly the Cauchy-Schwarz equality case, so the closed form
 is the unique continuous minimizer.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

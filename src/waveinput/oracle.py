@@ -19,8 +19,6 @@ piecewise linear with its kinks at lam in {K, K-2, ..., -K}, and at each
 of them the inner minimum sits on a shift value.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -15,8 +15,6 @@ shifts, discretizes the continuous problem, a `ProblemSpec`, on n nodes; the mod
 extends inputs by the recurrence and reconstructs u(t, x) by D'Alembert's formula.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from functools import cached_property
 

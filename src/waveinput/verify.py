@@ -24,8 +24,6 @@ of the field.  Stencil points and the t = T snapshot are window nodes, so
 each value is a slice of a row of the field's node table (``level``).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -109,10 +109,14 @@ def handmade_shifts(rows):
     return ShiftSequence(spec, rows, np.zeros((rows.shape[0], 2)))
 
 
+def zero_spec(K1=1, K2=1, T=1.0):
+    return ProblemSpec(ZERO, ZERO, T, K1, K2)
+
+
 def traveling_spec(K1=1, K2=1, T=1.0):
-    return ProblemSpec(
-        catalog("sin", [1.0, 0.0]), catalog("sin", [1.0, -T]), T, K1, K2
-    )
+    # u(t, x) = sin(x - t) solves the problem with f0 = sin, fT = sin(x - T)
+    # and has the globally smooth input v(x) = -cos(x).
+    return ProblemSpec(catalog("sin", [1.0, 0.0]), catalog("sin", [1.0, -T]), T, K1, K2)
 
 
 def scaled(f, s):
@@ -158,7 +162,11 @@ def smooth_noise(xs, rng, terms=3, max_freq=2.0):
 
 
 def feasible_random_v(spec, n, rng, compatible=False):
-    """Smooth random input whose Simpson integral is exactly A."""
+    """Smooth random input whose Simpson integral is exactly A.
+
+    With compatible=True a linear ramp is added first so that
+    v(T) - v(-T) = c1 (the extension then has no seam jumps).
+    """
     g = GridFunction(-spec.T, spec.T, n, np.zeros(n))
     xs = g.xs
     vals = smooth_noise(xs, rng)

@@ -16,6 +16,7 @@ from conftest import (
     in_strip_sibling,
     random_spec,
     traveling_spec,
+    zero_spec,
 )
 from test_cli import write_config
 from waveinput.approx import approximate_c1, pms_sequence
@@ -29,12 +30,8 @@ from waveinput.l1 import (
 )
 from waveinput.l2 import l2_minimizer
 from waveinput.oracle import answer, l1_oracle, l2_oracle
-from waveinput.tbvp import (
-    ProblemSpec, dalembert, extend_input, full_norm, segment_integrals, shift_sequence,
-)
+from waveinput.tbvp import dalembert, extend_input, full_norm, segment_integrals, shift_sequence
 from waveinput.verify import verify_solution
-
-ZERO = catalog("zero", [])
 
 
 @contextmanager
@@ -69,7 +66,7 @@ def test_01_traveling_wave_reconstruction():
 
 def test_02_zero_data_degenerate_suite():
     with gate("02 zero data: constants, minimizers, classification all zero"):
-        spec = ProblemSpec(ZERO, ZERO, 1.0, 1, 1)
+        spec = zero_spec()
         assert abs(spec.A) <= 1e-12
         assert abs(spec.c1) <= 1e-12
         assert abs(spec.c2) <= 1e-12

@@ -207,6 +207,12 @@ def _text_config(tmp_path, text):
     return ["solve", "--config", str(tmp_path / "run.cfg")]
 
 
+def _out_is_a_file(tmp_path, argv):
+    """``argv``, once a regular file stands where its test's ``--out`` directory "o" goes."""
+    (tmp_path / "o").write_text("", encoding="utf-8")
+    return argv
+
+
 # each bad input: the argv it runs, and the text that names its key, line or file
 BAD_INPUTS = {
     "empty-spec": (lambda t: _solve_argv(t, f0=""), "f0: empty function spec"),
@@ -322,6 +328,18 @@ BAD_INPUTS = {
                    "--input", str(_zeros(t, 1e10))],
         "the data scale 1e+300 (|f0| and the extended input) is outside the supported range "
         "[0, 1e75]",
+    ),
+    # an output directory that cannot be made: each reached main as a traceback before
+    "solve-out-is-a-file": (
+        lambda t: _out_is_a_file(t, _solve_argv(t)), "cannot create output directory {tmp}/o"
+    ),
+    "verify-out-is-a-file": (
+        lambda t: _out_is_a_file(t, [*_argv(t, "verify"), "--input", str(_zeros(t, 1.0))]),
+        "cannot create output directory {tmp}/o",
+    ),
+    "pms-out-is-a-file": (
+        lambda t: _out_is_a_file(t, _argv(t, "pms", eps_schedule="1e-1")),
+        "cannot create output directory {tmp}/o",
     ),
 }
 
@@ -706,6 +724,18 @@ class TestSolveWriter:
         for name in SOLVE_CSVS:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_a_big_solve_forks_with_a_stream_closed_at_start(self, tmp_path, monkeypatch, stream):
+        monkeypatch.setattr(sys, stream, None)  # as when its fd was closed at start
+        fork_calls = count_forks(monkeypatch)
+        # the "fork" config of WRITERS; the streams are flushed before the fork
+        cfg = write_config(
+            tmp_path / "run.cfg", f0="sin 1 0", fT="sin 1 -1", n="2049", K1="2", K2="2"
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(fork_calls) == 1
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted(SOLVE_CSVS)
+
     # "this-process" fails the envelopes/shifts/minimizer writer, which always runs in this
     # process; "child" fails the extended.csv writer, which runs in the child when forked
     @pytest.mark.parametrize("part", [0, 1], ids=["this-process", "child"])
@@ -963,11 +993,12 @@ ENTRIES = {
 
 
 # a stream cut before the interpreter starts, by an os.execv wrapper (a preexec_fn is unsafe
-# beside the launcher's threads): fd 1 or 2 closed, as ">&-" does, or on a pipe whose read end
-# is already closed
+# beside the launcher's threads): fd 1 or 2 closed, as ">&-" does, on a pipe whose read end
+# is already closed, or open read-only, as "2</dev/null" or a wrapper script may leave it
 CUTS = {
     "closed": "os.close({fd})",
     "no_reader": "r, w = os.pipe(); os.close(r); os.dup2(w, {fd})",
+    "read_only": "os.dup2(os.open(os.devnull, os.O_RDONLY), {fd})",
 }
 _EXEC = "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
 
@@ -993,8 +1024,8 @@ def _outputs(t):
 class TestExitPath:
     """The command line exits by os._exit after main, argparse's codes included: each exit
     code and every byte of stdout and stderr, both piped and block-buffered as in a plain
-    run, are those of main in process.  A stream with no reader, or closed at start, ends
-    quietly, and the other stream, the CSVs and the exit code stay main's."""
+    run, are those of main in process.  A stream with no reader, closed at start or open
+    read-only ends quietly, and the other stream, the CSVs and the exit code stay main's."""
 
     @staticmethod
     def _in_process(argv):
@@ -1058,12 +1089,17 @@ class TestExitPath:
         want = self._ends_quietly(mains, children["cli"], *CLOSED[case])
         assert want[CLOSED[case][0]]  # main writes to the closed stream
 
-    @spawns(lambda t, stream, case: {"cli": _cli(t, EXITS[case][1], cut="closed", stream=stream)})
+    @spawns(lambda t, stream, cut, case: {"cli": _cli(t, EXITS[case][1], cut=cut, stream=stream)})
     @pytest.mark.parametrize("case", ["unreachable-pms", "missing-config"])
-    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
-    def test_a_stream_closed_at_start_takes_nothing(self, mains, children, stream, case):
+    @pytest.mark.parametrize(
+        "stream, cut",
+        [(stream, cut) for cut in ("closed", "read_only") for stream in ("stdout", "stderr")],
+        ids=["stdout", "stderr", "stdout-read_only", "stderr-read_only"],
+    )
+    def test_a_stream_closed_at_start_takes_nothing(self, mains, children, stream, cut, case):
         # fd 1 or 2 is closed before the interpreter starts (as by ">&-" or "2>&-"), so that
-        # sys stream is None; every CSV, the exit code and the other stream are still main's
+        # sys stream is None, or open read-only, so that its first write or flush fails with
+        # EBADF; every CSV, the exit code and the other stream are still main's
         want = self._ends_quietly(mains, children["cli"], stream, EXITS[case])
         assert ("pms_summary.csv" in want["csvs"]) == (case == "unreachable-pms")
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import handmade_shifts, random_spec, scaled, traveling_spec, zero_integral_bump
+from conftest import (
+    ZERO, handmade_shifts, random_spec, scaled, traveling_spec, zero_integral_bump, zero_spec,
+)
 from waveinput.functions import catalog, integrate, simpson_weights
 from waveinput.l2 import l2_minimizer, l2_ms_check
 from waveinput.oracle import answer
 from waveinput.tbvp import ProblemSpec, full_norm, shift_sequence
-
-ZERO = catalog("zero", [])
 
 
 def test_a1_constant():
@@ -96,7 +96,7 @@ def test_decomposition_identity():
 
 
 def test_ms_check_zero_data():
-    spec = ProblemSpec(ZERO, ZERO, 1.0, 1, 1)
+    spec = zero_spec()
     assert l2_ms_check(shift_sequence(spec, 65)) == "ms_exists"
 
 

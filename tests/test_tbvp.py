@@ -7,7 +7,7 @@ from fractions import Fraction
 import exact
 import numpy as np
 import pytest
-from conftest import random_spec
+from conftest import ZERO, feasible_random_v, random_spec, traveling_spec, zero_spec
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,39 +24,6 @@ from waveinput.tbvp import (
     shift_sequence,
     shift_values,
 )
-
-ZERO = catalog("zero", [])
-SIN = catalog("sin", [1.0, 0.0])
-
-
-def zero_spec(K1=1, K2=1, T=1.0):
-    return ProblemSpec(ZERO, ZERO, T, K1, K2)
-
-
-def traveling_spec(K1=1, K2=1, T=1.0):
-    # u(t, x) = sin(x - t) solves the problem with f0 = sin, fT = sin(x - T)
-    # and has the globally smooth input v(x) = -cos(x).
-    return ProblemSpec(SIN, catalog("sin", [1.0, -T]), T, K1, K2)
-
-
-def feasible_random_v(spec, n, rng, compatible=False):
-    """Smooth random input with Simpson integral exactly A.
-
-    With compatible=True a linear ramp is added first so that
-    v(T) - v(-T) = c1 (the extension then has no seam jumps).
-    """
-    g = GridFunction(-spec.T, spec.T, n, np.zeros(n))
-    xs = g.xs
-    vals = np.zeros(n)
-    for _ in range(3):
-        w = rng.uniform(0.3, 2.0)
-        vals += rng.normal() * np.sin(w * xs) + rng.normal() * np.cos(w * xs)
-    if compatible:
-        alpha = (spec.c1 - (vals[-1] - vals[0])) / (2 * spec.T)
-        vals += alpha * xs
-    g.values = vals
-    g.values = vals + (spec.A - integrate(g)) / (2 * spec.T)
-    return g
 
 
 def test_constants_zero_data():

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from waveinput.functions import GridFunction, catalog, sample
-from waveinput.tbvp import ProblemSpec, shift_sequence
+from waveinput.tbvp import shift_sequence
 from waveinput.verify import SEAM_TOL, _end_slopes, verify_solution
 
-from conftest import feasible_random_v, random_spec, traveling_spec
-
-
-def zero_spec(K1=1, K2=1, T=1.0):
-    z = catalog("zero", [])
-    return ProblemSpec(z, z, T, K1, K2)
+from conftest import feasible_random_v, random_spec, traveling_spec, zero_spec
 
 
 def test_end_slopes_fourth_order_at_both_ends():
