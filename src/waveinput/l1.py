@@ -52,14 +52,8 @@ def select_strip(env: OrderEnvelopes, A: float) -> int:
     Ties go to the smallest index; j = 0 means A exceeds the top envelope
     integral strictly, j = K means A falls below the bottom one.
     """
-    I = env.integrals
-    K = env.K
-    if A > I[0]:
-        return 0
-    for j in range(1, K):
-        if A >= I[j]:
-            return j
-    return K
+    I = env.integrals  # non-increasing, bit for bit: sums of pointwise-ordered rows
+    return 0 if A > I[0] else 1 + int(np.count_nonzero(I[1:] > A))
 
 
 @dataclass
@@ -120,19 +114,34 @@ def construct_h(env: OrderEnvelopes, j: int, A: float) -> StripSolution:
     return StripSolution(j, h, full_norm(h, env.ts, 1), case, p1 == p2)
 
 
-def strip_lower_bound(env: OrderEnvelopes, j: int, A: float) -> float:
-    """Certified objective floor int U(a_e) + (K - 2j)(A - p_e).
+def strip_duals(integrals: np.ndarray, A: float) -> np.ndarray:
+    """The L1 dual g_j = (K - 2j) A + 2 S_j - S_K at lam = K - 2j, j = 0..K, from the K
+    envelope integrals I_1 >= ... >= I_K, with S_j = I_1 + ... + I_j.
 
-    a_e is the strip's lower envelope a_{j+1}, or a_K at the bottom edge
-    j = K, where the floor reads full_norm(a_K) - K (A - p_K).  Every
-    feasible v has objective at least this value; the canonical h attains
-    it exactly because U is linear with slope K - 2j on the strip.
+    At a node with shifts s_1 >= ... >= s_K and P_j = s_1 + ... + s_j, sum_k |s_k - v|
+    - (K - 2j) v is flat on [s_{j+1}, s_j], at (P_j - j v) + ((K - j) v - P_K + P_j)
+    - (K - 2j) v = 2 P_j - P_K; the weights turn P_j into S_j.  As g_{j+1} - g_j = 2 (I_{j+1}
+    - A), the largest g_j is select_strip's.  A plain prefix sum errs by up to (2j + K) u S
+    (u = eps/2, S the oracle's gap scale; past 64 ulps for K > 42), and a second prefix sum of
+    each step's exact error (TwoSum) leaves 3u S at any K, beside the integrals' (log2 n + 1) u S.
+    """
+    K = len(integrals)
+    I = np.concatenate(([0.0], integrals))
+    S = np.cumsum(I)
+    d = S[1:] - S[:-1]
+    C = np.cumsum(np.concatenate(([0.0], (S[:-1] - (S[1:] - d)) + (I[1:] - d))))
+    return (K - 2.0 * np.arange(K + 1)) * A + (2.0 * S - S[-1]) + (2.0 * C - C[-1])
+
+
+def strip_lower_bound(env: OrderEnvelopes, j: int, A: float) -> float:
+    """Certified objective floor of strip j: strip_duals' entry j, the L1 dual at lam = K - 2j.
+
+    Every feasible v has at least this objective (weak duality); the canonical h
+    attains it, as U is linear with slope K - 2j on the strip.
     """
     if not 0 <= j <= env.K:
         raise BadParams(f"lower bound needs 0 <= j <= K, got j={j}")
-    e = min(j, env.K - 1)
-    base = full_norm(env.ts.grid.with_values(env.values[e]), env.ts, 1)
-    return base + (env.K - 2 * j) * (A - float(env.integrals[e]))
+    return float(strip_duals(env.integrals, A)[j])
 
 
 def ms_endpoint_check(env: OrderEnvelopes, j: int, c1: float) -> str:

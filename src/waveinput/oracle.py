@@ -2,21 +2,21 @@
 both oracles: the minimum-norm input with its L1 strip or L2 closed-form facts.
 
 Both oracles evaluate the exact Lagrangian dual of the discretized problem
-min sum_i w_i sum_k |ts_k,i - v_i|^p subject to w.v = A straight from the
-shift array, without touching the closed forms.  The dual value bounds
-every feasible objective from below (weak duality) and equals the optimum
-(strong duality); it takes no sort, strip choice or iteration.  The
-answer enters only the final report.
+min sum_i w_i sum_k |ts_k,i - v_i|^p subject to w.v = A from the shift array,
+without touching the closed forms.  The dual value bounds every feasible
+objective from below (weak duality) and equals the optimum (strong duality);
+it takes no strip choice or iteration.  The answer enters only the report.
 
 L2: with m the pointwise shift mean and SS_i = sum_k (ts_k,i - m_i)^2,
 the inner minimum sits at v_i = m_i + lam/(2K), so
 g(lam) = lam A + w.(SS - lam m) - lam^2 W/(4K) with W = sum_i w_i, a
 concave parabola with its maximum at lam* = 2K(A - w.m)/W.
 
-L1: g(lam) = lam A + sum_i w_i min_v (sum_k |ts_k,i - v| - lam v): the inner
-function is piecewise linear with slopes K - 2j, so g is concave and
-piecewise linear with its kinks at lam in {K, K-2, ..., -K}, and at each
-of them the inner minimum sits on a shift value.
+L1: g(lam) = lam A + sum_i w_i min_v (sum_k |ts_k,i - v| - lam v) is concave and
+piecewise linear with kinks at lam = K - 2j, where l1.strip_duals gives it in closed
+form from the integrals of each node's shifts sorted descending: the one thing the
+oracle shares with the solver (np.sort here, an argsort there).  The primal (full_norm
+over the raw shifts), the feasibility check and the tests' no-sort reference take no sort.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import UnsupportedNorm
 from .functions import GridFunction, rounding, simpson_weights, wsum
-from .l1 import OrderEnvelopes, construct_h, ms_endpoint_check, order_envelopes, select_strip
+from .l1 import OrderEnvelopes, construct_h, ms_endpoint_check, order_envelopes, select_strip, strip_duals
 from .tbvp import ShiftSequence
 
 
@@ -114,22 +114,13 @@ def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
 
 
 def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
-    """Exact dual value against the strip construction's primal value.
-
-    The gap scale is S = sum_i w_i sum_k |ts_k,i| + K |A|, and the
-    constraint scale w.|h| + |A|.
+    """Exact dual value, the largest strip_duals entry, against the strip construction's
+    primal value.  Gap scale S = sum_i w_i sum_k |ts_k,i| + K |A|; constraint scale w.|h| + |A|.
     """
     tv = ts.values
-    K = ts.K
     w = simpson_weights(ts.n, ts.grid.h)
-    lam = K - 2.0 * np.arange(K + 1)
-    # inner[j, i]: the least over m of the term at v = ts_m,i, one m at a time (O(K n) memory)
-    inner = np.full((K + 1, ts.n), np.inf)
-    for m in range(K):
-        at_shift = np.abs(tv - tv[m]).sum(axis=0)  # the pointwise objective at v = ts_m,i
-        np.minimum(inner, at_shift - lam[:, None] * tv[m], out=inner)
-    dual = float(np.max(lam * A + wsum(w, inner)))
+    dual = float(np.max(strip_duals(wsum(w, np.sort(tv, axis=0)[::-1]), A)))
     ans = answer(ts, A, "l1")
-    S = float(wsum(w, np.abs(tv).sum(axis=0))) + K * abs(A)
+    S = float(wsum(w, np.abs(tv).sum(axis=0))) + ts.K * abs(A)
     feas_scale = wsum(w, np.abs(ans.v.values)) + abs(A)
-    return _certify(dual, ans, S, w, A, feas_scale, K + 1)
+    return _certify(dual, ans, S, w, A, feas_scale, ts.K + 1)

@@ -18,7 +18,7 @@ defects as they are.  Tier-1 (``tests/test_study.py``) checks the studies that f
 in about 2 s together: ``float-range``, ``traveling-wave``, ``strips`` and
 ``convergence`` (0.32-0.52 s in process).  CI runs ``check`` on all of them;
 ``verify-gates`` (1.65-1.80 s in process, 2.58-2.68 s on a loaded VM) stays there
-until ``verify`` is cheaper.
+until ``verify`` is cheaper, and so does ``large-k`` (about 4 s).
 
 Studies:
 
@@ -79,6 +79,13 @@ Studies:
     A1 = mean(S) of ROADMAP item 10.  ``l1_objective_error`` is the largest
     |objective(n) - objective(16385)| / |objective(16385)| of the L1
     minimizer at each coarser n: its grid error (item 8).
+
+``large-k``
+    20 ``random_spec`` draws (seed 7) at n = 2049 with windows of K = 17 to
+    1001 periods, evenly spaced, split into K1 and K2 at random.  It counts
+    the L1 ``oracle`` certificates, and the draws whose |primal - dual| is
+    above a tenth of ``_certify``'s 64-ulp allowance: the rounding headroom
+    of the dual's compensated prefix sum (ROADMAP item 32).
 """
 
 from __future__ import annotations
@@ -427,6 +434,28 @@ def convergence() -> dict:
             "l1_objective_error": {f"n={n}": x for n, x in l1.items()}}
 
 
+def large_k() -> dict:
+    import numpy as np
+    from conftest import random_spec
+    from waveinput.functions import rounding, simpson_weights, wsum
+    from waveinput.oracle import l1_oracle
+    from waveinput.tbvp import shift_sequence
+
+    rng = np.random.default_rng(7)
+    certified = loose = 0
+    for K in np.linspace(17, 1001, 20).round().astype(int).tolist():
+        K1 = int(rng.integers(1, K - 1))
+        spec = random_spec(rng, K1, K - 1 - K1)
+        ts = shift_sequence(spec, 2049)
+        rep = l1_oracle(ts, spec.A)
+        w = simpson_weights(ts.n, ts.grid.h)
+        allowance = rounding(float(wsum(w, np.abs(ts.values).sum(axis=0))) + K * abs(spec.A))
+        certified += rep.converged
+        loose += bool(abs(rep.oracle_value - rep.analytic_value) > allowance / 10)
+    return {"draws": 20, "K": [17, 1001], "n": 2049, "certified": certified,
+            "gap_over_a_tenth_of_the_allowance": loose}
+
+
 STUDIES = {
     "float-range": float_range,
     "dilation": dilation,
@@ -435,6 +464,7 @@ STUDIES = {
     "strips": strips,
     "verify-gates": verify_gates,
     "convergence": convergence,
+    "large-k": large_k,
 }
 
 

@@ -18,7 +18,7 @@ from waveinput.l1 import (
     select_strip,
     strip_lower_bound,
 )
-from waveinput.oracle import l1_oracle
+from waveinput.oracle import answer, l1_oracle
 from waveinput.tbvp import ProblemSpec, full_norm, shift_sequence
 
 
@@ -207,6 +207,8 @@ def test_l1_objective_constants():
         full_norm(GridFunction(-1.0, 1.0, 33, np.zeros(33)), env_ts, 1)
     with pytest.raises(UnsupportedNorm):
         full_norm(v, env_ts, 3)
+    with pytest.raises(UnsupportedNorm):
+        answer(env_ts, 0.0, "l3")
 
 
 def test_ms_endpoint_check():
