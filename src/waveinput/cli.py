@@ -438,11 +438,11 @@ _SOLVE_CSVS = ("envelopes.csv", "shifts.csv", "minimizer.csv", "extended.csv")
 _FORK_CELLS = 25_000
 
 
-def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
+def _write_solve_csvs(out_dir: str, ts, v, ext) -> None:
     """Write the _SOLVE_CSVS into ``out_dir``: the three decision-grid files, then extended.csv.
 
     A decision-grid row formats x, the K shifts and v once: shifts.csv takes x
-    and the shifts in row order, envelopes.csv x and the shifts in ``order``,
+    and the shifts in row order, envelopes.csv x and the shifts sorted descending,
     minimizer.csv x and v.  From _FORK_CELLS formatted cells on, where os.fork
     exists, a child forked before any file is open writes extended.csv while
     this process writes the other three.  The child leaves through os._exit, so
@@ -452,6 +452,8 @@ def _write_solve_csvs(out_dir: str, ts, order, v, ext) -> None:
     """
     paths = [os.path.join(out_dir, name) for name in _SOLVE_CSVS]
     K = ts.K
+    # shifts hold no -0.0 and equal floats have equal bits: these cells are np.sort's, bytewise
+    order = np.argsort(ts.values, axis=0)[::-1]
     grid = [
         (paths[0], ["x", *(f"a_{j}" for j in range(1, K + 1))],
          lambda a, k: np.hstack([np.zeros((k, 1), np.intp), 1 + order[:, a : a + k].T])),
@@ -507,7 +509,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     ans = answer(shift_sequence(cfg.spec, cfg.n), cfg.spec.A, cfg.norm)
     ext = extend_input(ans.v, ans.ts)
     _make_dir(cfg.output_dir)
-    _write_solve_csvs(cfg.output_dir, ans.ts, ans.env.order, ans.v.values, ext)
+    _write_solve_csvs(cfg.output_dir, ans.ts, ans.v.values, ext)
     for name, value in (("A ", cfg.spec.A), ("c1", cfg.spec.c1), ("c2", cfg.spec.c2), *ans.facts):
         _say(quiet, f"{name} = {_fmt(value)}")
     _say(quiet, f"wrote {' '.join(_SOLVE_CSVS)} to {cfg.output_dir}")

@@ -24,14 +24,12 @@ class OrderEnvelopes:
     """Pointwise descending rearrangement of the shift sequence.
 
     values[j-1] holds the j-th largest shift at each node (j = 1..K), so
-    integrals is non-increasing.  order[j-1] holds the shift row each of
-    those values came from: values = take_along_axis(ts.values, order, 0).
+    integrals is non-increasing.
     """
 
     ts: ShiftSequence
     values: np.ndarray
     integrals: np.ndarray
-    order: np.ndarray
 
     @property
     def K(self) -> int:
@@ -39,11 +37,8 @@ class OrderEnvelopes:
 
 
 def order_envelopes(ts: ShiftSequence) -> OrderEnvelopes:
-    # shifts hold no -0.0 and equal floats have equal bits, so these values
-    # are those of np.sort(ts.values, axis=0)[::-1]
-    order = np.argsort(ts.values, axis=0)
-    vals = np.take_along_axis(ts.values, order, 0)[::-1]
-    return OrderEnvelopes(ts, vals, wsum(simpson_weights(ts.n, ts.grid.h), vals), order[::-1])
+    vals = np.sort(ts.values, axis=0)[::-1]
+    return OrderEnvelopes(ts, vals, wsum(simpson_weights(ts.n, ts.grid.h), vals))
 
 
 def select_strip(env: OrderEnvelopes, A: float) -> int:

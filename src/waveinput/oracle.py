@@ -2,10 +2,10 @@
 both oracles: the minimum-norm input with its L1 strip or L2 closed-form facts.
 
 Both oracles evaluate the exact Lagrangian dual of the discretized problem
-min sum_i w_i sum_k |ts_k,i - v_i|^p subject to w.v = A from the shift array,
-without touching the closed forms.  The dual value bounds every feasible
-objective from below (weak duality) and equals the optimum (strong duality);
-it takes no strip choice or iteration.  The answer enters only the report.
+min sum_i w_i sum_k |ts_k,i - v_i|^p subject to w.v = A, without touching the
+closed forms.  The dual value bounds every feasible objective from below (weak
+duality) and equals the optimum (strong duality); it takes no strip choice or
+iteration.  L2 reads the shift array; L1 reads the answer's envelope integrals.
 
 L2: with m the pointwise shift mean and SS_i = sum_k (ts_k,i - m_i)^2,
 the inner minimum sits at v_i = m_i + lam/(2K), so
@@ -14,9 +14,10 @@ concave parabola with its maximum at lam* = 2K(A - w.m)/W.
 
 L1: g(lam) = lam A + sum_i w_i min_v (sum_k |ts_k,i - v| - lam v) is concave and
 piecewise linear with kinks at lam = K - 2j, where l1.strip_duals gives it in closed
-form from the integrals of each node's shifts sorted descending: the one thing the
-oracle shares with the solver (np.sort here, an argsort there).  The primal (full_norm
-over the raw shifts), the feasibility check and the tests' no-sort reference take no sort.
+form from the integrals of each node's shifts sorted descending: the answer's
+env.integrals, so the oracle and the solver share that one sort.  The certificate still
+checks on its own the primal (full_norm over the raw shifts) and feasibility; the tests
+check the sort against a no-sort dual reference and exact rational envelope integrals.
 """
 
 from dataclasses import dataclass
@@ -31,12 +32,12 @@ from .tbvp import ShiftSequence
 
 @dataclass(frozen=True)
 class Answer:
-    """The minimizer v, its objective, L2's A1 (None in L1) and ``facts``, the (name, value)
-    pairs ``solve`` prints after A, c1 and c2: L2 A1, objective, ms_check; L1 strip,
-    objective, boundary_case, degenerate (only when it is), ms_endpoints."""
+    """The minimizer v, its objective, L1's envelopes env and L2's A1 (each None in the other
+    norm), and ``facts``, the (name, value) pairs ``solve`` prints after A, c1 and c2: L2 A1,
+    objective, ms_check; L1 strip, objective, boundary_case, degenerate (if so), ms_endpoints."""
 
     ts: ShiftSequence
-    env: OrderEnvelopes
+    env: OrderEnvelopes | None
     v: GridFunction
     objective: float
     A1: float | None
@@ -47,13 +48,13 @@ def answer(ts: ShiftSequence, A: float, norm: str) -> Answer:
     """The least ``norm`` ("l1" or "l2") window size of v subject to w.v = A, on ``ts``."""
     if norm not in ("l1", "l2"):
         raise UnsupportedNorm(f"norm must be l1 or l2, got {norm!r}")
-    env = order_envelopes(ts)
     if norm == "l2":
         from .l2 import l2_minimizer, l2_ms_check
 
         sol = l2_minimizer(ts, A)
         facts = ("A1", sol.A1), ("objective", sol.objective), ("ms_check", l2_ms_check(ts))
-        return Answer(ts, env, sol.v, sol.objective, sol.A1, facts)
+        return Answer(ts, None, sol.v, sol.objective, sol.A1, facts)
+    env = order_envelopes(ts)
     j = select_strip(env, A)
     sol = construct_h(env, j, A)
     facts = [("strip", j), ("objective", sol.objective), ("boundary_case", sol.boundary_case)]
@@ -114,13 +115,12 @@ def l2_oracle(ts: ShiftSequence, A: float) -> OracleReport:
 
 
 def l1_oracle(ts: ShiftSequence, A: float) -> OracleReport:
-    """Exact dual value, the largest strip_duals entry, against the strip construction's
-    primal value.  Gap scale S = sum_i w_i sum_k |ts_k,i| + K |A|; constraint scale w.|h| + |A|.
-    """
-    tv = ts.values
+    """The largest strip_duals entry of the answer's envelope integrals against the strip
+    construction's primal (full_norm over the raw shifts), within the gap scale
+    S = sum_i w_i sum_k |ts_k,i| + K |A|; feasibility within w.|h| + |A|."""
     w = simpson_weights(ts.n, ts.grid.h)
-    dual = float(np.max(strip_duals(wsum(w, np.sort(tv, axis=0)[::-1]), A)))
     ans = answer(ts, A, "l1")
-    S = float(wsum(w, np.abs(tv).sum(axis=0))) + ts.K * abs(A)
+    dual = float(np.max(strip_duals(ans.env.integrals, A)))
+    S = float(wsum(w, np.abs(ts.values).sum(axis=0))) + ts.K * abs(A)
     feas_scale = wsum(w, np.abs(ans.v.values)) + abs(A)
     return _certify(dual, ans, S, w, A, feas_scale, ts.K + 1)

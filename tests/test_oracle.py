@@ -41,7 +41,9 @@ def test_l2_oracle_matches_closed_form():
     assert rep.converged
     assert rep.rel_gap < 1e-6
     sol = l2_minimizer(ts, spec.A)
-    assert np.max(np.abs(answer(ts, spec.A, "l2").v.values - sol.v.values)) < 1e-5
+    ans = answer(ts, spec.A, "l2")
+    assert np.max(np.abs(ans.v.values - sol.v.values)) < 1e-5
+    assert ans.env is None
 
 
 def test_l2_oracle_input_meets_constraint():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waveinput.errors import DomainError, GridError, OutOfRegion
-from waveinput.functions import GridFunction, catalog, integrate, lp_norm
+from waveinput.functions import GridFunction, catalog, integrate, lp_norm, simpson_weights
 from waveinput.tbvp import (
     ProblemSpec,
     dalembert,
@@ -446,6 +446,36 @@ def test_poly_constants_and_segment_integrals_match_exact_values(f0, fT, T, K1, 
     ulp = Fraction(np.finfo(float).eps)
     for value, terms in zip(got, want, strict=True):
         assert abs(Fraction(value) - sum(terms)) <= 64 * ulp * sum(map(abs, terms))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(f0=POLY, fT=POLY, T=st.floats(0.1, 20.0), K1=st.integers(1, 3), K2=st.integers(1, 3))
+def test_poly_shifts_envelopes_and_strip_duals_match_exact_values(f0, fT, T, K1, K2):
+    # The exact shifts, sorted descending at each node and summed with the float Simpson
+    # weights taken exactly, give the envelope integrals and the L1 duals with no float
+    # sort.  Each shift is within 64 ulps of its terms' absolute sum; the integrals are
+    # within 64 ulps of S = sum_i w_i sum_k |terms|, which bounds the shifts' rounding
+    # and the sums', and the duals within 64 ulps of S + K |A|.
+    from waveinput.l1 import order_envelopes, strip_duals
+
+    s = ProblemSpec(catalog("poly", f0), catalog("poly", fT), T, K1, K2)
+    ts = shift_sequence(s, 65)
+    terms = exact.shift_terms(f0, fT, T, K1, K2, ts.grid.xs.tolist())
+    ulp = Fraction(np.finfo(float).eps)
+    for got, row in zip(ts.values.tolist(), terms, strict=True):
+        for value, t in zip(got, row, strict=True):
+            assert abs(Fraction(value) - sum(t)) <= 64 * ulp * sum(map(abs, t))
+    w = list(map(Fraction, simpson_weights(ts.n, ts.grid.h).tolist()))
+    scale = sum(wi * sum(sum(map(abs, row[i])) for row in terms) for i, wi in enumerate(w))
+    nodes = [sorted((sum(row[i]) for row in terms), reverse=True) for i in range(ts.n)]
+    integrals = [sum(wi * node[j] for wi, node in zip(w, nodes)) for j in range(s.K)]
+    A, S = Fraction(s.A), [sum(integrals[:j]) for j in range(s.K + 1)]
+    duals = [(s.K - 2 * j) * A + 2 * S[j] - S[-1] for j in range(s.K + 1)]
+    got = order_envelopes(ts).integrals
+    for value, want in zip(got.tolist(), integrals, strict=True):
+        assert abs(Fraction(value) - want) <= 64 * ulp * scale
+    for value, want in zip(strip_duals(got, s.A).tolist(), duals, strict=True):
+        assert abs(Fraction(value) - want) <= 64 * ulp * (scale + s.K * abs(A))
 
 
 def test_decision_grid_tolerance_is_relative_to_T():
