@@ -13,13 +13,13 @@ f = GridFunction(-1.0, 1.0, n, np.abs(xs))
 c1, c2, target = 0.3, -0.7, 1.0
 
 print("target: |x| on [-1, 1] with offsets c1 = 0.3, c2 = -0.7, integral 1")
-print(f"{'eps':>8} {'achieved':>12} {'integral res':>14} {'value res':>12} {'slope res':>12} {'corner':>10} {'patch':>10}")
+print(f"{'eps':>8} {'achieved':>12} {'integral res':>14} {'value res':>12} {'slope res':>12} {'corner':>10} {'patch':>10} {'knots':>6}")
 for eps in (1e-1, 1e-2, 1e-3):
     res = approximate_c1(f, c1, c2, target, eps, p=2)
     print(
         f"{eps:8.0e} {res.achieved_lp_error:12.3e} {res.integral_residual:14.2e} "
         f"{res.endpoint_value_residual:12.2e} {res.endpoint_deriv_residual:12.2e} "
-        f"{res.stages['delta_corner']:10.2e} {res.stages['delta_hermite']:10.2e}"
+        f"{res.stages['delta_corner']:10.2e} {res.stages['delta_hermite']:10.2e} {res.curve.knots.size:6d}"
     )
 
 res = approximate_c1(f, c1, c2, target, 1e-2, p=2)

@@ -17,12 +17,15 @@ put that floor under every budget).
    corners overlap.  Value and slope are evaluated piece by piece in panel
    coordinates; a difference of one global primitive would lose about
    ulp * int|v| / delta.
-2. The cubic Hermite patch on [b - delta_h, b] keeps the core's value and
-   slope at the seam and lands on g_c(a) + c1 and g_c'(a) + c2 at b;
-   delta_h shrinks until the measured error fits the budget.
+2. The end patch on [b - delta_h, b], a one-piece `PiecewiseCubic`, keeps
+   the core's value and slope at the seam and lands on g_c(a) + c1 and
+   g_c'(a) + c2 at b; delta_h shrinks until the measured error fits the
+   budget.
 3. One constant, subtracted from core and patch alike, puts the integral on
    the target and keeps the offsets; each patch width measures its error
-   once, with its own constant.
+   once, with its own constant.  The result is one `PiecewiseCubic`, knotted
+   at the core's edges up to the seam and the nodes past it, an edge within
+   64 ulps of a node being that node; g holds its node samples.
 
 The corner half-width delta is derived from the budget.  A corner with slope
 jump D costs |D| delta^2 / 6 in L1 and |D| (delta^3 / 40)^(1/2) in L2; delta
@@ -42,8 +45,10 @@ constant the corners add:
 
 The patch width can fall below the grid spacing, so errors are measured on
 the exact piecewise form (Gauss per segment, split at the seam), not on node
-samples.  A budget within 64 ulps of ||Q||_p is below the rounding of that
-measurement and is reported unreachable.
+samples, and `integral_residual` reads the curve's closed-form integral, a
+sum apart from the Gauss prefix that set the constant.  A budget within 64
+ulps of ||Q||_p is below the rounding of that measurement and is reported
+unreachable.
 """
 
 from dataclasses import dataclass
@@ -52,8 +57,8 @@ import numpy as np
 
 from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from .functions import (
-    FEAS_TOL, GAUSS_X, C1GridFunction, GridFunction, gauss, integrate, lp_total, rounding,
-    simpson_weights, wsum,
+    FEAS_TOL, GAUSS_X, C1GridFunction, GridFunction, PiecewiseCubic, gauss, integrate, lp_total,
+    rounding, simpson_weights, wsum,
 )
 from .tbvp import ShiftSequence, full_norm
 
@@ -139,70 +144,8 @@ class BoxCore:
         e = e[np.concatenate(([True], e[1:] != e[:-1]))]
         return np.concatenate(([lo], e[(e > lo) & (e < hi)], [hi]))
 
-    def integral(self, lo: float, hi: float) -> float:
-        """Exact integral of the core over [lo, hi], inside [a, b]."""
-        pts, wts = gauss(self.edges(lo, hi))
-        return float(wsum(wts, self(pts)[0]))
-
-
-# ------------------------------------------------------------- cubic Hermite
-
-def _hermite_integral(dt, v0, d0, v1, d1) -> float:
-    """Exact integral of the _hermite cubic over its interval of length dt."""
-    return dt * (v0 + v1) / 2.0 + dt * dt * (d0 - d1) / 12.0
-
-
-def _hermite(s, b, v0, d0, v1, d1, x):
-    """Cubic with value/slope (v0,d0) at s and (v1,d1) at b, and its slope."""
-    dt = b - s
-    t = (np.asarray(x, dtype=float) - s) / dt
-    t2 = t * t
-    t3 = t2 * t
-    val = (
-        (2 * t3 - 3 * t2 + 1) * v0
-        + dt * (t3 - 2 * t2 + t) * d0
-        + (-2 * t3 + 3 * t2) * v1
-        + dt * (t3 - t2) * d1
-    )
-    der = (
-        (6 * t2 - 6 * t) * (v0 - v1) / dt
-        + (3 * t2 - 4 * t + 1) * d0
-        + (3 * t2 - 2 * t) * d1
-    )
-    return val, der
-
 
 # ---------------------------------------------------------------- main types
-
-@dataclass
-class C1Curve:
-    """Exact piecewise form of a result: box core + cubic end patch - shift.
-
-    The patch width may be far below the grid spacing, so honest error
-    measurement and integrals have to go through this object rather than
-    through node samples.  ``integral`` re-integrates the core on its own
-    Gauss cells: a check on the shift, not the sum that set it.
-    """
-
-    a: float
-    b: float
-    seam: float
-    core: BoxCore
-    shift: float   # subtracted from core and patch alike
-    patch: tuple   # (v0, d0, v1, d1) of the cubic against the core
-
-    def __call__(self, x):
-        """Value and slope of the result at the points x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        core_v, core_d = self.core(np.clip(x, self.a, self.seam))
-        hv, hd = _hermite(self.seam, self.b, *self.patch, np.clip(x, self.seam, self.b))
-        left = x < self.seam
-        return np.where(left, core_v, hv) - self.shift, np.where(left, core_d, hd)
-
-    def integral(self) -> float:
-        patch = _hermite_integral(self.b - self.seam, *self.patch)
-        return self.core.integral(self.a, self.seam) + patch - self.shift * (self.b - self.a)
-
 
 @dataclass
 class ApproxResult:
@@ -212,7 +155,7 @@ class ApproxResult:
     endpoint_value_residual: float
     endpoint_deriv_residual: float
     stages: dict
-    curve: C1Curve
+    curve: PiecewiseCubic  # the result exactly; g holds its node samples
 
 
 def _check_epsilon(eps: float) -> None:
@@ -306,15 +249,15 @@ def approximate_c1(
         seam = b - delta_h
         jc = min(max(int(np.searchsorted(edges, seam, side="right")) - 1, 0), edges.size - 2)
         seam_v, seam_d = core(seam)
-        patch = (float(seam_v[0]), float(seam_d[0]), v1, d1)
+        patch = PiecewiseCubic(np.array([seam, b]), np.append(seam_v, v1), np.append(seam_d, d1))
 
         part_pts, part_wts = gauss(np.array([edges[jc], seam]))
         part_v = core(part_pts)[0]
         inner = xs[(xs > seam) & (xs < b)]
         patch_pts, patch_wts = gauss(np.concatenate(([seam], inner, [b])))
-        hv, _ = _hermite(seam, b, *patch, patch_pts)
+        hv = patch(patch_pts)[0]
         core_int = prefix[jc] + float(wsum(part_wts, part_v))
-        shift = (core_int + _hermite_integral(b - seam, *patch) - target_integral) / width
+        shift = (core_int + patch.integral() - target_integral) / width
 
         n_left = jc * GAUSS_X.size
         # off Q on the core's cells left of the seam's cell, that cell up to the seam, the patch
@@ -326,8 +269,18 @@ def approximate_c1(
             break
         delta_raw /= 2.0
 
-    curve = C1Curve(a, b, seam, core, shift, patch)
-    vals, ders = curve(xs)
+    # the knots: the core's edges up to the seam, then the nodes.  An edge a
+    # few ulps off a node (x_2i +- delta at delta = 2h 2^k, a snapped seam) is
+    # that node, so no piece is an ulp wide.
+    knots = np.concatenate((edges[edges < seam], [seam], xs[xs > seam]))
+    j = np.rint((knots - a) / f.h).astype(np.intp)
+    knots = np.where(np.abs(knots - xs[j]) <= rounding(max(abs(a), abs(b))), xs[j], knots)
+    knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
+    cut = int(np.searchsorted(knots, seam))
+    (cv, cd), (pv, pd) = core(knots[:cut]), patch(knots[cut:])
+    curve = PiecewiseCubic(knots, np.concatenate((cv, pv)) - shift, np.concatenate((cd, pd)))
+    at = np.searchsorted(knots, xs)
+    vals, ders = curve.values[at], curve.slopes[at]
     g = C1GridFunction(a, b, f.n, vals, ders)
 
     stages = {

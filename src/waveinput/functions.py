@@ -1,6 +1,6 @@
 """Smooth scalar functions, uniform grids, and the Simpson and Gauss quadrature rules.
 
-Two function carriers are used throughout the package:
+Three function carriers are used throughout the package:
 
 * :class:`SmoothFunction`: an analytic description (value and first two
   derivatives as vectorized callables) used for problem data, where exact
@@ -9,6 +9,9 @@ Two function carriers are used throughout the package:
   nodes, so that composite Simpson weights always apply.  Every sum, Simpson,
   Gauss (:func:`gauss`) or a stencil, is one :func:`wsum` in a fixed order.
   A stencil lives with its one user, as ``verify``'s end slopes of v at ±T.
+* :class:`PiecewiseCubic`: a C1 function held by its values and slopes at
+  its knots, with exact value, slope and integral; `approx` builds its end
+  patch and its result as one.
 """
 
 from dataclasses import dataclass
@@ -283,6 +286,47 @@ class C1GridFunction(GridFunction):
         self.d1 = np.asarray(self.d1, dtype=float)
         if self.d1.shape != (self.n,):
             raise GridError(f"d1 shape {self.d1.shape} does not match n={self.n}")
+
+
+@dataclass
+class PiecewiseCubic:
+    """The C1 cubic Hermite interpolant of values and slopes at increasing knots.
+
+    Its value at a knot is the stored value exactly; points outside the knots
+    use the end cubics.
+    """
+
+    knots: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+
+    def __call__(self, x):
+        """Value and slope at the points x, as arrays."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        k = self.knots
+        i = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
+        v0, d0, v1, d1 = self.values[i], self.slopes[i], self.values[i + 1], self.slopes[i + 1]
+        dt = k[i + 1] - k[i]
+        t = (x - k[i]) / dt
+        t2 = t * t
+        t3 = t2 * t
+        val = (
+            (2 * t3 - 3 * t2 + 1) * v0
+            + dt * (t3 - 2 * t2 + t) * d0
+            + (-2 * t3 + 3 * t2) * v1
+            + dt * (t3 - t2) * d1
+        )
+        der = (
+            (6 * t2 - 6 * t) * (v0 - v1) / dt
+            + (3 * t2 - 4 * t + 1) * d0
+            + (3 * t2 - 2 * t) * d1
+        )
+        return val, der
+
+    def integral(self) -> float:
+        """Exact integral over the knots: sum of dt (v0 + v1) / 2 + dt^2 (d0 - d1) / 12."""
+        dt, v, d = np.diff(self.knots), self.values, self.slopes
+        return float(np.sum(dt * (v[:-1] + v[1:]) / 2.0 + dt * dt * (d[:-1] - d[1:]) / 12.0))
 
 
 def sample(f: SmoothFunction, a: float, b: float, n: int) -> GridFunction:

@@ -161,7 +161,7 @@ def test_06_offset_approximation_constraints():
             assert res.endpoint_deriv_residual <= 1e-10
             # one float step each side of the seam: both branch formulas
             # must agree there in value and slope
-            s = res.curve.seam
+            s = res.g.b - res.stages["delta_hermite"]
             left = np.nextafter(s, -np.inf)
             right = np.nextafter(s, np.inf)
             (lv,), (ld,) = res.curve(left)

@@ -7,12 +7,11 @@ from waveinput import approx
 from waveinput.approx import (
     CORNER_CAP,
     BoxCore,
-    _hermite,
     approximate_c1,
     pms_sequence,
 )
 from waveinput.errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
-from waveinput.functions import GridFunction, integrate, simpson_weights
+from waveinput.functions import GridFunction, PiecewiseCubic, integrate, rounding, simpson_weights
 from waveinput.l1 import construct_h, order_envelopes, select_strip
 from waveinput.l2 import l2_minimizer
 from waveinput.tbvp import shift_sequence
@@ -70,27 +69,98 @@ class TestIntegralShift:
         assert_integral_within_64_ulps(entries, spec)
 
 
+def one_piece(s, b, v0, d0, v1, d1):
+    """The cubic with value/slope (v0, d0) at s and (v1, d1) at b, as the end patch is built."""
+    return PiecewiseCubic(np.array([s, b]), np.array([v0, v1]), np.array([d0, d1]))
+
+
 class TestHermitePatch:
     """The cubic end patch keeps value and slope at the seam and lands on the offsets."""
 
     def test_line_with_matching_slope_unchanged(self):
         xs = np.linspace(0.75, 1.0, 9)
-        val, der = _hermite(0.75, 1.0, 3.25, 3.0, 4.0, 3.0, xs)
+        val, der = one_piece(0.75, 1.0, 3.25, 3.0, 4.0, 3.0)(xs)
         assert np.allclose(val, 3 * xs + 1, atol=1e-13)
         assert np.allclose(der, 3.0, atol=1e-13)
 
     def test_frozen_midpoint_value(self):
         # cubic with H(1)=0, H'(1)=0, H(2)=0, H'(2)=1 gives H(1.5) = -0.125
-        val, der = _hermite(1.0, 2.0, 0.0, 0.0, 0.0, 1.0, np.array([1.5, 2.0]))
+        val, der = one_piece(1.0, 2.0, 0.0, 0.0, 0.0, 1.0)(np.array([1.5, 2.0]))
         assert val[0] == pytest.approx(-0.125, abs=1e-15)
         assert der[1] == pytest.approx(1.0)
 
     def test_seam_continuity(self):
         rng = np.random.default_rng(5)
         v0, d0, v1, d1 = rng.normal(size=4)
-        val, der = _hermite(0.75, 1.0, v0, d0, v1, d1, np.array([0.75, 1.0]))
+        val, der = one_piece(0.75, 1.0, v0, d0, v1, d1)(np.array([0.75, 1.0]))
         assert val == pytest.approx([v0, v1], abs=1e-12)
         assert der == pytest.approx([d0, d1], abs=1e-12)
+
+
+def assert_exact_curve(entries, spec, v):
+    """Each result's curve: its knots, its integral and its fit to the builder.
+
+    Knots. They increase strictly and hold every node; a breakpoint within 64
+    ulps of a node is that node, so no piece is narrower than 64 ulps of
+    max(|a|, |b|), and an entry whose corner and patch are 2h or wider has no
+    knot but the nodes.  The curve gives the node samples g bit for bit.
+
+    Fit. Left of the seam the core is one cubic on each piece, since its
+    breakpoints are knots (or within 64 ulps of one), so there the curve and
+    BoxCore - shift differ by rounding alone:
+    * the core at x and at the piece's knots: its prefix-integral difference
+      rounds by about u sum|panel integrals| / (2 delta), its panel terms by
+      about u max|g|;
+    * the Hermite sum, a few u (|v0| + |v1| + dt (|d0| + |d1|)), with dt <= h;
+    * the shift, u |shift|, which is read back as core(a) - curve(a).
+    The allowance is 64 ulps of max|g| + h max|g'| + |shift| + sum|panel
+    integrals| / (2 delta), the slopes taken left of the seam.
+    """
+    assert_integral_within_64_ulps(entries, spec)
+    rng = np.random.default_rng(0)
+    for e in entries:
+        res, g = e.result, e.result.g
+        curve, xs = res.curve, g.xs
+        knots = curve.knots
+        assert np.min(np.diff(knots)) > rounding(max(abs(g.a), abs(g.b))), e.epsilon
+        assert np.array_equal(knots[np.searchsorted(knots, xs)], xs), e.epsilon
+        if min(res.stages["delta_corner"], res.stages["delta_hermite"]) >= 2.0 * g.h:
+            assert np.array_equal(knots, xs), e.epsilon
+        val, der = curve(xs)
+        assert np.array_equal(val, g.values) and np.array_equal(der, g.d1), e.epsilon
+
+        core = BoxCore(v, res.stages["delta_corner"])
+        seam = g.b - res.stages["delta_hermite"]
+        shift = core(g.a)[0][0] - curve.values[0]
+        x = rng.uniform(g.a, seam, 2000)
+        scale = (
+            np.max(np.abs(g.values))
+            + g.h * np.max(np.abs(curve.slopes[knots < seam]))
+            + abs(shift)
+            + np.sum(np.abs(np.diff(core.cum))) / (2.0 * core.delta)
+        )
+        assert np.max(np.abs(curve(x)[0] - (core(x)[0] - shift))) <= rounding(scale), e.epsilon
+
+
+class TestCurve:
+    """ApproxResult.curve is the result exactly, as one piecewise cubic."""
+
+    @pytest.mark.parametrize("n", [65, 513])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_readme_schedule_knots_integral_and_fit(self, n, p):
+        spec, v = readme_minimizer(p, n)
+        schedule = [10.0**-k for k in range(1, 9)]
+        assert_exact_curve(pms_sequence(v, shift_sequence(spec, n), schedule, p), spec, v)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_problem_knots_integral_and_fit(self, seed):
+        # breakpoints x_2i +- delta and a snapped seam land a few ulps off
+        # their even node here, where the README problem puts them on it
+        spec = random_spec(np.random.default_rng(seed))
+        p = 1 + seed % 2
+        v = minimizer(spec, p, 257)
+        entries = pms_sequence(v, shift_sequence(spec, 257), [1e-1, 1e-3, 1e-5], p)
+        assert_exact_curve(entries, spec, v)
 
 
 class TestPipeline:
@@ -134,7 +204,7 @@ class TestPipeline:
     def test_seam_is_c1_on_the_curve(self):
         f = grid_of(np.abs, -1.0, 1.0, 129)
         res = approximate_c1(f, 0.2, 0.1, 1.0, 5e-2, p=2)
-        s = res.curve.seam
+        s = res.g.b - res.stages["delta_hermite"]
         left, right = s - 1e-10, s + 1e-10
         (lv,), (ld,) = res.curve(left)
         (rv,), (rd,) = res.curve(right)
@@ -439,7 +509,8 @@ class TestBoxCore:
         f = random_q(np.random.default_rng(seed))
         core = BoxCore(f, cells * f.h)
         simpson = float(np.dot(simpson_weights(f.n, f.h), core(f.xs)[0]))
-        assert core.integral(f.a, f.b) == pytest.approx(simpson, abs=1e-14)
+        edges = core.edges(f.a, f.b)
+        assert PiecewiseCubic(edges, *core(edges)).integral() == pytest.approx(simpson, abs=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_curve_integral_is_simpson_of_samples(self, seed):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from waveinput.l1 import (
     ms_endpoint_check,
     order_envelopes,
     select_strip,
+    strip_duals,
     strip_lower_bound,
 )
 from waveinput.oracle import answer, l1_oracle
@@ -288,6 +291,28 @@ def test_lower_bound_identity_and_floor():
         for _ in range(20):
             v = feasible_random_v(spec, 257, rng)
             assert full_norm(v, ts, 1) >= bound - 1e-8
+
+
+def test_strip_duals_stay_within_3u_s_of_an_exact_prefix_sum():
+    """Every strip_duals entry is within 3u S of the dual from an exact prefix sum.
+
+    The 1001 integrals span 10^-3 to 10^3 in magnitude, both signs, sorted
+    descending, with A at their median, and S = sum|I_k| + K |A|.  They are
+    exact as given, so the integrals' own term is 0.  A plain prefix sum
+    misses the exact duals here by about 13u S.
+    """
+    rng = np.random.default_rng(0)
+    K = 1001
+    integrals = np.sort(rng.choice([-1.0, 1.0], K) * 10.0 ** rng.uniform(-3.0, 3.0, K))[::-1]
+    A = float(np.median(integrals))
+    S = float(np.sum(np.abs(integrals))) + K * abs(A)
+    prefix = [Fraction(0)]
+    for value in integrals.tolist():
+        prefix.append(prefix[-1] + Fraction(value))
+    got = strip_duals(integrals, A).tolist()
+    for j, value in enumerate(got):
+        exact = (K - 2 * j) * Fraction(A) + 2 * prefix[j] - prefix[K]
+        assert abs(Fraction(value) - exact) <= 3 * Fraction(np.finfo(float).eps / 2) * Fraction(S), j
 
 
 def test_slope_ladder():
