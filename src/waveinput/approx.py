@@ -21,11 +21,11 @@ put that floor under every budget).
    the core's value and slope at the seam and lands on g_c(a) + c1 and
    g_c'(a) + c2 at b; delta_h shrinks until the measured error fits the
    budget.
-3. One constant, subtracted from core and patch alike, puts the integral on
-   the target and keeps the offsets; each patch width measures its error
-   once, with its own constant.  The result is one `PiecewiseCubic`, knotted
-   at the core's edges up to the seam and the nodes past it, an edge within
-   64 ulps of a node being that node; g holds its node samples.
+3. Each patch width builds the `PiecewiseCubic` it would return: core, then
+   patch, knotted at the core's edges below the seam, the seam and the nodes
+   past it, an edge within 64 ulps of a node being that node.  One constant,
+   subtracted from it, puts its exact integral on the target and keeps the
+   offsets; the width's error is that curve's.  g holds its node samples.
 
 The corner half-width delta is derived from the budget.  A corner with slope
 jump D costs |D| delta^2 / 6 in L1 and |D| (delta^3 / 40)^(1/2) in L2; delta
@@ -43,12 +43,12 @@ constant the corners add:
   norm gap of `pms_sequence` sees: a corner moves node values by about
   D delta / 4 with weight h rather than delta.
 
-The patch width can fall below the grid spacing, so errors are measured on
-the exact piecewise form (Gauss per segment, split at the seam), not on node
-samples, and `integral_residual` reads the curve's closed-form integral, a
-sum apart from the Gauss prefix that set the constant.  A budget within 64
-ulps of ||Q||_p is below the rounding of that measurement and is reported
-unreachable.
+Both widths can fall below the grid spacing, so the reported error is the
+returned curve's Gauss Lp distance to Q per piece, the constant comes from
+its closed-form integral, and `integral_residual` is only the rounding of
+subtracting it.  At delta << h the core's slope at x_2i +- delta carries that
+point's rounding, ulp |x| |D| / delta, which the next piece (h wide) spreads
+and the error shows.  A budget within 64 ulps of ||Q||_p is unreachable.
 """
 
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ApproxBudgetExceeded, BadParams, UnsupportedNorm
 from .functions import (
-    FEAS_TOL, GAUSS_X, C1GridFunction, GridFunction, PiecewiseCubic, gauss, integrate, lp_total,
+    FEAS_TOL, C1GridFunction, GridFunction, PiecewiseCubic, gauss, integrate, lp_total,
     rounding, simpson_weights, wsum,
 )
 from .tbvp import ShiftSequence, full_norm
@@ -149,13 +149,15 @@ class BoxCore:
 
 @dataclass
 class ApproxResult:
+    """The curve, exactly, with g its node samples; the errors are the curve's own."""
+
     g: C1GridFunction
     achieved_lp_error: float
     integral_residual: float
     endpoint_value_residual: float
     endpoint_deriv_residual: float
     stages: dict
-    curve: PiecewiseCubic  # the result exactly; g holds its node samples
+    curve: PiecewiseCubic
 
 
 def _check_epsilon(eps: float) -> None:
@@ -213,9 +215,8 @@ def approximate_c1(
         core = BoxCore(f, delta)
         edges = core.edges(a, b)
         pts, wts = gauss(edges)
-        core_v = core(pts)[0]
         q_at_pts = core.target(pts)
-        diffs = core_v - q_at_pts
+        diffs = core(pts)[0] - q_at_pts
         # the constant the corners add, which the integral shift removes
         drift = float(wsum(wts, diffs)) / width
         at_nodes = core(xs)[0] - f.values - drift
@@ -229,10 +230,6 @@ def approximate_c1(
 
     # a measured error below 64 ulps of ||Q||_p is rounding, not a result
     floor = rounding(lp_total(wts, q_at_pts, p))
-    # integrals of the core from a to each edge
-    cells = (-1, GAUSS_X.size)
-    prefix = np.concatenate(([0.0], np.cumsum(wsum(wts.reshape(cells), core_v.reshape(cells)))))
-
     value_a, slope_a = core(a)
     v1, d1 = float(value_a[0]) + c1, float(slope_a[0]) + c2
 
@@ -247,38 +244,28 @@ def approximate_c1(
         else:
             delta_h = delta_raw
         seam = b - delta_h
-        jc = min(max(int(np.searchsorted(edges, seam, side="right")) - 1, 0), edges.size - 2)
         seam_v, seam_d = core(seam)
         patch = PiecewiseCubic(np.array([seam, b]), np.append(seam_v, v1), np.append(seam_d, d1))
-
-        part_pts, part_wts = gauss(np.array([edges[jc], seam]))
-        part_v = core(part_pts)[0]
-        inner = xs[(xs > seam) & (xs < b)]
-        patch_pts, patch_wts = gauss(np.concatenate(([seam], inner, [b])))
-        hv = patch(patch_pts)[0]
-        core_int = prefix[jc] + float(wsum(part_wts, part_v))
-        shift = (core_int + patch.integral() - target_integral) / width
-
-        n_left = jc * GAUSS_X.size
-        # off Q on the core's cells left of the seam's cell, that cell up to the seam, the patch
-        w_off = np.concatenate((wts[:n_left], part_wts, patch_wts))
-        off = (diffs[:n_left], part_v - core.target(part_pts), hv - core.target(patch_pts))
-        achieved = lp_total(w_off, np.concatenate(off) - shift, p)
+        # the knots: the core's edges below the seam, the seam, then the nodes.
+        # An edge a few ulps off a node (x_2i +- delta at delta = 2h 2^k, a
+        # snapped seam) is that node, so no piece is an ulp wide.
+        knots = np.concatenate((edges[edges < seam], [seam], xs[xs > seam]))
+        j = np.rint((knots - a) / f.h).astype(np.intp)
+        knots = np.where(np.abs(knots - xs[j]) <= rounding(max(abs(a), abs(b))), xs[j], knots)
+        knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
+        cut = int(np.searchsorted(knots, seam))
+        (cv, cd), (pv, pd) = core(knots[:cut]), patch(knots[cut:])
+        curve = PiecewiseCubic(knots, np.concatenate((cv, pv)), np.concatenate((cd, pd)))
+        # the constant and the error are the candidate curve's own
+        shift = (curve.integral() - target_integral) / width
+        c_pts, c_wts = gauss(knots)
+        achieved = lp_total(c_wts, curve(c_pts)[0] - core.target(c_pts) - shift, p)
         reached = achieved < eps and eps > floor
         if reached or delta_raw / 2.0 < delta_min:
             break
         delta_raw /= 2.0
 
-    # the knots: the core's edges up to the seam, then the nodes.  An edge a
-    # few ulps off a node (x_2i +- delta at delta = 2h 2^k, a snapped seam) is
-    # that node, so no piece is an ulp wide.
-    knots = np.concatenate((edges[edges < seam], [seam], xs[xs > seam]))
-    j = np.rint((knots - a) / f.h).astype(np.intp)
-    knots = np.where(np.abs(knots - xs[j]) <= rounding(max(abs(a), abs(b))), xs[j], knots)
-    knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
-    cut = int(np.searchsorted(knots, seam))
-    (cv, cd), (pv, pd) = core(knots[:cut]), patch(knots[cut:])
-    curve = PiecewiseCubic(knots, np.concatenate((cv, pv)) - shift, np.concatenate((cd, pd)))
+    curve.values -= shift
     at = np.searchsorted(knots, xs)
     vals, ders = curve.values[at], curve.slopes[at]
     g = C1GridFunction(a, b, f.n, vals, ders)
